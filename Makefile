@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test lint perflint conclint race chaos overload check bench
+.PHONY: build test lint perflint race chaos overload check bench
 
 build:
 	$(GO) build ./...
@@ -20,18 +20,14 @@ lint:
 perflint:
 	$(GO) run ./cmd/cachelint -tier=perf ./...
 
-# The concurrency-isolation tier alone: the epoch-ownership contract
-# (epochshare, atomicmix, chanproto, wgbalance, goroutinecapture)
-# rooted at goroutine spawn sites.
-conclint:
-	$(GO) run ./cmd/cachelint -tier=conc ./...
-
+# The packages that hold sync primitives (atomics, mutexes, the
+# linter's package fan-out); the simulator itself is single-goroutine.
 race:
-	$(GO) test -race ./internal/engine/... ./internal/cachesim/... ./internal/exec/...
-	$(GO) test -race -run 'Parallel' ./internal/harness/...
+	$(GO) test -race ./internal/exec/... ./internal/memory/... ./internal/resctrl/... ./internal/fault/... ./internal/lint/...
 
+# The repo benchmark declared in BENCHMARK.json (see bench/README.md).
 bench:
-	sh scripts/bench.sh
+	$(GO) run -C bench .
 
 chaos:
 	sh scripts/check.sh chaos

@@ -212,31 +212,6 @@ func BenchmarkFig9(b *testing.B) {
 	}
 }
 
-// BenchmarkFig9Parallel — the same co-run in the epoch-parallel
-// simulation mode (DESIGN.md §11). Contrast ns/op against
-// BenchmarkFig9: on a multi-core host the private-level simulation
-// spreads across goroutines; the reported metrics stay bit-identical
-// across worker counts.
-func BenchmarkFig9Parallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := benchParams()
-		p.Parallel = true
-		sys, err := NewSystem(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		scan, err := NewScanQuery(sys)
-		if err != nil {
-			b.Fatal(err)
-		}
-		agg, err := NewAggQuery(sys, 10_000_000, 10_000)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchPair(b, sys, scan, agg, false)
-	}
-}
-
 // BenchmarkFig10 — aggregation ∥ join at 10^8 keys: the join60 scheme
 // must beat join10 for the sensitive bit vector.
 func BenchmarkFig10(b *testing.B) {
@@ -276,33 +251,6 @@ func BenchmarkFig11(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := benchParams()
 		p.RowsAgg = 1 << 18
-		sys, err := NewSystem(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		db, err := NewTPCH(sys)
-		if err != nil {
-			b.Fatal(err)
-		}
-		q1, err := NewTPCHQuery(sys, db, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		scan, err := NewScanQuery(sys)
-		if err != nil {
-			b.Fatal(err)
-		}
-		benchPair(b, sys, scan, q1, false)
-	}
-}
-
-// BenchmarkFig11Parallel — the TPC-H co-run in the epoch-parallel
-// simulation mode; compare ns/op against BenchmarkFig11.
-func BenchmarkFig11Parallel(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		p := benchParams()
-		p.RowsAgg = 1 << 18
-		p.Parallel = true
 		sys, err := NewSystem(p)
 		if err != nil {
 			b.Fatal(err)

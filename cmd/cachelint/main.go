@@ -6,7 +6,7 @@
 //
 // Usage:
 //
-//	cachelint [-tier intra|inter|perf|conc|all[,...]] [-checks nondet,...] [-baseline file] [-json] [-list] [packages]
+//	cachelint [-tier intra|inter|perf|all[,...]] [-checks nondet,...] [-baseline file] [-json] [-list] [packages]
 //
 // Packages default to ./... relative to the enclosing module. The
 // exit status is 0 when the tree is clean, 1 when diagnostics were
@@ -17,8 +17,7 @@
 // -tier selects the analysis tiers to run, as a comma-separated list —
 // "intra" (single-package correctness), "inter" (interprocedural
 // correctness), "perf" (hot-path performance over the //perf:hot
-// reachability set), "conc" (concurrency isolation over goroutine
-// spawn sites) — or "all" (the default). Unknown tier names are a
+// reachability set) — or "all" (the default). Unknown tier names are a
 // usage error. -checks narrows further to named checks.
 //
 // -baseline reads a JSONL file of accepted findings (same schema as
@@ -54,7 +53,7 @@ import (
 
 func main() {
 	var (
-		tier     = flag.String("tier", "all", "comma-separated analysis tiers to run: intra, inter, perf, conc or all")
+		tier     = flag.String("tier", "all", "comma-separated analysis tiers to run: intra, inter, perf or all")
 		checks   = flag.String("checks", "", "comma-separated subset of checks to run (default: the selected tier)")
 		baseline = flag.String("baseline", "", "JSONL file of accepted findings to suppress, matched by (file, check, message)")
 		list     = flag.Bool("list", false, "list the available checks and exit")
@@ -188,7 +187,7 @@ type jsonDiagnostic struct {
 }
 
 // selectAnalyzers resolves the -tier and -checks flags against the
-// registry. -tier is a comma-separated list of tiers ("intra,conc");
+// registry. -tier is a comma-separated list of tiers ("intra,perf");
 // "all" selects every tier; unknown names are a usage error. -checks
 // narrows within the selected tiers' suite.
 func selectAnalyzers(tier, checks string) ([]*lint.Analyzer, error) {
@@ -210,13 +209,13 @@ func selectAnalyzers(tier, checks string) ([]*lint.Analyzer, error) {
 				}
 			}
 			if !known {
-				return nil, fmt.Errorf("cachelint: unknown tier %q (intra, inter, perf, conc or all)", t)
+				return nil, fmt.Errorf("cachelint: unknown tier %q (intra, inter, perf or all)", t)
 			}
 			selected[t] = true
 		}
 	}
 	if len(selected) == 0 {
-		return nil, fmt.Errorf("cachelint: -tier selects no tier (intra, inter, perf, conc or all)")
+		return nil, fmt.Errorf("cachelint: -tier selects no tier (intra, inter, perf or all)")
 	}
 	var all []*lint.Analyzer
 	for _, a := range lint.Analyzers() {

@@ -18,7 +18,7 @@ func analyzerNames(as []*lint.Analyzer) []string {
 }
 
 func TestSelectAnalyzersTierList(t *testing.T) {
-	got, err := selectAnalyzers("intra,conc", "")
+	got, err := selectAnalyzers("intra,perf", "")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +26,8 @@ func TestSelectAnalyzersTierList(t *testing.T) {
 	for _, a := range got {
 		tiers[a.Tier] = true
 	}
-	if !tiers[lint.TierIntra] || !tiers[lint.TierConc] || len(tiers) != 2 {
-		t.Errorf("tiers selected by intra,conc: %v", tiers)
+	if !tiers[lint.TierIntra] || !tiers[lint.TierPerf] || len(tiers) != 2 {
+		t.Errorf("tiers selected by intra,perf: %v", tiers)
 	}
 	// Suite order is preserved: the selection must be a subsequence of
 	// the full analyzer list.
@@ -68,22 +68,26 @@ func TestSelectAnalyzersErrors(t *testing.T) {
 	if _, err := selectAnalyzers("intra,,bogus", ""); err == nil || !strings.Contains(err.Error(), `unknown tier "bogus"`) {
 		t.Errorf("unknown tier in list: err = %v", err)
 	}
+	// The retired concurrency tier is an unknown tier like any other.
+	if _, err := selectAnalyzers("conc", ""); err == nil || !strings.Contains(err.Error(), `unknown tier "conc"`) {
+		t.Errorf("retired tier: err = %v", err)
+	}
 	if _, err := selectAnalyzers("", ""); err == nil || !strings.Contains(err.Error(), "selects no tier") {
 		t.Errorf("empty tier: err = %v", err)
 	}
 	// A check outside the selected tiers is a usage error.
-	if _, err := selectAnalyzers("intra", "epochshare"); err == nil || !strings.Contains(err.Error(), `unknown check "epochshare"`) {
+	if _, err := selectAnalyzers("intra", "hotalloc"); err == nil || !strings.Contains(err.Error(), `unknown check "hotalloc"`) {
 		t.Errorf("check outside tier: err = %v", err)
 	}
 }
 
 func TestSelectAnalyzersChecksNarrow(t *testing.T) {
-	got, err := selectAnalyzers("conc", "atomicmix")
+	got, err := selectAnalyzers("perf", "hotalloc")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Name != "atomicmix" {
-		t.Errorf("conc/atomicmix selected %v", analyzerNames(got))
+	if len(got) != 1 || got[0].Name != "hotalloc" {
+		t.Errorf("perf/hotalloc selected %v", analyzerNames(got))
 	}
 }
 
@@ -93,7 +97,7 @@ func TestBaselineTierMatch(t *testing.T) {
 	lines := []string{
 		`# comment`,
 		``,
-		`{"file":"a.go","check":"epochshare","tier":"conc","message":"m1"}`,
+		`{"file":"a.go","check":"hotalloc","tier":"perf","message":"m1"}`,
 		`{"file":"b.go","check":"bounds","message":"m2"}`,
 	}
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
@@ -106,10 +110,10 @@ func TestBaselineTierMatch(t *testing.T) {
 	// An entry with a tier matches only under that tier's key; one
 	// without matches under the tierless key — main checks both forms
 	// for every finding.
-	if !accepted[baselineKey("a.go", "epochshare", "conc", "m1")] {
+	if !accepted[baselineKey("a.go", "hotalloc", "perf", "m1")] {
 		t.Error("tiered entry missing under tiered key")
 	}
-	if accepted[baselineKey("a.go", "epochshare", "", "m1")] {
+	if accepted[baselineKey("a.go", "hotalloc", "", "m1")] {
 		t.Error("tiered entry must not match the tierless key")
 	}
 	if !accepted[baselineKey("b.go", "bounds", "", "m2")] {

@@ -35,9 +35,6 @@ func main() {
 		scanRows = flag.Int("scanrows", 0, "rows of the scan column (default ~33M; must exceed the scaled LLC several times)")
 		ways     = flag.String("ways", "", "comma-separated LLC way limits to sweep (default 2,4,...,20)")
 		seed     = flag.Int64("seed", 1, "random seed")
-		parallel = flag.Bool("parallel", false, "simulate private cache levels on parallel host goroutines (deterministic; DESIGN.md §11)")
-		workers  = flag.Int("workers", 0, "host goroutines for -parallel (default GOMAXPROCS)")
-		epoch    = flag.Int64("epochticks", 0, "virtual-time lookahead between parallel merge barriers (default 65536)")
 
 		// serve-only flags (DESIGN.md §13).
 		rate     = flag.Float64("rate", 0, "serve: absolute offered rate in queries per simulated second (overrides -loads)")
@@ -97,9 +94,6 @@ func main() {
 		}
 	}
 	p.Seed = *seed
-	p.Parallel = *parallel
-	p.Workers = *workers
-	p.EpochTicks = *epoch
 
 	cmd := flag.Arg(0)
 	t0 := time.Now() //lint:allow nondet operator-facing progress timing, not simulation state

@@ -8,11 +8,10 @@ import (
 // These tests pin the perf tier's alloc-budget contract (DESIGN.md
 // §12): the per-access paths allocate nothing in steady state. A
 // regression fails here loudly instead of surfacing as benchmark
-// drift. The first iterations may grow internal structures (event
-// buffers, fill tables), so every test warms up before measuring.
+// drift.
 
 func TestAccessZeroAllocs(t *testing.T) {
-	m, err := New(parsimConfig())
+	m, err := New(batchTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +31,7 @@ func TestAccessZeroAllocs(t *testing.T) {
 }
 
 func TestAccessBatchZeroAllocs(t *testing.T) {
-	m, err := New(parsimConfig())
+	m, err := New(batchTestConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,35 +42,5 @@ func TestAccessBatchZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Machine.AccessBatch allocates %.1f per batch in steady state, want 0", allocs)
-	}
-}
-
-// TestEpochCycleZeroAllocs covers the parallel path end to end: epoch
-// begin, per-core accesses through CoreSim (fill table, event buffer),
-// and the merge. After the warm-up epochs size the buffers, a full
-// cycle must not allocate.
-func TestEpochCycleZeroAllocs(t *testing.T) {
-	cfg := parsimConfig()
-	m, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	es := m.NewEpochSim()
-	ops := batchPattern(rand.New(rand.NewSource(3)), 512)
-	cycle := func() {
-		es.BeginEpoch()
-		for c := 0; c < cfg.Cores; c++ {
-			cs := es.Core(c)
-			for i := range ops {
-				cs.Access(ops[i].Addr, ops[i].Write)
-			}
-		}
-		es.Merge()
-	}
-	cycle()
-	cycle()
-	allocs := testing.AllocsPerRun(10, cycle)
-	if allocs != 0 {
-		t.Errorf("epoch cycle allocates %.1f per epoch in steady state, want 0", allocs)
 	}
 }

@@ -12,8 +12,6 @@ import "cachepart/internal/cat"
 //
 // 56 bits of line number cover 2^62 bytes of address space, far beyond
 // what the bump allocator can hand out.
-//
-//conc:shared per-core sharded: workers touch only entries of their own l1[core]/l2[core]; the shared LLC's entries are frozen during an epoch
 type entry struct {
 	tag   uint64
 	ready int64 // tick at which the fill completes (prefetch in flight)
@@ -46,8 +44,6 @@ func (e *entry) setCLOS(c uint8) { e.tag = e.tag&^tagCLOSMask | uint64(c)<<tagCL
 
 // cache is one set-associative cache. It stores no data, only tags and
 // replacement state; the caller interprets hits and misses.
-//
-//conc:shared per-core sharded: l1[core]/l2[core] belong to the owning worker; the shared LLC is only peeked between barriers and mutated at the merge
 type cache struct {
 	sets    int
 	ways    int

@@ -36,8 +36,6 @@ func (l Level) String() string {
 
 // CoreStats are the performance counters of one core, in the spirit of
 // the Intel Processor Counter Monitor the paper samples.
-//
-//conc:shared per-core sharded: stats[core] is written only by the owning worker; cross-core reads happen at the merge barrier
 type CoreStats struct {
 	Instructions   uint64
 	Reads          uint64
@@ -111,8 +109,6 @@ func (s CoreStats) LLCMissesPerInstruction() float64 {
 // prefetcher is a per-core ascending stream detector: two consecutive
 // +1-line strides arm it, after which it keeps PrefetchDepth lines of
 // headroom in front of the demand stream.
-//
-//conc:shared per-core sharded: pf[core] belongs to the owning worker
 type prefetcher struct {
 	lastLine uint64
 	streak   int
@@ -131,7 +127,6 @@ type Machine struct {
 	llc cache
 	pf  []prefetcher
 
-	//conc:shared per-core sharded: each worker advances only now[core] of its own core
 	now      []int64 // per-core clock, ticks
 	dramFree int64   // next tick the DRAM line server is free
 
@@ -328,7 +323,6 @@ func (m *Machine) Compute(core int, cycles int64, instrs uint64) {
 // access. Each access retires one instruction.
 //
 //perf:hot executed once per simulated memory reference
-//conc:barrier mutates the shared LLC and DRAM queue directly; parallel epochs must go through CoreSim.Access instead
 func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 	line := addr.Line()
 	st := &m.stats[core]
@@ -416,8 +410,6 @@ func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 // Access/Compute call sequence, so results are bit-identical to the
 // unbatched loop; the win is amortized call overhead and an inlined
 // L1-hit fast path.
-//
-//conc:shared scratch element: BatchOps live in slices owned by one kernel instance
 type BatchOp struct {
 	Addr   memory.Addr
 	Write  bool
@@ -430,7 +422,6 @@ type BatchOp struct {
 // once per element.
 //
 //perf:hot the batched form of the per-access path
-//conc:barrier mutates the shared LLC and DRAM queue directly; parallel epochs must go through CoreSim.AccessBatch instead
 func (m *Machine) AccessBatch(core int, ops []BatchOp) {
 	if m.tracer != nil {
 		for i := range ops {

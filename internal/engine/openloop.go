@@ -3,10 +3,7 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"cachepart/internal/cachesim"
 	"cachepart/internal/exec"
@@ -88,11 +85,11 @@ type Feed interface {
 }
 
 // CompletionObserver is an optional Feed extension: a feed that also
-// implements it sees every Completion the moment it is recorded, on
-// the coordinator, in completion order. The serving tier's overload
-// control uses the callback to drive circuit breakers and polluter
-// classification from live completion telemetry. Observe must be
-// deterministic — it runs inside the virtual-time loop.
+// implements it sees every Completion the moment it is recorded, in
+// completion order. The serving tier's overload control uses the
+// callback to drive circuit breakers and polluter classification from
+// live completion telemetry. Observe must be deterministic — it runs
+// inside the virtual-time loop.
 type CompletionObserver interface {
 	Observe(c Completion)
 }
@@ -103,15 +100,6 @@ type OpenLoopOptions struct {
 	// in RunOptions. Defaults 1024 rows / 1024 ticks.
 	Quantum          int
 	TargetSliceTicks int64
-
-	// Parallel selects the epoch-parallel simulation of private cache
-	// levels (DESIGN.md §11); Workers and EpochTicks as in RunOptions.
-	// Dispatch and completion then happen at epoch barriers, so the
-	// timing follows the epoch semantics, but results stay bit-identical
-	// across worker counts.
-	Parallel   bool
-	Workers    int
-	EpochTicks int64
 
 	// Prewarm lists queries whose declared regions (Prewarmer) are
 	// touched once before the clocks zero, so dictionaries and tables
@@ -125,9 +113,6 @@ func (o *OpenLoopOptions) setDefaults() {
 	}
 	if o.TargetSliceTicks <= 0 {
 		o.TargetSliceTicks = 1024
-	}
-	if o.EpochTicks <= 0 {
-		o.EpochTicks = 1 << 16
 	}
 }
 
@@ -147,7 +132,7 @@ type GroupResult struct {
 // OpenLoopResult is the full report of one open-loop run.
 type OpenLoopResult struct {
 	// Completions holds every finished submission sorted by (Done,
-	// Group), a stable order across serial and parallel modes.
+	// Group, Tag).
 	Completions []Completion
 	Groups      []GroupResult
 }
@@ -181,9 +166,7 @@ func (g *olGroup) clock(m *cachesim.Machine) int64 {
 	return t
 }
 
-// stats sums the group cores' counters at the current instant. Called
-// only on the coordinator (dispatch and phase barriers), where the
-// parallel mode's merged state is settled.
+// stats sums the group cores' counters at the current instant.
 func (g *olGroup) stats(m *cachesim.Machine) cachesim.CoreStats {
 	var s cachesim.CoreStats
 	for _, c := range g.cores {
@@ -221,12 +204,7 @@ func (e *Engine) RunOpenLoop(groups [][]int, feed Feed, opts OpenLoopOptions) (*
 	if obs, ok := feed.(CompletionObserver); ok {
 		st.obs = obs
 	}
-	if opts.Parallel {
-		err = e.openLoopParallel(st, feed, opts)
-	} else {
-		err = e.openLoopSerial(st, feed, opts)
-	}
-	if err != nil {
+	if err := e.openLoopSerial(st, feed, opts); err != nil {
 		return nil, err
 	}
 	return e.openLoopResults(st), nil
@@ -403,26 +381,14 @@ func (e *Engine) openLoopSerial(ol *olState, feed Feed, opts OpenLoopOptions) er
 		if err := e.controllerTick(ol.ces, minNow, minG.cores[minSlot]); err != nil {
 			return err
 		}
-		st := minG.st
-		slot := &st.slots[minSlot]
-		core := minG.cores[minSlot]
-		budget := slot.budgetFor(opts.TargetSliceTicks, opts.Quantum)
-		before := e.m.Now(core)
-		rows, done := slot.kernel.Step(ol.ctxs[core], budget)
-		slot.observe(rows, e.m.Now(core)-before)
-		if st.phases[st.phaseIdx].CountRows {
-			st.rows += int64(rows)
+		phaseDone, err := e.stepSlice(minG.st, minSlot, ol.ctxs[minG.cores[minSlot]], opts.TargetSliceTicks, opts.Quantum)
+		if err != nil {
+			return err
 		}
-		if done {
-			slot.done = true
-			if st.phaseDone() {
-				if err := e.completeOrAdvance(ol, minG); err != nil {
-					return err
-				}
+		if phaseDone {
+			if err := e.completeOrAdvance(ol, minG); err != nil {
+				return err
 			}
-		} else if rows == 0 {
-			return fmt.Errorf("engine: kernel %q/%s made no progress",
-				st.spec.Query.Name(), st.phases[st.phaseIdx].Name)
 		}
 	}
 }
@@ -448,151 +414,6 @@ func (ol *olState) minRunnable(m *cachesim.Machine) (*olGroup, int, int64) {
 		}
 	}
 	return best, bestSlot, bestNow
-}
-
-// openLoopParallel is the epoch-parallel loop: between barriers every
-// busy slot advances on its core's parallel front-end up to a shared
-// horizon; dispatch, completion, controller epochs and phase barriers
-// all run on the coordinator. The horizon never crosses a pending
-// wake, so feed calls stay ordered by virtual time and results are
-// independent of the worker count.
-func (e *Engine) openLoopParallel(ol *olState, feed Feed, opts OpenLoopOptions) error {
-	es := e.m.NewEpochSim()
-	pctxs := make([]*exec.Ctx, e.m.Cores())
-	for c := range pctxs {
-		pctxs[c] = e.Ctx(c)
-		pctxs[c].Par = es.Core(c)
-	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-
-	// Each worker claims disjoint tasks via the atomic cursor, so a
-	// task is written by at most one goroutine per epoch.
-	//
-	//conc:shared one slot per task; the claiming worker alone writes it and the coordinator reads after wg.Wait
-	type task struct {
-		g      *olGroup
-		slot   *kernelSlot
-		core   int
-		serial bool
-		err    error
-	}
-	var tasks []task
-
-	for {
-		var wakeG *olGroup
-		for _, g := range ol.groups {
-			if g.busy || g.retired {
-				continue
-			}
-			if wakeG == nil || g.wake < wakeG.wake {
-				wakeG = g
-			}
-		}
-		minG, minSlot, minNow := ol.minRunnable(e.m)
-		if wakeG == nil && minG == nil {
-			return nil
-		}
-		if wakeG != nil && (minG == nil || wakeG.wake <= minNow) {
-			if err := e.dispatch(ol, wakeG, feed, wakeG.wake); err != nil {
-				return err
-			}
-			continue
-		}
-		if err := e.controllerTick(ol.ces, minNow, minG.cores[minSlot]); err != nil {
-			return err
-		}
-
-		// The barrier lands at the earliest pending wake if one falls
-		// inside the epoch, so a queued arrival is dispatched before any
-		// busy core simulates past it.
-		horizon := minNow + opts.EpochTicks
-		if wakeG != nil && wakeG.wake < horizon {
-			horizon = wakeG.wake
-		}
-		tasks = tasks[:0]
-		for _, g := range ol.groups {
-			if !g.busy {
-				continue
-			}
-			if g.st.phases[g.st.phaseIdx].Serial {
-				tasks = append(tasks, task{g: g, serial: true})
-				continue
-			}
-			for i := range g.st.slots {
-				s := &g.st.slots[i]
-				if s.kernel == nil || s.done {
-					continue
-				}
-				core := g.cores[i]
-				if e.m.Now(core) >= horizon {
-					continue
-				}
-				tasks = append(tasks, task{g: g, slot: s, core: core})
-			}
-		}
-		runOpts := RunOptions{Quantum: opts.Quantum, TargetSliceTicks: opts.TargetSliceTicks}
-		runTask := func(t *task) {
-			if t.serial {
-				t.err = e.stepStreamInterleaved(t.g.st, pctxs, horizon, runOpts)
-			} else {
-				t.err = e.stepSlot(t.g.st, t.slot, pctxs[t.core], t.core, horizon, runOpts)
-			}
-		}
-
-		es.BeginEpoch()
-		if n := min(workers, len(tasks)); n <= 1 {
-			for i := range tasks {
-				runTask(&tasks[i])
-			}
-		} else {
-			var next atomic.Int64
-			var wg sync.WaitGroup
-			for w := 0; w < n; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= len(tasks) {
-							return
-						}
-						runTask(&tasks[i])
-					}
-				}()
-			}
-			wg.Wait()
-		}
-		es.Merge()
-		for i := range tasks {
-			if tasks[i].err != nil {
-				return tasks[i].err
-			}
-		}
-
-		// Barrier bookkeeping: fold worker-local row counts, then
-		// advance or complete groups whose phase finished, in group
-		// order for determinism.
-		for _, g := range ol.groups {
-			if !g.busy {
-				continue
-			}
-			countRows := g.st.phases[g.st.phaseIdx].CountRows
-			for i := range g.st.slots {
-				if countRows {
-					g.st.rows += g.st.slots[i].rowsAcc
-				}
-				g.st.slots[i].rowsAcc = 0
-			}
-			if g.st.phaseDone() {
-				if err := e.completeOrAdvance(ol, g); err != nil {
-					return err
-				}
-			}
-		}
-	}
 }
 
 // openLoopResults assembles the final report.

@@ -131,24 +131,6 @@ func TestRunOpenLoopDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunOpenLoopWorkerInvariance pins that the epoch-parallel open
-// loop is independent of the worker count, and that dispatch order
-// (hence every completion stamp) matches across Workers=1 and 4.
-func TestRunOpenLoopWorkerInvariance(t *testing.T) {
-	run := func(workers int) *OpenLoopResult {
-		e := testEngine(t, true)
-		res, err := e.RunOpenLoop([][]int{{0, 1}, {2, 3}, {4, 5}}, &sliceFeed{subs: testSubs(18, 2500, 700)},
-			OpenLoopOptions{Parallel: true, Workers: workers, EpochTicks: 1 << 12})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	if a, b := run(1), run(4); !reflect.DeepEqual(a, b) {
-		t.Error("open-loop results differ between Workers=1 and Workers=4")
-	}
-}
-
 func TestRunOpenLoopValidates(t *testing.T) {
 	e := testEngine(t, true)
 	if _, err := e.RunOpenLoop(nil, &sliceFeed{}, OpenLoopOptions{}); err == nil {

@@ -23,13 +23,6 @@ type Phase struct {
 	// CountRows marks phases whose processed rows count toward the
 	// query's throughput (payload phases, not auxiliary merges).
 	CountRows bool
-	// Serial marks phases whose kernels mutate shared, order-sensitive
-	// state — e.g. folding thread-local tables into one global hash
-	// table, where the probe chains depend on insertion order. A
-	// parallel-mode run executes such a phase's kernels as a single
-	// task interleaved in virtual-time order, so results stay
-	// deterministic; serial-mode runs are unaffected.
-	Serial bool
 }
 
 // Query plans executions of one statement. Implementations live in the

@@ -47,25 +47,6 @@ type RunOptions struct {
 	// cores, which the shared DRAM queue is sensitive to. Default 1024
 	// ticks (64 cycles).
 	TargetSliceTicks int64
-
-	// Parallel selects the epoch-parallel simulation mode: each
-	// simulated core's private cache levels run in their own host
-	// goroutine between epoch barriers, with shared-state mutations
-	// buffered and merged in virtual-time order (cachesim parsim,
-	// DESIGN.md §11). Results are deterministic and independent of
-	// Workers, but follow the epoch semantics rather than the serial
-	// reference's per-access interleaving. Parallel runs are untraced.
-	Parallel bool
-	// Workers caps the host goroutines driving per-core simulation in
-	// parallel mode. 0 uses GOMAXPROCS. Changing Workers never changes
-	// results, only wall-clock time.
-	Workers int
-	// EpochTicks is the conservative lookahead horizon of parallel
-	// mode: cores simulate independently for this much virtual time
-	// between merge barriers. Smaller epochs track cross-core
-	// contention more closely; larger epochs amortize the barrier.
-	// Default 65536 ticks (4096 cycles).
-	EpochTicks int64
 }
 
 func (o *RunOptions) setDefaults() {
@@ -143,18 +124,12 @@ func (r StreamResult) Percentile(p float64) int64 {
 }
 
 // kernelSlot tracks one worker's kernel within the current phase.
-//
-//conc:shared slot is bound to one core; only the worker driving that core writes it during an epoch, the coordinator reads after the join
 type kernelSlot struct {
 	kernel exec.Kernel
 	done   bool
 	// ticksPerRow is an EWMA of the kernel's cost used to budget
 	// time-uniform slices.
 	ticksPerRow float64
-	// rowsAcc accumulates rows processed since the last barrier; the
-	// parallel coordinator folds it into the stream's count there, so
-	// worker tasks never write shared stream state.
-	rowsAcc int64
 }
 
 // budgetFor sizes a slice so it advances about target ticks.
@@ -210,9 +185,9 @@ type stream struct {
 // binding ties one worker core to its stream and kernel slot.
 type binding struct{ core, si, slot int }
 
-// runState carries the shared prologue products of a run — streams,
-// core bindings, warm-up bookkeeping — between the serial and parallel
-// execution loops.
+// runState carries the prologue products of a run — streams, core
+// bindings, warm-up bookkeeping — from prepareRun through the
+// execution loop to results.
 type runState struct {
 	streams     []*stream
 	bindings    []binding
@@ -237,21 +212,15 @@ func (rs *runState) snapshotWarm(e *Engine) {
 
 // Run executes the streams concurrently in virtual time until the
 // simulated duration elapses, returning per-stream results. The
-// machine is reset first so runs are independent and deterministic.
-// With opts.Parallel the per-core private cache levels simulate on
-// multiple host goroutines under the epoch scheme; otherwise the
-// serial reference loop interleaves cores in min-clock order.
+// machine is reset first so runs are independent and deterministic;
+// the loop interleaves cores in min-clock order.
 func (e *Engine) Run(specs []StreamSpec, opts RunOptions) ([]StreamResult, error) {
 	opts.setDefaults()
 	rs, err := e.prepareRun(specs, opts)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Parallel {
-		if err := e.runParallel(rs, opts); err != nil {
-			return nil, err
-		}
-	} else if err := e.runSerial(rs, opts); err != nil {
+	if err := e.runSerial(rs, opts); err != nil {
 		return nil, err
 	}
 	return e.results(rs), nil
@@ -382,26 +351,41 @@ func (e *Engine) runSerial(rs *runState, opts RunOptions) error {
 
 		b := rs.bindings[minIdx]
 		st := rs.streams[b.si]
-		slot := &st.slots[b.slot]
-		budget := slot.budgetFor(opts.TargetSliceTicks, opts.Quantum)
-		before := e.m.Now(b.core)
-		rows, done := slot.kernel.Step(rs.ctxs[b.core], budget)
-		slot.observe(rows, e.m.Now(b.core)-before)
-		if st.phases[st.phaseIdx].CountRows {
-			st.rows += int64(rows)
+		phaseDone, err := e.stepSlice(st, b.slot, rs.ctxs[b.core], opts.TargetSliceTicks, opts.Quantum)
+		if err != nil {
+			return err
 		}
-		if done {
-			slot.done = true
-			if st.phaseDone() {
-				if err := e.advancePhase(st); err != nil {
-					return err
-				}
+		if phaseDone {
+			if err := e.advancePhase(st); err != nil {
+				return err
 			}
-		} else if rows == 0 {
-			return fmt.Errorf("engine: kernel %q/%s made no progress",
-				st.spec.Query.Name(), st.phases[st.phaseIdx].Name)
 		}
 	}
+}
+
+// stepSlice runs one scheduling slice of the stream's slot on ctx's
+// core — budget, Step, cost observation, row count — and reports
+// whether the slice finished the last running kernel of the stream's
+// current phase. A kernel that neither progresses nor finishes is an
+// error.
+func (e *Engine) stepSlice(st *stream, slotIdx int, ctx *exec.Ctx, targetTicks int64, quantum int) (phaseDone bool, err error) {
+	slot := &st.slots[slotIdx]
+	budget := slot.budgetFor(targetTicks, quantum)
+	before := e.m.Now(ctx.Core)
+	rows, done := slot.kernel.Step(ctx, budget)
+	slot.observe(rows, e.m.Now(ctx.Core)-before)
+	if st.phases[st.phaseIdx].CountRows {
+		st.rows += int64(rows)
+	}
+	if done {
+		slot.done = true
+		return st.phaseDone(), nil
+	}
+	if rows == 0 {
+		return false, fmt.Errorf("engine: kernel %q/%s made no progress",
+			st.spec.Query.Name(), st.phases[st.phaseIdx].Name)
+	}
+	return false, nil
 }
 
 // results builds the per-stream report over the post-warm-up window.

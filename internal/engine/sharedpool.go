@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 
 	"cachepart/internal/cachesim"
 	"cachepart/internal/exec"
@@ -22,11 +21,6 @@ import (
 // Workers prefer to continue jobs of the stream they last ran
 // (affinity) and steal from other streams otherwise, so mask writes
 // stay proportional to genuine class changes.
-//
-// opts.Parallel is ignored here: the pool re-associates resctrl groups
-// on every scheduling slice, a per-slice shared-state interaction the
-// epoch scheme cannot buffer, so shared-pool runs always use the
-// serial reference loop.
 func (e *Engine) RunSharedPool(queries []Query, opts RunOptions) ([]StreamResult, error) {
 	opts.setDefaults()
 	if len(queries) == 0 {
@@ -95,11 +89,9 @@ func (e *Engine) RunSharedPool(queries []Query, opts RunOptions) ([]StreamResult
 	durTicks := e.m.Ticks(opts.Duration)
 	warmTicks := e.m.Ticks(opts.Duration * opts.WarmupFraction)
 	warmed := false
-	var statsAtWarm []cachesim.CoreStats
 
-	// running[si][slot] marks slots currently held by a core this
-	// slice; in the serial loop a slot finishes its slice atomically,
-	// so the flag only guards the pick below.
+	// lastStream[c] is the stream core c ran last, its affinity for
+	// the next pick.
 	lastStream := make([]int, cores)
 	for c := range lastStream {
 		lastStream[c] = c % len(streams)
@@ -119,7 +111,6 @@ func (e *Engine) RunSharedPool(queries []Query, opts RunOptions) ([]StreamResult
 		}
 		if !warmed && minNow >= warmTicks {
 			warmed = true
-			statsAtWarm = e.m.CoreStatsSnapshot()
 			copy(warmStreamStats, streamStats)
 			for _, st := range streams {
 				st.rowsAtWarm = st.rows
@@ -185,10 +176,7 @@ func (e *Engine) RunSharedPool(queries []Query, opts RunOptions) ([]StreamResult
 
 	if !warmed {
 		warmTicks = 0
-		copy(warmStreamStats, make([]cachesim.CoreStats, len(streams)))
-		statsAtWarm = make([]cachesim.CoreStats, cores)
 	}
-	_ = statsAtWarm
 
 	results := make([]StreamResult, len(streams))
 	window := e.m.Seconds(durTicks - warmTicks)
@@ -220,32 +208,30 @@ func (st *stream) armPoolPhase() {
 }
 
 // pickSlot chooses the next runnable slot, preferring the given stream
-// (worker affinity) and stealing round-robin otherwise. Within a
-// stream it picks the least-progressed slot so phase barriers clear
-// evenly.
+// (worker affinity) and otherwise stealing from the lowest-indexed
+// stream with runnable work. Within a stream it picks the
+// lowest-indexed runnable slot.
 func pickSlot(streams []*stream, prefer int) (si, slot int) {
-	order := make([]int, 0, len(streams))
-	order = append(order, prefer)
-	for i := range streams {
-		if i != prefer {
-			order = append(order, i)
-		}
+	if s := streams[prefer].firstRunnable(); s >= 0 {
+		return prefer, s
 	}
-	for _, i := range order {
-		st := streams[i]
-		candidates := make([]int, 0, len(st.slots))
-		for s := range st.slots {
-			if st.slots[s].kernel != nil && !st.slots[s].done {
-				candidates = append(candidates, s)
-			}
+	for i, st := range streams {
+		if s := st.firstRunnable(); s >= 0 {
+			return i, s
 		}
-		if len(candidates) == 0 {
-			continue
-		}
-		sort.Ints(candidates)
-		return i, candidates[0]
 	}
 	return -1, -1
+}
+
+// firstRunnable returns the lowest-indexed slot of the stream's
+// current phase that still has work, or -1.
+func (st *stream) firstRunnable() int {
+	for s := range st.slots {
+		if st.slots[s].kernel != nil && !st.slots[s].done {
+			return s
+		}
+	}
+	return -1
 }
 
 // validatePhases mirrors planExecution's checks.

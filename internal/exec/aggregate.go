@@ -15,8 +15,6 @@ import (
 // decompresses the value through the dictionary (random access — this
 // is the dictionary-size sensitivity of Figure 5), and probes the
 // local table (random access — the group-count sensitivity).
-//
-//conc:shared kernel instance is bound to one core's slot; only the worker driving that core calls Step between barriers
 type AggLocal struct {
 	GroupCol *column.Column
 	ValueCol *column.Column
@@ -98,8 +96,6 @@ func (a *AggLocal) Reset() {
 // the global result table (Section II: hash tables are used "globally
 // to merge thread-local results"). Row-units are scanned local slots.
 // Kind must match the fold the local phase applied.
-//
-//conc:shared kernel instance is bound to one core's slot; the merge kernel additionally runs in the serial phase
 type AggMerge struct {
 	Locals []*AggTable
 	Global *AggTable

@@ -9,8 +9,6 @@ import (
 // aggSlot is one hash-table slot: a group key and its aggregate.
 // With padding it occupies 16 simulated bytes, so four slots share a
 // cache line.
-//
-//conc:shared element of an AggTable; shares the owning table's single-kernel ownership
 type aggSlot struct {
 	key  uint32
 	used bool
@@ -23,8 +21,6 @@ const slotBytes = 16
 // for thread-local pre-aggregation and for the global merge result
 // (Section II). Its simulated footprint — capacity × 16 B — is what
 // makes aggregation cache-sensitive when it is comparable to the LLC.
-//
-//conc:shared owned by exactly one kernel: local tables are core-private, the global merge table is stepped by the serial phase
 type AggTable struct {
 	slots  []aggSlot
 	region memory.Region

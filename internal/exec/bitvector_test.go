@@ -9,9 +9,8 @@ import (
 
 // TestBitVectorConcurrent pins the atomic access contract on the join
 // bit vector: builders Set concurrently while probers Test and
-// PopCount, the shape the parallel build phase produces. Every word
-// access goes through sync/atomic (enforced by the atomicmix lint),
-// so this test must stay clean under -race.
+// PopCount. Every word access goes through sync/atomic, so this test
+// must stay clean under -race.
 func TestBitVectorConcurrent(t *testing.T) {
 	const n = 4096
 	space := memory.NewSpace()

@@ -19,45 +19,19 @@ import (
 type Ctx struct {
 	M    *cachesim.Machine
 	Core int
-	// Par, when non-nil, routes memory accesses through the core's
-	// parallel epoch front-end (cachesim.CoreSim) instead of the serial
-	// machine — the engine sets it for parallel-mode runs. Compute only
-	// touches core-owned state, so it goes to the machine either way.
-	Par *cachesim.CoreSim
 }
 
 // Read reports a load.
-func (c *Ctx) Read(a memory.Addr) {
-	if c.Par != nil {
-		c.Par.Access(a, false)
-		return
-	}
-	//lint:allow epochshare serial fallback: Par is always non-nil on worker-driven cores, so workers never reach the Machine barrier
-	c.M.Access(c.Core, a, false)
-}
+func (c *Ctx) Read(a memory.Addr) { c.M.Access(c.Core, a, false) }
 
 // Write reports a store (write-allocate).
-func (c *Ctx) Write(a memory.Addr) {
-	if c.Par != nil {
-		c.Par.Access(a, true)
-		return
-	}
-	//lint:allow epochshare serial fallback: Par is always non-nil on worker-driven cores, so workers never reach the Machine barrier
-	c.M.Access(c.Core, a, true)
-}
+func (c *Ctx) Write(a memory.Addr) { c.M.Access(c.Core, a, true) }
 
 // ReadBatch reports a run of accesses (loads, plus stores via the
 // Write flag), each optionally followed by a compute step. Semantics
 // are exactly the per-element Read/Write + Compute sequence; batching
 // amortizes the per-reference call overhead on scan-style kernels.
-func (c *Ctx) ReadBatch(ops []cachesim.BatchOp) {
-	if c.Par != nil {
-		c.Par.AccessBatch(ops)
-		return
-	}
-	//lint:allow epochshare serial fallback: Par is always non-nil on worker-driven cores, so workers never reach the Machine barrier
-	c.M.AccessBatch(c.Core, ops)
-}
+func (c *Ctx) ReadBatch(ops []cachesim.BatchOp) { c.M.AccessBatch(c.Core, ops) }
 
 // Compute reports pure computation: cycles of work retiring instrs
 // instructions.

@@ -48,9 +48,9 @@ func (b *BitVector) Addr(key int64) memory.Addr {
 	return b.region.Addr(uint64(key-b.lo) / 8)
 }
 
-// Set marks a key present. The OR is atomic so concurrent build
-// kernels of a parallel-mode run may share the vector: bit-sets
-// commute, so the final contents are independent of interleaving.
+// Set marks a key present. The OR is atomic so concurrent callers may
+// share the vector: bit-sets commute, so the final contents are
+// independent of interleaving.
 func (b *BitVector) Set(key int64) {
 	i := uint64(key - b.lo)
 	if i >= b.n {
@@ -59,9 +59,9 @@ func (b *BitVector) Set(key int64) {
 	atomic.OrUint64(&b.words[i/64], 1<<(i%64))
 }
 
-// Test reports whether a key is present. The load is atomic because
-// probe kernels may run while build kernels still OR bits in: a plain
-// read of the same word is a data race even though bit-sets commute.
+// Test reports whether a key is present. The load is atomic because a
+// plain read of a word another goroutine is ORing bits into is a data
+// race even though bit-sets commute.
 func (b *BitVector) Test(key int64) bool {
 	i := uint64(key - b.lo)
 	if i >= b.n {
@@ -103,8 +103,6 @@ func (b *BitVector) PopCount() uint64 {
 // primary-key column and set the key's bit. The scan side is
 // sequential; the bit writes scatter over the vector when the table is
 // not key-ordered.
-//
-//conc:shared kernel instance is bound to one core's slot; the shared bit vector is written only through atomic OR (see BitVector)
 type JoinBuild struct {
 	KeyCol *column.Column
 	From   int
@@ -165,8 +163,6 @@ func (j *JoinBuild) Reset() {
 
 // JoinProbe is the second phase: scan the foreign-key column, test each
 // key's bit (random access over the vector) and count matches.
-//
-//conc:shared kernel instance is bound to one core's slot; only the worker driving that core calls Step between barriers
 type JoinProbe struct {
 	FKCol *column.Column
 	From  int

@@ -18,8 +18,6 @@ import (
 // Its hot working set — the inverted index's probed lines, the key
 // columns' touched code lines and above all the projected columns'
 // dictionaries — is what a concurrent scan evicts in Figures 1 and 12.
-//
-//conc:shared kernel instance is bound to one core's slot; only the worker driving that core calls Step between barriers
 type PKLookupProject struct {
 	Index        *column.InvertedIndex // most selective key column
 	IndexKey     int64

@@ -15,8 +15,6 @@ import (
 // reads the row's code and decompresses it through the column's
 // dictionary. The dictionaries are the OLTP query's hot working set;
 // an OLAP scan evicting them is exactly the pollution Figure 12 shows.
-//
-//conc:shared kernel instance is bound to one core's slot; only the worker driving that core calls Step between barriers
 type IndexLookupProject struct {
 	Indexes []*column.InvertedIndex
 	Keys    []int64 // one per index

@@ -17,8 +17,6 @@ import (
 //
 // The kernel counts codes c with LoCode <= c < HiCode over rows
 // [From, To).
-//
-//conc:shared kernel instance is bound to one core's slot; only the worker driving that core calls Step between barriers
 type ColumnScan struct {
 	Col    *column.Column
 	From   int

@@ -18,8 +18,6 @@ import (
 // group-count-sized table, so it trades extra materialisation
 // bandwidth for insensitivity to LLC capacity: the contrast the
 // ablation benchmarks measure.
-//
-//conc:shared kernel instance is bound to one core's slot; only the worker driving that core calls Step between barriers
 type SortAggLocal struct {
 	GroupCol *column.Column
 	ValueCol *column.Column

@@ -16,8 +16,6 @@ import (
 // update. The per-row dictionary traffic across several columns is
 // what makes queries like TPC-H Q1 profit from cache partitioning
 // (Section VI-D).
-//
-//conc:shared kernel instance is bound to one core's slot; only the worker driving that core calls Step between barriers
 type WideAggLocal struct {
 	GroupCol  *column.Column
 	ValueCols []*column.Column

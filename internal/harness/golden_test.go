@@ -1,0 +1,110 @@
+package harness
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"flag"
+	"os"
+	"testing"
+)
+
+var update = flag.Bool("update", false, "rewrite testdata/golden.json from the current serial reference output")
+
+const goldenPath = "testdata/golden.json"
+
+// goldenFigures renders each pinned figure through the printers
+// cmd/cachepart uses, at the parameters the shape tests in this
+// package use.
+var goldenFigures = []struct {
+	name   string
+	render func(w *bytes.Buffer) error
+}{
+	{"fig9b", func(w *bytes.Buffer) error {
+		panels, err := Fig9(figureParams())
+		if err != nil {
+			return err
+		}
+		for _, panel := range panels {
+			PrintPairRows(w, "Figure 9 — "+panel.Label, panel.Rows)
+		}
+		return nil
+	}},
+	{"fig10", func(w *bytes.Buffer) error {
+		rows, err := Fig10(figureParams())
+		if err != nil {
+			return err
+		}
+		PrintPairRows(w, "Figure 10", rows)
+		return nil
+	}},
+	{"fig11", func(w *bytes.Buffer) error {
+		p := figureParams()
+		p.RowsAgg = 1 << 17
+		row, err := Fig11Query(p, 1)
+		if err != nil {
+			return err
+		}
+		PrintPairRows(w, "Figure 11", []PairRow{row})
+		return nil
+	}},
+	{"serve", func(w *bytes.Buffer) error {
+		r, err := FigServeOpts(Fast(), serveTestOpts())
+		if err != nil {
+			return err
+		}
+		PrintServe(w, r)
+		return nil
+	}},
+}
+
+// TestGoldenDigests pins the serial reference model: the printed
+// output of each figure must hash to the digest recorded in
+// testdata/golden.json. The simulator is deterministic per seed, so
+// any drift is a behaviour change; a PR that moves a digest
+// regenerates the file with `go test ./internal/harness -run
+// TestGoldenDigests -update` and says why in CHANGES.md.
+func TestGoldenDigests(t *testing.T) {
+	if testing.Short() {
+		t.Skip("figure runs in short mode")
+	}
+	got := make(map[string]string, len(goldenFigures))
+	for _, fig := range goldenFigures {
+		var buf bytes.Buffer
+		if err := fig.render(&buf); err != nil {
+			t.Fatalf("%s: %v", fig.name, err)
+		}
+		sum := sha256.Sum256(buf.Bytes())
+		got[fig.name] = hex.EncodeToString(sum[:])
+		if testing.Verbose() {
+			t.Logf("%s:\n%s", fig.name, buf.String())
+		}
+	}
+	if *update {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	data, err := os.ReadFile(goldenPath)
+	if err != nil {
+		t.Fatalf("%v (record with -update)", err)
+	}
+	var want map[string]string
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	for _, fig := range goldenFigures {
+		if got[fig.name] != want[fig.name] {
+			t.Errorf("%s digest = %s, want %s (rerun with -v to see the output)", fig.name, got[fig.name], want[fig.name])
+		}
+	}
+	if len(want) != len(goldenFigures) {
+		t.Errorf("%s holds %d digests, the test renders %d", goldenPath, len(want), len(goldenFigures))
+	}
+}

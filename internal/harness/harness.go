@@ -44,18 +44,6 @@ type Params struct {
 	// Quantum is the scheduling slice in rows.
 	Quantum int
 
-	// Parallel selects the epoch-parallel simulation mode: private
-	// cache levels simulate on Workers host goroutines between merge
-	// barriers EpochTicks of virtual time apart (DESIGN.md §11).
-	// Results are deterministic and independent of Workers.
-	Parallel bool
-	// Workers caps the host goroutines of a parallel run; 0 uses
-	// GOMAXPROCS.
-	Workers int
-	// EpochTicks overrides the parallel lookahead horizon; 0 uses the
-	// engine default (65536 ticks).
-	EpochTicks int64
-
 	// DictSweep, GroupSweep and KeySweep override the paper-nominal
 	// parameter lists of Figures 5/9 (dictionary cardinalities, group
 	// counts) and 6/10 (primary-key counts). Empty uses the paper's
@@ -264,12 +252,9 @@ func (s *System) measureOf(r engine.StreamResult) Measure {
 // runOptions builds the engine options for this harness.
 func (s *System) runOptions() engine.RunOptions {
 	return engine.RunOptions{
-		Duration:   s.Params.Duration,
-		Seed:       s.Params.Seed,
-		Quantum:    s.Params.Quantum,
-		Parallel:   s.Params.Parallel,
-		Workers:    s.Params.Workers,
-		EpochTicks: s.Params.EpochTicks,
+		Duration: s.Params.Duration,
+		Seed:     s.Params.Seed,
+		Quantum:  s.Params.Quantum,
 	}
 }
 

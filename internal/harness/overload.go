@@ -142,7 +142,7 @@ func FigOverload(p Params) (*OverloadResult, error) {
 // client retries and circuit breakers enabled, driven at Loads ×
 // capacity under every (shed policy, cache arm) pair. Reports are
 // bit-identical per (Params.Seed, options) — including under composed
-// control-plane and serving-plane chaos, at any worker count.
+// control-plane and serving-plane chaos.
 func FigOverloadOpts(p Params, o OverloadOptions) (*OverloadResult, error) {
 	o.setDefaults()
 	sys, err := NewSystem(p)
@@ -238,9 +238,6 @@ func FigOverloadOpts(p Params, o OverloadOptions) (*OverloadResult, error) {
 					Breaker:    o.Breaker,
 					Faults:     o.ServeFaults,
 					Quantum:    p.Quantum,
-					Parallel:   p.Parallel,
-					Workers:    p.Workers,
-					EpochTicks: p.EpochTicks,
 				}
 				r, err := serve.Run(sys.Engine, groups, cfg)
 				if err != nil {

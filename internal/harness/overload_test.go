@@ -125,27 +125,3 @@ func TestFigOverloadChaosReplay(t *testing.T) {
 		}
 	}
 }
-
-// TestFigOverloadWorkerInvariance pins that the chaos-composed sweep
-// is bit-identical between Workers=1 and Workers=4 in epoch-parallel
-// mode.
-func TestFigOverloadWorkerInvariance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("overload sweep in short mode")
-	}
-	run := func(workers int) *OverloadResult {
-		t.Helper()
-		p := Fast()
-		p.Parallel = true
-		p.Workers = workers
-		p.EpochTicks = 1 << 12
-		r, err := FigOverloadOpts(p, overloadChaosOpts())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	if a, b := run(1), run(4); !reflect.DeepEqual(a, b) {
-		t.Error("overload sweep differs between Workers=1 and Workers=4")
-	}
-}

@@ -356,9 +356,6 @@ func FigServeOpts(p Params, o ServeOptions) (*ServeResult, error) {
 			Discipline:   o.Discipline,
 			AgingSeconds: o.AgingSeconds,
 			Quantum:      p.Quantum,
-			Parallel:     p.Parallel,
-			Workers:      p.Workers,
-			EpochTicks:   p.EpochTicks,
 		}
 		for _, arm := range sys.adaptArms(adapt.DefaultConfig()) {
 			if err := arm.apply(); err != nil {

@@ -85,13 +85,6 @@ type Program struct {
 	// performance-tier analyzers (hotness.go); module analyzers run
 	// serially, so the lazy fill is race-free.
 	hot map[*FuncNode]hotInfo
-	// conc memoizes the //conc:shared///conc:barrier directive view
-	// shared by the concurrency-tier analyzers (conc.go).
-	conc *concInfo
-	// impls memoizes class-hierarchy resolution of interface methods to
-	// their declared implementations (conc.go), the conc tier's closure
-	// of the interface-dispatch call-graph gap.
-	impls map[*types.Func][]*FuncNode
 }
 
 // NodeOf returns the program node of a function object, nil when the

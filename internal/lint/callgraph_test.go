@@ -5,15 +5,10 @@ import (
 	"testing"
 )
 
-func TestConcFixGolden(t *testing.T) {
-	runGolden(t, "concfix", AnalyzersForTier(TierConc))
-}
-
-// TestCallGraphEdges pins the edge conventions the conc tier's
-// spawn-rooted walk depends on: direct and deferred calls resolve,
-// bound-method spawns resolve, and calls through function or method
-// values do not (the documented soundness gap the class-hierarchy
-// closure in conc.go exists to narrow).
+// TestCallGraphEdges pins the call graph's edge conventions: direct
+// and deferred calls resolve, bound-method spawns resolve, and calls
+// through function or method values do not (the documented soundness
+// gap, DESIGN.md §9).
 func TestCallGraphEdges(t *testing.T) {
 	loader := testLoader(t)
 	pkg, err := loader.LoadDir("internal/lint/testdata/src/cgfix")

@@ -104,7 +104,6 @@ func DefaultConfig(module string) Config {
 		},
 		BatchFuncs: map[string]string{
 			module + "/internal/cachesim.Machine.Access": "Machine.AccessBatch",
-			module + "/internal/cachesim.CoreSim.Access": "CoreSim.AccessBatch",
 			module + "/internal/exec.Ctx.Read":           "Ctx.ReadBatch",
 			module + "/internal/exec.Ctx.Write":          "Ctx.ReadBatch",
 		},
@@ -124,8 +123,7 @@ type Analyzer struct {
 	Doc string
 	// Tier groups analyzers for selection by cmd/cachelint -tier:
 	// "intra" (single-package correctness), "inter" (interprocedural
-	// correctness), "perf" (hot-path performance), or "conc"
-	// (concurrency isolation: the epoch-ownership contract).
+	// correctness) or "perf" (hot-path performance).
 	Tier string
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)

@@ -119,10 +119,9 @@ func TestNondeterminismGolden(t *testing.T) {
 	runGolden(t, "nondetfix", []*Analyzer{Nondeterminism})
 }
 
-// TestParfixGolden pins the channel-drain rule on the fan-in merge
-// shape the parallel simulator uses: an unsorted drain that applies
-// events in arrival order is flagged; collect-then-sort and
-// commutative folds are clean.
+// TestParfixGolden pins the channel-drain rule on a fan-in merge: an
+// unsorted drain that applies events in arrival order is flagged;
+// collect-then-sort and commutative folds are clean.
 func TestParfixGolden(t *testing.T) {
 	runGolden(t, "parfix", []*Analyzer{Nondeterminism})
 }

@@ -10,17 +10,15 @@ import (
 // intra tier checks single-package correctness invariants, the inter
 // tier checks interprocedural correctness over the call graph, the
 // perf tier (cacheperf) checks hot-path performance hazards over the
-// //perf:hot reachability set, and the conc tier (cacheconc) checks
-// the epoch-ownership concurrency contract over goroutine spawn sites.
+// //perf:hot reachability set.
 const (
 	TierIntra = "intra"
 	TierInter = "inter"
 	TierPerf  = "perf"
-	TierConc  = "conc"
 )
 
 // Tiers lists the tier names in suite order.
-func Tiers() []string { return []string{TierIntra, TierInter, TierPerf, TierConc} }
+func Tiers() []string { return []string{TierIntra, TierInter, TierPerf} }
 
 // Analyzers returns every domain analyzer in stable order.
 func Analyzers() []*Analyzer {
@@ -38,11 +36,6 @@ func Analyzers() []*Analyzer {
 		HotDefer,
 		HotMap,
 		HotBatch,
-		EpochShare,
-		AtomicMix,
-		ChanProto,
-		WGBalance,
-		GoroutineCapture,
 	}
 }
 
@@ -105,7 +98,6 @@ func run(loader *Loader, pkgs []*Package, analyzers []*Analyzer, cfg Config, wor
 			defer wg.Done()
 			sem <- struct{}{}
 			defer func() { <-sem }()
-			//lint:allow epochshare each goroutine writes only its own slot results[i]; wg.Wait precedes every read
 			results[i] = analyzePackage(loader, pkg, perPkg, cfg, known)
 		}(i, pkg)
 	}

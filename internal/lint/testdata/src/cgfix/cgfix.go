@@ -1,7 +1,7 @@
-// Package cgfix pins the call-graph edge conventions the concurrency
-// tier leans on: which call shapes resolve to edges and which fall
+// Package cgfix pins the call-graph edge conventions the module
+// analyzers lean on: which call shapes resolve to edges and which fall
 // into the documented soundness gap (DESIGN.md §9). The fixture has no
-// want comments — conc_test.go asserts directly on the edges that
+// want comments — callgraph_test.go asserts directly on the edges that
 // buildProgram resolves for each function below.
 package cgfix
 

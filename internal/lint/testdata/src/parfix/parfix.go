@@ -1,12 +1,10 @@
 // Package parfix is a golden-test fixture for the nondet analyzer's
-// channel-drain rule. It stages the fan-in merge of a parallel
-// simulation: workers send buffered events over a channel and a
-// collector folds them into shared state. Applying events in arrival
-// order is the bug the epoch scheme exists to avoid — goroutine
-// scheduling decides the order, so two runs diverge. Collecting the
-// events and sorting on a deterministic key before applying (the shape
-// of cachesim.EpochSim.Merge) is clean, as are purely commutative
-// folds.
+// channel-drain rule. It stages a fan-in merge: workers send buffered
+// events over a channel and a collector folds them into shared state.
+// Applying events in arrival order is the bug — goroutine scheduling
+// decides the order, so two runs diverge. Collecting the events and
+// sorting on a deterministic key before applying is clean, as are
+// purely commutative folds.
 package parfix
 
 import "sort"

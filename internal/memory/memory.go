@@ -56,8 +56,6 @@ func (r Region) Contains(a Addr) bool {
 
 // Space is a simulated physical address space with a bump allocator.
 // The zero value is ready to use. Space is safe for concurrent use.
-//
-//conc:shared every Space method takes mu; the mutex, not epoch ownership, serializes allocator state
 type Space struct {
 	mu      sync.Mutex
 	next    Addr

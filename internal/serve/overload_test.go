@@ -310,28 +310,6 @@ func TestOverloadBitIdentity(t *testing.T) {
 	}
 }
 
-func TestOverloadWorkerInvariance(t *testing.T) {
-	var want *Report
-	for _, workers := range []int{1, 4} {
-		e := testEngine(t)
-		cfg := fullOverloadConfig(e, 13, 2)
-		cfg.Parallel = true
-		cfg.Workers = workers
-		cfg.EpochTicks = 1 << 12
-		rep, err := Run(e, [][]int{{0, 1}, {2, 3}}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want == nil {
-			want = rep
-			continue
-		}
-		if !reflect.DeepEqual(want, rep) {
-			t.Errorf("workers=%d: overload report differs from workers=1", workers)
-		}
-	}
-}
-
 func TestBurstFaultSuperposition(t *testing.T) {
 	m := testEngine(t).Machine()
 	cfg := overloadConfig(testEngine(t), 9, 2, 1.0)

@@ -9,8 +9,7 @@
 // The determinism contract matches the rest of the repository: every
 // random draw comes from rngs seeded by Config.Seed, time means the
 // machine's virtual tick clock, and a run's Report is a bit-identical
-// function of (Config, engine state) — including under the
-// epoch-parallel engine at any worker count, and under control-plane
+// function of (Config, engine state) — including under control-plane
 // fault injection per (run-seed, fault-seed). DESIGN.md §13 documents
 // the architecture.
 package serve
@@ -66,9 +65,6 @@ type Config struct {
 	// Engine pass-through: see engine.OpenLoopOptions.
 	Quantum          int
 	TargetSliceTicks int64
-	Parallel         bool
-	Workers          int
-	EpochTicks       int64
 }
 
 // Run executes one serving run on the engine's machine: groups are
@@ -128,9 +124,6 @@ func Run(e *engine.Engine, groups [][]int, cfg Config) (*Report, error) {
 	res, err := e.RunOpenLoop(groups, f, engine.OpenLoopOptions{
 		Quantum:          cfg.Quantum,
 		TargetSliceTicks: cfg.TargetSliceTicks,
-		Parallel:         cfg.Parallel,
-		Workers:          cfg.Workers,
-		EpochTicks:       cfg.EpochTicks,
 		Prewarm:          prewarm,
 	})
 	if err != nil {

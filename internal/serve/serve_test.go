@@ -192,29 +192,6 @@ func TestRunBitIdentity(t *testing.T) {
 	}
 }
 
-// TestRunWorkerInvariance pins Workers=1 ≡ Workers=4 under -parallel.
-func TestRunWorkerInvariance(t *testing.T) {
-	run := func(workers int) *Report {
-		e := testEngine(t)
-		cfg := testConfig(9, 2)
-		cfg.Parallel = true
-		cfg.Workers = workers
-		cfg.EpochTicks = 1 << 12
-		r, err := Run(e, [][]int{{0, 1}, {2, 3}}, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return r
-	}
-	a, b := run(1), run(4)
-	if !reflect.DeepEqual(a, b) {
-		t.Error("serve reports differ between Workers=1 and Workers=4")
-	}
-	if a.Completed == 0 {
-		t.Fatal("nothing completed")
-	}
-}
-
 // TestMM1MeanWait checks the Poisson generator against queueing
 // theory: one tenant, one single-core group, exponential service ⇒
 // M/M/1, whose mean queueing delay is ρ/(1−ρ)·E[S]. The empirical

@@ -287,10 +287,6 @@ func (q *AggQuery) Plan(cores int, rng *rand.Rand) ([]engine.Phase, error) {
 			Name:    "aggregate-merge",
 			CUID:    core.Sensitive,
 			Kernels: merges,
-			// The merge kernels all fold into the shared global table,
-			// whose probe chains are insertion-order sensitive; parallel
-			// runs must interleave them in virtual-time order.
-			Serial: true,
 		},
 	}, nil
 }

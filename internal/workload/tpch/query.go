@@ -246,8 +246,6 @@ func (o AggOp) phasesIndexed(q *Query, idx, cores int, _ *rand.Rand) ([]engine.P
 	}
 	return []engine.Phase{
 		{Name: "agg-" + o.GroupCol, CUID: core.Sensitive, Kernels: kernels, CountRows: true},
-		// Serial: the merges share the insertion-order-sensitive global
-		// table, so parallel runs interleave them in virtual-time order.
-		{Name: "agg-merge-" + o.GroupCol, CUID: core.Sensitive, Kernels: merges, Serial: true},
+		{Name: "agg-merge-" + o.GroupCol, CUID: core.Sensitive, Kernels: merges},
 	}, nil
 }

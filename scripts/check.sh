@@ -1,7 +1,7 @@
 #!/bin/sh
 # check.sh — the repository's full verification gate: compile, vet,
 # domain lint (cachelint), unit tests, and the race detector over the
-# concurrent layers. Run from anywhere inside the module; CI and
+# packages that hold sync primitives. Run from anywhere inside the module; CI and
 # pre-merge reviews run exactly this.
 #
 # Usage: check.sh [lint|test|chaos|serve|overload|all]
@@ -10,8 +10,8 @@
 #   chaos    build + fault-injection/robustness tests under the race
 #            detector (the CI chaos job)
 #   serve    build + open-loop serving tier: queueing-theory sanity,
-#            multi-seed bit-identity, worker invariance, chaos interop
-#            and the FigServe acceptance sweep (the CI serve job)
+#            multi-seed bit-identity, chaos interop and the FigServe
+#            acceptance sweep (the CI serve job)
 #   overload build + SLO-aware overload control: deadlines, shedding,
 #            breakers, retries, serving-plane chaos and the
 #            FigOverload acceptance sweep (the CI overload job)
@@ -36,13 +36,7 @@ if [ "$mode" = lint ] || [ "$mode" = all ]; then
 	echo '== go vet ./...'
 	go vet ./...
 
-	# The concurrency-isolation tier alone first: a clean epoch-
-	# ownership report is a standalone invariant, independent of the
-	# baseline used below.
-	echo '== go run ./cmd/cachelint -tier=conc ./...'
-	go run ./cmd/cachelint -tier=conc ./...
-
-	# All four tiers (intra, inter, perf, conc) against the checked-in
+	# All three tiers (intra, inter, perf) against the checked-in
 	# baseline of accepted findings.
 	echo '== go run ./cmd/cachelint -baseline .cachelint-baseline.jsonl ./...'
 	go run ./cmd/cachelint -baseline .cachelint-baseline.jsonl ./...
@@ -52,11 +46,8 @@ if [ "$mode" = test ] || [ "$mode" = all ]; then
 	echo '== go test ./...'
 	go test ./...
 
-	echo '== go test -race (engine, cachesim, exec)'
-	go test -race ./internal/engine/... ./internal/cachesim/... ./internal/exec/...
-
-	echo '== go test -race (harness parallel-mode equivalence)'
-	go test -race -run 'Parallel' ./internal/harness/...
+	echo '== go test -race (exec, memory, resctrl, fault, lint)'
+	go test -race ./internal/exec/... ./internal/memory/... ./internal/resctrl/... ./internal/fault/... ./internal/lint/...
 fi
 
 if [ "$mode" = serve ] || [ "$mode" = all ]; then
@@ -72,7 +63,7 @@ if [ "$mode" = overload ] || [ "$mode" = all ]; then
 	go test ./internal/serve/... ./internal/fault/... \
 		-run 'Overload|Deadline|Shed|Breaker|RetryBudget|Burst|ServePlane|ServeConfig|UniformServe'
 
-	echo '== go test (FigOverload sweep: acceptance, chaos replay, worker invariance)'
+	echo '== go test (FigOverload sweep: acceptance, chaos replay)'
 	go test -run 'FigOverload' ./internal/harness/...
 fi
 

@@ -1,6 +1,10 @@
 package cachesim
 
-import "cachepart/internal/cat"
+import (
+	"math"
+
+	"cachepart/internal/cat"
+)
 
 // entry is one cache line slot, packed to 24 bytes so a set scan stays
 // within as few cache lines of the *host* as possible. The tag word
@@ -104,56 +108,138 @@ func (c *cache) peek(line uint64) *entry {
 	return nil
 }
 
-// fill inserts the line, evicting the LRU way. It returns the evicted
-// entry by value (invalid if the victim way was empty) so the caller
-// can handle writebacks and inclusive invalidations.
-func (c *cache) fill(line uint64, ready int64) (victim entry, slot *entry) {
+// allWays is the mask of a fill no CAT class restricts.
+const allWays = ^cat.WayMask(0)
+
+// set returns the ways the line maps to.
+func (c *cache) set(line uint64) []entry {
 	base := c.setIndex(line) * c.ways
-	set := c.entries[base : base+c.ways]
-	vi := 0
+	return c.entries[base : base+c.ways]
+}
+
+// oldest returns the way a fill restricted to mask replaces: the first
+// empty allowed way, else the least recently used allowed one, else
+// (the mask allows none) -1. An empty way carries stamp 0, below every
+// valid line's, so both cases are one minimum search; it runs over
+// stamp<<8|way so that the loop carries one value and no branch on the
+// stamps, whose order is unpredictable.
+func oldest(set []entry, mask cat.WayMask) int {
+	min := noWay
 	for i := range set {
-		if set[i].tag == 0 {
-			vi = i
-			break
+		if mask&(1<<uint(i)) == 0 {
+			continue
 		}
-		if set[i].lru < set[vi].lru {
-			vi = i
+		if k := uint64(set[i].lru)<<8 | uint64(i); k < min {
+			min = k
 		}
 	}
-	victim = set[vi]
+	return wayOf(min)
+}
+
+const noWay = ^uint64(0)
+
+func wayOf(key uint64) int {
+	if key == noWay {
+		return -1
+	}
+	return int(key & 0xff)
+}
+
+// probe is the one set scan of a fill that must first rule out that the
+// line is already there (a prefetch): it reports whether the line is
+// present, and otherwise the way fillMasked would replace, for place to
+// fill. The choice holds until the set next changes.
+func (c *cache) probe(line uint64, mask cat.WayMask) (set []entry, present bool, way int) {
+	set = c.set(line)
+	tag := line + 1
+	min := noWay
+	for i := range set {
+		if set[i].tag&tagLineMask == tag {
+			return set, true, i
+		}
+		if mask&(1<<uint(i)) == 0 {
+			continue
+		}
+		if k := uint64(set[i].lru)<<8 | uint64(i); k < min {
+			min = k
+		}
+	}
+	way = wayOf(min)
+	if way < 0 {
+		way = oldest(set, allWays) // empty mask; see fillMasked
+	}
+	return set, false, way
+}
+
+// place fills a way of the set. It returns the evicted entry by value
+// (invalid if the way was empty) so the caller can handle writebacks
+// and inclusive invalidations.
+func (c *cache) place(set []entry, way int, line uint64, ready int64) (victim entry, slot *entry) {
+	victim = set[way]
 	c.stamp++
-	set[vi] = entry{tag: line + 1, ready: ready, lru: c.stamp}
-	return victim, &set[vi]
+	set[way] = entry{tag: line + 1, ready: ready, lru: c.stamp}
+	c.renormaliseIfDue()
+	return victim, &set[way]
+}
+
+// fill inserts the line, evicting the least recently used way.
+func (c *cache) fill(line uint64, ready int64) (victim entry, slot *entry) {
+	set := c.set(line)
+	return c.place(set, oldest(set, allWays), line, ready)
 }
 
 // fillMasked inserts the line choosing the victim only among the ways
 // allowed by the CAT capacity mask, which is how Cache Allocation
 // Technology restricts fills. Bit i of the mask corresponds to way i.
 func (c *cache) fillMasked(line uint64, ready int64, mask cat.WayMask) (victim entry, slot *entry) {
-	base := c.setIndex(line) * c.ways
-	set := c.entries[base : base+c.ways]
-	vi := -1
-	for i := range set {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		if set[i].tag == 0 {
-			vi = i
-			break
-		}
-		if vi < 0 || set[i].lru < set[vi].lru {
-			vi = i
-		}
-	}
-	if vi < 0 {
+	set := c.set(line)
+	way := oldest(set, mask)
+	if way < 0 {
 		// An empty mask cannot be programmed through cat.Registers;
 		// fall back to unrestricted replacement defensively.
-		return c.fill(line, ready)
+		way = oldest(set, allWays)
 	}
-	victim = set[vi]
-	c.stamp++
-	set[vi] = entry{tag: line + 1, ready: ready, lru: c.stamp}
-	return victim, &set[vi]
+	return c.place(set, way, line, ready)
+}
+
+// stampLimit is the last stamp the counter can hand out. Whoever takes
+// a stamp — place, and the callers of lookup, which is too small to
+// hold the call and stay inlinable — follows up with renormaliseIfDue.
+const stampLimit = math.MaxUint32
+
+func (c *cache) renormaliseIfDue() {
+	if c.stamp == stampLimit {
+		c.renormalise()
+	}
+}
+
+// renormalise replaces every valid line's stamp by its rank within its
+// set (1 is the least recently used) and restarts the counter above
+// the ranks. Replacement only ever compares stamps within one set, so
+// every later victim choice is the one the unbounded counter would
+// have made; without this the counter wraps after 2^32 lookups and
+// fills, and the freshest lines become the first evicted.
+func (c *cache) renormalise() {
+	var rank [maxWays]uint32
+	for base := 0; base < len(c.entries); base += c.ways {
+		set := c.entries[base : base+c.ways]
+		for i := range set {
+			rank[i] = 0
+			if !set[i].valid() {
+				continue
+			}
+			rank[i] = 1
+			for j := range set {
+				if set[j].valid() && set[j].lru < set[i].lru {
+					rank[i]++
+				}
+			}
+		}
+		for i := range set {
+			set[i].lru = rank[i]
+		}
+	}
+	c.stamp = uint32(c.ways)
 }
 
 // invalidate drops the line if present, returning whether it was dirty.

@@ -23,6 +23,9 @@ import (
 // in 1/16-cycle ticks to represent it without drift.
 const TicksPerCycle = 16
 
+// maxWays is the widest associativity a cat.WayMask can select from.
+const maxWays = 32
+
 // Geometry describes one cache: total size and associativity. The line
 // size is fixed at memory.LineSize.
 type Geometry struct {
@@ -41,6 +44,9 @@ func (g Geometry) Sets() int {
 func (g Geometry) validate(name string) error {
 	if g.Ways <= 0 {
 		return fmt.Errorf("cachesim: %s has %d ways", name, g.Ways)
+	}
+	if g.Ways > maxWays {
+		return fmt.Errorf("cachesim: %s way count %d exceeds way mask width %d", name, g.Ways, maxWays)
 	}
 	if g.Sets() <= 0 {
 		return fmt.Errorf("cachesim: %s size %d too small for %d ways", name, g.Size, g.Ways)
@@ -162,9 +168,6 @@ func (c Config) validate() error {
 	}
 	if err := c.LLC.validate("LLC"); err != nil {
 		return err
-	}
-	if c.LLC.Ways > 32 {
-		return fmt.Errorf("cachesim: LLC way count %d exceeds CAT mask width", c.LLC.Ways)
 	}
 	if c.DRAMBandwidth <= 0 {
 		return fmt.Errorf("cachesim: DRAM bandwidth %v must be positive", c.DRAMBandwidth)

@@ -337,6 +337,7 @@ func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 
 	// L1.
 	if e := m.l1[core].lookup(line); e != nil {
+		m.l1[core].renormaliseIfDue()
 		if write {
 			e.setDirty()
 		}
@@ -349,6 +350,7 @@ func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 
 	// L2.
 	if e := m.l2[core].lookup(line); e != nil {
+		m.l2[core].renormaliseIfDue()
 		lat := m.l2Lat
 		if e.ready > start {
 			// A prefetch for this line is still in flight.
@@ -365,6 +367,7 @@ func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 
 	// LLC.
 	if e := m.llc.lookup(line); e != nil {
+		m.llc.renormaliseIfDue()
 		lat := m.llcLat
 		if e.ready > start {
 			lat = e.ready - start + m.llcLat
@@ -446,6 +449,7 @@ func (m *Machine) AccessBatch(core int, ops []BatchOp) {
 		// replicates Access inline without the level walk.
 		if pfOff || line == p.lastLine {
 			if e := l1.lookup(line); e != nil {
+				l1.renormaliseIfDue()
 				st.Instructions++
 				if op.Write {
 					st.Writes++
@@ -511,15 +515,21 @@ func (m *Machine) fillL2(core int, line uint64) {
 // private caches of every core that holds it. CMT occupancy and
 // bandwidth counters are attributed to the filling core's CLOS.
 func (m *Machine) fillLLC(core int, line uint64, ready int64) {
-	mask := m.regs.MaskOf(core)
+	victim, slot := m.llc.fillMasked(line, ready, m.regs.MaskOf(core))
+	m.filledLLC(core, victim, slot)
+}
+
+// filledLLC accounts for an LLC fill by core into slot and disposes of
+// the line it replaced. It reports whether the back-invalidation took
+// a line out of the filling core's own L2.
+func (m *Machine) filledLLC(core int, victim entry, slot *entry) (ownL2 bool) {
 	clos := m.regs.CLOSOf(core)
-	victim, slot := m.llc.fillMasked(line, ready, mask)
 	slot.owners = 1 << uint(core)
 	slot.setCLOS(uint8(clos))
 	m.llcOccupancy[clos]++
 	m.memTraffic[clos]++
 	if !victim.valid() {
-		return
+		return false
 	}
 	m.llcOccupancy[victim.clos()]--
 	dirty := victim.dirty()
@@ -534,8 +544,12 @@ func (m *Machine) fillLLC(core int, line uint64, ready int64) {
 			if _, d := m.l1[c].invalidate(vline); d {
 				dirty = true
 			}
-			if _, d := m.l2[c].invalidate(vline); d {
+			present, d := m.l2[c].invalidate(vline)
+			if d {
 				dirty = true
+			}
+			if present && c == core {
+				ownL2 = true
 			}
 		}
 	}
@@ -546,6 +560,7 @@ func (m *Machine) fillLLC(core int, line uint64, ready int64) {
 		m.stats[core].Writebacks++
 		m.memTraffic[victim.clos()]++
 	}
+	return ownL2
 }
 
 // LLCOccupancyOfCLOS reports the bytes of LLC currently filled by the
@@ -613,14 +628,26 @@ func (m *Machine) prefetch(core int, line uint64) {
 	if m.dramFree-m.now[core] > m.pfDropQueue {
 		return
 	}
-	if m.llc.peek(line) != nil || m.l2[core].peek(line) != nil {
+	// One scan per level settles both presence and the fill's victim.
+	llcSet, present, llcWay := m.llc.probe(line, m.regs.MaskOf(core))
+	if present {
+		return
+	}
+	l2 := &m.l2[core]
+	l2Set, present, l2Way := l2.probe(line, allWays)
+	if present {
 		return
 	}
 	begin := max64(m.now[core], m.dramFree)
 	m.dramFree = begin + m.dramService
 	ready := begin + m.dramLat
-	m.fillLLC(core, line, ready)
-	victim, _ := m.l2[core].fill(line, ready)
+	victim, slot := m.llc.place(llcSet, llcWay, line, ready)
+	if m.filledLLC(core, victim, slot) {
+		// The back-invalidation emptied a way of this core's L2, maybe
+		// in the probed set: the L2 victim has to be chosen again.
+		l2Way = oldest(l2Set, allWays)
+	}
+	victim, _ = l2.place(l2Set, l2Way, line, ready)
 	if victim.valid() && victim.dirty() {
 		if e := m.llc.peek(victim.line()); e != nil {
 			e.setDirty()

@@ -57,6 +57,7 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.L1.Ways = 0 },
 		func(c *Config) { c.LLC.Size = 17 },
 		func(c *Config) { c.LLC.Ways = 33 },
+		func(c *Config) { c.L2 = Geometry{Size: 64 * 64 * memory.LineSize, Ways: 64} }, // wider than a way mask
 		func(c *Config) { c.DRAMBandwidth = 0 },
 		func(c *Config) { c.NumCLOS = 0 },
 		func(c *Config) { c.DRAMLatency = -1 },

@@ -50,46 +50,55 @@ func (v *PackedVector) Bytes() uint64 { return uint64(len(v.words)) * 8 }
 // Region exposes the simulated allocation.
 func (v *PackedVector) Region() memory.Region { return v.region }
 
+// indexError and codeError are the panic values of an out-of-range row
+// or an over-wide code. They format on demand: a fmt call (or a call to
+// an out-of-line helper making one) in Get's body would by itself
+// exceed the compiler's inlining budget, and Get runs once per row in
+// every kernel but the scan.
+type indexError struct{ i, n int }
+
+func (e indexError) Error() string { return fmt.Sprintf("column: index %d out of %d", e.i, e.n) }
+
+type codeError struct {
+	code uint32
+	bits uint
+}
+
+func (e codeError) Error() string {
+	return fmt.Sprintf("column: code %d exceeds %d bits", e.code, e.bits)
+}
+
 // Set stores a code at index i. Codes wider than the vector's width
 // are rejected as corruption.
 func (v *PackedVector) Set(i int, code uint32) {
-	if i < 0 || i >= v.n {
-		panic(fmt.Sprintf("column: index %d out of %d", i, v.n))
+	if uint(i) >= uint(v.n) {
+		panic(indexError{i, v.n})
 	}
-	if v.bits < 32 && code >= 1<<v.bits {
-		panic(fmt.Sprintf("column: code %d exceeds %d bits", code, v.bits))
+	if uint64(code)>>v.bits != 0 {
+		panic(codeError{code, v.bits})
 	}
 	bitPos := uint64(i) * uint64(v.bits)
 	w, off := bitPos/64, bitPos%64
 	mask := uint64(1)<<v.bits - 1
-	if v.bits == 32 {
-		mask = 1<<32 - 1
-	}
 	v.words[w] = v.words[w]&^(mask<<off) | uint64(code)<<off
 	if off+uint64(v.bits) > 64 {
-		spill := off + uint64(v.bits) - 64
-		hiBits := uint64(code) >> (uint64(v.bits) - spill)
-		hiMask := uint64(1)<<spill - 1
-		v.words[w+1] = v.words[w+1]&^hiMask | hiBits
+		// The code's high bits spill into the next word's low bits.
+		v.words[w+1] = v.words[w+1]&^(mask>>(64-off)) | uint64(code)>>(64-off)
 	}
 }
 
 // Get loads the code at index i.
 func (v *PackedVector) Get(i int) uint32 {
-	if i < 0 || i >= v.n {
-		panic(fmt.Sprintf("column: index %d out of %d", i, v.n))
+	if uint(i) >= uint(v.n) {
+		panic(indexError{i, v.n})
 	}
 	bitPos := uint64(i) * uint64(v.bits)
 	w, off := bitPos/64, bitPos%64
-	mask := uint64(1)<<v.bits - 1
-	if v.bits == 32 {
-		mask = 1<<32 - 1
-	}
 	val := v.words[w] >> off
 	if off+uint64(v.bits) > 64 {
 		val |= v.words[w+1] << (64 - off)
 	}
-	return uint32(val & mask)
+	return uint32(val & (uint64(1)<<v.bits - 1))
 }
 
 // Addr returns the byte address holding the first bit of code i, the
@@ -113,15 +122,41 @@ func (v *PackedVector) RowsPerLine() float64 {
 }
 
 // CountInRange counts codes c with lo <= c < hi over rows [from, to),
-// the kernel of the compressed column scan. It is implemented on the
-// packed words directly (word-at-a-time in spirit, scalar in letter).
+// the kernel of the compressed column scan. A range outside the vector
+// (from < 0 or to > Len) panics like Get on the offending bound; an
+// empty row range or an empty code range (hi <= lo) counts nothing.
+//
+// It decodes the packed words directly. The row range is checked once
+// per call, not per code; a running bit position replaces Get's
+// multiply; a code is one word load, shift and mask, plus the next
+// word's low bits when it straddles; and the predicate is one unsigned
+// subtract and compare with no branch: lo <= c < hi exactly when
+// c-lo < hi-lo in wrapping arithmetic.
 func (v *PackedVector) CountInRange(from, to int, lo, hi uint32) int64 {
-	var cnt int64
-	for i := from; i < to; i++ {
-		c := v.Get(i)
-		if c >= lo && c < hi {
-			cnt++
-		}
+	if from < 0 {
+		panic(indexError{from, v.n})
 	}
-	return cnt
+	if to > v.n {
+		panic(indexError{to, v.n})
+	}
+	if from >= to || hi <= lo {
+		return 0
+	}
+	bits := uint64(v.bits)
+	mask := uint64(1)<<bits - 1
+	span := uint64(hi - lo)
+	words := v.words
+	pos := uint64(from) * bits
+	var cnt uint64
+	for n := to - from; n > 0; n-- {
+		w, off := pos/64, pos%64
+		c := words[w] >> off
+		if off+bits > 64 {
+			c |= words[w+1] << (64 - off)
+		}
+		// The subtraction borrows into bit 63 exactly when c-lo < span.
+		cnt += (uint64(uint32(c&mask)-lo) - span) >> 63
+		pos += bits
+	}
+	return int64(cnt)
 }

@@ -114,6 +114,73 @@ func TestColumnScanReset(t *testing.T) {
 	}
 }
 
+// TestColumnScanAccessSequence checks Step's incremental line cursor
+// against a per-row reference that asks LineOfRow about every row: the
+// batch's address sequence, the rows each Step reports and the final
+// Count must agree for code widths that do and do not divide a line, a
+// From that is not line-aligned, and budgets that never line up with
+// anything.
+func TestColumnScanAccessSequence(t *testing.T) {
+	for _, bits := range []uint{15, 20, 27, 32} {
+		for _, budget := range []int{1, 7, 33, 101, 4096} {
+			ctx, space := testCtx(t)
+			const n = 5000
+			col := uniformCol(t, space, "x", n, 1, int64(1)<<bits-1, int64(bits))
+			codes := col.Codes
+			if codes.Bits() != bits {
+				t.Fatalf("encoded %d-bit codes, want %d", codes.Bits(), bits)
+			}
+			from, to := 37, n-11
+			if codes.LineOfRow(from) != codes.LineOfRow(from-1) || codes.LineOfRow(to) != codes.LineOfRow(to-1) {
+				t.Fatalf("bits=%d: rows %d and %d were meant to be mid-line", bits, from, to)
+			}
+			bound := int64(1) << (bits - 1)
+			scan, err := NewColumnScan(col, from, to, bound)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cur, done := from, false
+			var wantCount int64
+			for step := 0; !done; step++ {
+				// Reference: whole lines until the budget is spent.
+				var wantAddrs []memory.Addr
+				wantRows := 0
+				for wantRows < budget && cur < to {
+					line := codes.LineOfRow(cur)
+					wantAddrs = append(wantAddrs, codes.Region().Addr(line*memory.LineSize))
+					for ; cur < to && codes.LineOfRow(cur) == line; cur++ {
+						if col.Value(cur) > bound {
+							wantCount++
+						}
+						wantRows++
+					}
+				}
+				var rows int
+				rows, done = scan.Step(ctx, budget)
+				if rows != wantRows || done != (cur >= to) {
+					t.Fatalf("bits=%d budget=%d step %d: Step = (%d, %v), want (%d, %v)", bits, budget, step, rows, done, wantRows, cur >= to)
+				}
+				if len(scan.ops) != len(wantAddrs) {
+					t.Fatalf("bits=%d budget=%d step %d: %d accesses, want %d", bits, budget, step, len(scan.ops), len(wantAddrs))
+				}
+				for i, op := range scan.ops {
+					if op.Addr != wantAddrs[i] || op.Write || op.Cycles != ScanCyclesPerLine || op.Instrs != ScanInstrsPerLine {
+						t.Fatalf("bits=%d budget=%d step %d: access %d = %+v, want a read of %#x", bits, budget, step, i, op, wantAddrs[i])
+					}
+				}
+			}
+			if scan.Count != wantCount {
+				t.Errorf("bits=%d budget=%d: Count = %d, want %d", bits, budget, scan.Count, wantCount)
+			}
+			// A second execution starts from the same cursor.
+			scan.Reset(scan.LoCode, scan.HiCode)
+			if Drive(ctx, scan, budget); scan.Count != wantCount {
+				t.Errorf("bits=%d budget=%d: Count after Reset = %d, want %d", bits, budget, scan.Count, wantCount)
+			}
+		}
+	}
+}
+
 func TestFirstRowOfLine(t *testing.T) {
 	_, space := testCtx(t)
 	v, _ := column.NewPackedVector(space, "p", 1000, 20)

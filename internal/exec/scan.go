@@ -27,6 +27,16 @@ type ColumnScan struct {
 	cur   int
 	Count int64
 
+	// Line cursor: lineEnd is the first row starting in the line after
+	// cur's, lineEndBit where in that line its first bit lies, in
+	// [0, code width). A line holds perLine rows and extraBits bits of
+	// one more, so Step moves from one boundary to the next by
+	// addition; the divisions are rewind's.
+	lineEnd    int
+	lineEndBit uint
+	perLine    int
+	extraBits  uint
+
 	ops []cachesim.BatchOp // scratch for the batched access fast path
 }
 
@@ -36,21 +46,34 @@ func NewColumnScan(col *column.Column, from, to int, bound int64) (*ColumnScan, 
 	if from < 0 || to > col.Rows() || from > to {
 		return nil, fmt.Errorf("exec: scan range [%d,%d) out of %d rows", from, to, col.Rows())
 	}
-	lo := col.Dict.LowerBound(bound + 1)
-	return &ColumnScan{
+	s := &ColumnScan{
 		Col:    col,
 		From:   from,
 		To:     to,
-		LoCode: lo,
+		LoCode: col.Dict.LowerBound(bound + 1),
 		HiCode: uint32(col.Dict.Len()),
-		cur:    from,
-	}, nil
+	}
+	s.rewind()
+	return s, nil
 }
+
+// rewind puts the cursor on row From.
+func (s *ColumnScan) rewind() {
+	codes := s.Col.Codes
+	bits := codes.Bits()
+	nextLine := codes.LineOfRow(s.From) + 1
+	s.cur = s.From
+	s.lineEnd = firstRowOfLine(codes, nextLine)
+	s.lineEndBit = uint(uint64(s.lineEnd)*uint64(bits) - nextLine*lineBits)
+	s.perLine, s.extraBits = int(lineBits/bits), lineBits%bits
+}
+
+const lineBits = memory.LineSize * 8
 
 // firstRowOfLine returns the first row whose packed code starts in the
 // given cache line of the code vector.
 func firstRowOfLine(v *column.PackedVector, line uint64) int {
-	startBit := line * memory.LineSize * 8
+	startBit := line * lineBits
 	bits := uint64(v.Bits())
 	return int((startBit + bits - 1) / bits)
 }
@@ -65,15 +88,12 @@ func (s *ColumnScan) Step(ctx *Ctx, budget int) (int, bool) {
 	processed := 0
 	codes := s.Col.Codes
 	region := codes.Region()
+	line := codes.LineOfRow(s.cur)
 	s.ops = s.ops[:0]
 	for processed < budget && s.cur < s.To {
-		line := codes.LineOfRow(s.cur)
-		end := firstRowOfLine(codes, line+1)
+		end := s.lineEnd
 		if end > s.To {
 			end = s.To
-		}
-		if end <= s.cur {
-			end = s.cur + 1 // codes wider than a line; defensive
 		}
 		s.ops = append(s.ops, cachesim.BatchOp{
 			Addr:   region.Addr(line * memory.LineSize),
@@ -83,6 +103,15 @@ func (s *ColumnScan) Step(ctx *Ctx, budget int) (int, bool) {
 		s.Count += codes.CountInRange(s.cur, end, s.LoCode, s.HiCode)
 		processed += end - s.cur
 		s.cur = end
+		// The next line's extra row starts in it when its first row
+		// starts within its first extraBits bits.
+		line++
+		s.lineEnd += s.perLine
+		if s.lineEndBit < s.extraBits {
+			s.lineEnd++
+			s.lineEndBit += codes.Bits()
+		}
+		s.lineEndBit -= s.extraBits
 	}
 	ctx.ReadBatch(s.ops)
 	return processed, s.cur >= s.To
@@ -91,7 +120,7 @@ func (s *ColumnScan) Step(ctx *Ctx, budget int) (int, bool) {
 // Reset rewinds the kernel for a fresh execution with a new predicate
 // code range.
 func (s *ColumnScan) Reset(loCode, hiCode uint32) {
-	s.cur = s.From
+	s.rewind()
 	s.Count = 0
 	s.LoCode, s.HiCode = loCode, hiCode
 }

@@ -4,7 +4,7 @@
 # packages that hold sync primitives. Run from anywhere inside the module; CI and
 # pre-merge reviews run exactly this.
 #
-# Usage: check.sh [lint|test|chaos|serve|overload|all]
+# Usage: check.sh [lint|test|chaos|serve|overload|bench|all]
 #   lint     build + vet + cachelint (the CI lint job)
 #   test     build + unit tests + race detector (the CI test job)
 #   chaos    build + fault-injection/robustness tests under the race
@@ -15,6 +15,11 @@
 #   overload build + SLO-aware overload control: deadlines, shedding,
 #            breakers, retries, serving-plane chaos and the
 #            FigOverload acceptance sweep (the CI overload job)
+#   bench    the repo benchmark's own gate (bench/ is a module of its
+#            own, outside `go test ./...`): vet, its tests, and a
+#            -quick run whose self-checks compare CountInRange with the
+#            naive Get loop, the cachesim probes' outcome shares, and
+#            the digests of repeated runs (the CI bench job)
 #   all      every gate, in order (the default)
 set -eu
 
@@ -22,9 +27,9 @@ cd "$(dirname "$0")/.."
 
 mode="${1:-all}"
 case "$mode" in
-lint | test | chaos | serve | overload | all) ;;
+lint | test | chaos | serve | overload | bench | all) ;;
 *)
-	echo "check.sh: unknown mode '$mode' (want lint, test, chaos, serve, overload, or all)" >&2
+	echo "check.sh: unknown mode '$mode' (want lint, test, chaos, serve, overload, bench, or all)" >&2
 	exit 2
 	;;
 esac
@@ -72,6 +77,17 @@ if [ "$mode" = chaos ] || [ "$mode" = all ]; then
 	go test -race -run 'Fault|Chaos|Gap|Degrad|ErrorPath|Retry' \
 		./internal/fault/... ./internal/engine/... ./internal/adapt/... \
 		./internal/resctrl/... ./internal/harness/...
+fi
+
+if [ "$mode" = bench ] || [ "$mode" = all ]; then
+	echo '== go vet -C bench .'
+	go vet -C bench .
+
+	echo '== go test -C bench .'
+	go test -C bench .
+
+	echo '== go run -C bench . -quick'
+	go run -C bench . -quick
 fi
 
 echo "check.sh: $mode gate(s) passed"

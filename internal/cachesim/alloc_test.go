@@ -3,12 +3,16 @@ package cachesim
 import (
 	"math/rand"
 	"testing"
+
+	"cachepart/internal/cat"
+	"cachepart/internal/memory"
 )
 
 // These tests pin the perf tier's alloc-budget contract (DESIGN.md
-// §12): the per-access paths allocate nothing in steady state. A
-// regression fails here loudly instead of surfacing as benchmark
-// drift.
+// §12): the per-access paths — demand hits and misses, an armed
+// prefetch stream, fills under a narrow CAT mask — allocate nothing in
+// steady state. A regression fails here loudly instead of surfacing as
+// benchmark drift.
 
 func TestAccessZeroAllocs(t *testing.T) {
 	m, err := New(batchTestConfig())
@@ -42,5 +46,62 @@ func TestAccessBatchZeroAllocs(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Machine.AccessBatch allocates %.1f per batch in steady state, want 0", allocs)
+	}
+}
+
+// TestStreamZeroAllocs: an armed stream — prefetch, probe and place in
+// LLC and L2, the LLC victim's back-invalidation — allocates nothing.
+func TestStreamZeroAllocs(t *testing.T) {
+	m, err := New(batchTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, line := memory.Addr(memory.PageSize), 0
+	next := func() {
+		m.Access(0, base+memory.Addr(line)*memory.LineSize, false)
+		line++
+	}
+	for line < 4*m.llc.sets*m.llc.ways { // until every LLC fill evicts
+		next()
+	}
+	before := m.Stats(0)
+	allocs := testing.AllocsPerRun(2000, next)
+	if d := m.Stats(0).Sub(before); d.PrefetchIssued < 2000 || d.L2Hits < 2000 {
+		t.Fatalf("the stream is not armed: %+v", d)
+	}
+	if allocs != 0 {
+		t.Errorf("a streamed access allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// TestMaskedFillZeroAllocs: demand misses filling the LLC under a
+// two-way CLOS — the masked victim search — allocate nothing.
+func TestMaskedFillZeroAllocs(t *testing.T) {
+	m, err := New(batchTestConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CAT().SetMask(1, cat.FullMask(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CAT().Associate(0, 1); err != nil {
+		t.Fatal(err)
+	}
+	base, i := memory.Addr(memory.PageSize), uint64(0)
+	lines := uint64(8 * m.llc.sets * m.llc.ways)
+	next := func() {
+		m.Access(0, base+memory.Addr(i*40503%lines)*memory.LineSize, false)
+		i++
+	}
+	for i < lines {
+		next()
+	}
+	before := m.Stats(0)
+	allocs := testing.AllocsPerRun(2000, next)
+	if d := m.Stats(0).Sub(before); d.LLCMisses < 1900 {
+		t.Fatalf("the accesses do not miss the LLC: %+v", d)
+	}
+	if allocs != 0 {
+		t.Errorf("a masked LLC fill allocates %.1f per op, want 0", allocs)
 	}
 }

@@ -1,14 +1,14 @@
 package cachesim
 
 import (
-	"math"
+	"fmt"
+	"math/bits"
 
 	"cachepart/internal/cat"
 )
 
-// entry is one cache line slot, packed to 24 bytes so a set scan stays
-// within as few cache lines of the *host* as possible. The tag word
-// carries the line number plus the two small per-line attributes:
+// entry is one cache line slot. The tag word carries the line number
+// plus the two small per-line attributes:
 //
 //	bits  0..55  line number + 1; 0 means invalid
 //	bits 56..62  CLOS of the filling core (LLC only, CMT attribution)
@@ -19,7 +19,6 @@ import (
 type entry struct {
 	tag   uint64
 	ready int64 // tick at which the fill completes (prefetch in flight)
-	lru   uint32
 	// owners is used only in the shared LLC: a bitmask of cores that
 	// pulled the line into their private caches since the fill, so an
 	// inclusive back-invalidation only has to visit those cores.
@@ -46,26 +45,100 @@ func (e entry) clos() uint8  { return uint8(e.tag >> tagCLOSShift & 0x7f) }
 func (e *entry) setDirty()       { e.tag |= tagDirtyBit }
 func (e *entry) setCLOS(c uint8) { e.tag = e.tag&^tagCLOSMask | uint64(c)<<tagCLOSShift }
 
+// A set is examined a word at a time, not a way at a time: beside its
+// entries every set keeps one byte per way in each of two arrays,
+// eight ways to a uint64, way i in byte i%8 of word i/8.
+//
+//	fps    a fingerprint of the way's tag. A search compares all eight
+//	       bytes of a word with the wanted fingerprint at once and
+//	       confirms the few candidates against the full tag, so an
+//	       absent line is usually ruled out without reading an entry.
+//	       The byte of an empty way is stale; its zero tag confirms
+//	       nothing.
+//	ranks  the way's position in exact LRU order: 0 is the most
+//	       recently used of the set's v valid lines, v-1 the least;
+//	       rankEmpty marks an empty way and rankPad the bytes past the
+//	       last way. Valid ranks are always a permutation of 0..v-1,
+//	       so they never outgrow a byte whatever the number of touches.
+const (
+	lanes = 8 // ways per word
+
+	laneLo = 0x0101010101010101 // 1 in every byte: broadcasts a byte by multiplication
+	laneHi = 0x8080808080808080 // the top bit of every byte
+
+	rankEmpty = 0xff
+	rankPad   = 0x7f // above every valid rank (Geometry.validate), top bit clear
+
+	// fpMul spreads the tag over the top byte of the product. The
+	// fingerprint is taken from the whole tag, not the bits above the
+	// set index, so it does not depend on the set count.
+	fpMul = 0x9e3779b97f4a7c15
+)
+
+// The widest set's ranks must stay below rankPad, or this overflows.
+const _ = uint(rankPad - maxWays)
+
+func fingerprint(tag uint64) uint64 { return tag * fpMul >> 56 }
+
+// zeroLanes flags (top bit) the zero bytes of x. The lowest flag is
+// exact; a byte holding 1 above a zero byte may be flagged too, which
+// is why callers confirm.
+func zeroLanes(x uint64) uint64 { return (x - laneLo) &^ x & laneHi }
+
+// belowLanes flags the bytes of x whose low seven bits are below t,
+// for t ≤ rankPad: with the top bit forced on no byte borrows from its
+// neighbour, and the subtraction clears the bit exactly where x < t.
+// rankEmpty and rankPad both read as 0x7f and are never below.
+func belowLanes(x, t uint64) uint64 { return ^((x | laneHi) - t*laneLo) & laneHi }
+
+// spread turns eight way-mask bits into the top bits of eight lanes.
+var spread = func() (t [256]uint64) {
+	for m := range t {
+		for i := 0; i < lanes; i++ {
+			if m>>i&1 != 0 {
+				t[m] |= 0x80 << (lanes * i)
+			}
+		}
+	}
+	return t
+}()
+
 // cache is one set-associative cache. It stores no data, only tags and
 // replacement state; the caller interprets hits and misses.
 type cache struct {
 	sets    int
 	ways    int
+	words   int    // uint64s per set in fps and ranks
 	mask    uint64 // sets-1 when sets is a power of two
 	pow2    bool
+	tail    uint64  // laneHi restricted to the real ways of a set's last word
 	entries []entry // sets*ways, way-major within a set
-	stamp   uint32
+	fps     []uint64
+	ranks   []uint64
 }
 
+// newCache builds an empty cache. The geometry must have passed
+// Geometry.validate: a way count the rank bytes cannot order would
+// mis-rank silently, so it panics instead.
 func newCache(g Geometry) cache {
+	if err := g.validate("cache"); err != nil {
+		panic(fmt.Sprintf("cachesim: newCache on an unvalidated geometry: %v", err))
+	}
 	sets := g.Sets()
-	return cache{
+	words := (g.Ways + lanes - 1) / lanes
+	c := cache{
 		sets:    sets,
 		ways:    g.Ways,
+		words:   words,
 		mask:    uint64(sets - 1),
 		pow2:    sets&(sets-1) == 0,
+		tail:    laneHi >> (uint(words*lanes-g.Ways) * 8),
 		entries: make([]entry, sets*g.Ways),
+		fps:     make([]uint64, sets*words),
+		ranks:   make([]uint64, sets*words),
 	}
+	c.flush()
+	return c
 }
 
 // setIndex maps a line to its set. Private caches have power-of-two set
@@ -78,95 +151,131 @@ func (c *cache) setIndex(line uint64) int {
 	return int(line % uint64(c.sets))
 }
 
-// lookup finds the line. On a hit it refreshes the LRU stamp and
-// returns the entry. The tag convention stores line+1 so a zero entry
-// is invalid; flag bits are masked off before comparing.
-func (c *cache) lookup(line uint64) *entry {
-	base := c.setIndex(line) * c.ways
+// find returns the line's set and the way that holds it, or -1. The tag
+// convention stores line+1 so a zero entry is invalid; flag bits are
+// masked off before comparing.
+func (c *cache) find(line uint64) (set, way int) {
+	set = c.setIndex(line)
 	tag := line + 1
-	set := c.entries[base : base+c.ways]
-	for i := range set {
-		if set[i].tag&tagLineMask == tag {
-			c.stamp++
-			set[i].lru = c.stamp
-			return &set[i]
+	want := fingerprint(tag) * laneLo
+	if c.words == 1 {
+		// L1 and L2, four of the six searches a streamed line costs:
+		// without the loop over words an L2 hit is a tenth cheaper.
+		return set, c.match(set, 0, zeroLanes(c.fps[set]^want)&c.tail, tag)
+	}
+	fps := c.fps[set*c.words:][:c.words]
+	last := len(fps) - 1
+	for w, fp := range fps {
+		hits := zeroLanes(fp ^ want)
+		if w == last {
+			hits &= c.tail
+		}
+		if way = c.match(set, w, hits, tag); way >= 0 {
+			return set, way
 		}
 	}
-	return nil
+	return set, -1
+}
+
+// match returns the first of the flagged ways of the set's word w whose
+// entry holds the tag, or -1.
+func (c *cache) match(set, w int, hits, tag uint64) int {
+	for ; hits != 0; hits &= hits - 1 {
+		way := w*lanes + bits.TrailingZeros64(hits)/8
+		if c.entries[set*c.ways+way].tag&tagLineMask == tag {
+			return way
+		}
+	}
+	return -1
+}
+
+// touch makes the way the most recently used of its set: every line
+// more recent than it ages by one and it takes rank 0. An empty way's
+// threshold is rankEmpty&rankPad, above every valid rank, so touching
+// it ages the whole set — which is what a fill needs.
+func (c *cache) touch(set, way int) {
+	if c.words == 1 { // as in find
+		r, shift := c.ranks[set], uint(way)*8
+		c.ranks[set] = (r + belowLanes(r, r>>shift&rankPad)>>7) &^ (0xff << shift)
+		return
+	}
+	ranks := c.ranks[set*c.words:][:c.words]
+	shift := uint(way%lanes) * 8
+	t := ranks[way/lanes] >> shift & rankPad
+	for w, r := range ranks {
+		ranks[w] = r + belowLanes(r, t)>>7
+	}
+	ranks[way/lanes] &^= 0xff << shift
+}
+
+// lookup finds the line and, on a hit, makes it the most recently used.
+func (c *cache) lookup(line uint64) *entry {
+	set, way := c.find(line)
+	if way < 0 {
+		return nil
+	}
+	c.touch(set, way)
+	return &c.entries[set*c.ways+way]
 }
 
 // peek is lookup without touching replacement state.
 func (c *cache) peek(line uint64) *entry {
-	base := c.setIndex(line) * c.ways
-	tag := line + 1
-	set := c.entries[base : base+c.ways]
-	for i := range set {
-		if set[i].tag&tagLineMask == tag {
-			return &set[i]
-		}
+	set, way := c.find(line)
+	if way < 0 {
+		return nil
 	}
-	return nil
+	return &c.entries[set*c.ways+way]
 }
 
 // allWays is the mask of a fill no CAT class restricts.
 const allWays = ^cat.WayMask(0)
 
-// set returns the ways the line maps to.
-func (c *cache) set(line uint64) []entry {
-	base := c.setIndex(line) * c.ways
-	return c.entries[base : base+c.ways]
-}
-
-// oldest returns the way a fill restricted to mask replaces: the first
-// empty allowed way, else the least recently used allowed one, else
-// (the mask allows none) -1. An empty way carries stamp 0, below every
-// valid line's, so both cases are one minimum search; it runs over
-// stamp<<8|way so that the loop carries one value and no branch on the
-// stamps, whose order is unpredictable.
-func oldest(set []entry, mask cat.WayMask) int {
-	min := noWay
-	for i := range set {
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		if k := uint64(set[i].lru)<<8 | uint64(i); k < min {
-			min = k
+// victimWay returns the way a fill restricted to mask replaces: the
+// lowest empty allowed way, else the least recently used allowed one,
+// else (the mask allows none) -1.
+func (c *cache) victimWay(set int, mask cat.WayMask) int {
+	ranks := c.ranks[set*c.words:][:c.words]
+	full := cat.WayMask(1)<<uint(c.ways) - 1
+	if mask&full == full {
+		// The steady state of an unrestricted fill, so looked for
+		// first: a line of rank ways-1 means that no way is empty, and
+		// it is the least recent of them all.
+		oldest := uint64(c.ways-1) * laneLo
+		for w, r := range ranks {
+			if hit := zeroLanes(r ^ oldest); hit != 0 {
+				return w*lanes + bits.TrailingZeros64(hit)/8
+			}
 		}
 	}
-	return wayOf(min)
-}
-
-const noWay = ^uint64(0)
-
-func wayOf(key uint64) int {
-	if key == noWay {
-		return -1
+	for w, r := range ranks {
+		if empty := r & spread[uint8(mask>>(uint(w)*lanes))]; empty != 0 {
+			return w*lanes + bits.TrailingZeros64(empty)/8
+		}
 	}
-	return int(key & 0xff)
+	// Every allowed way is valid: the highest rank among them. A scan
+	// confined to two ways looks at two bytes.
+	way, top := -1, -1
+	for m := uint32(mask & full); m != 0; m &= m - 1 {
+		i := bits.TrailingZeros32(m)
+		if r := int(uint8(ranks[i/lanes] >> (uint(i%lanes) * 8))); r > top {
+			way, top = i, r
+		}
+	}
+	return way
 }
 
-// probe is the one set scan of a fill that must first rule out that the
+// probe is the one search of a fill that must first rule out that the
 // line is already there (a prefetch): it reports whether the line is
 // present, and otherwise the way fillMasked would replace, for place to
 // fill. The choice holds until the set next changes.
-func (c *cache) probe(line uint64, mask cat.WayMask) (set []entry, present bool, way int) {
-	set = c.set(line)
-	tag := line + 1
-	min := noWay
-	for i := range set {
-		if set[i].tag&tagLineMask == tag {
-			return set, true, i
-		}
-		if mask&(1<<uint(i)) == 0 {
-			continue
-		}
-		if k := uint64(set[i].lru)<<8 | uint64(i); k < min {
-			min = k
-		}
+func (c *cache) probe(line uint64, mask cat.WayMask) (set int, present bool, way int) {
+	set, way = c.find(line)
+	if way >= 0 {
+		return set, true, way
 	}
-	way = wayOf(min)
+	way = c.victimWay(set, mask)
 	if way < 0 {
-		way = oldest(set, allWays) // empty mask; see fillMasked
+		way = c.victimWay(set, allWays) // empty mask; see fillMasked
 	}
 	return set, false, way
 }
@@ -174,88 +283,71 @@ func (c *cache) probe(line uint64, mask cat.WayMask) (set []entry, present bool,
 // place fills a way of the set. It returns the evicted entry by value
 // (invalid if the way was empty) so the caller can handle writebacks
 // and inclusive invalidations.
-func (c *cache) place(set []entry, way int, line uint64, ready int64) (victim entry, slot *entry) {
-	victim = set[way]
-	c.stamp++
-	set[way] = entry{tag: line + 1, ready: ready, lru: c.stamp}
-	c.renormaliseIfDue()
-	return victim, &set[way]
+func (c *cache) place(set, way int, line uint64, ready int64) (victim entry, slot *entry) {
+	slot = &c.entries[set*c.ways+way]
+	victim = *slot
+	tag := line + 1
+	*slot = entry{tag: tag, ready: ready}
+	fp := &c.fps[set*c.words+way/lanes]
+	shift := uint(way%lanes) * 8
+	*fp = *fp&^(0xff<<shift) | fingerprint(tag)<<shift
+	c.touch(set, way)
+	return victim, slot
 }
 
 // fill inserts the line, evicting the least recently used way.
 func (c *cache) fill(line uint64, ready int64) (victim entry, slot *entry) {
-	set := c.set(line)
-	return c.place(set, oldest(set, allWays), line, ready)
+	set := c.setIndex(line)
+	return c.place(set, c.victimWay(set, allWays), line, ready)
 }
 
 // fillMasked inserts the line choosing the victim only among the ways
 // allowed by the CAT capacity mask, which is how Cache Allocation
 // Technology restricts fills. Bit i of the mask corresponds to way i.
 func (c *cache) fillMasked(line uint64, ready int64, mask cat.WayMask) (victim entry, slot *entry) {
-	set := c.set(line)
-	way := oldest(set, mask)
+	set := c.setIndex(line)
+	way := c.victimWay(set, mask)
 	if way < 0 {
 		// An empty mask cannot be programmed through cat.Registers;
 		// fall back to unrestricted replacement defensively.
-		way = oldest(set, allWays)
+		way = c.victimWay(set, allWays)
 	}
 	return c.place(set, way, line, ready)
 }
 
-// stampLimit is the last stamp the counter can hand out. Whoever takes
-// a stamp — place, and the callers of lookup, which is too small to
-// hold the call and stay inlinable — follows up with renormaliseIfDue.
-const stampLimit = math.MaxUint32
-
-func (c *cache) renormaliseIfDue() {
-	if c.stamp == stampLimit {
-		c.renormalise()
-	}
-}
-
-// renormalise replaces every valid line's stamp by its rank within its
-// set (1 is the least recently used) and restarts the counter above
-// the ranks. Replacement only ever compares stamps within one set, so
-// every later victim choice is the one the unbounded counter would
-// have made; without this the counter wraps after 2^32 lookups and
-// fills, and the freshest lines become the first evicted.
-func (c *cache) renormalise() {
-	var rank [maxWays]uint32
-	for base := 0; base < len(c.entries); base += c.ways {
-		set := c.entries[base : base+c.ways]
-		for i := range set {
-			rank[i] = 0
-			if !set[i].valid() {
-				continue
-			}
-			rank[i] = 1
-			for j := range set {
-				if set[j].valid() && set[j].lru < set[i].lru {
-					rank[i]++
-				}
-			}
-		}
-		for i := range set {
-			set[i].lru = rank[i]
-		}
-	}
-	c.stamp = uint32(c.ways)
-}
-
 // invalidate drops the line if present, returning whether it was dirty.
+// The lines less recent than it move up one rank to close the gap.
 func (c *cache) invalidate(line uint64) (present, dirty bool) {
-	if e := c.peek(line); e != nil {
-		dirty = e.dirty()
-		*e = entry{}
-		return true, dirty
+	set, way := c.find(line)
+	if way < 0 {
+		return false, false
 	}
-	return false, false
+	e := &c.entries[set*c.ways+way]
+	dirty = e.dirty()
+	*e = entry{}
+	ranks := c.ranks[set*c.words:][:c.words]
+	shift := uint(way%lanes) * 8
+	t := ranks[way/lanes]>>shift&0xff + 1
+	for w, r := range ranks {
+		// Not below rank+1, but below rankPad: valid and less recent.
+		ranks[w] = r - (belowLanes(r, rankPad)&^belowLanes(r, t))>>7
+	}
+	ranks[way/lanes] |= rankEmpty << shift
+	return true, dirty
 }
 
 // flush invalidates every line.
 func (c *cache) flush() {
 	clear(c.entries)
-	c.stamp = 0
+	for w := range c.ranks {
+		c.ranks[w] = rankEmpty * laneLo
+	}
+	// A set's last word: rankEmpty in the real ways, rankPad past them.
+	real := uint(c.ways-(c.words-1)*lanes) * 8
+	last := uint64(rankPad*laneLo) | (1<<real - 1)
+	for w := c.words - 1; w < len(c.ranks); w += c.words {
+		c.ranks[w] = last
+	}
 }
 
 // occupancy counts valid lines, optionally restricted to lines within

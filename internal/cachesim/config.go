@@ -24,6 +24,9 @@ import (
 const TicksPerCycle = 16
 
 // maxWays is the widest associativity a cat.WayMask can select from.
+// It is also the limit of a set's LRU rank bytes (cache.go): valid
+// ranks run to ways-1 and must stay below rankPad, the 0x7f that fills
+// the bytes past the last way.
 const maxWays = 32
 
 // Geometry describes one cache: total size and associativity. The line

@@ -337,7 +337,6 @@ func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 
 	// L1.
 	if e := m.l1[core].lookup(line); e != nil {
-		m.l1[core].renormaliseIfDue()
 		if write {
 			e.setDirty()
 		}
@@ -350,7 +349,6 @@ func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 
 	// L2.
 	if e := m.l2[core].lookup(line); e != nil {
-		m.l2[core].renormaliseIfDue()
 		lat := m.l2Lat
 		if e.ready > start {
 			// A prefetch for this line is still in flight.
@@ -367,7 +365,6 @@ func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 
 	// LLC.
 	if e := m.llc.lookup(line); e != nil {
-		m.llc.renormaliseIfDue()
 		lat := m.llcLat
 		if e.ready > start {
 			lat = e.ready - start + m.llcLat
@@ -449,7 +446,6 @@ func (m *Machine) AccessBatch(core int, ops []BatchOp) {
 		// replicates Access inline without the level walk.
 		if pfOff || line == p.lastLine {
 			if e := l1.lookup(line); e != nil {
-				l1.renormaliseIfDue()
 				st.Instructions++
 				if op.Write {
 					st.Writes++
@@ -628,7 +624,7 @@ func (m *Machine) prefetch(core int, line uint64) {
 	if m.dramFree-m.now[core] > m.pfDropQueue {
 		return
 	}
-	// One scan per level settles both presence and the fill's victim.
+	// One search per level settles both presence and the fill's victim.
 	llcSet, present, llcWay := m.llc.probe(line, m.regs.MaskOf(core))
 	if present {
 		return
@@ -645,7 +641,7 @@ func (m *Machine) prefetch(core int, line uint64) {
 	if m.filledLLC(core, victim, slot) {
 		// The back-invalidation emptied a way of this core's L2, maybe
 		// in the probed set: the L2 victim has to be chosen again.
-		l2Way = oldest(l2Set, allWays)
+		l2Way = l2.victimWay(l2Set, allWays)
 	}
 	victim, _ = l2.place(l2Set, l2Way, line, ready)
 	if victim.valid() && victim.dirty() {

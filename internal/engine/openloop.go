@@ -356,6 +356,7 @@ func (e *Engine) completeOrAdvance(ol *olState, g *olGroup) error {
 // cores in min-clock order (as runSerial does for streams), waking
 // idle groups whenever their wake tick is the earliest event.
 func (e *Engine) openLoopSerial(ol *olState, feed Feed, opts OpenLoopOptions) error {
+	var run []runnable // of the busy groups; rebuilt when one changes
 	for {
 		// Earliest idle wake (ties: lowest group id wins via scan order).
 		var wakeG *olGroup
@@ -368,52 +369,48 @@ func (e *Engine) openLoopSerial(ol *olState, feed Feed, opts OpenLoopOptions) er
 			}
 		}
 		// Least-advanced runnable core among busy groups.
-		minG, minSlot, minNow := ol.minRunnable(e.m)
-		if wakeG == nil && minG == nil {
+		r, minNow, ok := leastAdvanced(e.m, run)
+		if wakeG == nil && !ok {
 			return nil // every group retired and drained
 		}
-		if wakeG != nil && (minG == nil || wakeG.wake <= minNow) {
+		if wakeG != nil && (!ok || wakeG.wake <= minNow) {
 			if err := e.dispatch(ol, wakeG, feed, wakeG.wake); err != nil {
 				return err
 			}
+			run = ol.runnableSlots(run[:0])
 			continue
 		}
-		if err := e.controllerTick(ol.ces, minNow, minG.cores[minSlot]); err != nil {
+		if err := e.controllerTick(ol.ces, minNow, r.core); err != nil {
 			return err
 		}
-		phaseDone, err := e.stepSlice(minG.st, minSlot, ol.ctxs[minG.cores[minSlot]], opts.TargetSliceTicks, opts.Quantum)
+		done, err := e.stepSlice(r.st, r.slot, ol.ctxs[r.core], opts.TargetSliceTicks, opts.Quantum)
 		if err != nil {
 			return err
 		}
-		if phaseDone {
-			if err := e.completeOrAdvance(ol, minG); err != nil {
-				return err
+		if done {
+			if r.st.phaseDone() {
+				// The stream of a group's submission carries the group's id.
+				if err := e.completeOrAdvance(ol, ol.groups[r.st.idx]); err != nil {
+					return err
+				}
 			}
+			run = ol.runnableSlots(run[:0])
 		}
 	}
 }
 
-// minRunnable finds the busy group and slot whose core clock is least
-// advanced, mirroring Engine.minRunnable over open-loop groups.
-func (ol *olState) minRunnable(m *cachesim.Machine) (*olGroup, int, int64) {
-	var best *olGroup
-	bestSlot := -1
-	var bestNow int64
+// runnableSlots lists the busy groups' runnable slots, group by group and
+// slot by slot, the order in which equal clocks are served.
+func (ol *olState) runnableSlots(run []runnable) []runnable {
 	for _, g := range ol.groups {
 		if !g.busy {
 			continue
 		}
 		for i := range g.st.slots {
-			s := &g.st.slots[i]
-			if s.kernel == nil || s.done {
-				continue
-			}
-			if now := m.Now(g.cores[i]); best == nil || now < bestNow {
-				best, bestSlot, bestNow = g, i, now
-			}
+			run = appendRunnable(run, g.st, i, g.cores[i])
 		}
 	}
-	return best, bestSlot, bestNow
+	return run
 }
 
 // openLoopResults assembles the final report.

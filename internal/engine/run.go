@@ -314,29 +314,58 @@ func (e *Engine) prepareRun(specs []StreamSpec, opts RunOptions) (*runState, err
 	}, nil
 }
 
-// minRunnable finds the least-advanced core with runnable work,
-// returning its binding index and clock, or -1 when nothing can run.
-func (e *Engine) minRunnable(rs *runState) (int, int64) {
-	minIdx := -1
-	var minNow int64
-	for bi, b := range rs.bindings {
-		st := rs.streams[b.si]
-		if b.slot >= len(st.slots) || st.slots[b.slot].done || st.slots[b.slot].kernel == nil {
-			continue
-		}
-		if now := e.m.Now(b.core); minIdx < 0 || now < minNow {
-			minIdx, minNow = bi, now
+// runnable is one armed, unfinished kernel slot of a serial loop: the
+// stream it belongs to, its slot there and the core it runs on.
+type runnable struct {
+	st   *stream
+	slot int
+	core int
+}
+
+// appendRunnable appends the stream's slot to run if a kernel is armed
+// there and has not finished.
+func appendRunnable(run []runnable, st *stream, slot, core int) []runnable {
+	if slot < len(st.slots) && st.slots[slot].kernel != nil && !st.slots[slot].done {
+		run = append(run, runnable{st: st, slot: slot, core: core})
+	}
+	return run
+}
+
+// leastAdvanced returns the runnable slot whose core clock is lowest,
+// and that clock; ok is false when nothing can run. The first of equal
+// clocks wins, so the order of run is the tie-break. The serial loops
+// call it once per slice, which is why they keep run as a dense list —
+// rebuilt only when a slot finishes or a phase arms — and do not walk
+// bindings, streams and slots here.
+func leastAdvanced(m *cachesim.Machine, run []runnable) (r runnable, now int64, ok bool) {
+	min := -1
+	for i := range run {
+		if t := m.Now(run[i].core); min < 0 || t < now {
+			min, now = i, t
 		}
 	}
-	return minIdx, minNow
+	if min < 0 {
+		return runnable{}, 0, false
+	}
+	return run[min], now, true
+}
+
+// runnableSlots lists the run's runnable slots in binding order, ascending
+// by core.
+func (rs *runState) runnableSlots(run []runnable) []runnable {
+	for _, b := range rs.bindings {
+		run = appendRunnable(run, rs.streams[b.si], b.slot, b.core)
+	}
+	return run
 }
 
 // runSerial is the reference execution loop: one slice at a time on
 // the globally least-advanced core.
 func (e *Engine) runSerial(rs *runState, opts RunOptions) error {
+	run := rs.runnableSlots(nil)
 	for {
-		minIdx, minNow := e.minRunnable(rs)
-		if minIdx < 0 {
+		r, minNow, ok := leastAdvanced(e.m, run)
+		if !ok {
 			return fmt.Errorf("engine: deadlock — no runnable kernels")
 		}
 		if !rs.warmed && minNow >= rs.warmTicks {
@@ -345,30 +374,31 @@ func (e *Engine) runSerial(rs *runState, opts RunOptions) error {
 		if minNow >= rs.durTicks {
 			return nil
 		}
-		if err := e.controllerTick(rs.ces, minNow, rs.bindings[minIdx].core); err != nil {
+		if err := e.controllerTick(rs.ces, minNow, r.core); err != nil {
 			return err
 		}
 
-		b := rs.bindings[minIdx]
-		st := rs.streams[b.si]
-		phaseDone, err := e.stepSlice(st, b.slot, rs.ctxs[b.core], opts.TargetSliceTicks, opts.Quantum)
+		done, err := e.stepSlice(r.st, r.slot, rs.ctxs[r.core], opts.TargetSliceTicks, opts.Quantum)
 		if err != nil {
 			return err
 		}
-		if phaseDone {
-			if err := e.advancePhase(st); err != nil {
-				return err
+		if done {
+			if r.st.phaseDone() {
+				if err := e.advancePhase(r.st); err != nil {
+					return err
+				}
 			}
+			run = rs.runnableSlots(run[:0])
 		}
 	}
 }
 
 // stepSlice runs one scheduling slice of the stream's slot on ctx's
 // core — budget, Step, cost observation, row count — and reports
-// whether the slice finished the last running kernel of the stream's
-// current phase. A kernel that neither progresses nor finishes is an
-// error.
-func (e *Engine) stepSlice(st *stream, slotIdx int, ctx *exec.Ctx, targetTicks int64, quantum int) (phaseDone bool, err error) {
+// whether the slice finished the slot's kernel; the caller then asks
+// the stream whether that was the last one running in the phase. A
+// kernel that neither progresses nor finishes is an error.
+func (e *Engine) stepSlice(st *stream, slotIdx int, ctx *exec.Ctx, targetTicks int64, quantum int) (done bool, err error) {
 	slot := &st.slots[slotIdx]
 	budget := slot.budgetFor(targetTicks, quantum)
 	before := e.m.Now(ctx.Core)
@@ -379,7 +409,7 @@ func (e *Engine) stepSlice(st *stream, slotIdx int, ctx *exec.Ctx, targetTicks i
 	}
 	if done {
 		slot.done = true
-		return st.phaseDone(), nil
+		return true, nil
 	}
 	if rows == 0 {
 		return false, fmt.Errorf("engine: kernel %q/%s made no progress",

@@ -4,7 +4,7 @@
 # packages that hold sync primitives. Run from anywhere inside the module; CI and
 # pre-merge reviews run exactly this.
 #
-# Usage: check.sh [lint|test|chaos|serve|overload|bench|all]
+# Usage: check.sh [lint|test|chaos|serve|overload|bench|fuzz|all]
 #   lint     build + vet + cachelint (the CI lint job)
 #   test     build + unit tests + race detector (the CI test job)
 #   chaos    build + fault-injection/robustness tests under the race
@@ -20,6 +20,10 @@
 #            -quick run whose self-checks compare CountInRange with the
 #            naive Get loop, the cachesim probes' outcome shares, and
 #            the digests of repeated runs (the CI bench job)
+#   fuzz     a 10 s smoke run of each fuzz target beyond its checked-in
+#            seeds: FuzzCountInRange (packed scan against the Get loop)
+#            and FuzzCacheOps (word-at-a-time sets against the stamp
+#            reference) (the CI fuzz job)
 #   all      every gate, in order (the default)
 set -eu
 
@@ -27,9 +31,9 @@ cd "$(dirname "$0")/.."
 
 mode="${1:-all}"
 case "$mode" in
-lint | test | chaos | serve | overload | bench | all) ;;
+lint | test | chaos | serve | overload | bench | fuzz | all) ;;
 *)
-	echo "check.sh: unknown mode '$mode' (want lint, test, chaos, serve, overload, bench, or all)" >&2
+	echo "check.sh: unknown mode '$mode' (want lint, test, chaos, serve, overload, bench, fuzz, or all)" >&2
 	exit 2
 	;;
 esac
@@ -88,6 +92,15 @@ if [ "$mode" = bench ] || [ "$mode" = all ]; then
 
 	echo '== go run -C bench . -quick'
 	go run -C bench . -quick
+fi
+
+if [ "$mode" = fuzz ] || [ "$mode" = all ]; then
+	# One target per invocation: go test -fuzz accepts a single match.
+	echo '== go test -fuzz FuzzCountInRange -fuzztime 10s ./internal/column'
+	go test -run '^$' -fuzz '^FuzzCountInRange$' -fuzztime 10s ./internal/column
+
+	echo '== go test -fuzz FuzzCacheOps -fuzztime 10s ./internal/cachesim'
+	go test -run '^$' -fuzz '^FuzzCacheOps$' -fuzztime 10s ./internal/cachesim
 fi
 
 echo "check.sh: $mode gate(s) passed"

@@ -21,9 +21,13 @@ perflint:
 	$(GO) run ./cmd/cachelint -tier=perf ./...
 
 # The packages that hold sync primitives (atomics, mutexes, the
-# linter's package fan-out); the simulator itself is single-goroutine.
+# linter's package fan-out) and those that run the column scan, whose
+# count is the one goroutine beside the otherwise single-goroutine
+# simulator; exec and engine again on one P and on two, so that helper
+# is seen both interleaved with the simulation and beside it.
 race:
-	$(GO) test -race ./internal/exec/... ./internal/memory/... ./internal/resctrl/... ./internal/fault/... ./internal/lint/...
+	$(GO) test -race ./internal/exec/... ./internal/engine/... ./internal/workload/... ./internal/memory/... ./internal/resctrl/... ./internal/fault/... ./internal/lint/...
+	$(GO) test -cpu 1,2 ./internal/exec/... ./internal/engine/...
 
 # The repo benchmark declared in BENCHMARK.json (see bench/README.md).
 bench:

@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"cachepart/internal/cachesim"
 	"cachepart/internal/core"
 )
 
@@ -13,19 +14,30 @@ import (
 // cache statistics, and every recorded execution duration — even with
 // concurrent streams and the partitioning policy enabled. (The older
 // TestRunDeterministic covers only the row counters of one stream.)
+// Nor may the host's parallelism show: the column scan counts on a
+// goroutine beside the simulation, so the same seed is also run with
+// the scheduler held to one P.
 func TestRunBitIdentical(t *testing.T) {
-	run := func(seed int64) []StreamResult {
+	type outcome struct {
+		res   []StreamResult
+		total cachesim.CoreStats
+	}
+	scan := newScanQuery(t, 60_000)
+	run := func(seed int64) outcome {
 		t.Helper()
 		e := testEngine(t, true)
 		specs := []StreamSpec{
-			{Query: &countQuery{name: "A", rowsPerExec: 600, cuid: core.Polluting}, Cores: []int{0, 1, 2, 3}},
+			{Query: scan, Cores: []int{0, 1, 2, 3}},
 			{Query: &countQuery{name: "B", rowsPerExec: 400, cuid: core.Sensitive}, Cores: []int{4, 5, 6, 7}},
 		}
 		res, err := e.Run(specs, RunOptions{Duration: 1e-4, Seed: seed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		if res[0].Executions < 2 {
+			t.Fatalf("the scan stream completed %d executions; too few to exercise its count goroutine", res[0].Executions)
+		}
+		return outcome{res, e.Machine().TotalStats()}
 	}
 
 	first := run(42)
@@ -33,6 +45,11 @@ func TestRunBitIdentical(t *testing.T) {
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("same-seed runs diverged:\n first: %+v\nsecond: %+v", first, second)
 	}
+	onOneP(func() {
+		if oneP := run(42); !reflect.DeepEqual(first, oneP) {
+			t.Errorf("the same seed on one P diverged:\n default: %+v\n  one P: %+v", first, oneP)
+		}
+	})
 
 	// The seed must actually steer the run: a different seed on the
 	// same workload should not be an accidental no-op. (Identical

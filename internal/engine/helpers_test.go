@@ -2,10 +2,14 @@ package engine
 
 import (
 	"math/rand"
+	"runtime"
 	"sync/atomic"
+	"testing"
 
+	"cachepart/internal/column"
 	"cachepart/internal/core"
 	"cachepart/internal/exec"
+	"cachepart/internal/memory"
 )
 
 // countKernel is a trivial kernel: it burns a small compute cost per
@@ -52,6 +56,52 @@ func (q *countQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
 		Kernels:   ks,
 		CountRows: true,
 	}}, nil
+}
+
+// scanQuery plans one exec.ColumnScan per core over a shared column
+// with a bound drawn from the stream's RNG: the kernel whose count runs
+// on a host goroutine of its own, which the bit-identity tests must
+// see to say anything about host parallelism.
+type scanQuery struct {
+	col *column.Column
+}
+
+func newScanQuery(t *testing.T, rows int) *scanQuery {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(rows)))
+	vals := make([]int64, rows)
+	for i := range vals {
+		vals[i] = 1 + rng.Int63n(1<<14)
+	}
+	col, err := column.EncodeDense(memory.NewSpace(), "scan.x", vals, 1, 1<<14, column.DefaultEntrySize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &scanQuery{col: col}
+}
+
+func (q *scanQuery) Name() string { return "scan" }
+
+func (q *scanQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
+	bound := 1 + rng.Int63n(1<<14)
+	parts := PartitionRows(q.col.Rows(), cores)
+	ks := make([]exec.Kernel, 0, len(parts))
+	for _, p := range parts {
+		k, err := exec.NewColumnScan(q.col, p[0], p[1], bound)
+		if err != nil {
+			return nil, err
+		}
+		ks = append(ks, k)
+	}
+	return []Phase{{Name: "scan", CUID: core.Polluting, Kernels: ks, CountRows: true}}, nil
+}
+
+// onOneP runs f with the Go scheduler held to a single P, where helper
+// goroutines interleave with the simulation instead of running beside
+// it, and restores the setting.
+func onOneP(f func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
 }
 
 // twoPhaseQuery checks barrier semantics: phase B must never start

@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"cachepart/internal/cachesim"
 )
 
 // sliceFeed replays a fixed submission list in order, parking until
@@ -117,18 +119,41 @@ func TestRunOpenLoopBasic(t *testing.T) {
 	}
 }
 
+// TestRunOpenLoopDeterminism is TestRunBitIdentical's open-loop
+// counterpart: identical feeds give identical results and machine
+// counters, run to run and with the scheduler held to one P. Every
+// other submission is a column scan, whose count runs on a goroutine
+// beside the simulation.
 func TestRunOpenLoopDeterminism(t *testing.T) {
-	run := func() *OpenLoopResult {
+	type outcome struct {
+		res   *OpenLoopResult
+		total cachesim.CoreStats
+	}
+	scan := newScanQuery(t, 20_000)
+	run := func() outcome {
 		e := testEngine(t, true)
-		res, err := e.RunOpenLoop([][]int{{0, 1}, {2, 3}}, &sliceFeed{subs: testSubs(16, 3000, 600)}, OpenLoopOptions{})
+		subs := testSubs(16, 3000, 600)
+		for i := 0; i < len(subs); i += 2 {
+			subs[i].Query = scan
+		}
+		res, err := e.RunOpenLoop([][]int{{0, 1}, {2, 3}}, &sliceFeed{subs: subs}, OpenLoopOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		return res
+		if len(res.Completions) != len(subs) {
+			t.Fatalf("completed %d of %d submissions", len(res.Completions), len(subs))
+		}
+		return outcome{res, e.Machine().TotalStats()}
 	}
-	if a, b := run(), run(); !reflect.DeepEqual(a, b) {
+	first := run()
+	if second := run(); !reflect.DeepEqual(first, second) {
 		t.Error("open-loop runs with identical feeds differ")
 	}
+	onOneP(func() {
+		if oneP := run(); !reflect.DeepEqual(first, oneP) {
+			t.Error("open-loop runs with identical feeds differ between the default scheduler and one P")
+		}
+	})
 }
 
 func TestRunOpenLoopValidates(t *testing.T) {

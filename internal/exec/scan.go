@@ -17,6 +17,16 @@ import (
 //
 // The kernel counts codes c with LoCode <= c < HiCode over rows
 // [From, To).
+//
+// It runs as two halves. The timing half is Step: one simulated read
+// plus the per-line compute cost for every cache line of codes, which
+// is all the clock, the caches and the access stream ever see. The
+// functional half is the count itself, a pure function of the immutable
+// code vector that nothing reads before the kernel is done, so it runs
+// once over the whole range on a goroutine of its own (start) and the
+// Step that completes the kernel collects it. The range and the
+// predicate are read when an execution's first Step starts the count;
+// set them before it, or through Reset.
 type ColumnScan struct {
 	Col    *column.Column
 	From   int
@@ -24,8 +34,16 @@ type ColumnScan struct {
 	LoCode uint32
 	HiCode uint32
 
-	cur   int
+	cur int
+
+	// Count is the number of qualifying rows in [From, To). It is valid
+	// once Step has returned done and until the next Reset; before that
+	// it is 0.
 	Count int64
+	// pending carries the running execution's count from its helper
+	// goroutine; nil before the first Step with rows to process and
+	// after the count has been received.
+	pending chan int64
 
 	// Line cursor: lineEnd is the first row starting in the line after
 	// cur's, lineEndBit where in that line its first bit lies, in
@@ -78,13 +96,35 @@ func firstRowOfLine(v *column.PackedVector, line uint64) int {
 	return int((startBit + bits - 1) / bits)
 }
 
+// start launches the functional half of one execution: a single
+// CountInRange over the kernel's whole range, delivered through
+// pending. The helper is handed the code vector and its four arguments
+// by value and nothing else — never Ctx, the Machine or the kernel —
+// so it cannot move a clock, a cache line or an access, and the result
+// is the same on any number of host cores. The channel holds one value,
+// so the helper's send never blocks: a kernel the run abandons at its
+// horizon, or one Reset mid-flight, leaves a helper that finishes into
+// its buffer, exits and is collected with it.
+func (s *ColumnScan) start() {
+	//lint:allow hotalloc one channel, closure and goroutine per kernel execution, not per slice; TestColumnScanStepZeroAllocs pins the steady state
+	pending := make(chan int64, 1)
+	codes, from, to, lo, hi := s.Col.Codes, s.From, s.To, s.LoCode, s.HiCode
+	go func() { pending <- codes.CountInRange(from, to, lo, hi) }()
+	s.pending = pending
+}
+
 // Step processes up to budget rows, one cache line of codes at a time.
 // The per-line [read, compute] pairs of a slice are submitted as one
 // batch, preserving the exact access sequence while amortizing the
-// per-reference simulator call overhead.
+// per-reference simulator call overhead. The first slice of an
+// execution starts the count beside the simulation and the last one
+// waits for it.
 //
 //perf:hot column-scan kernel inner loop
 func (s *ColumnScan) Step(ctx *Ctx, budget int) (int, bool) {
+	if s.pending == nil && s.cur < s.To {
+		s.start()
+	}
 	processed := 0
 	codes := s.Col.Codes
 	region := codes.Region()
@@ -100,7 +140,6 @@ func (s *ColumnScan) Step(ctx *Ctx, budget int) (int, bool) {
 			Cycles: ScanCyclesPerLine,
 			Instrs: ScanInstrsPerLine,
 		})
-		s.Count += codes.CountInRange(s.cur, end, s.LoCode, s.HiCode)
 		processed += end - s.cur
 		s.cur = end
 		// The next line's extra row starts in it when its first row
@@ -114,13 +153,19 @@ func (s *ColumnScan) Step(ctx *Ctx, budget int) (int, bool) {
 		s.lineEndBit -= s.extraBits
 	}
 	ctx.ReadBatch(s.ops)
-	return processed, s.cur >= s.To
+	done := s.cur >= s.To
+	if done && s.pending != nil {
+		s.Count = <-s.pending
+		s.pending = nil
+	}
+	return processed, done
 }
 
 // Reset rewinds the kernel for a fresh execution with a new predicate
-// code range.
+// code range. A count still in flight for the previous execution is
+// forgotten, not awaited.
 func (s *ColumnScan) Reset(loCode, hiCode uint32) {
 	s.rewind()
-	s.Count = 0
+	s.Count, s.pending = 0, nil
 	s.LoCode, s.HiCode = loCode, hiCode
 }

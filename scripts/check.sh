@@ -1,12 +1,13 @@
 #!/bin/sh
 # check.sh — the repository's full verification gate: compile, vet,
 # domain lint (cachelint), unit tests, and the race detector over the
-# packages that hold sync primitives. Run from anywhere inside the module; CI and
-# pre-merge reviews run exactly this.
+# packages that hold sync primitives or start a goroutine. Run from
+# anywhere inside the module; CI and pre-merge reviews run exactly this.
 #
 # Usage: check.sh [lint|test|chaos|serve|overload|bench|fuzz|all]
 #   lint     build + vet + cachelint (the CI lint job)
-#   test     build + unit tests + race detector (the CI test job)
+#   test     build + unit tests + race detector + exec and engine at
+#            -cpu 1,2 (the CI test job)
 #   chaos    build + fault-injection/robustness tests under the race
 #            detector (the CI chaos job)
 #   serve    build + open-loop serving tier: queueing-theory sanity,
@@ -55,8 +56,13 @@ if [ "$mode" = test ] || [ "$mode" = all ]; then
 	echo '== go test ./...'
 	go test ./...
 
-	echo '== go test -race (exec, memory, resctrl, fault, lint)'
-	go test -race ./internal/exec/... ./internal/memory/... ./internal/resctrl/... ./internal/fault/... ./internal/lint/...
+	echo '== go test -race (exec, engine, workload, memory, resctrl, fault, lint)'
+	go test -race ./internal/exec/... ./internal/engine/... ./internal/workload/... ./internal/memory/... ./internal/resctrl/... ./internal/fault/... ./internal/lint/...
+
+	# The scan's count goroutine interleaved with the simulation on one
+	# P, and beside it on two.
+	echo '== go test -cpu 1,2 (exec, engine)'
+	go test -cpu 1,2 ./internal/exec/... ./internal/engine/...
 fi
 
 if [ "$mode" = serve ] || [ "$mode" = all ]; then

@@ -15,24 +15,35 @@
 # pairs the change won (ties count for neither), and whether
 # sim_throughput, sim_p99_cycles and sim_digest were equal in every
 # run. A claim needs the change ahead in nine pairs of ten and medians
-# further apart than the parent's q3-q1.
+# further apart than the parent's q3-q1; the last line says whether
+# host_s met that.
+#
+# How far to trust the session is printed with it: the host's core
+# count, GOMAXPROCS and load average before and after (a gain that
+# comes from a second core needs one that is idle), and setup_s as a
+# noise control. Data generation is the same code on both sides unless
+# the change touched it, so setup_s medians further apart than the
+# parent's q3-q1 mean the host drifted between the two sides by more
+# than its own spread, and the script says so in place of a verdict.
 set -eu
 
 if [ $# -lt 2 ]; then
-	sed -n '2,18p' "$0" >&2
+	sed -n '2,27p' "$0" >&2
 	exit 2
 fi
 ref=$1 workload=$2 seed=${3:-1} pairs=${4:-10} seconds=${5:-}
 
 root=$(cd "$(dirname "$0")/.." && pwd)
 tmp=$(mktemp -d)
-cleanup() {
-	git -C "$root" worktree remove --force "$tmp/parent" >/dev/null 2>&1 || true
-	rm -rf "$tmp"
-}
-trap cleanup EXIT INT TERM
+trap 'rm -rf "$tmp"' EXIT INT TERM
 
-git -C "$root" worktree add --detach "$tmp/parent" "$ref" >/dev/null
+host() {
+	echo "host $1: nproc $(nproc)  GOMAXPROCS ${GOMAXPROCS:-unset (the runtime takes nproc)}  loadavg $(cat /proc/loadavg 2>/dev/null || echo unavailable)"
+}
+host 'at start'
+
+mkdir "$tmp/parent"
+git -C "$root" archive "$ref" | tar -x -C "$tmp/parent"
 go build -C "$tmp/parent/bench" -o "$tmp/bench_parent" .
 go build -C "$root/bench" -o "$tmp/bench_change" .
 
@@ -62,7 +73,7 @@ echo "== $workload  seed $seed  $pairs pairs  parent $ref"
 printf '%-26s %-38s %-38s %s\n' metric 'parent q1/median/q3' 'change q1/median/q3' 'change ahead'
 for metric in host_s sim_accesses_per_host_s setup_s host_heap_mib; do
 	awk -v m="$metric" '$3 == m { print $1, $2, $4 }' "$tmp/rows" | sort -k1,1 -k3,3g |
-		awk -v m="$metric" -v higher="$([ "$metric" = sim_accesses_per_host_s ] && echo 1 || echo 0)" '
+		awk -v m="$metric" -v stats="$tmp/stats.$metric" -v higher="$([ "$metric" = sim_accesses_per_host_s ] && echo 1 || echo 0)" '
 		{ n[$1]++; v[$1, n[$1]] = $3; at[$1, $2] = $3; if ($2 > pairs) pairs = $2 }
 		# quantile of the sorted values of one side, linear interpolation
 		function q(side, p,    h, lo) {
@@ -77,8 +88,10 @@ for metric in host_s sim_accesses_per_host_s setup_s host_heap_mib; do
 				if (higher) d = -d
 				if (d < 0) won++
 			}
+			apart = q("change", .5) - q("parent", .5); iqr = q("parent", .75) - q("parent", .25)
 			printf "%-26s %-38s %-38s %d of %d  (medians x%.3f, apart %.4g, parent q3-q1 %.4g)\n", m, three("parent"), three("change"), won, pairs,
-				q("change", .5) / q("parent", .5), q("change", .5) - q("parent", .5), q("parent", .75) - q("parent", .25)
+				q("change", .5) / q("parent", .5), apart, iqr
+			print m, won + 0, pairs, apart, iqr >stats
 		}'
 done
 for metric in sim_throughput sim_p99_cycles sim_digest ops_failed; do
@@ -86,3 +99,15 @@ for metric in sim_throughput sim_p99_cycles sim_digest ops_failed; do
 		if (k == 1) printf "%-26s equal in every run (%s)\n", m, last
 		else { printf "%-26s DIFFERS:", m; for (x in seen) printf " %s x%d", x, seen[x]; print "" } }' "$tmp/rows"
 done
+host 'at end  '
+awk '
+	function abs(x) { return x < 0 ? -x : x }
+	$1 == "setup_s" && abs($4) > $5 {
+		printf "noise control: setup_s medians are %.4g apart, more than the parent q3-q1 of %.4g; unless the change touched data generation that code is the same on both sides, so this session was too noisy to rule on host_s. Run it again.\n", abs($4), $5
+		noisy = 1
+	}
+	$1 == "setup_s" && !noisy { printf "noise control: setup_s medians are %.4g apart, inside the parent q3-q1 of %.4g\n", abs($4), $5 }
+	$1 == "host_s" && !noisy {
+		ok = $2 * 10 >= $3 * 9 && -$4 > $5
+		printf "host_s: change ahead in %d of %d pairs, its median %.4g below the parent'"'"'s against a parent q3-q1 of %.4g: %s\n", $2, $3, -$4, $5, ok ? "meets the bar for a claim" : "does not meet the bar for a claim"
+	}' "$tmp/stats.setup_s" "$tmp/stats.host_s"

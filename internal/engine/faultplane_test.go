@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -36,17 +37,38 @@ func chaosSpecs() []StreamSpec {
 // AND the same fault seed, two runs — injections, retries, backoff
 // cycles, degradations and all — must be bit-for-bit identical.
 func TestRunBitIdenticalChaos(t *testing.T) {
+	var injected fault.Stats
 	run := func(runSeed, faultSeed int64) []StreamResult {
 		t.Helper()
-		e, _ := chaosEngine(t, fault.Uniform(0.2, faultSeed))
+		e, pl := chaosEngine(t, fault.Uniform(0.2, faultSeed))
 		res, err := e.Run(chaosSpecs(), RunOptions{Duration: 1e-4, Seed: runSeed})
 		if err != nil {
 			t.Fatal(err)
 		}
+		injected = pl.Stats()
 		return res
 	}
 
 	first := run(42, 7)
+	// Not only equal to itself but equal to what it was before the run
+	// loops were merged (PR 22): every placement draws from the plane's
+	// rng whether or not it writes, so which stream a fault lands on
+	// depends on the order the streams' re-plans reach the plane. A
+	// stream that finishes re-plans at once, before any other core
+	// steps; a loop that parked it until its barrier tick was the
+	// earliest event (as the open loop parks a group before asking its
+	// feed) would let the other stream's re-plans overtake it and move
+	// these numbers.
+	got := fmt.Sprintf("A execs=%d rows=%d retries=%d degraded=%d last=%+v | B execs=%d rows=%d retries=%d degraded=%d last=%+v | %+v",
+		first[0].Executions, first[0].Rows, first[0].Retries, first[0].Degraded, first[0].Queries[len(first[0].Queries)-1],
+		first[1].Executions, first[1].Rows, first[1].Retries, first[1].Degraded, first[1].Queries[len(first[1].Queries)-1],
+		injected)
+	const want = "A execs=11 rows=6600 retries=23 degraded=0 last={Start:2776000 Done:3504000} | " +
+		"B execs=139 rows=55300 retries=13 degraded=552 last={Start:3504000 Done:3520000} | " +
+		"{Injected:589 PersistentTrips:1 MonFaults:0}"
+	if got != want {
+		t.Errorf("chaos run moved:\n got: %s\nwant: %s", got, want)
+	}
 	second := run(42, 7)
 	if !reflect.DeepEqual(first, second) {
 		t.Errorf("same-seed chaos runs diverged:\n first: %+v\nsecond: %+v", first, second)

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cachepart/internal/cachesim"
+	"cachepart/internal/exec"
 )
 
 // sliceFeed replays a fixed submission list in order, parking until
@@ -166,5 +167,95 @@ func TestRunOpenLoopValidates(t *testing.T) {
 	}
 	if _, err := e.RunOpenLoop([][]int{{0}}, nil, OpenLoopOptions{}); err == nil {
 		t.Error("nil feed accepted")
+	}
+}
+
+// coreLogKernel is a countKernel that appends the core of every Step to
+// a shared log: the order in which the loop served the cores.
+type coreLogKernel struct {
+	countKernel
+	log *[]int
+}
+
+func (k *coreLogKernel) Step(ctx *exec.Ctx, budget int) (int, bool) {
+	*k.log = append(*k.log, ctx.Core)
+	return k.countKernel.Step(ctx, budget)
+}
+
+type coreLogQuery struct {
+	rows int
+	log  *[]int
+}
+
+func (q *coreLogQuery) Name() string { return "core-log" }
+
+func (q *coreLogQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
+	ks := make([]exec.Kernel, 0, cores)
+	for _, p := range PartitionRows(q.rows, cores) {
+		ks = append(ks, &coreLogKernel{countKernel{remaining: p[1] - p[0]}, q.log})
+	}
+	return []Phase{{Name: "count", Kernels: ks, CountRows: true}}, nil
+}
+
+// groupLogFeed is a sliceFeed that records which group each call to
+// Next came from.
+type groupLogFeed struct {
+	sliceFeed
+	asked []int
+}
+
+func (f *groupLogFeed) Next(group int, now int64) (Submission, bool, int64) {
+	f.asked = append(f.asked, group)
+	return f.sliceFeed.Next(group, now)
+}
+
+// TestRunOpenLoopTieBreakFollowsGroupOrder pins who goes first at equal
+// clocks: the group listed first, slot by slot, not the lowest core id.
+// Every caller in the tree lists its groups in ascending core order,
+// where the two rules agree; here the groups are listed descending. The
+// submissions come in simultaneous pairs of compute-only queries with
+// partitioning off, so the machine is symmetric under swapping the two
+// groups' cores and the run must be the mirror image of the ascending
+// one, step for step.
+func TestRunOpenLoopTieBreakFollowsGroupOrder(t *testing.T) {
+	run := func(groups [][]int) (steps, asked []int) {
+		t.Helper()
+		e := testEngine(t, false)
+		subs := make([]Submission, 12)
+		for i := range subs {
+			subs[i] = Submission{
+				Query:   &coreLogQuery{rows: 700, log: &steps},
+				Release: int64(i/2) * 40_000,
+				Tag:     int64(i),
+			}
+		}
+		feed := &groupLogFeed{sliceFeed: sliceFeed{subs: subs}}
+		res, err := e.RunOpenLoop(groups, feed, OpenLoopOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Completions) != len(subs) {
+			t.Fatalf("completed %d of %d submissions", len(res.Completions), len(subs))
+		}
+		return steps, feed.asked
+	}
+	desc, descAsked := run([][]int{{2, 3}, {0, 1}})
+	asc, ascAsked := run([][]int{{0, 1}, {2, 3}})
+
+	if want := []int{2, 3, 0, 1}; !reflect.DeepEqual(desc[:4], want) {
+		t.Errorf("first steps at clock 0 ran on cores %v, want %v (group order, then slot order)", desc[:4], want)
+	}
+	if want := []int{0, 1}; !reflect.DeepEqual(descAsked[:2], want) {
+		t.Errorf("feed first asked for groups %v, want %v", descAsked[:2], want)
+	}
+	if !reflect.DeepEqual(descAsked, ascAsked) {
+		t.Errorf("feed was asked in a different group order once the cores were swapped:\n desc: %v\n  asc: %v", descAsked, ascAsked)
+	}
+	mirrored := make([]int, len(asc))
+	for i, c := range asc {
+		mirrored[i] = (c + 2) % 4
+	}
+	if !reflect.DeepEqual(desc, mirrored) {
+		t.Errorf("descending-group run is not the mirror image of the ascending one (%d vs %d steps)", len(desc), len(asc))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"os"
 	"testing"
 )
@@ -55,6 +56,41 @@ var goldenFigures = []struct {
 			return err
 		}
 		PrintServe(w, r)
+		return nil
+	}},
+	// The shared worker pool has no figure of its own: pin what
+	// TestSharedPoolPartitioning runs — Q1 beside Q2 through
+	// System.RunShared, partitioning off then on — down to the machine
+	// counters.
+	{"pool", func(w *bytes.Buffer) error {
+		p := tinyParams()
+		p.Duration = 0.003
+		sys, err := NewSystem(p)
+		if err != nil {
+			return err
+		}
+		q1, err := NewQ1(sys)
+		if err != nil {
+			return err
+		}
+		q2, err := NewQ2(sys, 10_000_000, 10_000)
+		if err != nil {
+			return err
+		}
+		for _, on := range []bool{false, true} {
+			if err := sys.SetPartitioning(on); err != nil {
+				return err
+			}
+			ms, err := sys.RunShared(q1, q2)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintf(w, "partitioning=%v\n", on)
+			for _, m := range ms {
+				fmt.Fprintf(w, "%+v\n", m)
+			}
+			fmt.Fprintf(w, "mask writes %d\n%+v\n", sys.Engine.MaskWrites(), sys.Machine.TotalStats())
+		}
 		return nil
 	}},
 }

@@ -256,13 +256,6 @@ func (m *Machine) TotalStats() CoreStats {
 	return t
 }
 
-// CoreStatsSnapshot returns copies of all per-core counters.
-func (m *Machine) CoreStatsSnapshot() []CoreStats {
-	out := make([]CoreStats, len(m.stats))
-	copy(out, m.stats)
-	return out
-}
-
 // Flush invalidates every cache, e.g. between independent experiments.
 // Clocks and counters are preserved; CMT occupancy drops to zero with
 // the lines.

@@ -16,10 +16,11 @@ import (
 // virtual-time scheduling loop, so a controller needs no locking of
 // its own and its decisions are deterministic for a given seed.
 type Controller interface {
-	// BeginRun is called once per Run/RunSharedPool, directly after the
-	// machine reset and before any job placement, describing the
-	// streams about to execute — the point where the controller sets up
-	// its per-stream control groups and forgets stale telemetry.
+	// BeginRun is called once per Run, RunOpenLoop or RunSharedPool,
+	// directly after the machine reset and before any job placement,
+	// describing the streams (of an open loop: the core groups) about
+	// to execute — the point where the controller sets up its
+	// per-stream control groups and forgets stale telemetry.
 	// Machine counters are rewound again after prewarming; a controller
 	// sampling through resctrl.MonWindow absorbs that reset.
 	BeginRun(streams []StreamInfo) error

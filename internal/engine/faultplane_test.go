@@ -38,40 +38,48 @@ func chaosSpecs() []StreamSpec {
 // cycles, degradations and all — must be bit-for-bit identical.
 func TestRunBitIdenticalChaos(t *testing.T) {
 	var injected fault.Stats
-	run := func(runSeed, faultSeed int64) []StreamResult {
+	runOpts := func(opts RunOptions, faultSeed int64) []StreamResult {
 		t.Helper()
 		e, pl := chaosEngine(t, fault.Uniform(0.2, faultSeed))
-		res, err := e.Run(chaosSpecs(), RunOptions{Duration: 1e-4, Seed: runSeed})
+		res, err := e.Run(chaosSpecs(), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
 		injected = pl.Stats()
 		return res
 	}
+	run := func(runSeed, faultSeed int64) []StreamResult {
+		return runOpts(RunOptions{Duration: 1e-4, Seed: runSeed}, faultSeed)
+	}
 
 	first := run(42, 7)
+	second := run(42, 7)
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("same-seed chaos runs diverged:\n first: %+v\nsecond: %+v", first, second)
+	}
+
 	// Not only equal to itself but equal to what it was before the run
-	// loops were merged (PR 22): every placement draws from the plane's
+	// loops were merged (PR 22). Every placement draws from the plane's
 	// rng whether or not it writes, so which stream a fault lands on
 	// depends on the order the streams' re-plans reach the plane. A
 	// stream that finishes re-plans at once, before any other core
 	// steps; a loop that parked it until its barrier tick was the
 	// earliest event (as the open loop parks a group before asking its
-	// feed) would let the other stream's re-plans overtake it and move
-	// these numbers.
-	got := fmt.Sprintf("A execs=%d rows=%d retries=%d degraded=%d last=%+v | B execs=%d rows=%d retries=%d degraded=%d last=%+v | %+v",
-		first[0].Executions, first[0].Rows, first[0].Retries, first[0].Degraded, first[0].Queries[len(first[0].Queries)-1],
-		first[1].Executions, first[1].Rows, first[1].Retries, first[1].Degraded, first[1].Queries[len(first[1].Queries)-1],
-		injected)
-	const want = "A execs=11 rows=6600 retries=23 degraded=0 last={Start:2776000 Done:3504000} | " +
-		"B execs=139 rows=55300 retries=13 degraded=552 last={Start:3504000 Done:3520000} | " +
-		"{Injected:589 PersistentTrips:1 MonFaults:0}"
-	if got != want {
-		t.Errorf("chaos run moved:\n got: %s\nwant: %s", got, want)
+	// feed) would let the other stream's re-plans overtake it. Slices
+	// as long as an execution make that window wide enough to move
+	// these numbers, which the default slices do not.
+	coarse := runOpts(RunOptions{Duration: 1e-4, Seed: 42, TargetSliceTicks: 1 << 20}, 7)
+	got := ""
+	for _, r := range coarse {
+		got += fmt.Sprintf("%s execs=%d rows=%d retries=%d degraded=%d last=%+v | ",
+			r.Name, r.Executions, r.Rows, r.Retries, r.Degraded, r.Queries[len(r.Queries)-1])
 	}
-	second := run(42, 7)
-	if !reflect.DeepEqual(first, second) {
-		t.Errorf("same-seed chaos runs diverged:\n first: %+v\nsecond: %+v", first, second)
+	got += fmt.Sprintf("%+v", injected)
+	const want = "A execs=11 rows=6300 retries=24 degraded=0 last={Start:2800000 Done:3528000} | " +
+		"B execs=140 rows=55700 retries=12 degraded=556 last={Start:3504000 Done:3520000} | " +
+		"{Injected:593 PersistentTrips:1 MonFaults:0}"
+	if got != want {
+		t.Errorf("coarse-slice chaos run moved:\n got: %s\nwant: %s", got, want)
 	}
 	// The fault seed must steer the run: injections cost retry cycles
 	// and degradations, so a different schedule shows up in the result.

@@ -2,11 +2,11 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 
 	"cachepart/internal/cachesim"
-	"cachepart/internal/exec"
 	"cachepart/internal/memory"
 )
 
@@ -137,286 +137,114 @@ type OpenLoopResult struct {
 	Groups      []GroupResult
 }
 
-// olGroup is the runtime state of one core group.
-type olGroup struct {
-	id    int
-	cores []int
-	// st is the in-flight submission's stream state, nil while idle.
-	st      *stream
-	sub     Submission
-	start   int64
-	rowsAt  int64
-	busy    bool
-	retired bool
-	// statsAt snapshots the group cores' counters at dispatch, so the
-	// completion can report the execution's DRAM traffic delta.
-	statsAt cachesim.CoreStats
-	// wake is the next tick the feed should be asked for this group.
-	wake int64
-}
-
-// clock returns the group's synchronised clock: the max of its cores.
-func (g *olGroup) clock(m *cachesim.Machine) int64 {
-	var t int64
-	for _, c := range g.cores {
-		if now := m.Now(c); now > t {
-			t = now
-		}
-	}
-	return t
-}
-
-// stats sums the group cores' counters at the current instant.
-func (g *olGroup) stats(m *cachesim.Machine) cachesim.CoreStats {
-	var s cachesim.CoreStats
-	for _, c := range g.cores {
-		s.Add(m.Stats(c))
-	}
-	return s
-}
-
-// olState carries an open-loop run's shared state.
-type olState struct {
-	groups []*olGroup
-	ctxs   []*exec.Ctx
-	ces    *epochState
-	done   []Completion
-	// obs is the feed's optional completion callback (nil when the feed
-	// does not implement CompletionObserver).
-	obs CompletionObserver
-	// results accumulates per-group counters during the run; the final
-	// stats and fault tallies are folded in by openLoopResults.
-	results []GroupResult
-}
-
 // RunOpenLoop executes submissions from the feed on disjoint core
 // groups until every group retires. The machine is reset first; the
 // attached controller (if any) sees one stream per group.
 func (e *Engine) RunOpenLoop(groups [][]int, feed Feed, opts OpenLoopOptions) (*OpenLoopResult, error) {
 	opts.setDefaults()
-	st, err := e.prepareOpenLoop(groups, opts)
-	if err != nil {
-		return nil, err
-	}
 	if feed == nil {
 		return nil, fmt.Errorf("engine: nil feed")
 	}
-	if obs, ok := feed.(CompletionObserver); ok {
-		st.obs = obs
-	}
-	if err := e.openLoopSerial(st, feed, opts); err != nil {
-		return nil, err
-	}
-	return e.openLoopResults(st), nil
-}
-
-// prepareOpenLoop validates the groups, resets the machine, prewarms
-// declared working sets and begins the controller's run.
-func (e *Engine) prepareOpenLoop(groups [][]int, opts OpenLoopOptions) (*olState, error) {
-	if len(groups) == 0 {
-		return nil, fmt.Errorf("engine: no core groups")
-	}
-	seen := make(map[int]bool)
-	for gi, cores := range groups {
-		if len(cores) == 0 {
-			return nil, fmt.Errorf("engine: group %d has no cores", gi)
-		}
-		for _, c := range cores {
-			if c < 0 || c >= e.m.Cores() {
-				return nil, fmt.Errorf("engine: core %d out of range", c)
-			}
-			if seen[c] {
-				return nil, fmt.Errorf("engine: core %d assigned twice", c)
-			}
-			seen[c] = true
-		}
-	}
-
-	e.m.Reset()
-	e.resetFaultState(len(groups))
-
+	specs := make([]StreamSpec, len(groups))
 	infos := make([]StreamInfo, len(groups))
+	var allCores []int
 	for i, cores := range groups {
+		specs[i] = StreamSpec{Cores: cores}
 		infos[i] = StreamInfo{Name: fmt.Sprintf("serve-g%d", i), Cores: len(cores)}
-	}
-	ces, err := e.controllerBegin(infos)
-	if err != nil {
-		return nil, err
-	}
-
-	// Prewarm declared working sets across all cores, then rewind the
-	// clocks so serving starts from the steady state of a long-running
-	// server rather than a cold cache.
-	allCores := make([]int, 0, len(seen))
-	for _, cores := range groups {
 		allCores = append(allCores, cores...)
 	}
+	if err := e.checkCores(specs); err != nil {
+		return nil, err
+	}
+
+	// No horizon and no warm-up window: the run ends when the feed has
+	// retired every group, and all of it is measured.
+	rs := &runState{
+		quantum:     opts.Quantum,
+		targetTicks: opts.TargetSliceTicks,
+		durTicks:    math.MaxInt64,
+		warmed:      true,
+		feed:        feed,
+	}
+	rs.obs, _ = feed.(CompletionObserver)
+	if err := e.begin(rs, specs, infos); err != nil {
+		return nil, err
+	}
+	for _, st := range rs.streams {
+		st.idle = true
+	}
+	// Prewarm declared working sets across all cores, so serving starts
+	// from the steady state of a long-running server rather than a cold
+	// cache.
 	sort.Ints(allCores)
 	for _, q := range opts.Prewarm {
-		pw, ok := q.(Prewarmer)
-		if !ok {
-			continue
-		}
-		for _, region := range pw.PrewarmRegions(len(allCores)) {
-			for i, off := 0, uint64(0); off < region.Size; i, off = i+1, off+memory.LineSize {
-				e.m.Access(allCores[i%len(allCores)], region.Addr(off), false)
-			}
-		}
+		e.prewarm(q, allCores)
 	}
-	e.m.ZeroClocksAndStats()
-
-	ctxs := make([]*exec.Ctx, e.m.Cores())
-	for c := range ctxs {
-		ctxs[c] = e.Ctx(c)
+	if err := e.loop(rs); err != nil {
+		return nil, err
 	}
-	gs := make([]*olGroup, len(groups))
-	for i, cores := range groups {
-		gs[i] = &olGroup{id: i, cores: cores}
-	}
-	return &olState{groups: gs, ctxs: ctxs, ces: ces, results: make([]GroupResult, len(groups))}, nil
+	return e.openLoopResults(rs), nil
 }
 
-// dispatch asks the feed for the group's next submission at tick now
-// and arms it. The group transitions to busy, parked, or retired.
-func (e *Engine) dispatch(ol *olState, g *olGroup, feed Feed, now int64) error {
-	sub, ok, wake := feed.Next(g.id, now)
+// dispatch asks the feed for the idle group's next submission at its
+// wake tick and plans it. The group becomes busy, stays parked until a
+// later tick, or retires.
+func (e *Engine) dispatch(rs *runState, st *stream) error {
+	now := st.wake
+	sub, ok, wake := rs.feed.Next(st.idx, now)
 	if !ok {
 		if wake < 0 {
-			g.retired = true
+			st.retired = true
 			return nil
 		}
 		if wake <= now {
-			return fmt.Errorf("engine: feed parked group %d at %d without advancing past %d", g.id, wake, now)
+			return fmt.Errorf("engine: feed parked group %d at %d without advancing past %d", st.idx, wake, now)
 		}
-		g.wake = wake
+		st.wake = wake
 		return nil
 	}
 	if sub.Query == nil {
-		return fmt.Errorf("engine: feed returned nil query for group %d", g.id)
+		return fmt.Errorf("engine: feed returned nil query for group %d", st.idx)
 	}
 	if sub.Release > now {
 		return fmt.Errorf("engine: submission released at %d dispatched at %d", sub.Release, now)
 	}
-	start := sub.Release
-	if c := g.clock(e.m); c > start {
-		start = c
-	}
-	for _, c := range g.cores {
-		e.m.AdvanceTo(c, start)
-	}
-	st := &stream{
-		spec: StreamSpec{Query: sub.Query, Cores: g.cores},
-		idx:  g.id,
-		rng:  sub.Rng,
-	}
-	if err := e.planPhases(st); err != nil {
+	st.spec.Query, st.rng, st.sub = sub.Query, sub.Rng, sub
+	st.execStart = e.syncTo(st.spec.Cores, sub.Release)
+	st.rows = 0
+	if err := e.plan(rs, st); err != nil {
 		return err
 	}
-	g.st, g.sub, g.start, g.busy = st, sub, start, true
-	g.rowsAt = 0
-	g.statsAt = g.stats(e.m)
+	st.idle = false
+	st.statsAt = e.coreStats(st.spec.Cores)
 	return nil
 }
 
-// completeOrAdvance synchronises the group's cores at the phase
-// barrier, then either arms the next phase or records the completion
-// and frees the group.
-func (e *Engine) completeOrAdvance(ol *olState, g *olGroup) error {
-	st := g.st
-	t := g.clock(e.m)
-	for _, c := range g.cores {
-		e.m.AdvanceTo(c, t)
-	}
-	st.phaseIdx++
-	if st.phaseIdx < len(st.phases) {
-		return e.armPhase(st)
-	}
-	d := g.stats(e.m).Sub(g.statsAt)
+// complete records the completion of the group's submission at tick t
+// and frees the group; the feed is asked for its next one at t.
+func (e *Engine) complete(rs *runState, st *stream, t int64) {
+	d := e.coreStats(st.spec.Cores).Sub(st.statsAt)
 	c := Completion{
-		Tag:      g.sub.Tag,
-		Group:    g.id,
-		Release:  g.sub.Release,
-		Start:    g.start,
+		Tag:      st.sub.Tag,
+		Group:    st.idx,
+		Release:  st.sub.Release,
+		Start:    st.execStart,
 		Done:     t,
 		Rows:     st.rows,
 		MemBytes: int64(d.LLCMisses+d.PrefetchIssued+d.Writebacks) * memory.LineSize,
 	}
-	ol.done = append(ol.done, c)
-	if ol.obs != nil {
-		ol.obs.Observe(c)
+	rs.done = append(rs.done, c)
+	if rs.obs != nil {
+		rs.obs.Observe(c)
 	}
-	ol.results[g.id].BusyTicks += t - g.start
-	ol.results[g.id].Completed++
-	g.st, g.busy = nil, false
-	g.wake = t
-	return nil
-}
-
-// openLoopSerial is the reference loop: interleave the busy groups'
-// cores in min-clock order (as runSerial does for streams), waking
-// idle groups whenever their wake tick is the earliest event.
-func (e *Engine) openLoopSerial(ol *olState, feed Feed, opts OpenLoopOptions) error {
-	var run []runnable // of the busy groups; rebuilt when one changes
-	for {
-		// Earliest idle wake (ties: lowest group id wins via scan order).
-		var wakeG *olGroup
-		for _, g := range ol.groups {
-			if g.busy || g.retired {
-				continue
-			}
-			if wakeG == nil || g.wake < wakeG.wake {
-				wakeG = g
-			}
-		}
-		// Least-advanced runnable core among busy groups.
-		r, minNow, ok := leastAdvanced(e.m, run)
-		if wakeG == nil && !ok {
-			return nil // every group retired and drained
-		}
-		if wakeG != nil && (!ok || wakeG.wake <= minNow) {
-			if err := e.dispatch(ol, wakeG, feed, wakeG.wake); err != nil {
-				return err
-			}
-			run = ol.runnableSlots(run[:0])
-			continue
-		}
-		if err := e.controllerTick(ol.ces, minNow, r.core); err != nil {
-			return err
-		}
-		done, err := e.stepSlice(r.st, r.slot, ol.ctxs[r.core], opts.TargetSliceTicks, opts.Quantum)
-		if err != nil {
-			return err
-		}
-		if done {
-			if r.st.phaseDone() {
-				// The stream of a group's submission carries the group's id.
-				if err := e.completeOrAdvance(ol, ol.groups[r.st.idx]); err != nil {
-					return err
-				}
-			}
-			run = ol.runnableSlots(run[:0])
-		}
-	}
-}
-
-// runnableSlots lists the busy groups' runnable slots, group by group and
-// slot by slot, the order in which equal clocks are served.
-func (ol *olState) runnableSlots(run []runnable) []runnable {
-	for _, g := range ol.groups {
-		if !g.busy {
-			continue
-		}
-		for i := range g.st.slots {
-			run = appendRunnable(run, g.st, i, g.cores[i])
-		}
-	}
-	return run
+	st.busyTicks += t - st.execStart
+	st.idle, st.wake = true, t
 }
 
 // openLoopResults assembles the final report.
-func (e *Engine) openLoopResults(ol *olState) *OpenLoopResult {
-	sort.Slice(ol.done, func(i, j int) bool {
-		a, b := ol.done[i], ol.done[j]
+func (e *Engine) openLoopResults(rs *runState) *OpenLoopResult {
+	sort.Slice(rs.done, func(i, j int) bool {
+		a, b := rs.done[i], rs.done[j]
 		if a.Done != b.Done {
 			return a.Done < b.Done
 		}
@@ -425,15 +253,16 @@ func (e *Engine) openLoopResults(ol *olState) *OpenLoopResult {
 		}
 		return a.Tag < b.Tag
 	})
-	out := &OpenLoopResult{Completions: ol.done, Groups: ol.results}
-	for i, g := range ol.groups {
-		gr := &out.Groups[i]
-		gr.EndTick = g.clock(e.m)
-		for _, c := range g.cores {
-			gr.Stats.Add(e.m.Stats(c))
+	out := &OpenLoopResult{Completions: rs.done, Groups: make([]GroupResult, len(rs.streams))}
+	for i, st := range rs.streams {
+		out.Groups[i] = GroupResult{
+			Completed: st.execs,
+			BusyTicks: st.busyTicks,
+			EndTick:   e.clock(st.spec.Cores),
+			Stats:     e.coreStats(st.spec.Cores),
+			Retries:   e.streamFaults[i].retries,
+			Degraded:  e.streamFaults[i].degraded,
 		}
-		gr.Retries = e.streamFaults[i].retries
-		gr.Degraded = e.streamFaults[i].degraded
 	}
 	return out
 }

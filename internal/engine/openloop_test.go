@@ -46,15 +46,22 @@ func testSubs(n int, gap int64, rows int) []Submission {
 // virtual clock, stamp durations equal the recorded ticks entry for
 // entry, and back-to-back executions tile the stream's timeline.
 func TestStreamQueryStamps(t *testing.T) {
-	e := testEngine(t, true)
-	res, err := e.Run([]StreamSpec{
-		{Query: &countQuery{name: "a", rowsPerExec: 2000}, Cores: []int{0, 1}},
-		{Query: &countQuery{name: "b", rowsPerExec: 500}, Cores: []int{2}},
-	}, RunOptions{Duration: 0.0005, Seed: 1})
+	a := &countQuery{name: "a", rowsPerExec: 2000}
+	b := &countQuery{name: "b", rowsPerExec: 500}
+	opts := RunOptions{Duration: 0.0005, Seed: 1}
+	res, err := testEngine(t, true).Run([]StreamSpec{
+		{Query: a, Cores: []int{0, 1}},
+		{Query: b, Cores: []int{2}},
+	}, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range res {
+	// The shared pool is the other closed loop and reports the same way.
+	pooled, err := testEngine(t, true).RunSharedPool([]Query{a, b}, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range append(res, pooled...) {
 		if len(r.Queries) != len(r.ExecTicks) {
 			t.Fatalf("%s: %d stamps for %d exec ticks", r.Name, len(r.Queries), len(r.ExecTicks))
 		}
@@ -257,5 +264,100 @@ func TestRunOpenLoopTieBreakFollowsGroupOrder(t *testing.T) {
 	}
 	if !reflect.DeepEqual(desc, mirrored) {
 		t.Errorf("descending-group run is not the mirror image of the ascending one (%d vs %d steps)", len(desc), len(asc))
+	}
+}
+
+// TestRunOpenLoopRejectsBeforeReset: a call that fails validation has
+// touched nothing — not the machine's clocks and counters, not the
+// controller, not the mask-write tally — so the engine still holds the
+// state of the run before it.
+func TestRunOpenLoopRejectsBeforeReset(t *testing.T) {
+	e := testEngine(t, true)
+	if _, err := e.Run(chaosSpecs(), RunOptions{Duration: 1e-4, Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	type state struct {
+		now    int64
+		writes int
+		total  cachesim.CoreStats
+	}
+	snapshot := func() state {
+		return state{e.Machine().MaxNow(), e.MaskWrites(), e.Machine().TotalStats()}
+	}
+	before := snapshot()
+	if before.now == 0 || before.writes == 0 {
+		t.Fatalf("the run before left nothing to lose: %+v", before)
+	}
+	for name, call := range map[string]func() error{
+		"nil feed": func() error {
+			_, err := e.RunOpenLoop([][]int{{0, 1}}, nil, OpenLoopOptions{})
+			return err
+		},
+		"overlapping groups": func() error {
+			_, err := e.RunOpenLoop([][]int{{0, 1}, {1, 2}}, &sliceFeed{}, OpenLoopOptions{})
+			return err
+		},
+	} {
+		if err := call(); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+		if after := snapshot(); after != before {
+			t.Errorf("%s: the rejected call changed the engine:\nbefore: %+v\n after: %+v", name, before, after)
+		}
+	}
+}
+
+// staticPlanQuery hands out the same phases at every Plan, with the
+// kernels rewound, so planning it allocates nothing.
+type staticPlanQuery struct {
+	rows    int
+	kernels []*countKernel
+	phases  []Phase
+}
+
+func (q *staticPlanQuery) Name() string { return "static-plan" }
+
+func (q *staticPlanQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
+	if q.phases == nil {
+		ks := make([]exec.Kernel, cores)
+		q.kernels = make([]*countKernel, cores)
+		for i := range ks {
+			q.kernels[i] = &countKernel{}
+			ks[i] = q.kernels[i]
+		}
+		q.phases = []Phase{{Name: "count", Kernels: ks, CountRows: true}}
+	}
+	for _, k := range q.kernels {
+		k.remaining = q.rows
+	}
+	return q.phases, nil
+}
+
+// TestOpenLoopCycleAllocBudget: a group's state lives for the run, so a
+// steady-state dispatch → completion cycle allocates the phase's slot
+// list and nothing else of the engine's — in particular not a stream
+// per submission, as it did while the open loop kept its own group
+// type beside the closed loop's stream. Measured as the extra
+// allocations of a run twice as long, which cancels the prologue; the
+// completion list's doubling is the fraction over one.
+func TestOpenLoopCycleAllocBudget(t *testing.T) {
+	e := testEngine(t, false)
+	q := &staticPlanQuery{rows: 40}
+	feed := &sliceFeed{}
+	allocsFor := func(n int) float64 {
+		feed.subs = make([]Submission, n)
+		for i := range feed.subs {
+			feed.subs[i] = Submission{Query: q, Release: int64(i) * 100, Tag: int64(i)}
+		}
+		return testing.AllocsPerRun(3, func() {
+			feed.next = 0
+			if _, err := e.RunOpenLoop([][]int{{0, 1}}, feed, OpenLoopOptions{}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	const n = 512
+	if perCycle := (allocsFor(2*n) - allocsFor(n)) / n; perCycle > 1.1 {
+		t.Errorf("a dispatch → completion cycle allocates %.2f times, want the slot list only", perCycle)
 	}
 }

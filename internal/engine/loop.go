@@ -372,18 +372,8 @@ func (e *Engine) stepSlice(rs *runState, st *stream, slotIdx, core int) (done bo
 	slot := &st.slots[slotIdx]
 	budget := slot.budgetFor(rs.targetTicks, rs.quantum)
 	before := e.m.Now(core)
-	if rs.pool != nil {
-		// The pool has always costed a slice by its compute and stall
-		// ticks, which leave out what the clock adds for L2 and LLC hits;
-		// carried over so the merge of the loops moves no result.
-		before = e.m.Stats(core).ComputeTicks + e.m.Stats(core).StallTicks
-	}
 	rows, done := slot.kernel.Step(rs.ctxs[core], budget)
-	ticks := e.m.Now(core) - before
-	if rs.pool != nil {
-		ticks = e.m.Stats(core).ComputeTicks + e.m.Stats(core).StallTicks - before
-	}
-	slot.observe(rows, ticks)
+	slot.observe(rows, e.m.Now(core)-before)
 	if st.phases[st.phaseIdx].CountRows {
 		st.rows += int64(rows)
 	}

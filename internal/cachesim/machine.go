@@ -143,8 +143,6 @@ type Machine struct {
 	// attributed to the class of service of the core that caused them.
 	llcOccupancy []int64
 	memTraffic   []uint64
-
-	tracer Tracer
 }
 
 // New builds a machine from the configuration.
@@ -336,7 +334,6 @@ func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 		st.L1Hits++
 		m.finish(core, start, m.l1Lat, 0)
 		m.observeStream(core, line)
-		m.traceAccess(core, addr, write, L1)
 		return L1
 	}
 
@@ -352,7 +349,6 @@ func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 		st.L2Hits++
 		m.finish(core, start, lat, m.l2Lat)
 		m.observeStream(core, line)
-		m.traceAccess(core, addr, write, L2)
 		return L2
 	}
 
@@ -369,7 +365,6 @@ func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 		st.LLCHits++
 		m.finish(core, start, lat, m.llcLat)
 		m.observeStream(core, line)
-		m.traceAccess(core, addr, write, LLC)
 		return LLC
 	}
 
@@ -394,7 +389,6 @@ func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 	m.fillL1(core, line, write)
 	m.finish(core, start, stall+m.llcLat, m.llcLat)
 	m.observeStream(core, line)
-	m.traceAccess(core, addr, write, DRAM)
 	return DRAM
 }
 
@@ -416,17 +410,6 @@ type BatchOp struct {
 //
 //perf:hot the batched form of the per-access path
 func (m *Machine) AccessBatch(core int, ops []BatchOp) {
-	if m.tracer != nil {
-		for i := range ops {
-			op := &ops[i]
-			//lint:allow hotbatch this is the batch implementation; per-element Access is its defined semantics
-			m.Access(core, op.Addr, op.Write)
-			if op.Cycles != 0 || op.Instrs != 0 {
-				m.Compute(core, op.Cycles, op.Instrs)
-			}
-		}
-		return
-	}
 	l1 := &m.l1[core]
 	st := &m.stats[core]
 	p := &m.pf[core]

@@ -121,6 +121,22 @@ func (v *PackedVector) RowsPerLine() float64 {
 	return float64(memory.LineSize*8) / float64(v.bits)
 }
 
+// StartCountInRange starts CountInRange(from, to, lo, hi) on a
+// goroutine of its own and returns the channel its one result arrives
+// on. The channel has capacity one, so the send never blocks and a
+// caller that loses interest may simply drop the channel. This is the
+// only place the simulator starts a goroutine, and it is here rather
+// than beside its one caller (exec.ColumnScan) so that the import
+// graph keeps the helper honest: this package imports nothing but
+// memory, so the goroutine can hold the immutable vector and its four
+// arguments and cannot reach a clock, a cache or an access stream.
+func (v *PackedVector) StartCountInRange(from, to int, lo, hi uint32) <-chan int64 {
+	//lint:allow hotalloc one channel, closure and goroutine per scan-kernel execution, not per slice; exec's TestColumnScanStepZeroAllocs pins the steady state
+	result := make(chan int64, 1)
+	go func() { result <- v.CountInRange(from, to, lo, hi) }()
+	return result
+}
+
 // CountInRange counts codes c with lo <= c < hi over rows [from, to),
 // the kernel of the compressed column scan. A range outside the vector
 // (from < 0 or to > Len) panics like Get on the offending bound; an

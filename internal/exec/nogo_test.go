@@ -1,0 +1,39 @@
+package exec
+
+import (
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"strings"
+	"testing"
+)
+
+// TestSimulatorStartsNoGoroutines holds DESIGN §5 (3) by structure: the
+// packages that can reach a Ctx or a Machine contain no go statement.
+// The one helper the simulator starts (PackedVector.StartCountInRange)
+// lives in internal/column, which imports only memory and so cannot.
+func TestSimulatorStartsNoGoroutines(t *testing.T) {
+	for _, pkg := range []string{"exec", "engine", "cachesim", "serve", "adapt", "harness"} {
+		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
+		if err != nil || len(files) == 0 {
+			t.Fatalf("internal/%s: no files (%v)", pkg, err)
+		}
+		fset := token.NewFileSet()
+		for _, name := range files {
+			if strings.HasSuffix(name, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, name, nil, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ast.Inspect(f, func(n ast.Node) bool {
+				if g, ok := n.(*ast.GoStmt); ok {
+					t.Errorf("%s: go statement; start helpers from internal/column", fset.Position(g.Pos()))
+				}
+				return true
+			})
+		}
+	}
+}

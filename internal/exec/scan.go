@@ -23,8 +23,10 @@ import (
 // is all the clock, the caches and the access stream ever see. The
 // functional half is the count itself, a pure function of the immutable
 // code vector that nothing reads before the kernel is done, so it runs
-// once over the whole range on a goroutine of its own (start) and the
-// Step that completes the kernel collects it. The range and the
+// once over the whole range on a goroutine of its own
+// (PackedVector.StartCountInRange — the go statement lives in package
+// column, which cannot name a Ctx, a Machine or a kernel) and the Step
+// that completes the kernel collects it. The range and the
 // predicate are read when an execution's first Step starts the count;
 // set them before it, or through Reset.
 type ColumnScan struct {
@@ -42,8 +44,11 @@ type ColumnScan struct {
 	Count int64
 	// pending carries the running execution's count from its helper
 	// goroutine; nil before the first Step with rows to process and
-	// after the count has been received.
-	pending chan int64
+	// after the count has been received. It holds one value, so a
+	// kernel the run abandons at its horizon, or one Reset mid-flight,
+	// leaves a helper that finishes into the buffer, exits and is
+	// collected with it.
+	pending <-chan int64
 
 	// Line cursor: lineEnd is the first row starting in the line after
 	// cur's, lineEndBit where in that line its first bit lies, in
@@ -96,23 +101,6 @@ func firstRowOfLine(v *column.PackedVector, line uint64) int {
 	return int((startBit + bits - 1) / bits)
 }
 
-// start launches the functional half of one execution: a single
-// CountInRange over the kernel's whole range, delivered through
-// pending. The helper is handed the code vector and its four arguments
-// by value and nothing else — never Ctx, the Machine or the kernel —
-// so it cannot move a clock, a cache line or an access, and the result
-// is the same on any number of host cores. The channel holds one value,
-// so the helper's send never blocks: a kernel the run abandons at its
-// horizon, or one Reset mid-flight, leaves a helper that finishes into
-// its buffer, exits and is collected with it.
-func (s *ColumnScan) start() {
-	//lint:allow hotalloc one channel, closure and goroutine per kernel execution, not per slice; TestColumnScanStepZeroAllocs pins the steady state
-	pending := make(chan int64, 1)
-	codes, from, to, lo, hi := s.Col.Codes, s.From, s.To, s.LoCode, s.HiCode
-	go func() { pending <- codes.CountInRange(from, to, lo, hi) }()
-	s.pending = pending
-}
-
 // Step processes up to budget rows, one cache line of codes at a time.
 // The per-line [read, compute] pairs of a slice are submitted as one
 // batch, preserving the exact access sequence while amortizing the
@@ -123,7 +111,7 @@ func (s *ColumnScan) start() {
 //perf:hot column-scan kernel inner loop
 func (s *ColumnScan) Step(ctx *Ctx, budget int) (int, bool) {
 	if s.pending == nil && s.cur < s.To {
-		s.start()
+		s.pending = s.Col.Codes.StartCountInRange(s.From, s.To, s.LoCode, s.HiCode)
 	}
 	processed := 0
 	codes := s.Col.Codes

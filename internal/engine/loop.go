@@ -122,8 +122,9 @@ type runState struct {
 	done []Completion
 
 	// pool is nil when every stream owns its cores; otherwise every core
-	// takes whichever stream's job is next, slice by slice.
-	pool *workerPool
+	// takes whichever stream's job is next, slice by slice, and pool[c]
+	// is the stream core c ran last, its affinity for the next pick.
+	pool []int
 }
 
 // checkCores rejects core groups that are empty, out of the machine's

@@ -288,21 +288,19 @@ func TestRunOpenLoopRejectsBeforeReset(t *testing.T) {
 	if before.now == 0 || before.writes == 0 {
 		t.Fatalf("the run before left nothing to lose: %+v", before)
 	}
-	for name, call := range map[string]func() error{
-		"nil feed": func() error {
-			_, err := e.RunOpenLoop([][]int{{0, 1}}, nil, OpenLoopOptions{})
-			return err
-		},
-		"overlapping groups": func() error {
-			_, err := e.RunOpenLoop([][]int{{0, 1}, {1, 2}}, &sliceFeed{}, OpenLoopOptions{})
-			return err
-		},
+	for _, bad := range []struct {
+		name   string
+		groups [][]int
+		feed   Feed
+	}{
+		{"nil feed", [][]int{{0, 1}}, nil},
+		{"overlapping groups", [][]int{{0, 1}, {1, 2}}, &sliceFeed{}},
 	} {
-		if err := call(); err == nil {
-			t.Errorf("%s accepted", name)
+		if _, err := e.RunOpenLoop(bad.groups, bad.feed, OpenLoopOptions{}); err == nil {
+			t.Errorf("%s accepted", bad.name)
 		}
 		if after := snapshot(); after != before {
-			t.Errorf("%s: the rejected call changed the engine:\nbefore: %+v\n after: %+v", name, before, after)
+			t.Errorf("%s: the rejected call changed the engine:\nbefore: %+v\n after: %+v", bad.name, before, after)
 		}
 	}
 }

@@ -142,7 +142,7 @@ func (e *Engine) Run(specs []StreamSpec, opts RunOptions) ([]StreamResult, error
 // pool set on every core of the machine. Each stream plans its first
 // execution from an rng of its own sub-seed, then the declared working
 // sets are prewarmed with the phase-0 masks already applied.
-func (e *Engine) runClosed(specs []StreamSpec, infos []StreamInfo, opts RunOptions, pool *workerPool) ([]StreamResult, error) {
+func (e *Engine) runClosed(specs []StreamSpec, infos []StreamInfo, opts RunOptions, pool []int) ([]StreamResult, error) {
 	opts.setDefaults()
 	if opts.Duration <= 0 {
 		return nil, fmt.Errorf("engine: duration %v must be positive", opts.Duration)

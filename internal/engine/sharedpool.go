@@ -25,11 +25,12 @@ func (e *Engine) RunSharedPool(queries []Query, opts RunOptions) ([]StreamResult
 	if share < 1 {
 		share = 1
 	}
-	all := make([]int, cores)
-	pool := &workerPool{last: make([]int, cores)}
+	// Every stream's core set is the whole pool; a worker's first
+	// affinity is dealt round-robin.
+	all, pool := make([]int, cores), make([]int, cores)
 	for c := range all {
 		all[c] = c
-		pool.last[c] = c % len(queries)
+		pool[c] = c % len(queries)
 	}
 	specs := make([]StreamSpec, len(queries))
 	infos := make([]StreamInfo, len(queries))
@@ -40,24 +41,17 @@ func (e *Engine) RunSharedPool(queries []Query, opts RunOptions) ([]StreamResult
 	return e.runClosed(specs, infos, opts, pool)
 }
 
-// workerPool is the state a shared-pool run adds to the loop.
-type workerPool struct {
-	// last[c] is the stream core c ran last, its affinity for the next
-	// pick.
-	last []int
-}
-
 // poolSlice is a pool worker's turn: pick the next job for the core,
 // re-associate the worker with the job's cache-usage class, run one
 // slice of it and attribute the slice's counters to the job's stream.
 // It returns the stream it ran.
 func (e *Engine) poolSlice(rs *runState, core int) (st *stream, done bool, err error) {
-	si, slot := pickSlot(rs.streams, rs.pool.last[core])
+	si, slot := pickSlot(rs.streams, rs.pool[core])
 	if si < 0 {
 		return nil, false, fmt.Errorf("engine: shared pool has no runnable jobs")
 	}
 	st = rs.streams[si]
-	rs.pool.last[core] = si
+	rs.pool[core] = si
 	ph := st.phases[st.phaseIdx]
 	if err := e.applyJob(core, si, ph.CUID, ph.Footprint); err != nil {
 		return nil, false, err

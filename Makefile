@@ -13,7 +13,7 @@ test:
 
 lint:
 	$(GO) vet ./...
-	$(GO) run ./cmd/cachelint -baseline .cachelint-baseline.jsonl ./...
+	$(GO) run ./cmd/cachelint ./...
 
 # The repo benchmark declared in BENCHMARK.json (see bench/README.md).
 bench:

@@ -438,9 +438,8 @@ func BenchmarkSimulatorAccess(b *testing.B) {
 }
 
 // BenchmarkSimulatorAccessBatch measures the same access mix through
-// the batched front door (Machine.AccessBatch): sequential L1 hits
-// take the inlined fast path, everything else falls back to the full
-// Access walk with bit-identical results.
+// the batched front door (Machine.AccessBatch), a loop over Access with
+// bit-identical results.
 func BenchmarkSimulatorAccessBatch(b *testing.B) {
 	cfg := cachesim.DefaultConfig().Scaled(16)
 	cfg.Cores = 4

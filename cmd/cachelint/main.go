@@ -1,34 +1,25 @@
 // Command cachelint runs the repository's domain static analyses over
 // the module: determinism (no wall clock, no global math/rand, no
-// order-sensitive map iteration), CAT-mask validity (constant masks
-// must be non-empty and contiguous), explicit cache-usage identifiers
-// on job phases, no discarded resctrl/os errors, and lock safety.
+// order-sensitive map iteration, no nondeterministic value reaching
+// simulator state), CAT-mask validity (constant masks must be
+// non-empty and contiguous), explicit cache-usage identifiers on job
+// phases, no discarded resctrl/os errors, no mixing of cycle and
+// wall-clock units, and no allocation or integer-keyed map on the
+// //perf:hot path.
 //
 // Usage:
 //
-//	cachelint [-tier intra|inter|perf|all[,...]] [-checks nondet,...] [-baseline file] [-json] [-list] [packages]
+//	cachelint [-checks nondet,...] [-json] [-list] [packages]
 //
 // Packages default to ./... relative to the enclosing module. The
 // exit status is 0 when the tree is clean, 1 when diagnostics were
 // reported, and 2 on usage or load errors. Diagnostics print as
 // "file:line:col: [check] message"; intentional exceptions are
-// annotated in the source with "//lint:allow <check> <reason>".
-//
-// -tier selects the analysis tiers to run, as a comma-separated list —
-// "intra" (single-package correctness), "inter" (interprocedural
-// correctness), "perf" (hot-path performance over the //perf:hot
-// reachability set) — or "all" (the default). Unknown tier names are a
-// usage error. -checks narrows further to named checks.
-//
-// -baseline reads a JSONL file of accepted findings (same schema as
-// -json output) and suppresses any current finding matching an entry
-// by (file, check, message), ignoring line and column so unrelated
-// edits do not invalidate it. An entry that names a tier only matches
-// findings of that tier. scripts/check.sh passes the checked-in
-// .cachelint-baseline.jsonl.
+// annotated in the source with "//lint:allow <check> <reason>", the
+// one escape hatch. -checks runs a subset of the checks -list prints.
 //
 // With -json each diagnostic prints as one JSON object per line
-// (file, line, col, check, tier, message, allowed). This mode
+// (file, line, col, check, message, allowed). This mode
 // additionally includes findings suppressed by //lint:allow, marked
 // "allowed":true, so CI can audit the escape hatch; only unsuppressed
 // findings set the exit status. CI feeds this stream to a GitHub
@@ -53,9 +44,7 @@ import (
 
 func main() {
 	var (
-		tier     = flag.String("tier", "all", "comma-separated analysis tiers to run: intra, inter, perf or all")
-		checks   = flag.String("checks", "", "comma-separated subset of checks to run (default: the selected tier)")
-		baseline = flag.String("baseline", "", "JSONL file of accepted findings to suppress, matched by (file, check, message)")
+		checks   = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
 		list     = flag.Bool("list", false, "list the available checks and exit")
 		jsonMode = flag.Bool("json", false, "print one JSON object per diagnostic, including allowed findings")
 	)
@@ -67,7 +56,7 @@ func main() {
 
 	if *list {
 		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-12s %-6s %s\n", a.Name, a.Tier, a.Doc)
+			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
 		}
 		return
 	}
@@ -81,11 +70,7 @@ func main() {
 		fatal(err)
 	}
 
-	analyzers, err := selectAnalyzers(*tier, *checks)
-	if err != nil {
-		fatal(err)
-	}
-	accepted, err := loadBaseline(*baseline)
+	analyzers, err := selectAnalyzers(*checks)
 	if err != nil {
 		fatal(err)
 	}
@@ -126,23 +111,13 @@ func main() {
 
 	cfg := lint.DefaultConfig(loader.Module)
 	cfg.ReportAllowed = *jsonMode
-	tierOf := make(map[string]string)
-	for _, a := range lint.Analyzers() {
-		tierOf[a.Name] = a.Tier
-	}
-	diags := lint.Run(loader, pkgs, analyzers, cfg)
-	failing, baselined := 0, 0
-	for _, d := range diags {
+	failing := 0
+	for _, d := range lint.Run(loader, pkgs, analyzers, cfg) {
 		pos := d.Pos
 		if cwd != "" {
 			if rel, err := filepath.Rel(cwd, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
 				pos.Filename = rel
 			}
-		}
-		if accepted[baselineKey(pos.Filename, d.Check, "", d.Message)] ||
-			accepted[baselineKey(pos.Filename, d.Check, tierOf[d.Check], d.Message)] {
-			baselined++
-			continue
 		}
 		if !d.Allowed {
 			failing++
@@ -153,7 +128,6 @@ func main() {
 				Line:    pos.Line,
 				Col:     pos.Column,
 				Check:   d.Check,
-				Tier:    tierOf[d.Check],
 				Message: d.Message,
 				Allowed: d.Allowed,
 			})
@@ -164,9 +138,6 @@ func main() {
 			continue
 		}
 		fmt.Printf("%s:%d:%d: [%s] %s\n", pos.Filename, pos.Line, pos.Column, d.Check, d.Message)
-	}
-	if baselined > 0 {
-		fmt.Fprintf(os.Stderr, "cachelint: %d finding(s) suppressed by baseline %s\n", baselined, *baseline)
 	}
 	if failing > 0 {
 		fmt.Fprintf(os.Stderr, "cachelint: %d problem(s) in %d package(s)\n", failing, len(pkgs))
@@ -181,48 +152,15 @@ type jsonDiagnostic struct {
 	Line    int    `json:"line"`
 	Col     int    `json:"col"`
 	Check   string `json:"check"`
-	Tier    string `json:"tier"`
 	Message string `json:"message"`
 	Allowed bool   `json:"allowed"`
 }
 
-// selectAnalyzers resolves the -tier and -checks flags against the
-// registry. -tier is a comma-separated list of tiers ("intra,perf");
-// "all" selects every tier; unknown names are a usage error. -checks
-// narrows within the selected tiers' suite.
-func selectAnalyzers(tier, checks string) ([]*lint.Analyzer, error) {
-	selected := make(map[string]bool)
-	for _, t := range strings.Split(tier, ",") {
-		t = strings.TrimSpace(t)
-		switch {
-		case t == "":
-			continue
-		case t == "all":
-			for _, k := range lint.Tiers() {
-				selected[k] = true
-			}
-		default:
-			known := false
-			for _, k := range lint.Tiers() {
-				if k == t {
-					known = true
-				}
-			}
-			if !known {
-				return nil, fmt.Errorf("cachelint: unknown tier %q (intra, inter, perf or all)", t)
-			}
-			selected[t] = true
-		}
-	}
-	if len(selected) == 0 {
-		return nil, fmt.Errorf("cachelint: -tier selects no tier (intra, inter, perf or all)")
-	}
-	var all []*lint.Analyzer
-	for _, a := range lint.Analyzers() {
-		if selected[a.Tier] {
-			all = append(all, a)
-		}
-	}
+// selectAnalyzers resolves the -checks flag against the registry: ""
+// is the whole suite, otherwise a comma-separated list of check names;
+// an unknown name is a usage error.
+func selectAnalyzers(checks string) ([]*lint.Analyzer, error) {
+	all := lint.Analyzers()
 	if checks == "" {
 		return all, nil
 	}
@@ -232,48 +170,13 @@ func selectAnalyzers(tier, checks string) ([]*lint.Analyzer, error) {
 	}
 	var out []*lint.Analyzer
 	for _, name := range strings.Split(checks, ",") {
-		name = strings.TrimSpace(name)
-		a, ok := byName[name]
+		a, ok := byName[strings.TrimSpace(name)]
 		if !ok {
-			return nil, fmt.Errorf("cachelint: unknown check %q in tier %q (use -list)", name, tier)
+			return nil, fmt.Errorf("cachelint: unknown check %q (use -list)", name)
 		}
 		out = append(out, a)
 	}
 	return out, nil
-}
-
-// baselineKey is the identity a baseline entry matches on: file, check
-// and message, but not line or column, so edits elsewhere in the file
-// do not invalidate accepted findings. A non-empty tier narrows the
-// entry to findings of that tier.
-func baselineKey(file, check, tier, message string) string {
-	return file + "\x00" + check + "\x00" + tier + "\x00" + message
-}
-
-// loadBaseline reads a JSONL baseline of accepted findings. Blank
-// lines and #-comments are skipped, so an empty baseline can document
-// its own format.
-func loadBaseline(path string) (map[string]bool, error) {
-	if path == "" {
-		return nil, nil
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("cachelint: reading baseline: %w", err)
-	}
-	accepted := make(map[string]bool)
-	for i, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		var d jsonDiagnostic
-		if err := json.Unmarshal([]byte(line), &d); err != nil {
-			return nil, fmt.Errorf("cachelint: baseline %s:%d: %v", path, i+1, err)
-		}
-		accepted[baselineKey(d.File, d.Check, d.Tier, d.Message)] = true
-	}
-	return accepted, nil
 }
 
 // findModuleRoot walks up from the working directory to the nearest

@@ -395,8 +395,8 @@ func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 // BatchOp is one element of a batched access run: a memory reference
 // optionally followed by a compute step. Batching preserves the exact
 // Access/Compute call sequence, so results are bit-identical to the
-// unbatched loop; the win is amortized call overhead and an inlined
-// L1-hit fast path.
+// unbatched loop; kernels build one slice of ops per step instead of
+// interleaving calls.
 type BatchOp struct {
 	Addr   memory.Addr
 	Write  bool
@@ -410,38 +410,8 @@ type BatchOp struct {
 //
 //perf:hot the batched form of the per-access path
 func (m *Machine) AccessBatch(core int, ops []BatchOp) {
-	l1 := &m.l1[core]
-	st := &m.stats[core]
-	p := &m.pf[core]
-	pfOff := m.cfg.PrefetchDepth <= 0
 	for i := range ops {
 		op := &ops[i]
-		line := op.Addr.Line()
-		// Fast path: an L1 hit whose stream observation is a no-op
-		// (repeated touch within one line, or prefetching disabled)
-		// replicates Access inline without the level walk.
-		if pfOff || line == p.lastLine {
-			if e := l1.lookup(line); e != nil {
-				st.Instructions++
-				if op.Write {
-					st.Writes++
-					e.setDirty()
-				} else {
-					st.Reads++
-				}
-				st.L1Hits++
-				m.now[core] += m.l1Lat
-				st.StallTicks += m.l1Lat
-				if op.Cycles != 0 || op.Instrs != 0 {
-					t := op.Cycles * TicksPerCycle
-					m.now[core] += t
-					st.ComputeTicks += t
-					st.Instructions += op.Instrs
-				}
-				continue
-			}
-		}
-		//lint:allow hotbatch this is the batch implementation; the slow path falls back to per-element Access
 		m.Access(core, op.Addr, op.Write)
 		if op.Cycles != 0 || op.Instrs != 0 {
 			m.Compute(core, op.Cycles, op.Instrs)

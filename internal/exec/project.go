@@ -26,7 +26,7 @@ type IndexLookupProject struct {
 	projCol   int
 	Projected int64
 
-	ops []cachesim.BatchOp // scratch for the batched access fast path
+	ops []cachesim.BatchOp // scratch for the step's access batch
 }
 
 // NewIndexLookupProject constructs the operator. keys[i] is probed in

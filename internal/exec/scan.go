@@ -60,7 +60,7 @@ type ColumnScan struct {
 	perLine    int
 	extraBits  uint
 
-	ops []cachesim.BatchOp // scratch for the batched access fast path
+	ops []cachesim.BatchOp // scratch for the step's access batch
 }
 
 // NewColumnScan builds a scan counting rows with value > bound, the

@@ -133,27 +133,3 @@ func TestColumnScanAbandonedHelperExits(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 }
-
-// TestColumnScanStepZeroAllocs is the kernel's share of the alloc
-// budget (DESIGN.md §12, beside internal/cachesim/alloc_test.go): the
-// channel, closure and goroutine of the functional half are paid once
-// per execution in start; every slice after the first allocates
-// nothing.
-func TestColumnScanStepZeroAllocs(t *testing.T) {
-	ctx, space := testCtx(t)
-	col := uniformCol(t, space, "x", 100_000, 1, 1_000_000, 5)
-	scan, err := NewColumnScan(col, 0, col.Rows(), 500_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const budget, runs = 512, 100
-	scan.Step(ctx, budget) // starts the helper, sizes the batch scratch
-	allocs := testing.AllocsPerRun(runs, func() {
-		if _, done := scan.Step(ctx, budget); done {
-			t.Fatal("the column ran out before the measurement did")
-		}
-	})
-	if allocs != 0 {
-		t.Errorf("ColumnScan.Step allocates %.1f per slice in steady state, want 0", allocs)
-	}
-}

@@ -9,8 +9,8 @@ import (
 )
 
 // This file builds the shared interprocedural infrastructure the
-// module-level analyzers (taintflow, timeunits, lockorder) run on: a
-// static call graph over the analyzed packages plus every
+// module-level analyzers (taintflow, timeunits, hotalloc, hotmap) run
+// on: a static call graph over the analyzed packages plus every
 // module-internal package they transitively import, and its strongly
 // connected components in bottom-up (callee-before-caller) order, so
 // per-function summaries can be computed to fixpoint one SCC at a
@@ -81,9 +81,9 @@ type Program struct {
 	SCCs [][]*FuncNode
 
 	byObj map[*types.Func]*FuncNode
-	// hot memoizes the //perf:hot reachability set shared by the
-	// performance-tier analyzers (hotness.go); module analyzers run
-	// serially, so the lazy fill is race-free.
+	// hot memoizes the //perf:hot reachability set shared by hotalloc
+	// and hotmap (hotness.go); module analyzers run serially, so the
+	// lazy fill is race-free.
 	hot map[*FuncNode]hotInfo
 }
 

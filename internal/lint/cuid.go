@@ -15,7 +15,6 @@ import (
 // CUID field, even when setting it to the default class.
 var CUIDCheck = &Analyzer{
 	Name: "cuid",
-	Tier: TierIntra,
 	Doc:  "job-phase literals must set the cache-usage identifier explicitly",
 	Run:  runCUIDCheck,
 }

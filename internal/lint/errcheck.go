@@ -14,7 +14,6 @@ import (
 // review and are allowed; bare call statements, go, and defer are not.
 var ErrCheck = &Analyzer{
 	Name: "errcheck",
-	Tier: TierIntra,
 	Doc:  "error returns from resctrl writes and os file ops must not be discarded",
 	Run:  runErrCheck,
 }

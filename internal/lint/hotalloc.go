@@ -26,7 +26,6 @@ import (
 // outside the analyzed set.
 var HotAlloc = &Analyzer{
 	Name:      "hotalloc",
-	Tier:      TierPerf,
 	Doc:       "no unconditional heap allocation in //perf:hot code: make/new, composite literals, string building, interface boxing, per-iteration append growth, closures in loops",
 	RunModule: runHotAlloc,
 }

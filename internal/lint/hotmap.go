@@ -17,7 +17,6 @@ import (
 // exists, and none appear on this repository's hot paths.
 var HotMap = &Analyzer{
 	Name:      "hotmap",
-	Tier:      TierPerf,
 	Doc:       "no integer-keyed map access or iteration in //perf:hot code; use a dense slice or open-addressed table",
 	RunModule: runHotMap,
 }

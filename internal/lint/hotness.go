@@ -7,18 +7,16 @@ import (
 	"strings"
 )
 
-// This file is the shared base of the performance tier (cacheperf,
-// DESIGN.md §12): hotness inference over the interprocedural call
-// graph, and the body-walking scaffolding the five hot-path analyzers
-// (hotalloc, hotdispatch, hotdefer, hotmap, hotbatch) share.
+// This file is the shared base of the two hot-path analyzers, hotalloc
+// and hotmap (DESIGN.md §12): hotness inference over the
+// interprocedural call graph, and the body walk hotalloc uses to tell
+// per-call from per-iteration from guarded code.
 //
-// The simulator's scaling ceiling is the Access/epoch-merge path
-// itself (ROADMAP #3): a heap escape or dynamic dispatch that is
-// harmless in setup code costs a benchmark point when it sits on a
-// path executed once per simulated memory reference. Which code that
-// is cannot be derived from profiles here — the lint suite runs
-// offline — so hotness is declared and then inferred: a function
-// annotated
+// A heap allocation or a map hash that is harmless in setup code costs
+// host time when it sits on a path executed once per simulated memory
+// reference or per row. Which code that is cannot be derived from
+// profiles here — the lint suite runs offline — so hotness is declared
+// and then inferred: a function annotated
 //
 //	//perf:hot <why>
 //
@@ -104,8 +102,8 @@ func (prog *Program) hotness() map[*FuncNode]hotInfo {
 
 // forEachHotFunc visits every hot function that belongs to the
 // analyzed package set and the configured simulation prefixes, in
-// deterministic program order — the reporting loop every perf analyzer
-// uses.
+// deterministic program order — the reporting loop both hot-path
+// analyzers use.
 func forEachHotFunc(p *ModulePass, visit func(fn *FuncNode, info hotInfo)) {
 	hot := p.Prog.hotness()
 	for _, fn := range p.Prog.Funcs {
@@ -123,7 +121,7 @@ func forEachHotFunc(p *ModulePass, visit func(fn *FuncNode, info hotInfo)) {
 // hotWalker drives a structural walk of one hot function's body,
 // tracking, for every visited node, whether it sits inside a loop and
 // whether the path from the function (or enclosing loop) entry crosses
-// a conditional. The analyzers use the two flags to separate
+// a conditional. hotalloc uses the two flags to separate
 // "executes once per call" from "executes once per iteration" and to
 // skip guarded cold branches (error paths, rare fallbacks) that live
 // inside hot code.
@@ -161,7 +159,6 @@ func (w *hotWalker) stmt(s ast.Stmt, inLoop, cond bool) {
 		}
 		w.stmts(s.Body.List, true, false)
 	case *ast.RangeStmt:
-		w.visit(s, inLoop, cond)
 		w.expr(s.X, inLoop, cond)
 		w.stmts(s.Body.List, true, false)
 	case *ast.IfStmt:
@@ -212,10 +209,8 @@ func (w *hotWalker) stmt(s ast.Stmt, inLoop, cond bool) {
 	case *ast.LabeledStmt:
 		w.stmt(s.Stmt, inLoop, cond)
 	case *ast.DeferStmt:
-		w.visit(s, inLoop, cond)
 		w.expr(s.Call, inLoop, cond)
 	case *ast.GoStmt:
-		w.visit(s, inLoop, cond)
 		w.expr(s.Call, inLoop, cond)
 	case *ast.AssignStmt:
 		w.visit(s, inLoop, cond)
@@ -240,7 +235,6 @@ func (w *hotWalker) stmt(s ast.Stmt, inLoop, cond bool) {
 		if gd, ok := s.Decl.(*ast.GenDecl); ok {
 			for _, spec := range gd.Specs {
 				if vs, ok := spec.(*ast.ValueSpec); ok {
-					w.visit(vs, inLoop, cond)
 					for _, v := range vs.Values {
 						w.expr(v, inLoop, cond)
 					}
@@ -264,8 +258,7 @@ func (w *hotWalker) expr(e ast.Expr, inLoop, cond bool) {
 			w.visit(n, inLoop, cond)
 			w.stmts(n.Body.List, false, true)
 			return false
-		case *ast.CallExpr, *ast.CompositeLit, *ast.BinaryExpr,
-			*ast.IndexExpr, *ast.UnaryExpr:
+		case *ast.CallExpr, *ast.CompositeLit, *ast.BinaryExpr, *ast.UnaryExpr:
 			w.visit(n, inLoop, cond)
 		}
 		return true

@@ -8,9 +8,12 @@
 // capacity masks must be non-empty and contiguous as the hardware
 // requires (PAPER.md Section V), every scheduler job must carry an
 // explicit cache-usage identifier, errors from resctrl writes must not
-// be dropped, and locks must neither be copied nor held across
-// blocking channel operations. Each invariant is enforced by one
-// Analyzer; cmd/cachelint runs them all over the module.
+// be dropped, and cycle and wall-clock values must not mix. Two more
+// checks keep allocation and integer-keyed maps off the //perf:hot
+// path. Each is one Analyzer; cmd/cachelint runs them all over the
+// module. Lock copies are go vet's copylocks; lock order needs no
+// check, because no package that holds a mutex starts a goroutine
+// (exec's TestSimulatorStartsNoGoroutines).
 //
 // Intentional exceptions are annotated in the source with
 //
@@ -71,12 +74,6 @@ type Config struct {
 	// the results, marked Allowed — the machine-readable mode surfaces
 	// them so reviewers can audit the escape hatch.
 	ReportAllowed bool
-
-	// BatchFuncs maps qualified per-element access functions
-	// ("pkgpath.Recv.Name") to the name of their batch counterpart. The
-	// hotbatch analyzer flags unconditional per-iteration calls to a key
-	// inside hot loops and suggests the value.
-	BatchFuncs map[string]string
 }
 
 // DefaultConfig returns the repository's production configuration.
@@ -102,11 +99,6 @@ func DefaultConfig(module string) Config {
 			module + "/internal/cachesim.Machine.Ticks",
 			module + "/internal/engine.StreamResult.Percentile",
 		},
-		BatchFuncs: map[string]string{
-			module + "/internal/cachesim.Machine.Access": "Machine.AccessBatch",
-			module + "/internal/exec.Ctx.Read":           "Ctx.ReadBatch",
-			module + "/internal/exec.Ctx.Write":          "Ctx.ReadBatch",
-		},
 	}
 }
 
@@ -121,10 +113,6 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-line description of the invariant the check guards.
 	Doc string
-	// Tier groups analyzers for selection by cmd/cachelint -tier:
-	// "intra" (single-package correctness), "inter" (interprocedural
-	// correctness) or "perf" (hot-path performance).
-	Tier string
 	// Run inspects one package and reports findings through the pass.
 	Run func(*Pass)
 	// RunModule inspects the whole analyzed package set at once.

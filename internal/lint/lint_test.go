@@ -119,13 +119,6 @@ func TestNondeterminismGolden(t *testing.T) {
 	runGolden(t, "nondetfix", []*Analyzer{Nondeterminism})
 }
 
-// TestParfixGolden pins the channel-drain rule on a fan-in merge: an
-// unsorted drain that applies events in arrival order is flagged;
-// collect-then-sort and commutative folds are clean.
-func TestParfixGolden(t *testing.T) {
-	runGolden(t, "parfix", []*Analyzer{Nondeterminism})
-}
-
 func TestMaskCheckGolden(t *testing.T) {
 	runGolden(t, "maskfix", []*Analyzer{MaskCheck})
 }
@@ -136,10 +129,6 @@ func TestCUIDGolden(t *testing.T) {
 
 func TestErrCheckGolden(t *testing.T) {
 	runGolden(t, "errfix", []*Analyzer{ErrCheck})
-}
-
-func TestLockSafetyGolden(t *testing.T) {
-	runGolden(t, "lockfix", []*Analyzer{LockSafety})
 }
 
 func TestTaintFlowGolden(t *testing.T) {
@@ -193,46 +182,30 @@ func TestTimeUnitsGolden(t *testing.T) {
 	runGolden(t, "timefix", []*Analyzer{TimeUnits})
 }
 
-// TestPerfFixGolden pins the whole performance tier on one fixture:
-// hotness roots and propagation, every hotalloc shape (including the
-// cross-package summary surfaced at the call site), single-
-// implementation dispatch, defer, integer-keyed maps and per-element
-// access loops — alongside the //lint:allow-suppressed and fixed
-// variants, which must stay silent.
+// TestPerfFixGolden pins both hot-path checks on one fixture: hotness
+// roots and propagation, every hotalloc shape (including the
+// cross-package summary surfaced at the call site) and integer-keyed
+// maps — alongside the //lint:allow-suppressed and fixed variants,
+// which must stay silent.
 func TestPerfFixGolden(t *testing.T) {
-	runGolden(t, "perffix", AnalyzersForTier(TierPerf))
+	runGolden(t, "perffix", []*Analyzer{HotAlloc, HotMap})
 }
 
-// TestAnalyzersForTier pins the tier partition: every analyzer is in
-// exactly one tier, tier selection preserves suite order, and ""/"all"
-// mean the full suite.
-func TestAnalyzersForTier(t *testing.T) {
+// TestAnalyzersList pins the suite: the eight checks cmd/cachelint
+// -list prints, in order, each with a doc line and exactly one of Run
+// and RunModule.
+func TestAnalyzersList(t *testing.T) {
+	want := []string{"nondet", "maskcheck", "cuid", "errcheck", "taintflow", "timeunits", "hotalloc", "hotmap"}
 	all := Analyzers()
-	total := 0
-	for _, tier := range Tiers() {
-		sel := AnalyzersForTier(tier)
-		if len(sel) == 0 {
-			t.Errorf("tier %q selects no analyzers", tier)
-		}
-		total += len(sel)
-		for _, a := range sel {
-			if a.Tier != tier {
-				t.Errorf("tier %q selected %s (tier %q)", tier, a.Name, a.Tier)
-			}
+	if len(all) != len(want) {
+		t.Fatalf("%d analyzers, want %d", len(all), len(want))
+	}
+	for i, a := range all {
+		if a.Name != want[i] || a.Doc == "" || (a.Run == nil) == (a.RunModule == nil) {
+			t.Errorf("analyzer %d = %q (doc %q, Run set %v, RunModule set %v), want %q with a doc and one entry point",
+				i, a.Name, a.Doc, a.Run != nil, a.RunModule != nil, want[i])
 		}
 	}
-	if total != len(all) {
-		t.Errorf("tiers cover %d analyzers, suite has %d", total, len(all))
-	}
-	for _, tier := range []string{"", "all"} {
-		if got := len(AnalyzersForTier(tier)); got != len(all) {
-			t.Errorf("AnalyzersForTier(%q) = %d analyzers, want %d", tier, got, len(all))
-		}
-	}
-}
-
-func TestLockOrderGolden(t *testing.T) {
-	runGolden(t, "lockorderfix", []*Analyzer{LockOrder})
 }
 
 // TestRunParallelMatchesSerial renders the full-module diagnostics from

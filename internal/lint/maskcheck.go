@@ -23,7 +23,6 @@ import (
 //     parameters named "schemata" of the cat/resctrl packages.
 var MaskCheck = &Analyzer{
 	Name: "maskcheck",
-	Tier: TierIntra,
 	Doc:  "constant CAT capacity masks must be non-empty and contiguous",
 	Run:  runMaskCheck,
 }

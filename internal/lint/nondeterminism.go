@@ -17,20 +17,15 @@ import (
 //     couple results to host timing instead of the machine's virtual
 //     clock;
 //   - order-sensitive iteration over maps (including the maps.Keys /
-//     maps.Values iterators), whose order changes between runs;
-//   - order-sensitive channel drains (range over a channel), whose
-//     arrival order depends on host goroutine scheduling — the classic
-//     bug in a fan-in merge of parallel simulation results.
+//     maps.Values iterators), whose order changes between runs.
 //
-// Map loops and channel drains are accepted when they are provably
-// order-insensitive (pure accumulation such as x += v, counters,
-// writes to distinct map keys, delete) or when they only collect
-// values into a slice that the same file passes to a sort or slices
-// routine before applying.
+// Map loops are accepted when they are provably order-insensitive
+// (pure accumulation such as x += v, counters, writes to distinct map
+// keys, delete) or when they only collect values into a slice that the
+// same file passes to a sort or slices routine before applying.
 var Nondeterminism = &Analyzer{
 	Name: "nondet",
-	Tier: TierIntra,
-	Doc:  "reject wall-clock reads, global math/rand, order-sensitive map iteration, and unsorted channel drains in simulation code",
+	Doc:  "reject wall-clock reads, global math/rand and order-sensitive map iteration in simulation code",
 	Run:  runNondeterminism,
 }
 
@@ -70,8 +65,7 @@ func runNondeterminism(p *Pass) {
 					p.Reportf(n.Pos(), "time.%s reads the wall clock; simulation state and reports must derive timing from the machine's virtual clock", name)
 				}
 			case *ast.RangeStmt:
-				overChan := rangesOverChan(info, n)
-				if !overChan && !rangesOverMap(info, n) {
+				if !rangesOverMap(info, n) {
 					return true
 				}
 				if obj := appendCollector(info, n.Body); obj != nil && sorted[obj] {
@@ -80,25 +74,11 @@ func runNondeterminism(p *Pass) {
 				if orderInsensitiveStmts(info, n.Body.List) {
 					return true
 				}
-				if overChan {
-					p.Reportf(n.Pos(), "channel drain order depends on host goroutine scheduling and this loop is order-sensitive; collect the values and sort on a deterministic key before applying, or restrict the body to order-insensitive updates")
-				} else {
-					p.Reportf(n.Pos(), "map iteration order varies between runs and this loop is order-sensitive; iterate sorted keys or restrict the body to order-insensitive updates")
-				}
+				p.Reportf(n.Pos(), "map iteration order varies between runs and this loop is order-sensitive; iterate sorted keys or restrict the body to order-insensitive updates")
 			}
 			return true
 		})
 	}
-}
-
-// rangesOverChan reports whether the range statement drains a channel.
-func rangesOverChan(info *types.Info, rng *ast.RangeStmt) bool {
-	t := info.TypeOf(rng.X)
-	if t == nil {
-		return false
-	}
-	_, ok := t.Underlying().(*types.Chan)
-	return ok
 }
 
 // rangesOverMap reports whether the range statement iterates a map,

@@ -6,53 +6,20 @@ import (
 	"sync"
 )
 
-// The analyzer tiers, in the order they were added to the suite. The
-// intra tier checks single-package correctness invariants, the inter
-// tier checks interprocedural correctness over the call graph, the
-// perf tier (cacheperf) checks hot-path performance hazards over the
-// //perf:hot reachability set.
-const (
-	TierIntra = "intra"
-	TierInter = "inter"
-	TierPerf  = "perf"
-)
-
-// Tiers lists the tier names in suite order.
-func Tiers() []string { return []string{TierIntra, TierInter, TierPerf} }
-
-// Analyzers returns every domain analyzer in stable order.
+// Analyzers returns every domain analyzer in stable order: the
+// per-package checks, the interprocedural ones over the call graph,
+// then the two hot-path checks over the //perf:hot reachability set.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Nondeterminism,
 		MaskCheck,
 		CUIDCheck,
 		ErrCheck,
-		LockSafety,
 		TaintFlow,
 		TimeUnits,
-		LockOrder,
 		HotAlloc,
-		HotDispatch,
-		HotDefer,
 		HotMap,
-		HotBatch,
 	}
-}
-
-// AnalyzersForTier returns the analyzers of one tier, in the Analyzers
-// order, or every analyzer for tier "all" or "".
-func AnalyzersForTier(tier string) []*Analyzer {
-	all := Analyzers()
-	if tier == "" || tier == "all" {
-		return all
-	}
-	var out []*Analyzer
-	for _, a := range all {
-		if a.Tier == tier {
-			out = append(out, a)
-		}
-	}
-	return out
 }
 
 // Run executes the analyzers over the packages and returns the

@@ -8,14 +8,14 @@ import (
 
 // The module analyzers are summary-based: each computes one small fact
 // record per function (what taint a result carries, which domain a
-// parameter is demanded in, which locks a call may acquire) and
+// parameter is demanded in, whether a call allocates) and
 // reaches a module-wide fixpoint by iterating each call-graph SCC
 // until its members' summaries stop changing. Summaries must be
 // monotone — facts only accumulate — so the iteration terminates; the
 // cap below is a safety net, never the expected exit.
 
 // fixpointCap bounds the iterations spent on one SCC. Lattices here
-// are tiny (bitmasks, three-valued domains, lock-name sets), so real
+// are tiny (bitmasks, three-valued domains, one reason string), so real
 // convergence takes a handful of rounds; hitting the cap would mean a
 // non-monotone transfer function, and stopping early is still sound
 // for reporting (facts computed so far remain true).

@@ -29,7 +29,6 @@ import (
 // for the soundness caveats.
 var TaintFlow = &Analyzer{
 	Name:      "taintflow",
-	Tier:      TierInter,
 	Doc:       "no value derived from wall clock, global math/rand, map or select ordering may reach simulator state, across call chains",
 	RunModule: runTaintFlow,
 }

@@ -1,6 +1,5 @@
-// Package perffix exercises the performance tier: hotness roots and
-// propagation, the hotalloc allocation shapes, single-implementation
-// dispatch, defer, integer-keyed maps and per-element access loops,
+// Package perffix exercises the two hot-path checks: hotness roots and
+// propagation, the hotalloc allocation shapes and integer-keyed maps,
 // each with flagged, //lint:allow-suppressed and fixed variants.
 package perffix
 

@@ -28,7 +28,6 @@ import (
 // boundary (d / time.Millisecond is a count, not a duration).
 var TimeUnits = &Analyzer{
 	Name:      "timeunits",
-	Tier:      TierInter,
 	Doc:       "no arithmetic, assignment, or argument passing mixing the virtual cycle domain with the wall-clock domain",
 	RunModule: runTimeUnits,
 }

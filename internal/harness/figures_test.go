@@ -1,6 +1,9 @@
 package harness
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
 // figureParams trims every sweep to a single representative value so
 // the full set of figure functions runs in seconds.
@@ -31,6 +34,9 @@ func TestFig5Function(t *testing.T) {
 	if sets[0].Label != "40 MiB dictionary" {
 		t.Errorf("panel label = %q", sets[0].Label)
 	}
+	var out bytes.Buffer
+	PrintCurveSets(&out, "Figure 5", sets)
+	checkGolden(t, "fig5", out.Bytes())
 }
 
 func TestFig6Function(t *testing.T) {
@@ -45,6 +51,9 @@ func TestFig6Function(t *testing.T) {
 	if pts[0].Norm >= pts[1].Norm {
 		t.Errorf("1e8-key join not sensitive: %.3f vs %.3f", pts[0].Norm, pts[1].Norm)
 	}
+	var out bytes.Buffer
+	PrintGroupSeries(&out, "Figure 6", series)
+	checkGolden(t, "fig6", out.Bytes())
 }
 
 func TestFig9Function(t *testing.T) {
@@ -119,6 +128,9 @@ func TestFig12Function(t *testing.T) {
 			t.Errorf("%s: OLTP gained nothing: %.3f -> %.3f", r.Label, shared.NormB, part.NormB)
 		}
 	}
+	var out bytes.Buffer
+	PrintPairRows(&out, "Figure 12", rows)
+	checkGolden(t, "fig12", out.Bytes())
 }
 
 func TestFigProjSweepFunction(t *testing.T) {
@@ -151,4 +163,7 @@ func TestFig1Function(t *testing.T) {
 	if r.Partitioned < r.Concurrent {
 		t.Errorf("teaser: partitioning regressed %.3f -> %.3f", r.Concurrent, r.Partitioned)
 	}
+	var out bytes.Buffer
+	PrintFig1(&out, r)
+	checkGolden(t, "fig1", out.Bytes())
 }

@@ -99,26 +99,61 @@ var goldenFigures = []struct {
 // output of each figure must hash to the digest recorded in
 // testdata/golden.json. The simulator is deterministic per seed, so
 // any drift is a behaviour change; a PR that moves a digest
-// regenerates the file with `go test ./internal/harness -run
-// TestGoldenDigests -update` and says why in CHANGES.md.
+// regenerates the file with `go test ./internal/harness -update` and
+// says why in CHANGES.md. The count check catches a missing or stale
+// entry.
 func TestGoldenDigests(t *testing.T) {
 	if testing.Short() {
 		t.Skip("figure runs in short mode")
 	}
-	got := make(map[string]string, len(goldenFigures))
 	for _, fig := range goldenFigures {
 		var buf bytes.Buffer
 		if err := fig.render(&buf); err != nil {
 			t.Fatalf("%s: %v", fig.name, err)
 		}
-		sum := sha256.Sum256(buf.Bytes())
-		got[fig.name] = hex.EncodeToString(sum[:])
-		if testing.Verbose() {
-			t.Logf("%s:\n%s", fig.name, buf.String())
-		}
+		checkGolden(t, fig.name, buf.Bytes())
 	}
+	if want, n := readGolden(t), len(goldenFigures)+len(figureDigests); len(want) != n {
+		t.Errorf("%s holds %d digests, the tests render %d", goldenPath, len(want), n)
+	}
+}
+
+// figureDigests are the entries the Test*Function tests in
+// figures_test.go check, each from the run it already makes.
+var figureDigests = []string{"fig1", "fig5", "fig6", "fig12"}
+
+// readGolden loads testdata/golden.json; under -update a missing file
+// reads as empty.
+func readGolden(t *testing.T) map[string]string {
+	t.Helper()
+	want := map[string]string{}
+	data, err := os.ReadFile(goldenPath)
+	if os.IsNotExist(err) && *update {
+		return want
+	}
+	if err != nil {
+		t.Fatalf("%v (record with -update)", err)
+	}
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatalf("%s: %v", goldenPath, err)
+	}
+	return want
+}
+
+// checkGolden compares the digest of a figure's printed output with
+// its entry in testdata/golden.json; -update records it instead and
+// keeps the other entries.
+func checkGolden(t *testing.T, name string, out []byte) {
+	t.Helper()
+	sum := sha256.Sum256(out)
+	got := hex.EncodeToString(sum[:])
+	if testing.Verbose() {
+		t.Logf("%s:\n%s", name, out)
+	}
+	want := readGolden(t)
 	if *update {
-		data, err := json.MarshalIndent(got, "", "  ")
+		want[name] = got
+		data, err := json.MarshalIndent(want, "", "  ")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,20 +162,7 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		return
 	}
-	data, err := os.ReadFile(goldenPath)
-	if err != nil {
-		t.Fatalf("%v (record with -update)", err)
-	}
-	var want map[string]string
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("%s: %v", goldenPath, err)
-	}
-	for _, fig := range goldenFigures {
-		if got[fig.name] != want[fig.name] {
-			t.Errorf("%s digest = %s, want %s (rerun with -v to see the output)", fig.name, got[fig.name], want[fig.name])
-		}
-	}
-	if len(want) != len(goldenFigures) {
-		t.Errorf("%s holds %d digests, the test renders %d", goldenPath, len(want), len(goldenFigures))
+	if got != want[name] {
+		t.Errorf("%s digest = %s, want %s (rerun with -v to see the output)", name, got, want[name])
 	}
 }

@@ -46,8 +46,6 @@
 package cachepart
 
 import (
-	"math/rand"
-
 	"cachepart/internal/adapt"
 	"cachepart/internal/cachesim"
 	"cachepart/internal/cat"
@@ -57,7 +55,6 @@ import (
 	"cachepart/internal/fault"
 	"cachepart/internal/harness"
 	"cachepart/internal/serve"
-	"cachepart/internal/sql"
 	"cachepart/internal/workload"
 	"cachepart/internal/workload/s4"
 	"cachepart/internal/workload/tpch"
@@ -342,31 +339,6 @@ func NewOLTPQuery(t *ACDOCA, n int) (Query, error) {
 		n = len(t.Big)
 	}
 	return s4.NewOLTPQuery(t, t.Big[:n])
-}
-
-// Catalog owns SQL-defined tables (the Figure 3 schemata and beyond).
-type Catalog = sql.Catalog
-
-// Plan is an executable SQL query plan; it implements Query, so
-// planned statements co-run under the partitioned engine like any
-// built-in workload.
-type Plan = sql.Plan
-
-// NewCatalog creates an empty SQL catalog over the system's address
-// space. Use Catalog.Exec for DDL/INSERT, Catalog.BulkUniform for
-// generated data, and PlanQuery for SELECTs.
-func NewCatalog(sys *System) *Catalog { return sql.NewCatalog(sys.Space) }
-
-// PlanQuery parses and plans a SELECT statement against the catalog.
-// The planner recognises the paper's three query shapes (Figure 2) and
-// annotates each with its cache usage identifier.
-func PlanQuery(cat *Catalog, src string) (*Plan, error) { return sql.PlanQuery(cat, src) }
-
-// ExecutePlan runs a plan synchronously on one simulated core and
-// leaves its result in the plan (Count / Groups).
-func ExecutePlan(sys *System, p *Plan, seed int64) error {
-	ctx := sys.Engine.Ctx(0)
-	return p.Execute(ctx, rand.New(rand.NewSource(seed)))
 }
 
 // GenerateColumn generates a dictionary-encoded column of n uniform

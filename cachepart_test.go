@@ -164,96 +164,6 @@ func TestGenerateColumn(t *testing.T) {
 	}
 }
 
-// TestSQLFacadeEndToEnd drives the paper's Figure 2/3 SQL through the
-// facade: DDL, bulk load, planning with CUIDs, synchronous results,
-// and an engine co-run where partitioning must help the aggregation.
-func TestSQLFacadeEndToEnd(t *testing.T) {
-	p := tinyParams()
-	p.Duration = 0.003
-	sys, err := NewSystem(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cat := NewCatalog(sys)
-	for _, ddl := range []string{
-		"CREATE COLUMN TABLE A( X INT );",
-		"CREATE COLUMN TABLE B( V INT, G INT );",
-		"CREATE COLUMN TABLE R( P INT, PRIMARY KEY(P));",
-		"CREATE COLUMN TABLE S( F INT );",
-	} {
-		if err := cat.Exec(ddl); err != nil {
-			t.Fatal(err)
-		}
-	}
-	scale := int64(p.Scale)
-	rows := 1 << 19
-	if err := cat.BulkUniform(sys.Rng, "A", rows, map[string][2]int64{"X": {1, 1_000_000 / scale}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.BulkUniform(sys.Rng, "B", rows, map[string][2]int64{
-		"V": {1, 10_000_000 / scale}, "G": {1, 10_000 / scale},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	keyRows := 4096
-	if err := cat.BulkUniform(sys.Rng, "R", keyRows, map[string][2]int64{"P": {1, int64(keyRows)}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := cat.BulkUniform(sys.Rng, "S", rows, map[string][2]int64{"F": {1, int64(keyRows)}}); err != nil {
-		t.Fatal(err)
-	}
-
-	scan, err := PlanQuery(cat, "SELECT COUNT(*) FROM A WHERE A.X > ?;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	agg, err := PlanQuery(cat, "SELECT MAX(B.V), B.G FROM B GROUP BY B.G;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	join, err := PlanQuery(cat, "SELECT COUNT(*) FROM R, S WHERE R.P = S.F;")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scan.CUID() != Polluting || agg.CUID() != Sensitive || join.CUID() != Depends {
-		t.Errorf("CUIDs = %v %v %v", scan.CUID(), agg.CUID(), join.CUID())
-	}
-	// Synchronous join result: every FK matches a PK.
-	if err := ExecutePlan(sys, join, 1); err != nil {
-		t.Fatal(err)
-	}
-	if join.Count() != int64(rows) {
-		t.Errorf("join count = %d, want %d", join.Count(), rows)
-	}
-
-	// Co-run via the engine: partitioning must improve the SQL-planned
-	// aggregation.
-	ca, cb := sys.SplitCores()
-	iso, err := sys.RunIsolated(agg, cb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SetPartitioning(false); err != nil {
-		t.Fatal(err)
-	}
-	_, shared, err := sys.RunPair(scan, ca, agg, cb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.SetPartitioning(true); err != nil {
-		t.Fatal(err)
-	}
-	_, part, err := sys.RunPair(scan, ca, agg, cb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sh := shared.Throughput / iso.Throughput
-	pt := part.Throughput / iso.Throughput
-	if pt < sh*1.05 {
-		t.Errorf("partitioning did not help SQL-planned aggregation: %.3f -> %.3f", sh, pt)
-	}
-}
-
 func TestFig1Facade(t *testing.T) {
 	p := tinyParams()
 	r, err := Fig1(p)

@@ -2,7 +2,6 @@ package cachepart_test
 
 import (
 	"fmt"
-	"log"
 
 	"cachepart"
 )
@@ -44,59 +43,4 @@ func ExampleClassifyCurve() {
 	// Output:
 	// scan-like curve: polluting
 	// aggregation-like curve: sensitive
-}
-
-// The SQL planner recognises the paper's three query shapes (Figure 2)
-// and annotates each with its cache usage identifier.
-func ExamplePlanQuery() {
-	sys, err := cachepart.NewSystem(cachepart.FastParams())
-	if err != nil {
-		log.Fatal(err)
-	}
-	cat := cachepart.NewCatalog(sys)
-	for _, ddl := range []string{
-		"CREATE COLUMN TABLE A( X INT );",
-		"CREATE COLUMN TABLE B( V INT, G INT );",
-		"CREATE COLUMN TABLE R( P INT, PRIMARY KEY(P));",
-		"CREATE COLUMN TABLE S( F INT );",
-	} {
-		if err := cat.Exec(ddl); err != nil {
-			log.Fatal(err)
-		}
-	}
-	if err := cat.Exec("INSERT INTO A VALUES (1), (2), (3)"); err != nil {
-		log.Fatal(err)
-	}
-	if err := cat.Exec("INSERT INTO B VALUES (10, 1), (20, 1), (5, 2)"); err != nil {
-		log.Fatal(err)
-	}
-	if err := cat.Exec("INSERT INTO R VALUES (1), (2)"); err != nil {
-		log.Fatal(err)
-	}
-	if err := cat.Exec("INSERT INTO S VALUES (1), (1), (2)"); err != nil {
-		log.Fatal(err)
-	}
-
-	for _, q := range []string{
-		"SELECT COUNT(*) FROM A WHERE A.X > ?;",
-		"SELECT MAX(B.V), B.G FROM B GROUP BY B.G;",
-		"SELECT COUNT(*) FROM R, S WHERE R.P = S.F;",
-	} {
-		plan, err := cachepart.PlanQuery(cat, q)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Printf("%s -> %v\n", plan.Kind, plan.CUID())
-	}
-
-	join, _ := cachepart.PlanQuery(cat, "SELECT COUNT(*) FROM R, S WHERE R.P = S.F;")
-	if err := cachepart.ExecutePlan(sys, join, 1); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println("join count:", join.Count())
-	// Output:
-	// scan-count -> polluting
-	// group-aggregate -> sensitive
-	// join-count -> depends
-	// join count: 3
 }

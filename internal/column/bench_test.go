@@ -46,21 +46,6 @@ func BenchmarkCountInRange(b *testing.B) {
 	_ = sink
 }
 
-func BenchmarkDictionaryLowerBound(b *testing.B) {
-	space := memory.NewSpace()
-	vals := make([]int64, 1<<16)
-	for i := range vals {
-		vals[i] = int64(i) * 3
-	}
-	d, _ := NewDictionary(space, "b", vals, 4)
-	b.ResetTimer()
-	var sink uint32
-	for i := 0; i < b.N; i++ {
-		sink += d.LowerBound(int64(i) % (3 << 16))
-	}
-	_ = sink
-}
-
 func BenchmarkInvertedIndexLookup(b *testing.B) {
 	space := memory.NewSpace()
 	rng := rand.New(rand.NewSource(1))

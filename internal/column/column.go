@@ -14,25 +14,6 @@ type Column struct {
 	Codes *PackedVector
 }
 
-// Encode builds a column from raw values, constructing an explicit
-// dictionary from the distinct values. Intended for tests and small
-// data; large generated data sets use EncodeDense.
-func Encode(space *memory.Space, name string, values []int64, entrySize uint64) (*Column, error) {
-	seen := make(map[int64]struct{}, len(values))
-	distinct := make([]int64, 0, len(values))
-	for _, v := range values {
-		if _, ok := seen[v]; !ok {
-			seen[v] = struct{}{}
-			distinct = append(distinct, v)
-		}
-	}
-	dict, err := NewDictionary(space, name, distinct, entrySize)
-	if err != nil {
-		return nil, err
-	}
-	return encodeWith(space, name, values, dict)
-}
-
 // EncodeDense builds a column over the contiguous domain [lo, hi]
 // without materialising the dictionary values; every value must fall
 // in the domain. This matches the paper's generated data (uniform
@@ -42,10 +23,6 @@ func EncodeDense(space *memory.Space, name string, values []int64, lo, hi int64,
 	if err != nil {
 		return nil, err
 	}
-	return encodeWith(space, name, values, dict)
-}
-
-func encodeWith(space *memory.Space, name string, values []int64, dict *Dictionary) (*Column, error) {
 	codes, err := NewPackedVector(space, name, len(values), dict.CodeBits())
 	if err != nil {
 		return nil, err
@@ -112,9 +89,6 @@ func (t *Table) MustColumn(name string) *Column {
 	}
 	return c
 }
-
-// Columns lists the columns in attachment order.
-func (t *Table) Columns() []*Column { return t.columns }
 
 // Rows reports the table's row count (0 when empty).
 func (t *Table) Rows() int {

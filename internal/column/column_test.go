@@ -58,42 +58,13 @@ func TestDenseDictionaryLowerBound(t *testing.T) {
 	}
 }
 
-func TestExplicitDictionary(t *testing.T) {
-	s := memory.NewSpace()
-	d, err := NewDictionary(s, "x", []int64{30, 10, 20}, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Order-preserving: codes sorted by value.
-	for code, want := range []int64{10, 20, 30} {
-		if got := d.Value(uint32(code)); got != want {
-			t.Errorf("Value(%d) = %d, want %d", code, got, want)
-		}
-	}
-	if c, ok := d.CodeOf(20); !ok || c != 1 {
-		t.Errorf("CodeOf(20) = %d, %v", c, ok)
-	}
-	if _, ok := d.CodeOf(15); ok {
-		t.Error("CodeOf missing value should fail")
-	}
-	if got := d.LowerBound(15); got != 1 {
-		t.Errorf("LowerBound(15) = %d", got)
-	}
-	if got := d.LowerBound(31); got != 3 {
-		t.Errorf("LowerBound(31) = %d", got)
-	}
-}
-
 func TestDictionaryErrors(t *testing.T) {
 	s := memory.NewSpace()
 	if _, err := NewDenseDictionary(s, "x", 5, 4, 4); err == nil {
 		t.Error("empty range should fail")
 	}
-	if _, err := NewDictionary(s, "x", nil, 4); err == nil {
-		t.Error("empty dictionary should fail")
-	}
-	if _, err := NewDictionary(s, "x", []int64{1, 1}, 4); err == nil {
-		t.Error("duplicate values should fail")
+	if _, err := NewDenseDictionary(s, "x", 0, 1<<32, 4); err == nil {
+		t.Error("a domain beyond the 32-bit code space should fail")
 	}
 }
 
@@ -247,7 +218,7 @@ func TestCountInRange(t *testing.T) {
 func TestEncodeRoundTrip(t *testing.T) {
 	s := memory.NewSpace()
 	vals := []int64{5, 3, 5, 9, 3, 3, 7}
-	c, err := Encode(s, "c", vals, 4)
+	c, err := EncodeDense(s, "c", vals, 3, 9, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,8 +230,10 @@ func TestEncodeRoundTrip(t *testing.T) {
 			t.Errorf("Value(%d) = %d, want %d", i, got, want)
 		}
 	}
-	if c.Dict.Len() != 4 {
-		t.Errorf("dictionary size = %d, want 4", c.Dict.Len())
+	// The dictionary spans the whole domain, values the column lacks
+	// included.
+	if c.Dict.Len() != 7 {
+		t.Errorf("dictionary size = %d, want 7", c.Dict.Len())
 	}
 	if c.Footprint() == 0 {
 		t.Error("zero footprint")
@@ -291,10 +264,10 @@ func TestEncodeDenseRoundTrip(t *testing.T) {
 
 func TestTable(t *testing.T) {
 	s := memory.NewSpace()
-	a, _ := Encode(s, "a", []int64{1, 2, 3}, 4)
-	b, _ := Encode(s, "b", []int64{4, 5, 6}, 4)
-	short, _ := Encode(s, "short", []int64{1}, 4)
-	dup, _ := Encode(s, "a", []int64{9, 9, 9}, 4)
+	a, _ := EncodeDense(s, "a", []int64{1, 2, 3}, 1, 3, 4)
+	b, _ := EncodeDense(s, "b", []int64{4, 5, 6}, 4, 6, 4)
+	short, _ := EncodeDense(s, "short", []int64{1}, 1, 1, 4)
+	dup, _ := EncodeDense(s, "a", []int64{9, 9, 9}, 9, 9, 4)
 
 	tab := NewTable("t")
 	if tab.Rows() != 0 {
@@ -312,8 +285,8 @@ func TestTable(t *testing.T) {
 	if err := tab.AddColumn(dup); err == nil {
 		t.Error("duplicate name should fail")
 	}
-	if tab.Rows() != 3 || len(tab.Columns()) != 2 {
-		t.Errorf("Rows=%d Columns=%d", tab.Rows(), len(tab.Columns()))
+	if tab.Rows() != 3 {
+		t.Errorf("Rows = %d, want 3", tab.Rows())
 	}
 	if got, err := tab.Column("b"); err != nil || got != b {
 		t.Errorf("Column(b) = %v, %v", got, err)
@@ -339,16 +312,16 @@ func TestTable(t *testing.T) {
 
 func TestInvertedIndex(t *testing.T) {
 	s := memory.NewSpace()
-	vals := []int64{10, 20, 10, 30, 20, 10}
-	c, _ := Encode(s, "k", vals, 4)
+	vals := []int64{1, 2, 1, 3, 2, 1}
+	c, _ := EncodeDense(s, "k", vals, 1, 3, 4)
 	ix, err := BuildInvertedIndex(s, c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cases := map[int64][]uint32{
-		10: {0, 2, 5},
-		20: {1, 4},
-		30: {3},
+		1: {0, 2, 5},
+		2: {1, 4},
+		3: {3},
 	}
 	for v, want := range cases {
 		got := ix.Lookup(v)

@@ -12,7 +12,6 @@ package column
 import (
 	"fmt"
 	"math/bits"
-	"sort"
 
 	"cachepart/internal/memory"
 )
@@ -21,15 +20,12 @@ import (
 // codes 0..N-1 in value order, so range predicates can be evaluated on
 // codes directly (order-preserving encoding, Section II).
 //
-// A dictionary may be dense — representing the contiguous domain
-// lo..lo+N-1 without materialising it — which is how the paper's
-// generated data sets (values 1..N) are stored, or explicit with a
-// sorted value slice.
+// The domain is the contiguous range lo..lo+N-1, which is how the
+// paper's generated data sets (values 1..N) are stored, so the values
+// are never materialised: code c decodes to lo+c.
 type Dictionary struct {
 	n         uint32
-	dense     bool
-	lo        int64   // dense only
-	values    []int64 // explicit only, sorted ascending
+	lo        int64
 	entrySize uint64
 	region    memory.Region
 }
@@ -53,33 +49,8 @@ func NewDenseDictionary(space *memory.Space, name string, lo, hi int64, entrySiz
 	if entrySize == 0 {
 		entrySize = DefaultEntrySize
 	}
-	d := &Dictionary{n: uint32(n), dense: true, lo: lo, entrySize: entrySize}
+	d := &Dictionary{n: uint32(n), lo: lo, entrySize: entrySize}
 	d.region = space.Alloc(name+".dict", n*entrySize)
-	return d, nil
-}
-
-// NewDictionary builds an explicit dictionary from distinct values,
-// which need not be sorted.
-func NewDictionary(space *memory.Space, name string, distinct []int64, entrySize uint64) (*Dictionary, error) {
-	if len(distinct) == 0 {
-		return nil, fmt.Errorf("column: empty dictionary")
-	}
-	if uint64(len(distinct)) > 1<<32 {
-		return nil, fmt.Errorf("column: dictionary of %d entries exceeds code space", len(distinct))
-	}
-	if entrySize == 0 {
-		entrySize = DefaultEntrySize
-	}
-	vals := make([]int64, len(distinct))
-	copy(vals, distinct)
-	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
-	for i := 1; i < len(vals); i++ {
-		if vals[i] == vals[i-1] {
-			return nil, fmt.Errorf("column: duplicate dictionary value %d", vals[i])
-		}
-	}
-	d := &Dictionary{n: uint32(len(vals)), values: vals, entrySize: entrySize}
-	d.region = space.Alloc(name+".dict", uint64(len(vals))*entrySize)
 	return d, nil
 }
 
@@ -101,10 +72,7 @@ func (d *Dictionary) Value(code uint32) int64 {
 	if code >= d.n {
 		panic(fmt.Sprintf("column: code %d out of dictionary of %d", code, d.n))
 	}
-	if d.dense {
-		return d.lo + int64(code)
-	}
-	return d.values[code]
+	return d.lo + int64(code)
 }
 
 // Addr returns the address of the first byte of a code's entry — the
@@ -115,33 +83,23 @@ func (d *Dictionary) Addr(code uint32) memory.Addr {
 
 // CodeOf finds the exact code of a value.
 func (d *Dictionary) CodeOf(value int64) (uint32, bool) {
-	if d.dense {
-		if value < d.lo || value >= d.lo+int64(d.n) {
-			return 0, false
-		}
-		return uint32(value - d.lo), true
+	if value < d.lo || value >= d.lo+int64(d.n) {
+		return 0, false
 	}
-	i := sort.Search(len(d.values), func(i int) bool { return d.values[i] >= value })
-	if i < len(d.values) && d.values[i] == value {
-		return uint32(i), true
-	}
-	return 0, false
+	return uint32(value - d.lo), true
 }
 
 // LowerBound returns the smallest code whose value is >= v, or Len()
 // if none. Order preservation makes range predicates on codes exact.
 func (d *Dictionary) LowerBound(v int64) uint32 {
-	if d.dense {
-		switch {
-		case v <= d.lo:
-			return 0
-		case v > d.lo+int64(d.n-1):
-			return d.n
-		default:
-			return uint32(v - d.lo)
-		}
+	switch {
+	case v <= d.lo:
+		return 0
+	case v > d.lo+int64(d.n-1):
+		return d.n
+	default:
+		return uint32(v - d.lo)
 	}
-	return uint32(sort.Search(len(d.values), func(i int) bool { return d.values[i] >= v }))
 }
 
 // CodeBits reports how many bits a packed code for this dictionary

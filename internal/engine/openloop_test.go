@@ -305,17 +305,17 @@ func TestRunOpenLoopRejectsBeforeReset(t *testing.T) {
 	}
 }
 
-// staticPlanQuery hands out the same phases at every Plan, with the
+// fixedPhasesQuery hands out the same phases at every Plan, with the
 // kernels rewound, so planning it allocates nothing.
-type staticPlanQuery struct {
+type fixedPhasesQuery struct {
 	rows    int
 	kernels []*countKernel
 	phases  []Phase
 }
 
-func (q *staticPlanQuery) Name() string { return "static-plan" }
+func (q *fixedPhasesQuery) Name() string { return "static-plan" }
 
-func (q *staticPlanQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
+func (q *fixedPhasesQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
 	if q.phases == nil {
 		ks := make([]exec.Kernel, cores)
 		q.kernels = make([]*countKernel, cores)
@@ -340,7 +340,7 @@ func (q *staticPlanQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
 // completion list's doubling is the fraction over one.
 func TestOpenLoopCycleAllocBudget(t *testing.T) {
 	e := testEngine(t, false)
-	q := &staticPlanQuery{rows: 40}
+	q := &fixedPhasesQuery{rows: 40}
 	feed := &sliceFeed{}
 	allocsFor := func(n int) float64 {
 		feed.subs = make([]Submission, n)

@@ -83,10 +83,10 @@ func TestRunRejectsOversubscribedPhase(t *testing.T) {
 	}
 }
 
-type emptyPlanQuery struct{}
+type noPhasesQuery struct{}
 
-func (emptyPlanQuery) Name() string { return "empty" }
-func (emptyPlanQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
+func (noPhasesQuery) Name() string { return "empty" }
+func (noPhasesQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
 	return nil, nil
 }
 
@@ -99,7 +99,7 @@ func (emptyPhaseQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
 
 func TestRunRejectsDegeneratePlans(t *testing.T) {
 	e := testEngine(t, false)
-	if _, err := e.Run([]StreamSpec{{Query: emptyPlanQuery{}, Cores: []int{0}}},
+	if _, err := e.Run([]StreamSpec{{Query: noPhasesQuery{}, Cores: []int{0}}},
 		RunOptions{Duration: 1e-4}); err == nil {
 		t.Error("empty plan accepted")
 	}

@@ -13,7 +13,7 @@ func TestRunSharedPoolValidation(t *testing.T) {
 	if _, err := e.RunSharedPool([]Query{q}, RunOptions{}); err == nil {
 		t.Error("zero duration accepted")
 	}
-	if _, err := e.RunSharedPool([]Query{emptyPlanQuery{}}, RunOptions{Duration: 1e-4}); err == nil {
+	if _, err := e.RunSharedPool([]Query{noPhasesQuery{}}, RunOptions{Duration: 1e-4}); err == nil {
 		t.Error("empty plan accepted")
 	}
 	if _, err := e.RunSharedPool([]Query{stuckQuery{}}, RunOptions{Duration: 1e-4}); err == nil {

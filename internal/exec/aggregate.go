@@ -21,8 +21,6 @@ type AggLocal struct {
 	From     int
 	To       int
 	Table    *AggTable
-	// Kind is the aggregate fold (MAX for the paper's Query 2).
-	Kind AggKind
 
 	cur                  int
 	lastGLine, lastVLine uint64
@@ -32,18 +30,13 @@ type AggLocal struct {
 // NewAggLocal constructs the MAX local phase over [from, to) — the
 // paper's Query 2.
 func NewAggLocal(group, value *column.Column, from, to int, table *AggTable) (*AggLocal, error) {
-	return NewAggLocalKind(group, value, from, to, table, AggMax)
-}
-
-// NewAggLocalKind constructs a local phase with an explicit fold.
-func NewAggLocalKind(group, value *column.Column, from, to int, table *AggTable, kind AggKind) (*AggLocal, error) {
 	if group.Rows() != value.Rows() {
 		return nil, fmt.Errorf("exec: group column has %d rows, value column %d", group.Rows(), value.Rows())
 	}
 	if from < 0 || to > group.Rows() || from > to {
 		return nil, fmt.Errorf("exec: aggregation range [%d,%d) out of %d rows", from, to, group.Rows())
 	}
-	return &AggLocal{GroupCol: group, ValueCol: value, From: from, To: to, Table: table, Kind: kind, cur: from}, nil
+	return &AggLocal{GroupCol: group, ValueCol: value, From: from, To: to, Table: table, cur: from}, nil
 }
 
 // Step processes up to budget rows. The leading per-row reads (group
@@ -77,7 +70,7 @@ func (a *AggLocal) Step(ctx *Ctx, budget int) (int, bool) {
 		n++
 		ctx.ReadBatch(ops[:n])
 		val := a.ValueCol.Dict.Value(vcode)
-		a.Table.Update(ctx, a.Kind, gcode, val)
+		a.Table.Update(ctx, AggMax, gcode, val)
 		ctx.Compute(AggCyclesPerRow, AggInstrsPerRow)
 		a.cur++
 		processed++

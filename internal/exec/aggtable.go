@@ -85,26 +85,12 @@ func hash(key uint32) uint32 {
 // AggKind selects the fold applied per group.
 type AggKind int
 
-// Supported aggregate folds.
+// Supported aggregate folds: MAX for the paper's Query 2, SUM for the
+// TPC-H pipelines' wide aggregation.
 const (
 	AggMax AggKind = iota
-	AggMin
 	AggSum
 )
-
-// String names the fold.
-func (k AggKind) String() string {
-	switch k {
-	case AggMax:
-		return "MAX"
-	case AggMin:
-		return "MIN"
-	case AggSum:
-		return "SUM"
-	default:
-		return fmt.Sprintf("AggKind(%d)", int(k))
-	}
-}
 
 // UpdateMax folds val into the MAX aggregate of the group key,
 // reporting every cache line the probe sequence touches. A write is
@@ -117,11 +103,6 @@ func (t *AggTable) UpdateMax(ctx *Ctx, key uint32, val int64) {
 // UpdateSum folds val into a SUM aggregate (always dirties the line).
 func (t *AggTable) UpdateSum(ctx *Ctx, key uint32, val int64) {
 	t.Update(ctx, AggSum, key, val)
-}
-
-// UpdateMin folds val into a MIN aggregate.
-func (t *AggTable) UpdateMin(ctx *Ctx, key uint32, val int64) {
-	t.Update(ctx, AggMin, key, val)
 }
 
 // Update folds val into the group's aggregate under the given kind.
@@ -151,9 +132,6 @@ func (t *AggTable) update(ctx *Ctx, key uint32, val int64, kind AggKind) {
 				s.val += val
 				ctx.Write(t.slotAddr(int(i)))
 			case kind == AggMax && val > s.val:
-				s.val = val
-				ctx.Write(t.slotAddr(int(i)))
-			case kind == AggMin && val < s.val:
 				s.val = val
 				ctx.Write(t.slotAddr(int(i)))
 			}

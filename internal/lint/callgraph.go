@@ -9,7 +9,7 @@ import (
 )
 
 // This file builds the shared interprocedural infrastructure the
-// module-level analyzers (taintflow, timeunits, hotalloc, hotmap) run
+// module-level analyzers (taintflow, timeunits, hotalloc) run
 // on: a static call graph over the analyzed packages plus every
 // module-internal package they transitively import, and its strongly
 // connected components in bottom-up (callee-before-caller) order, so
@@ -81,9 +81,9 @@ type Program struct {
 	SCCs [][]*FuncNode
 
 	byObj map[*types.Func]*FuncNode
-	// hot memoizes the //perf:hot reachability set shared by hotalloc
-	// and hotmap (hotness.go); module analyzers run serially, so the
-	// lazy fill is race-free.
+	// hot memoizes the //perf:hot reachability set hotalloc uses
+	// (hotness.go); module analyzers run serially, so the lazy fill is
+	// race-free.
 	hot map[*FuncNode]hotInfo
 }
 

@@ -7,12 +7,12 @@ import (
 	"strings"
 )
 
-// This file is the shared base of the two hot-path analyzers, hotalloc
-// and hotmap (DESIGN.md §12): hotness inference over the
-// interprocedural call graph, and the body walk hotalloc uses to tell
-// per-call from per-iteration from guarded code.
+// This file is the base of the hot-path analyzer hotalloc (DESIGN.md
+// §12): hotness inference over the interprocedural call graph, and the
+// body walk hotalloc uses to tell per-call from per-iteration from
+// guarded code.
 //
-// A heap allocation or a map hash that is harmless in setup code costs
+// A heap allocation that is harmless in setup code costs
 // host time when it sits on a path executed once per simulated memory
 // reference or per row. Which code that is cannot be derived from
 // profiles here — the lint suite runs offline — so hotness is declared

@@ -182,20 +182,19 @@ func TestTimeUnitsGolden(t *testing.T) {
 	runGolden(t, "timefix", []*Analyzer{TimeUnits})
 }
 
-// TestPerfFixGolden pins both hot-path checks on one fixture: hotness
-// roots and propagation, every hotalloc shape (including the
-// cross-package summary surfaced at the call site) and integer-keyed
-// maps — alongside the //lint:allow-suppressed and fixed variants,
-// which must stay silent.
+// TestPerfFixGolden pins the hot-path check on one fixture: hotness
+// roots and propagation and every hotalloc shape (including the
+// cross-package summary surfaced at the call site), alongside the
+// //lint:allow-suppressed and fixed variants, which must stay silent.
 func TestPerfFixGolden(t *testing.T) {
-	runGolden(t, "perffix", []*Analyzer{HotAlloc, HotMap})
+	runGolden(t, "perffix", []*Analyzer{HotAlloc})
 }
 
-// TestAnalyzersList pins the suite: the eight checks cmd/cachelint
+// TestAnalyzersList pins the suite: the seven checks cmd/cachelint
 // -list prints, in order, each with a doc line and exactly one of Run
 // and RunModule.
 func TestAnalyzersList(t *testing.T) {
-	want := []string{"nondet", "maskcheck", "cuid", "errcheck", "taintflow", "timeunits", "hotalloc", "hotmap"}
+	want := []string{"nondet", "maskcheck", "cuid", "errcheck", "taintflow", "timeunits", "hotalloc"}
 	all := Analyzers()
 	if len(all) != len(want) {
 		t.Fatalf("%d analyzers, want %d", len(all), len(want))

@@ -8,7 +8,7 @@ import (
 
 // Analyzers returns every domain analyzer in stable order: the
 // per-package checks, the interprocedural ones over the call graph,
-// then the two hot-path checks over the //perf:hot reachability set.
+// then the hot-path check over the //perf:hot reachability set.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Nondeterminism,
@@ -18,7 +18,6 @@ func Analyzers() []*Analyzer {
 		TaintFlow,
 		TimeUnits,
 		HotAlloc,
-		HotMap,
 	}
 }
 

@@ -119,8 +119,9 @@ func TestGoldenDigests(t *testing.T) {
 }
 
 // figureDigests are the entries the Test*Function tests in
-// figures_test.go check, each from the run it already makes.
-var figureDigests = []string{"fig1", "fig5", "fig6", "fig12"}
+// figures_test.go and TestFigOverloadAcceptance check, each from the
+// run it already makes.
+var figureDigests = []string{"fig1", "fig5", "fig6", "fig12", "overload"}
 
 // readGolden loads testdata/golden.json; under -update a missing file
 // reads as empty.

@@ -142,16 +142,15 @@ type (
 	ChaosResult = harness.ChaosResult
 
 	// ServeConfig drives the open-loop multi-tenant serving tier: a
-	// seeded arrival generator over tenant cohorts, bounded admission
-	// queues and a CLOS-aware dispatcher, all in virtual time.
+	// seeded arrival generator over tenant cohorts, bounded per-tenant
+	// queues and a CLOS-aware FIFO dispatcher, all in virtual time.
 	ServeConfig = serve.Config
 	// ServeTenant is one cohort: an arrival process over a workload mix
-	// with a bounded admission queue.
+	// with a bounded queue.
 	ServeTenant = serve.Tenant
 	// ServeWorkload is one entry of a tenant's query mix.
 	ServeWorkload = serve.Workload
-	// ServeProcess is a tenant's arrival process (Poisson, diurnal or
-	// trace replay).
+	// ServeProcess is a tenant's arrival process (Poisson or diurnal).
 	ServeProcess = serve.Process
 	// ServePeriod is one sinusoidal component of a diurnal process.
 	ServePeriod = serve.Period
@@ -163,15 +162,6 @@ type (
 	ServeReport = serve.Report
 	// ServeTenantReport is one tenant's slice of a ServeReport.
 	ServeTenantReport = serve.TenantReport
-	// ServeDiscipline selects the dispatch order (CLOS-aware, FIFO,
-	// round-robin).
-	ServeDiscipline = serve.Discipline
-	// AdmitPolicy decides whether a tenant's arrival enters its queue.
-	AdmitPolicy = serve.AdmitPolicy
-	// TailDrop admits until the tenant queue is full.
-	TailDrop = serve.TailDrop
-	// TokenBucket rate-limits admissions per tenant.
-	TokenBucket = serve.TokenBucket
 	// ServeOptions parameterises the FigServe capacity sweep.
 	ServeOptions = harness.ServeOptions
 	// ServeResult is the sweep: per load multiple, the shared-pool,
@@ -198,8 +188,8 @@ type (
 	ShedNone     = serve.ShedNone
 	ShedFair     = serve.ShedFair
 	ShedPolluter = serve.ShedPolluter
-	// ServeFaultConfig seeds serving-plane chaos: arrival-burst and
-	// dispatcher-stall fault windows composing with resctrl faults.
+	// ServeFaultConfig seeds serving-plane chaos: arrival-burst fault
+	// windows composing with resctrl faults.
 	ServeFaultConfig = fault.ServeConfig
 	// OverloadOptions parameterises the FigOverload sweep.
 	OverloadOptions = harness.OverloadOptions
@@ -210,13 +200,6 @@ type (
 	OverloadLoad = harness.OverloadLoad
 	// OverloadRun is one (cache arm, shed policy) cell.
 	OverloadRun = harness.OverloadRun
-)
-
-// Dispatch disciplines for ServeConfig.Discipline.
-const (
-	DiscCLOS = serve.DiscCLOS
-	DiscFIFO = serve.DiscFIFO
-	DiscRR   = serve.DiscRR
 )
 
 // UniformFaults builds a FaultConfig injecting every control-plane

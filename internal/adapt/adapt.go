@@ -157,12 +157,17 @@ type Config struct {
 	HistoryLimit int
 }
 
+// DefaultStreamingBandwidthFraction is DefaultConfig's
+// StreamingBandwidthFraction. The serving tier's completion-granular
+// polluter classifier uses the same bound.
+const DefaultStreamingBandwidthFraction = 0.035
+
 // DefaultConfig returns the controller defaults discussed above.
 func DefaultConfig() Config {
 	return Config{
 		EpochSeconds:               100e-6,
 		Hysteresis:                 2,
-		StreamingBandwidthFraction: 0.035,
+		StreamingBandwidthFraction: DefaultStreamingBandwidthFraction,
 		SensitiveOccupancyFraction: 0.05,
 		StreamingWaysFraction:      0.10,
 		TrialInterval:              32,

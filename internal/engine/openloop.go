@@ -96,10 +96,10 @@ type CompletionObserver interface {
 
 // OpenLoopOptions tunes an open-loop run. The zero value is usable.
 type OpenLoopOptions struct {
-	// Quantum and TargetSliceTicks bound a scheduling slice exactly as
-	// in RunOptions. Defaults 1024 rows / 1024 ticks.
-	Quantum          int
-	TargetSliceTicks int64
+	// Quantum caps the row budget per scheduling slice as in
+	// RunOptions. Default 1024. Slices are bounded in virtual time by
+	// RunOptions' default TargetSliceTicks.
+	Quantum int
 
 	// Prewarm lists queries whose declared regions (Prewarmer) are
 	// touched once before the clocks zero, so dictionaries and tables
@@ -110,9 +110,6 @@ type OpenLoopOptions struct {
 func (o *OpenLoopOptions) setDefaults() {
 	if o.Quantum <= 0 {
 		o.Quantum = 1024
-	}
-	if o.TargetSliceTicks <= 0 {
-		o.TargetSliceTicks = 1024
 	}
 }
 
@@ -161,7 +158,7 @@ func (e *Engine) RunOpenLoop(groups [][]int, feed Feed, opts OpenLoopOptions) (*
 	// retired every group, and all of it is measured.
 	rs := &runState{
 		quantum:     opts.Quantum,
-		targetTicks: opts.TargetSliceTicks,
+		targetTicks: defaultSliceTicks,
 		durTicks:    math.MaxInt64,
 		warmed:      true,
 		feed:        feed,

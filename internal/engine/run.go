@@ -48,6 +48,10 @@ type RunOptions struct {
 	TargetSliceTicks int64
 }
 
+// defaultSliceTicks is RunOptions.TargetSliceTicks's default and the
+// open loop's only slice bound.
+const defaultSliceTicks = 1024
+
 func (o *RunOptions) setDefaults() {
 	if o.WarmupFraction <= 0 || o.WarmupFraction >= 1 {
 		o.WarmupFraction = 0.25
@@ -56,7 +60,7 @@ func (o *RunOptions) setDefaults() {
 		o.Quantum = 1024
 	}
 	if o.TargetSliceTicks <= 0 {
-		o.TargetSliceTicks = 1024
+		o.TargetSliceTicks = defaultSliceTicks
 	}
 }
 

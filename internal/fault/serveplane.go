@@ -8,24 +8,21 @@ import (
 
 // serveplane: seeded fault injection for the serving plane. Where
 // fault.Plane breaks the resctrl control plane, ServePlane breaks the
-// workload itself: arrival bursts (a rogue tenant's rate surging for a
-// window, the shape of a retry storm or a misbehaving client) and
-// dispatcher stalls (a core group frozen for a window, the shape of a
-// GC pause or a preempted dispatcher thread). Both compose freely with
-// the control-plane chaos — a serving run can take resctrl EBUSYs and
-// a 4× arrival surge in the same replay.
+// workload itself: arrival bursts, a rogue tenant's rate surging for a
+// window (the shape of a retry storm or a misbehaving client). Bursts
+// compose freely with the control-plane chaos — a serving run can take
+// resctrl EBUSYs and a 4× arrival surge in the same replay.
 //
 // Determinism: every window is precomputed from ServeConfig.Seed at
-// plane construction, in tenant-then-group order, so the schedule is a
-// pure function of (config, horizon, tenants, groups) and two runs
-// with equal fault seeds see identical chaos. Burst arrivals are drawn
-// by the serving generator from separate per-tenant rngs, so the base
-// trace is bit-identical with and without faults.
+// plane construction, in tenant order, so the schedule is a pure
+// function of (config, horizon, tenants) and two runs with equal fault
+// seeds see identical chaos. Burst arrivals are drawn by the serving
+// generator from separate per-tenant rngs, so the base trace is
+// bit-identical with and without faults.
 
 // ServeConfig describes serving-plane chaos. The zero value injects
-// nothing; UniformServe builds a single-intensity config. Expected
-// counts may be fractional: the fractional part is one extra window
-// with that probability.
+// nothing. Expected counts may be fractional: the fractional part is
+// one extra window with that probability.
 type ServeConfig struct {
 	// Seed drives the window schedule, independent of the run seed and
 	// the control-plane fault seed.
@@ -38,45 +35,19 @@ type ServeConfig struct {
 	// (2.0 = arrivals at twice the configured rate); values <= 1 inject
 	// no extra arrivals. 0 uses DefaultBurstFactor.
 	BurstFactor float64
-	// BurstSpan is the mean window length as a fraction of the horizon;
-	// 0 uses DefaultSpan.
-	BurstSpan float64
-
-	// Stalls is the expected number of dispatcher-stall windows per
-	// core group over the horizon.
-	Stalls float64
-	// StallSpan is the mean stall length as a fraction of the horizon;
-	// 0 uses DefaultSpan.
-	StallSpan float64
 }
 
 // Serving-plane defaults: a burst triples the tenant's rate, and a
-// window spans a few percent of the horizon.
+// window spans burstSpan of the horizon on average.
 const (
 	DefaultBurstFactor = 3.0
-	DefaultSpan        = 0.05
+	burstSpan          = 0.05
 )
-
-// UniformServe builds a config injecting `windows` expected burst
-// windows per tenant and stall windows per group at default intensity.
-func UniformServe(windows float64, seed int64) ServeConfig {
-	return ServeConfig{Seed: seed, Bursts: windows, Stalls: windows}
-}
 
 // Validate checks the configuration.
 func (c ServeConfig) Validate() error {
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{
-		{"Bursts", c.Bursts},
-		{"BurstSpan", c.BurstSpan},
-		{"Stalls", c.Stalls},
-		{"StallSpan", c.StallSpan},
-	} {
-		if p.v < 0 {
-			return fmt.Errorf("fault: serve %s %v must be >= 0", p.name, p.v)
-		}
+	if c.Bursts < 0 {
+		return fmt.Errorf("fault: serve Bursts %v must be >= 0", c.Bursts)
 	}
 	if c.BurstFactor < 0 {
 		return fmt.Errorf("fault: serve BurstFactor %v must be >= 0", c.BurstFactor)
@@ -92,15 +63,9 @@ type Burst struct {
 	Factor float64
 }
 
-// Stall is one dispatcher-stall window, in virtual ticks.
-type Stall struct {
-	Start, End int64
-}
-
 // ServePlane is the precomputed serving-plane chaos schedule.
 type ServePlane struct {
 	bursts [][]Burst // per tenant, sorted by Start
-	stalls [][]Stall // per group, sorted by Start
 }
 
 // servePlaneSalt keys the window rng off the fault seed so the
@@ -108,9 +73,8 @@ type ServePlane struct {
 const servePlaneSalt = 0x73727620 // "srv "
 
 // NewServePlane precomputes the chaos schedule for a run over horizon
-// simulated seconds with the given tenant and group counts.
-// ticksPerSec converts stall windows to virtual ticks.
-func NewServePlane(cfg ServeConfig, horizon float64, tenants, groups int, ticksPerSec float64) (*ServePlane, error) {
+// simulated seconds with the given tenant count.
+func NewServePlane(cfg ServeConfig, horizon float64, tenants int) (*ServePlane, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -118,19 +82,8 @@ func NewServePlane(cfg ServeConfig, horizon float64, tenants, groups int, ticksP
 	if factor == 0 {
 		factor = DefaultBurstFactor
 	}
-	burstSpan := cfg.BurstSpan
-	if burstSpan == 0 {
-		burstSpan = DefaultSpan
-	}
-	stallSpan := cfg.StallSpan
-	if stallSpan == 0 {
-		stallSpan = DefaultSpan
-	}
 	rng := rand.New(rand.NewSource(cfg.Seed ^ servePlaneSalt))
-	p := &ServePlane{
-		bursts: make([][]Burst, tenants),
-		stalls: make([][]Stall, groups),
-	}
+	p := &ServePlane{bursts: make([][]Burst, tenants)}
 	for t := 0; t < tenants; t++ {
 		for i, n := 0, windowCount(rng, cfg.Bursts); i < n; i++ {
 			start := rng.Float64() * horizon
@@ -141,17 +94,6 @@ func NewServePlane(cfg ServeConfig, horizon float64, tenants, groups int, ticksP
 			p.bursts[t] = append(p.bursts[t], Burst{Start: start, End: end, Factor: factor})
 		}
 		sort.Slice(p.bursts[t], func(i, j int) bool { return p.bursts[t][i].Start < p.bursts[t][j].Start })
-	}
-	for g := 0; g < groups; g++ {
-		for i, n := 0, windowCount(rng, cfg.Stalls); i < n; i++ {
-			start := rng.Float64() * horizon
-			end := start + stallSpan*horizon*(0.5+rng.Float64())
-			p.stalls[g] = append(p.stalls[g], Stall{
-				Start: int64(start * ticksPerSec),
-				End:   int64(end * ticksPerSec),
-			})
-		}
-		sort.Slice(p.stalls[g], func(i, j int) bool { return p.stalls[g][i].Start < p.stalls[g][j].Start })
 	}
 	return p, nil
 }
@@ -172,28 +114,4 @@ func (p *ServePlane) Bursts(tenant int) []Burst {
 		return nil
 	}
 	return p.bursts[tenant]
-}
-
-// StallUntil reports the end tick of the stall window containing now
-// for the group, or 0 when the group is not stalled. The returned end
-// strictly exceeds now, so callers can park until it.
-func (p *ServePlane) StallUntil(group int, now int64) int64 {
-	if p == nil || group >= len(p.stalls) {
-		return 0
-	}
-	for _, s := range p.stalls[group] {
-		if s.Start <= now && now < s.End {
-			return s.End
-		}
-	}
-	return 0
-}
-
-// StallWindows returns the group's stall windows (for tests and
-// reports).
-func (p *ServePlane) StallWindows(group int) []Stall {
-	if p == nil || group >= len(p.stalls) {
-		return nil
-	}
-	return p.stalls[group]
 }

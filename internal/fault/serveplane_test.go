@@ -7,8 +7,8 @@ import (
 
 func testServePlane(t *testing.T, seed int64) *ServePlane {
 	t.Helper()
-	cfg := ServeConfig{Seed: seed, Bursts: 2, BurstFactor: 4, BurstSpan: 0.1, Stalls: 1.5, StallSpan: 0.08}
-	p, err := NewServePlane(cfg, 1e-4, 3, 4, 3.52e10)
+	cfg := ServeConfig{Seed: seed, Bursts: 2, BurstFactor: 4}
+	p, err := NewServePlane(cfg, 1e-4, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -44,75 +44,27 @@ func TestServePlaneWindows(t *testing.T) {
 	if nb == 0 {
 		t.Error("no burst windows generated with Bursts=2 over 3 tenants")
 	}
-	ns := 0
-	for g := 0; g < 4; g++ {
-		ns += len(p.StallWindows(g))
-	}
-	if ns == 0 {
-		t.Error("no stall windows generated with Stalls=1.5 over 4 groups")
-	}
-}
-
-func TestServePlaneStallUntil(t *testing.T) {
-	p := testServePlane(t, 7)
-	for g := 0; g < 4; g++ {
-		for _, s := range p.StallWindows(g) {
-			if s.Start >= s.End {
-				t.Fatalf("group %d stall [%d, %d) empty", g, s.Start, s.End)
-			}
-			// Inside the window the park target strictly exceeds now.
-			mid := s.Start + (s.End-s.Start)/2
-			if end := p.StallUntil(g, mid); end != s.End {
-				t.Errorf("group %d StallUntil(%d) = %d, want %d", g, mid, end, s.End)
-			}
-			if end := p.StallUntil(g, s.End); end == s.End {
-				t.Errorf("group %d still stalled at its own end tick", g)
-			}
-			if p.StallUntil(g, mid) <= mid {
-				t.Errorf("group %d stall end does not exceed now", g)
-			}
-		}
-		if end := p.StallUntil(g, -1); end != 0 {
-			t.Errorf("group %d stalled before the run started", g)
-		}
-	}
-	// Nil plane and out-of-range groups are safe no-ops.
+	// Nil plane and out-of-range tenants are safe no-ops.
 	var nilPlane *ServePlane
-	if nilPlane.StallUntil(0, 10) != 0 || nilPlane.Bursts(0) != nil {
-		t.Error("nil plane injected chaos")
-	}
-	if p.StallUntil(99, 10) != 0 || p.Bursts(99) != nil {
-		t.Error("out-of-range index injected chaos")
+	if nilPlane.Bursts(0) != nil || p.Bursts(99) != nil {
+		t.Error("nil plane or out-of-range tenant injected chaos")
 	}
 }
 
 func TestServeConfigValidate(t *testing.T) {
-	good := ServeConfig{Bursts: 1, Stalls: 1}
+	good := ServeConfig{Bursts: 1}
 	if err := good.Validate(); err != nil {
 		t.Errorf("valid config rejected: %v", err)
 	}
 	for _, bad := range []ServeConfig{
 		{Bursts: -1},
-		{Stalls: -0.5},
-		{BurstSpan: -0.1},
-		{StallSpan: -0.1},
 		{BurstFactor: -2},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("config %+v accepted", bad)
 		}
 	}
-	if _, err := NewServePlane(ServeConfig{Bursts: -1}, 1e-4, 1, 1, 1e9); err == nil {
+	if _, err := NewServePlane(ServeConfig{Bursts: -1}, 1e-4, 1); err == nil {
 		t.Error("NewServePlane accepted a negative rate")
-	}
-}
-
-func TestUniformServe(t *testing.T) {
-	cfg := UniformServe(2, 9)
-	if cfg.Seed != 9 || cfg.Bursts != 2 || cfg.Stalls != 2 {
-		t.Errorf("UniformServe built %+v", cfg)
-	}
-	if err := cfg.Validate(); err != nil {
-		t.Error(err)
 	}
 }

@@ -31,26 +31,10 @@ type ServeOptions struct {
 	// Arrivals is the target arrival count per load point (sets the
 	// horizon); default 240.
 	Arrivals int
-	// Discipline and Policy configure the serving front end; defaults
-	// CLOS-aware dispatch + tail-drop.
-	Discipline serve.Discipline
-	Policy     serve.AdmitPolicy
-	// QueueCap bounds every tenant queue; 0 uses serve.DefaultQueueCap.
-	// Tight caps keep overload latencies service-bound (load shedding)
-	// instead of wait-bound.
+	// QueueCap bounds every tenant queue; default 16. Tight caps keep
+	// overload latencies service-bound (load shedding) instead of
+	// wait-bound.
 	QueueCap int
-	// AgingSeconds is the CLOS-affinity starvation bound; 0 uses
-	// serve.DefaultAgingSeconds. Longer residency per class lets the
-	// adaptive controller's group classification settle between
-	// switches.
-	AgingSeconds float64
-	// Tenants keeps only the first N of the built-in cohorts (OLTP,
-	// analytics, reporting); 0 keeps all three. Load shares are
-	// renormalised over the kept cohorts.
-	Tenants int
-	// RateQPS, when positive, replaces the Loads sweep with a single
-	// point at this absolute aggregate offered rate.
-	RateQPS float64
 	// Faults, when non-nil, interposes the seeded control-plane fault
 	// injector for every run of the sweep (chaos interop).
 	Faults *fault.Config
@@ -288,20 +272,26 @@ func FigServe(p Params) (*ServeResult, error) {
 	return FigServeOpts(p, ServeOptions{})
 }
 
-// FigServeOpts runs the serving-tier capacity sweep: tenant rates are
-// set to Load × estimated capacity (split by serveShares), and each
-// load point runs under the shared-pool, static-partitioning and
-// adaptive-controller arms. Reports are bit-identical per
-// (Params.Seed, options) — including under fault injection.
-func FigServeOpts(p Params, o ServeOptions) (*ServeResult, error) {
-	o.setDefaults()
+// serveSystem is what FigServe and FigOverload share: a system, its
+// dispatch groups, the three cohorts with their load shares normalised
+// to 1, and their calibrated isolated baselines and estimated capacity.
+type serveSystem struct {
+	sys       *System
+	groups    [][]int
+	tenants   []serve.Tenant
+	shares    []float64
+	baselines []float64
+	capacity  float64
+}
+
+// newServeSystem builds and calibrates the serving setup. faults, when
+// non-nil, is interposed after calibration, so the baselines are
+// fault-free.
+func newServeSystem(p Params, faults *fault.Config) (*serveSystem, error) {
 	sys, err := NewSystem(p)
 	if err != nil {
 		return nil, err
 	}
-	defer sys.DisableAdaptive()
-	defer sys.DisableChaos()
-
 	groups := sys.serveGroups()
 	if len(groups) < 2 {
 		return nil, fmt.Errorf("harness: serving needs at least 4 cores")
@@ -309,9 +299,6 @@ func FigServeOpts(p Params, o ServeOptions) (*ServeResult, error) {
 	tenants, err := sys.serveTenants(len(groups))
 	if err != nil {
 		return nil, err
-	}
-	if o.Tenants > 0 && o.Tenants < len(tenants) {
-		tenants = tenants[:o.Tenants]
 	}
 	shares := make([]float64, len(tenants))
 	var shareSum float64
@@ -326,42 +313,54 @@ func FigServeOpts(p Params, o ServeOptions) (*ServeResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	if o.RateQPS > 0 {
-		o.Loads = []float64{o.RateQPS / capacity}
-	}
-	if o.Faults != nil {
-		if _, err := sys.EnableChaos(*o.Faults); err != nil {
+	if faults != nil {
+		if _, err := sys.EnableChaos(*faults); err != nil {
 			return nil, err
 		}
 	}
+	return &serveSystem{sys: sys, groups: groups, tenants: tenants, shares: shares,
+		baselines: baselines, capacity: capacity}, nil
+}
+
+// FigServeOpts runs the serving-tier capacity sweep: tenant rates are
+// set to Load × estimated capacity (split by serveShares), and each
+// load point runs under the shared-pool, static-partitioning and
+// adaptive-controller arms. Reports are bit-identical per
+// (Params.Seed, options) — including under fault injection.
+func FigServeOpts(p Params, o ServeOptions) (*ServeResult, error) {
+	o.setDefaults()
+	ss, err := newServeSystem(p, o.Faults)
+	if err != nil {
+		return nil, err
+	}
+	sys, tenants := ss.sys, ss.tenants
+	defer sys.DisableAdaptive()
+	defer sys.DisableChaos()
 
 	out := &ServeResult{
-		CapacityQPS:    capacity,
-		BaselineTicks:  baselines,
+		CapacityQPS:    ss.capacity,
+		BaselineTicks:  ss.baselines,
 		SecondsPerTick: sys.Machine.Seconds(1),
-		Groups:         len(groups),
+		Groups:         len(ss.groups),
 	}
 	for _, load := range o.Loads {
-		rate := load * capacity
+		rate := load * ss.capacity
 		point := ServeLoad{Load: load, RateQPS: rate}
 		for ti := range tenants {
-			tenants[ti].Process.Rate = rate * shares[ti]
+			tenants[ti].Process.Rate = rate * ss.shares[ti]
 			tenants[ti].QueueCap = o.QueueCap
 		}
 		cfg := serve.Config{
-			Seed:         p.Seed,
-			Horizon:      float64(o.Arrivals) / rate,
-			Tenants:      tenants,
-			Policy:       o.Policy,
-			Discipline:   o.Discipline,
-			AgingSeconds: o.AgingSeconds,
-			Quantum:      p.Quantum,
+			Seed:    p.Seed,
+			Horizon: float64(o.Arrivals) / rate,
+			Tenants: tenants,
+			Quantum: p.Quantum,
 		}
 		for _, arm := range sys.adaptArms(adapt.DefaultConfig()) {
 			if err := arm.apply(); err != nil {
 				return nil, err
 			}
-			r, err := serve.Run(sys.Engine, groups, cfg)
+			r, err := serve.Run(sys.Engine, ss.groups, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("serve %s at %.1fx: %w", arm.name, load, err)
 			}

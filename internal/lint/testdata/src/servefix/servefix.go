@@ -23,10 +23,10 @@ func launderedArrivals() serve.Config {
 	return serve.Config{Seed: wallSeed()} // want "derived from time.Now (via wallSeed) reaches simulator state"
 }
 
-func jitteredTrace() serve.Process {
-	// Both checks fire: nondet at the draw, taintflow at the sink — a
-	// replayed trace with global-rand jitter never replays.
-	return serve.Process{Kind: serve.ProcTrace, Trace: []float64{rand.Float64()}} // want "global math/rand.Float64 draws from a runtime-seeded source" "derived from math/rand.Float64 reaches simulator state"
+func jitteredRate() serve.Process {
+	// Both checks fire: nondet at the draw, taintflow at the sink — an
+	// arrival rate drawn from global rand never replays.
+	return serve.Process{Kind: serve.ProcPoisson, Rate: rand.Float64()} // want "global math/rand.Float64 draws from a runtime-seeded source" "derived from math/rand.Float64 reaches simulator state"
 }
 
 // seededArrivals is the sanctioned shape: the whole trace — process

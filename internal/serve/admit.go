@@ -1,80 +1,9 @@
 package serve
 
-// admit: the admission front end. Every arrival passes through its
-// tenant's admission policy at its arrival tick, in trace order;
-// rejected or overflowing queries are counted as drops, never silently
-// lost. Policies are deterministic state machines over virtual time —
-// no randomised early drop, so admission decisions replay exactly.
-
-// AdmitPolicy decides, per arrival, whether a query may enter its
-// tenant's queue. Admit is called exactly once per arrival in global
-// trace order; depth and cap describe the tenant queue at that tick
-// (a true return with depth == cap still tail-drops, and is counted
-// against the queue rather than the policy).
-type AdmitPolicy interface {
-	Name() string
-	// Init is called once before the run with the tenant count and the
-	// virtual-tick rate, so stateful policies can size their state.
-	Init(tenants int, ticksPerSec float64)
-	Admit(a Arrival, depth, cap int) bool
-}
-
-// TailDrop admits everything; the bounded queue is the only limiter.
-type TailDrop struct{}
-
-// Name implements AdmitPolicy.
-func (TailDrop) Name() string { return "taildrop" }
-
-// Init implements AdmitPolicy.
-func (TailDrop) Init(int, float64) {}
-
-// Admit implements AdmitPolicy.
-func (TailDrop) Admit(Arrival, int, int) bool { return true }
-
-// TokenBucket rate-limits each tenant with a classic token bucket
-// replenished in virtual time: RatePerSec tokens per simulated second
-// up to Burst, one token per admitted query. Refill is computed from
-// tick deltas, so the decision sequence is a pure function of the
-// arrival trace.
-type TokenBucket struct {
-	RatePerSec float64
-	Burst      float64
-
-	perTick float64
-	state   []bucket
-}
-
-type bucket struct {
-	tokens float64
-	last   int64
-}
-
-// Name implements AdmitPolicy.
-func (tb *TokenBucket) Name() string { return "tokenbucket" }
-
-// Init implements AdmitPolicy.
-func (tb *TokenBucket) Init(tenants int, ticksPerSec float64) {
-	tb.perTick = tb.RatePerSec / ticksPerSec
-	tb.state = make([]bucket, tenants)
-	for i := range tb.state {
-		tb.state[i].tokens = tb.Burst
-	}
-}
-
-// Admit implements AdmitPolicy.
-func (tb *TokenBucket) Admit(a Arrival, depth, cap int) bool {
-	b := &tb.state[a.Tenant]
-	b.tokens += float64(a.Tick-b.last) * tb.perTick
-	if b.tokens > tb.Burst {
-		b.tokens = tb.Burst
-	}
-	b.last = a.Tick
-	if b.tokens < 1 {
-		return false
-	}
-	b.tokens--
-	return true
-}
+// admit: the admission rule. Every arrival that survives the breaker
+// and the shed policy enters its tenant's bounded FIFO at its arrival
+// tick, in trace order, or is dropped when the queue is full; rejected
+// queries are counted as drops, never silently lost.
 
 // DropReason classifies a rejected arrival. Every dropped attempt is
 // counted under exactly one reason — deadline expiry and breaker
@@ -84,10 +13,8 @@ func (tb *TokenBucket) Admit(a Arrival, depth, cap int) bool {
 type DropReason int
 
 const (
-	// DropPolicy: the admission policy refused the query.
-	DropPolicy DropReason = iota
 	// DropQueueFull: the tenant's bounded FIFO was at capacity.
-	DropQueueFull
+	DropQueueFull DropReason = iota
 	// DropDeadline: the query expired in queue past its tenant's SLO
 	// deadline before a dispatch group picked it up.
 	DropDeadline
@@ -104,8 +31,6 @@ const (
 // String names the reason for reports and CLI output.
 func (r DropReason) String() string {
 	switch r {
-	case DropPolicy:
-		return "policy"
 	case DropQueueFull:
 		return "queue-full"
 	case DropDeadline:

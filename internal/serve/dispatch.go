@@ -4,67 +4,26 @@ import (
 	"fmt"
 	"math/rand"
 
+	"cachepart/internal/adapt"
 	"cachepart/internal/cachesim"
 	"cachepart/internal/engine"
-	"cachepart/internal/fault"
 )
 
 // dispatch: the engine.Feed gluing generator, admission, overload
 // control and queues to RunOpenLoop. The engine calls Next whenever a
 // core group is idle at virtual tick now; the feed absorbs every
 // arrival up to now — merging the trace with pending client retries —
-// through the breaker/shed/admission chain, expires queries whose SLO
-// deadline passed in queue, then hands out the next queued query under
-// the configured discipline. All state transitions key off virtual
-// ticks carried in the arrival trace, so the decision sequence is
-// replayed bit-identically for a fixed (seed, fault-seed, config).
+// through the breaker → shed → bounded-queue chain, expires queries
+// whose SLO deadline passed in queue, then hands out the next queued
+// query in CLOS-aware FIFO order (pick). All state transitions key off
+// virtual ticks carried in the arrival trace, so the decision sequence
+// is replayed bit-identically for a fixed (seed, fault-seed, config).
 
-// Discipline selects how a free group picks among tenant queues.
-type Discipline int
-
-const (
-	// DiscCLOS (the default) is CLOS-aware FIFO: a group prefers the
-	// oldest queued query whose Workload.Class matches the class it
-	// last dispatched, batching same-allocation queries so the
-	// engine's mask reprogramming overhead is paid per batch instead
-	// of per query. Once the globally oldest query has waited longer
-	// than the aging bound the group falls back to strict FIFO, so no
-	// class starves. When every workload shares one class this is
-	// exactly FIFO.
-	DiscCLOS Discipline = iota
-	// DiscFIFO serves the globally oldest queued query (ties: lowest
-	// tenant index), ignoring CLOS classes.
-	DiscFIFO
-	// DiscRR round-robins across non-empty tenant queues, isolating a
-	// bursty tenant from a steady one.
-	DiscRR
-)
-
-// String names the discipline for reports and CLI flags.
-func (d Discipline) String() string {
-	switch d {
-	case DiscFIFO:
-		return "fifo"
-	case DiscRR:
-		return "rr"
-	default:
-		return "clos"
-	}
-}
-
-// ParseDiscipline maps a CLI flag value to a Discipline.
-func ParseDiscipline(s string) (Discipline, error) {
-	switch s {
-	case "clos":
-		return DiscCLOS, nil
-	case "fifo":
-		return DiscFIFO, nil
-	case "rr":
-		return DiscRR, nil
-	default:
-		return 0, fmt.Errorf("serve: unknown discipline %q (want clos, fifo or rr)", s)
-	}
-}
+// agingBound is the CLOS-affinity starvation bound in simulated
+// seconds: long enough to batch several queries per mask switch, short
+// enough that a passed-over class still meets its tail latency at
+// saturation.
+const agingBound = 250e-6
 
 // feed implements engine.Feed (and engine.CompletionObserver) over
 // bounded per-tenant FIFOs with SLO-aware overload control.
@@ -73,13 +32,10 @@ type feed struct {
 	tenants  []Tenant
 	arrivals []Arrival
 	cursor   int
-	policy   AdmitPolicy
-	disc     Discipline
-	rr       int
 	// lastClass[g] is the Workload.Class group g most recently
-	// dispatched (-1 before the first), the affinity key for DiscCLOS.
+	// dispatched (-1 before the first), the affinity key pick prefers.
 	lastClass []int
-	// agingTicks bounds how long DiscCLOS may pass over the globally
+	// agingTicks bounds how long pick may pass over the globally
 	// oldest query in favour of class affinity.
 	agingTicks int64
 
@@ -100,11 +56,10 @@ type feed struct {
 	breakers    []tenantBreaker
 	deadline    []int64
 	hasDeadline bool
-	retry     Retry
-	retryBase int64
-	pending   retryHeap
-	olRng     *rand.Rand
-	plane     *fault.ServePlane
+	retry       Retry
+	retryBase   int64
+	pending     retryHeap
+	olRng       *rand.Rand
 	// capSum is Σ queue caps, the denominator of the shed-policy load.
 	capSum int
 
@@ -132,7 +87,7 @@ type accounting struct {
 	endTick  int64
 }
 
-func newFeed(cfg *Config, m *cachesim.Machine, arrivals []Arrival, groupCores []int, agingTicks int64, policy AdmitPolicy, plane *fault.ServePlane) *feed {
+func newFeed(cfg *Config, m *cachesim.Machine, arrivals []Arrival, groupCores []int) *feed {
 	n := len(cfg.Tenants)
 	ticksPerSec := float64(m.Ticks(1))
 	last := make([]int, len(groupCores))
@@ -144,10 +99,6 @@ func newFeed(cfg *Config, m *cachesim.Machine, arrivals []Arrival, groupCores []
 		shed = ShedNone{}
 	}
 	shed.Init(n, cfg.Seed)
-	frac := cfg.PolluterBandwidthFraction
-	if frac == 0 {
-		frac = DefaultPolluterBandwidthFraction
-	}
 	backoff := cfg.Retry.BackoffSeconds
 	if backoff == 0 {
 		backoff = DefaultRetryBackoffSeconds
@@ -156,19 +107,16 @@ func newFeed(cfg *Config, m *cachesim.Machine, arrivals []Arrival, groupCores []
 		seed:       cfg.Seed,
 		tenants:    cfg.Tenants,
 		arrivals:   arrivals,
-		policy:     policy,
-		disc:       cfg.Discipline,
 		lastClass:  last,
-		agingTicks: agingTicks,
+		agingTicks: m.Ticks(agingBound),
 		queues:     make([][]Arrival, n),
 		heads:      make([]int, n),
 		shed:       shed,
-		tracker:    newPolluterTracker(cfg.Tenants, groupCores, frac*m.Config().DRAMBandwidth, ticksPerSec),
+		tracker:    newPolluterTracker(cfg.Tenants, groupCores, adapt.DefaultStreamingBandwidthFraction*m.Config().DRAMBandwidth, ticksPerSec),
 		deadline:   make([]int64, n),
 		retry:      cfg.Retry,
 		retryBase:  m.Ticks(backoff),
 		olRng:      newOverloadRng(cfg.Seed),
-		plane:      plane,
 		acct: accounting{
 			arrivals:  make([]int64, n),
 			attempts:  make([]int64, n),
@@ -205,7 +153,6 @@ func newFeed(cfg *Config, m *cachesim.Machine, arrivals []Arrival, groupCores []
 			f.breakers[ti] = newTenantBreaker(cfg.Breaker, target, ticksPerSec)
 		}
 	}
-	f.policy.Init(n, ticksPerSec)
 	return f
 }
 
@@ -291,7 +238,7 @@ func (f *feed) nextArrival() (Arrival, bool) {
 
 // absorb runs the admission chain for every arrival (trace or retry)
 // at or before now, in (tick, seq, attempt) order: breaker → shed →
-// policy → bounded queue. A half-open probe bypasses shedding — the
+// bounded queue. A half-open probe bypasses shedding — the
 // breaker's contract is that exactly one probe reaches the queue.
 func (f *feed) absorb(now int64) {
 	for {
@@ -328,18 +275,14 @@ func (f *feed) absorb(now int64) {
 			continue
 		}
 		d := f.depth(t)
-		qcap := f.tenants[t].queueCap()
-		switch {
-		case !f.policy.Admit(a, d, qcap):
-			f.drop(a, DropPolicy, a.Tick)
-		case d >= qcap:
+		if d >= f.tenants[t].queueCap() {
 			f.drop(a, DropQueueFull, a.Tick)
-		default:
-			f.acct.admitted[t]++
-			f.queues[t] = append(f.queues[t], a)
-			if d+1 > f.acct.peakDepth[t] {
-				f.acct.peakDepth[t] = d + 1
-			}
+			continue
+		}
+		f.acct.admitted[t]++
+		f.queues[t] = append(f.queues[t], a)
+		if d+1 > f.acct.peakDepth[t] {
+			f.acct.peakDepth[t] = d + 1
 		}
 	}
 }
@@ -405,45 +348,29 @@ func (f *feed) oldest(class int) (int, int64) {
 	return best, bestTick
 }
 
-// pick selects the next tenant group should serve, or -1 if every
-// queue is empty.
+// pick selects the tenant whose queue head group serves next, or -1
+// if every queue is empty. It is CLOS-aware FIFO: the group prefers the
+// oldest queued query whose Workload.Class matches the class it last
+// dispatched, batching same-allocation queries so the engine's mask
+// reprogramming is paid per batch instead of per query. Once the
+// globally oldest query has waited agingTicks the group takes it, so
+// no class starves. When every workload shares one class this is
+// exactly FIFO (ties: lowest tenant index).
 func (f *feed) pick(group int, now int64) int {
-	switch f.disc {
-	case DiscRR:
-		for i := 0; i < len(f.queues); i++ {
-			t := (f.rr + i) % len(f.queues)
-			if f.depth(t) > 0 {
-				f.rr = (t + 1) % len(f.queues)
-				return t
-			}
-		}
+	t, tick := f.oldest(-1)
+	if t < 0 {
 		return -1
-	case DiscFIFO:
-		t, _ := f.oldest(-1)
-		return t
-	default: // DiscCLOS
-		t, tick := f.oldest(-1)
-		if t < 0 {
-			return -1
-		}
-		// Affinity: stick with the group's current class while the
-		// globally oldest query is within its aging bound.
-		if last := f.lastClass[group]; last >= 0 && now-tick < f.agingTicks {
-			if m, _ := f.oldest(last); m >= 0 {
-				return m
-			}
-		}
-		return t
 	}
+	if last := f.lastClass[group]; last >= 0 && now-tick < f.agingTicks {
+		if m, _ := f.oldest(last); m >= 0 {
+			return m
+		}
+	}
+	return t
 }
 
 // Next implements engine.Feed.
 func (f *feed) Next(group int, now int64) (engine.Submission, bool, int64) {
-	// Dispatcher-stall chaos: a stalled group parks until the window
-	// ends; arrivals keep queueing (and expiring) against the clock.
-	if end := f.plane.StallUntil(group, now); end > now {
-		return engine.Submission{}, false, end
-	}
 	// Expiry can schedule a retry already due at now (a short backoff
 	// after an old deadline), so loop until no arrival at or before now
 	// remains; attempts are bounded, so the loop terminates.

@@ -21,7 +21,7 @@ import (
 
 // Process describes one tenant's arrival process.
 type Process struct {
-	// Kind selects the process: ProcPoisson, ProcDiurnal or ProcTrace.
+	// Kind selects the process: ProcPoisson or ProcDiurnal.
 	Kind ProcessKind
 	// Rate is the mean arrival rate in queries per simulated second
 	// (Poisson: constant; Diurnal: the base the periods modulate).
@@ -30,10 +30,6 @@ type Process struct {
 	// sin(2π·t/Tᵢ + φᵢ)). Several periods superimpose, e.g. a daily
 	// cycle plus a weekly one scaled into simulated seconds.
 	Periods []Period
-	// Trace holds explicit arrival offsets in simulated seconds for
-	// ProcTrace, replayed in order (offsets beyond the horizon are
-	// dropped). The offsets need not be sorted.
-	Trace []float64
 }
 
 // ProcessKind enumerates arrival processes.
@@ -45,8 +41,6 @@ const (
 	// ProcDiurnal modulates a Poisson process with superimposed
 	// sinusoidal periods via thinning.
 	ProcDiurnal
-	// ProcTrace replays explicit arrival offsets.
-	ProcTrace
 )
 
 // Period is one sinusoidal component of a diurnal rate profile.
@@ -91,21 +85,11 @@ const burstRngSalt = 3571
 func GenArrivals(m *cachesim.Machine, cfg Config) ([]Arrival, error) {
 	var plane *fault.ServePlane
 	if cfg.Faults != nil {
-		// Burst windows are drawn before stall windows, so a plane built
-		// with zero groups yields the identical burst schedule Run's full
-		// plane does.
 		var err error
-		plane, err = fault.NewServePlane(*cfg.Faults, cfg.Horizon, len(cfg.Tenants), 0, float64(m.Ticks(1)))
-		if err != nil {
+		if plane, err = fault.NewServePlane(*cfg.Faults, cfg.Horizon, len(cfg.Tenants)); err != nil {
 			return nil, err
 		}
 	}
-	return genArrivals(m, cfg, plane)
-}
-
-// genArrivals generates the trace against an already-built chaos plane
-// (nil for none).
-func genArrivals(m *cachesim.Machine, cfg Config, plane *fault.ServePlane) ([]Arrival, error) {
 	var all []Arrival
 	for ti := range cfg.Tenants {
 		t := &cfg.Tenants[ti]
@@ -165,15 +149,6 @@ func arrivalSeconds(rng *rand.Rand, p Process, horizon float64) ([]float64, erro
 		return out, nil
 	case ProcDiurnal:
 		return diurnalSeconds(rng, p, horizon)
-	case ProcTrace:
-		out := make([]float64, 0, len(p.Trace))
-		for _, t := range p.Trace {
-			if t >= 0 && t < horizon {
-				out = append(out, t)
-			}
-		}
-		sort.Float64s(out)
-		return out, nil
 	default:
 		return nil, fmt.Errorf("unknown process kind %d", p.Kind)
 	}

@@ -22,11 +22,10 @@ type TenantReport struct {
 	Arrivals int64
 	Attempts int64
 	Admitted int64
-	// Dropped sums the per-reason attempt drops below: admission-policy
-	// rejections, bounded-FIFO overflows, queueing-deadline expiries,
-	// deliberate overload shedding, and circuit-breaker rejections.
+	// Dropped sums the per-reason attempt drops below: bounded-FIFO
+	// overflows, queueing-deadline expiries, deliberate overload
+	// shedding, and circuit-breaker rejections.
 	Dropped      int64
-	DropPolicy   int64
 	DropQueue    int64
 	DropDeadline int64
 	DropShed     int64
@@ -186,12 +185,11 @@ func buildReport(cfg *Config, horizonTicks int64, ticksPerSec float64, f *feed, 
 		tr.Arrivals = f.acct.arrivals[ti]
 		tr.Attempts = f.acct.attempts[ti]
 		tr.Admitted = f.acct.admitted[ti]
-		tr.DropPolicy = f.acct.drops[DropPolicy][ti]
 		tr.DropQueue = f.acct.drops[DropQueueFull][ti]
 		tr.DropDeadline = f.acct.drops[DropDeadline][ti]
 		tr.DropShed = f.acct.drops[DropShed][ti]
 		tr.DropBreaker = f.acct.drops[DropBreaker][ti]
-		tr.Dropped = tr.DropPolicy + tr.DropQueue + tr.DropDeadline + tr.DropShed + tr.DropBreaker
+		tr.Dropped = tr.DropQueue + tr.DropDeadline + tr.DropShed + tr.DropBreaker
 		tr.Retries = f.acct.retries[ti]
 		tr.Abandoned = f.acct.abandoned[ti]
 		tr.BreakerTrips = f.acct.trips[ti]

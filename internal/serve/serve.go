@@ -1,8 +1,8 @@
 // Package serve is a deterministic open-loop multi-tenant serving
 // tier over the simulation engine: a seeded workload generator
-// (Poisson / multi-period diurnal / trace replay), a bounded
-// admission/queueing front end with deterministic drop accounting, a
-// CLOS-aware dispatcher onto disjoint core groups, and a virtual-time
+// (Poisson / multi-period diurnal), bounded per-tenant queues with
+// deterministic drop accounting, a CLOS-aware dispatcher onto disjoint
+// core groups, and a virtual-time
 // metrics layer (throughput, p50/p99/p999 latency in ticks, queue
 // depth, drops, per-tenant slowdown and Jain fairness).
 //
@@ -21,12 +21,6 @@ import (
 	"cachepart/internal/fault"
 )
 
-// DefaultAgingSeconds is the DiscCLOS starvation bound when
-// Config.AgingSeconds is 0: long enough to batch several queries per
-// mask switch, short enough that a passed-over class still meets its
-// tail latency at saturation.
-const DefaultAgingSeconds = 250e-6
-
 // Config describes one serving run.
 type Config struct {
 	// Seed drives every random stream: per-tenant arrival rngs and
@@ -38,33 +32,19 @@ type Config struct {
 	// query.
 	Horizon float64
 	Tenants []Tenant
-	// Policy is the admission policy; nil means TailDrop.
-	Policy AdmitPolicy
-	// Discipline selects how free groups pick among tenant queues.
-	Discipline Discipline
-	// AgingSeconds bounds how long DiscCLOS may defer the globally
-	// oldest query for class affinity; 0 uses DefaultAgingSeconds.
-	AgingSeconds float64
 
-	// Overload control (DESIGN.md §15). All four knobs default to off:
-	// a zero-valued configuration reproduces the PR-7 behaviour bit for
-	// bit. Shed is the load-shedding policy (nil means ShedNone); Retry
-	// the client retry model; Breaker the per-tenant circuit breakers.
+	// Overload control (DESIGN.md §15), off in the zero value. Shed is
+	// the load-shedding policy (nil means ShedNone); Retry the client
+	// retry model; Breaker the per-tenant circuit breakers.
 	Shed    ShedPolicy
 	Retry   Retry
 	Breaker Breaker
-	// PolluterBandwidthFraction classifies a (tenant, workload) as an
-	// LLC polluter when its per-core DRAM rate sustains this fraction
-	// of the machine's aggregate bandwidth; 0 uses
-	// DefaultPolluterBandwidthFraction.
-	PolluterBandwidthFraction float64
-	// Faults enables serving-plane chaos: seeded arrival bursts and
-	// dispatcher stalls (see fault.ServeConfig). nil injects nothing.
+	// Faults enables serving-plane chaos: seeded arrival bursts (see
+	// fault.ServeConfig). nil injects nothing.
 	Faults *fault.ServeConfig
 
-	// Engine pass-through: see engine.OpenLoopOptions.
-	Quantum          int
-	TargetSliceTicks int64
+	// Quantum passes through to engine.OpenLoopOptions.
+	Quantum int
 }
 
 // Run executes one serving run on the engine's machine: groups are
@@ -84,32 +64,15 @@ func Run(e *engine.Engine, groups [][]int, cfg Config) (*Report, error) {
 		return nil, err
 	}
 	m := e.Machine()
-	ticksPerSec := float64(m.Ticks(1))
-	var plane *fault.ServePlane
-	if cfg.Faults != nil {
-		var err error
-		plane, err = fault.NewServePlane(*cfg.Faults, cfg.Horizon, len(cfg.Tenants), len(groups), ticksPerSec)
-		if err != nil {
-			return nil, err
-		}
-	}
-	arrivals, err := genArrivals(m, cfg, plane)
+	arrivals, err := GenArrivals(m, cfg)
 	if err != nil {
 		return nil, err
-	}
-	policy := cfg.Policy
-	if policy == nil {
-		policy = TailDrop{}
-	}
-	aging := cfg.AgingSeconds
-	if aging <= 0 {
-		aging = DefaultAgingSeconds
 	}
 	groupCores := make([]int, len(groups))
 	for gi, cores := range groups {
 		groupCores[gi] = len(cores)
 	}
-	f := newFeed(&cfg, m, arrivals, groupCores, m.Ticks(aging), policy, plane)
+	f := newFeed(&cfg, m, arrivals, groupCores)
 
 	// Prewarm each workload's shared data (dictionaries, tables, space
 	// directories) once; instances of one workload alias the same
@@ -122,9 +85,8 @@ func Run(e *engine.Engine, groups [][]int, cfg Config) (*Report, error) {
 	}
 
 	res, err := e.RunOpenLoop(groups, f, engine.OpenLoopOptions{
-		Quantum:          cfg.Quantum,
-		TargetSliceTicks: cfg.TargetSliceTicks,
-		Prewarm:          prewarm,
+		Quantum: cfg.Quantum,
+		Prewarm: prewarm,
 	})
 	if err != nil {
 		return nil, err
@@ -132,5 +94,5 @@ func Run(e *engine.Engine, groups [][]int, cfg Config) (*Report, error) {
 	if err := f.checkDrained(); err != nil {
 		return nil, err
 	}
-	return buildReport(&cfg, m.Ticks(cfg.Horizon), ticksPerSec, f, res), nil
+	return buildReport(&cfg, m.Ticks(cfg.Horizon), float64(m.Ticks(1)), f, res), nil
 }

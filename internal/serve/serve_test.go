@@ -133,33 +133,6 @@ func TestGenArrivalsBitIdentity(t *testing.T) {
 	}
 }
 
-func TestGenArrivalsTrace(t *testing.T) {
-	m := testEngine(t).Machine()
-	cfg := Config{
-		Seed:    5,
-		Horizon: 1e-5,
-		Tenants: []Tenant{{
-			Name:    "replay",
-			Process: Process{Kind: ProcTrace, Trace: []float64{9e-6, 2e-6, 4e-6, 5e-5, -1}},
-			Mix:     []Workload{{Name: "q", Weight: 1, Instances: alias(&expQuery{name: "q", meanRows: 10}, 1)}},
-		}},
-	}
-	a, err := GenArrivals(m, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 5e-5 is past the horizon and -1 before it; the rest replay sorted.
-	if len(a) != 3 {
-		t.Fatalf("trace replay produced %d arrivals, want 3", len(a))
-	}
-	want := []int64{m.Ticks(2e-6), m.Ticks(4e-6), m.Ticks(9e-6)}
-	for i, w := range want {
-		if a[i].Tick != w {
-			t.Errorf("arrival %d at tick %d, want %d", i, a[i].Tick, w)
-		}
-	}
-}
-
 // TestRunBitIdentity pins the subsystem contract: same seed ⇒ identical
 // arrival trace, admission decisions and percentile report; different
 // seeds differ.
@@ -262,37 +235,47 @@ func TestAdmissionDrops(t *testing.T) {
 	}
 }
 
-func TestTokenBucketLimitsRate(t *testing.T) {
-	e := testEngine(t)
-	cfg := testConfig(13, 1)
-	// Bucket refills at a tenth of tenant 0's offered load.
-	limit := cfg.Tenants[0].Process.Rate / 10
-	cfg.Policy = &TokenBucket{RatePerSec: limit, Burst: 4}
-	r, err := Run(e, [][]int{{0}}, cfg)
-	if err != nil {
-		t.Fatal(err)
+// TestPickCLOSAffinity pins the dispatcher's order: a group keeps
+// dispatching the class it last dispatched while the globally oldest
+// head is within agingTicks, takes the globally oldest head past the
+// bound, and takes the oldest head when it has no history or no head
+// of its class is queued. Plain FIFO fails the affinity rows.
+func TestPickCLOSAffinity(t *testing.T) {
+	const classA, classB, classC = 1, 2, 3
+	tenant := func(class int) Tenant { return Tenant{Mix: []Workload{{Class: class}}} }
+	f := &feed{
+		tenants: []Tenant{tenant(classA), tenant(classB), tenant(classB)},
+		queues: [][]Arrival{
+			{{Tenant: 0, Tick: 100}},
+			{{Tenant: 1, Tick: 150}},
+			{{Tenant: 2, Tick: 120}, {Tenant: 2, Tick: 130}},
+		},
+		heads:      make([]int, 3),
+		lastClass:  []int{-1, classA, classB, classC},
+		agingTicks: 1000,
 	}
-	tr := r.Tenants[0]
-	maxAdmit := int64(limit*cfg.Horizon) + 4
-	if tr.Admitted > maxAdmit {
-		t.Errorf("token bucket admitted %d of %d, cap %d", tr.Admitted, tr.Arrivals, maxAdmit)
-	}
-	if tr.DropPolicy == 0 {
-		t.Error("token bucket at 10% of offered load rejected nothing")
-	}
-}
-
-func TestDisciplines(t *testing.T) {
-	for _, disc := range []Discipline{DiscCLOS, DiscFIFO, DiscRR} {
-		e := testEngine(t)
-		cfg := testConfig(29, 1)
-		cfg.Discipline = disc
-		r, err := Run(e, [][]int{{0, 1}}, cfg)
-		if err != nil {
-			t.Fatalf("%v: %v", disc, err)
+	for _, c := range []struct {
+		name       string
+		group      int
+		now        int64
+		wantTenant int
+	}{
+		{"no history", 0, 500, 0},
+		{"last class holds the oldest head", 1, 500, 0},
+		{"last class within the aging bound", 2, 500, 2},
+		{"last class at the edge of the bound", 2, 1099, 2},
+		{"aging bound reached", 2, 1100, 0},
+		{"no head of the last class", 3, 500, 0},
+	} {
+		if got := f.pick(c.group, c.now); got != c.wantTenant {
+			t.Errorf("%s: group %d at tick %d picked tenant %d, want %d",
+				c.name, c.group, c.now, got, c.wantTenant)
 		}
-		if r.Completed != r.Admitted {
-			t.Errorf("%v: %d admitted, %d completed", disc, r.Admitted, r.Completed)
-		}
+	}
+	for ti := range f.heads {
+		f.heads[ti] = len(f.queues[ti])
+	}
+	if got := f.pick(2, 500); got != -1 {
+		t.Errorf("empty queues: picked tenant %d, want -1", got)
 	}
 }

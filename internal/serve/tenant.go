@@ -46,11 +46,12 @@ type Workload struct {
 	// gets its own instance; stateless queries may alias one value
 	// across all slots.
 	Instances []engine.Query
-	// Class is the workload's CLOS affinity key for DiscCLOS: queries
-	// with equal Class share a cache allocation, so dispatching them
-	// back to back on one group elides the mask reprogramming cost.
-	// The value is opaque to the dispatcher; callers typically use the
-	// dominant core.CUID of the query's phases.
+	// Class is the workload's CLOS affinity key for the dispatcher:
+	// queries with equal Class share a cache allocation, so
+	// dispatching them back to back on one group elides the mask
+	// reprogramming cost. The value is opaque to the dispatcher;
+	// callers typically use the dominant core.CUID of the query's
+	// phases.
 	Class int
 }
 

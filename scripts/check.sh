@@ -5,7 +5,8 @@
 # anywhere inside the module; CI and pre-merge reviews run exactly this.
 #
 # Usage: check.sh [lint|test|bench|fuzz|all]
-#   lint     build + vet (copylocks included) + cachelint (the CI lint job)
+#   lint     build + gofmt + vet (copylocks included) + cachelint (the
+#            CI lint job); fails when gofmt -l names any file
 #   test     build + unit tests; the race detector over the packages
 #            below, and over the harness's fault-injection and
 #            degraded-mode tests; exec and engine at -cpu 1,2 (the CI
@@ -40,6 +41,14 @@ echo '== go build ./...'
 go build ./...
 
 if [ "$mode" = lint ] || [ "$mode" = all ]; then
+	echo '== gofmt -l .'
+	unformatted=$(gofmt -l .)
+	if [ -n "$unformatted" ]; then
+		echo "check.sh: gofmt would reformat:" >&2
+		echo "$unformatted" >&2
+		exit 1
+	fi
+
 	echo '== go vet ./...'
 	go vet ./...
 

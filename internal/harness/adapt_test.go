@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"testing"
 
 	"cachepart/internal/adapt"
@@ -22,6 +23,14 @@ func TestFigAdaptAcceptance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var out bytes.Buffer
+	PrintPairRows(&out,
+		"Adaptive controller — scan ∥ aggregation, annotated (A=scan, B=aggregation)",
+		[]PairRow{r.Annotated})
+	PrintPairRows(&out,
+		"Adaptive controller — scan ∥ aggregation, annotations stripped (A=scan, B=aggregation)",
+		[]PairRow{r.Blind})
+	checkGolden(t, "adapt", out.Bytes())
 	arm := func(row PairRow, name string) PairArm {
 		a, ok := row.Arm(name)
 		if !ok {

@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"reflect"
 	"testing"
 
@@ -16,6 +17,9 @@ func TestFigChaosFunction(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var out bytes.Buffer
+	PrintChaos(&out, r)
+	checkGolden(t, "chaos", out.Bytes())
 	if len(r.Points) != 2 {
 		t.Fatalf("points = %d, want 2", len(r.Points))
 	}

@@ -295,7 +295,7 @@ func parseLoads(loads string) ([]float64, error) {
 }
 
 // runServe regenerates the FigServe capacity sweep: the open-loop
-// multi-tenant serving tier under shared-pool, static partitioning and
+// multi-tenant serving tier under shared-cache, static partitioning and
 // the adaptive controller.
 func runServe(p harness.Params, o harness.ServeOptions) error {
 	r, err := harness.FigServeOpts(p, o)

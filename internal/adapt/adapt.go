@@ -88,19 +88,20 @@ func (c Class) String() string {
 	}
 }
 
-// Config holds the controller's knobs. The zero value is not usable;
-// start from DefaultConfig.
-type Config struct {
-	// EpochSeconds is the control epoch in simulated time. The default
-	// of 100 µs matches the paper's observation that mask updates cost
-	// tens of microseconds of kernel interaction: epochs are long
-	// enough that even an epoch with a mask write costs well under one
-	// percent of it.
-	EpochSeconds float64
+// The controller's constants. LFOC shows a classifier with fixed
+// thresholds is enough, and no figure, example or benchmark runs
+// another value of any of them.
+const (
+	// epochSeconds is the control epoch in simulated time. 100 µs
+	// matches the paper's observation that mask updates cost tens of
+	// microseconds of kernel interaction: epochs are long enough that
+	// even an epoch with a mask write costs well under one percent of
+	// it.
+	epochSeconds = 100e-6
 
-	// Hysteresis is how many consecutive epochs telemetry must suggest
+	// hysteresis is how many consecutive epochs telemetry must suggest
 	// a different class before the controller commits it.
-	Hysteresis int
+	hysteresis = 2
 
 	// StreamingBandwidthFraction classifies an epoch as stream-like
 	// when the stream's average DRAM traffic rate over the epoch,
@@ -113,103 +114,43 @@ type Config struct {
 	// keeps one threshold valid across machine scales and stream
 	// widths: measured per-core rates are ~5-7 GB/s for the column scan
 	// and ~1.1 GB/s for the 40 MiB-dictionary aggregation at both 1/32
-	// and 1/8 scale, so the default (0.035 of 64 GB/s ≈ 2.2 GB/s per
-	// core) sits about 2× from either.
-	StreamingBandwidthFraction float64
+	// and 1/8 scale, so 0.035 of 64 GB/s ≈ 2.2 GB/s per core sits
+	// about 2× from either. The serving tier's completion-granular
+	// polluter classifier uses the same bound.
+	StreamingBandwidthFraction = 0.035
 
-	// SensitiveOccupancyFraction classifies a quiet epoch as
+	// sensitiveOccupancyFraction classifies a quiet epoch as
 	// cache-sensitive when the stream's occupancy exceeds this
 	// fraction of the LLC, and as neutral below it.
-	SensitiveOccupancyFraction float64
+	sensitiveOccupancyFraction = 0.05
 
 	// StreamingWaysFraction is the slice of the cache a Streaming
-	// stream is confined to. It defaults to the static policy's
-	// polluting fraction so the controller converges to the paper's
-	// scheme.
-	StreamingWaysFraction float64
+	// stream is confined to: the static policy's polluting fraction, so
+	// the controller converges to the paper's scheme.
+	StreamingWaysFraction = 0.10
 
-	// TrialInterval is how many epochs a stream stays confined before
-	// its first probation; TrialLength is how many epochs a probation
-	// lasts. TrialBackoff multiplies the interval after each probation
+	// trialInterval is how many epochs a stream stays confined before
+	// its first probation; trialLength is how many epochs a probation
+	// lasts. trialBackoff multiplies the interval after each probation
 	// that confirms the stream is still streaming, bounded by
-	// TrialIntervalMax.
-	TrialInterval    int
-	TrialLength      int
-	TrialBackoff     float64
-	TrialIntervalMax int
+	// trialIntervalMax.
+	trialInterval    = 32
+	trialLength      = 2
+	trialBackoff     = 2
+	trialIntervalMax = 128
 
-	// UseCUIDHints seeds classifications from job annotations when
-	// true. Telemetry overrides hints either way; disabling hints
-	// makes the controller fully blind.
-	UseCUIDHints bool
+	// historyLimit bounds the transition log; older entries are
+	// dropped first.
+	historyLimit = 4096
+)
 
-	// RequireBeneficiary confines a Streaming stream only while some
-	// other stream of the run is classified CacheSensitive (or is
-	// still Unknown and may turn out to be): confinement protects
-	// co-runners and costs the confined stream a little, so with
-	// nobody to protect the controller leaves the full mask in place.
-	// In particular an isolated query is never confined. Disable to
-	// always confine, as the static scheme does.
-	RequireBeneficiary bool
+// Config carries no settings: the controller's values are the
+// constants above. The type and DefaultConfig remain only because the
+// repository benchmark attaches the controller through them.
+type Config struct{}
 
-	// HistoryLimit bounds the transition log; older entries are
-	// dropped first. Zero keeps no history.
-	HistoryLimit int
-}
-
-// DefaultStreamingBandwidthFraction is DefaultConfig's
-// StreamingBandwidthFraction. The serving tier's completion-granular
-// polluter classifier uses the same bound.
-const DefaultStreamingBandwidthFraction = 0.035
-
-// DefaultConfig returns the controller defaults discussed above.
-func DefaultConfig() Config {
-	return Config{
-		EpochSeconds:               100e-6,
-		Hysteresis:                 2,
-		StreamingBandwidthFraction: DefaultStreamingBandwidthFraction,
-		SensitiveOccupancyFraction: 0.05,
-		StreamingWaysFraction:      0.10,
-		TrialInterval:              32,
-		TrialLength:                2,
-		TrialBackoff:               2,
-		TrialIntervalMax:           128,
-		UseCUIDHints:               true,
-		RequireBeneficiary:         true,
-		HistoryLimit:               4096,
-	}
-}
-
-// Validate checks the configuration.
-func (c Config) Validate() error {
-	switch {
-	case c.EpochSeconds <= 0:
-		return fmt.Errorf("adapt: epoch %v must be positive", c.EpochSeconds)
-	case c.Hysteresis < 1:
-		return fmt.Errorf("adapt: hysteresis %d must be at least 1", c.Hysteresis)
-	case c.StreamingBandwidthFraction <= 0 || c.StreamingBandwidthFraction > 1:
-		return fmt.Errorf("adapt: streaming bandwidth fraction %v out of (0,1]",
-			c.StreamingBandwidthFraction)
-	case c.SensitiveOccupancyFraction <= 0:
-		return fmt.Errorf("adapt: sensitive occupancy fraction %v must be positive",
-			c.SensitiveOccupancyFraction)
-	case c.StreamingWaysFraction <= 0 || c.StreamingWaysFraction > 1:
-		return fmt.Errorf("adapt: streaming ways fraction %v out of (0,1]",
-			c.StreamingWaysFraction)
-	case c.TrialInterval < 1:
-		return fmt.Errorf("adapt: trial interval %d must be at least 1", c.TrialInterval)
-	case c.TrialLength < 1:
-		return fmt.Errorf("adapt: trial length %d must be at least 1", c.TrialLength)
-	case c.TrialBackoff < 1:
-		return fmt.Errorf("adapt: trial backoff %v must be at least 1", c.TrialBackoff)
-	case c.TrialIntervalMax < c.TrialInterval:
-		return fmt.Errorf("adapt: trial interval cap %d below interval %d",
-			c.TrialIntervalMax, c.TrialInterval)
-	case c.HistoryLimit < 0:
-		return fmt.Errorf("adapt: history limit %d must not be negative", c.HistoryLimit)
-	}
-	return nil
-}
+// DefaultConfig returns the empty Config; see Config.
+func DefaultConfig() Config { return Config{} }
 
 // Transition records one mask reprogramming: which stream, between
 // which classes, onto which mask, and whether it was a probation step

@@ -22,11 +22,11 @@ import (
 // missed windows would read as one epoch's burst and misclassify a
 // quiet stream as streaming the moment telemetry recovers.
 func (c *Controller) classify(d resctrl.MonDelta, cores int) Class {
-	rate := float64(d.MemBytesDelta) / (c.cfg.EpochSeconds * float64(d.Gap+1)) / float64(cores)
-	if rate >= c.cfg.StreamingBandwidthFraction*c.peakBytesPerSecond {
+	rate := float64(d.MemBytesDelta) / (epochSeconds * float64(d.Gap+1)) / float64(cores)
+	if rate >= StreamingBandwidthFraction*c.peakBytesPerSecond {
 		return Streaming
 	}
-	if float64(d.LLCOccupancyBytes) >= c.cfg.SensitiveOccupancyFraction*float64(c.llcBytes) {
+	if float64(d.LLCOccupancyBytes) >= sensitiveOccupancyFraction*float64(c.llcBytes) {
 		return CacheSensitive
 	}
 	return Neutral

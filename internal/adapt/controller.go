@@ -26,7 +26,6 @@ import (
 type Controller struct {
 	fs     resctrl.Plane
 	win    *resctrl.MonWindow
-	cfg    Config
 	policy core.Policy
 
 	ways     int
@@ -53,23 +52,19 @@ func injected(err error) bool {
 
 // Attach builds a controller over the engine's resctrl mount and
 // machine geometry and attaches it. The engine then calls the
-// controller back every cfg.EpochSeconds of simulated time; detach
+// controller back every 100 µs control epoch of simulated time; detach
 // with e.DetachController().
-func Attach(e *engine.Engine, cfg Config) (*Controller, error) {
-	if err := cfg.Validate(); err != nil {
-		return nil, err
-	}
+func Attach(e *engine.Engine) (*Controller, error) {
 	p := e.Policy()
 	c := &Controller{
 		fs:                 e.ControlPlane(),
 		win:                resctrl.NewMonWindow(e.ControlPlane()),
-		cfg:                cfg,
 		policy:             p,
 		ways:               p.LLCWays,
 		llcBytes:           p.LLCBytes,
 		peakBytesPerSecond: e.Machine().Config().DRAMBandwidth,
 	}
-	if err := e.AttachController(c, cfg.EpochSeconds); err != nil {
+	if err := e.AttachController(c, epochSeconds); err != nil {
 		return nil, err
 	}
 	return c, nil
@@ -100,7 +95,7 @@ func (c *Controller) BeginRun(streams []engine.StreamInfo) error {
 		st.prevClass = Unknown
 		st.lastHint = Unknown
 		st.pending = Unknown
-		st.nextTrial = c.cfg.TrialInterval
+		st.nextTrial = trialInterval
 		if _, err := c.fs.Mask(st.group); err != nil {
 			// First run on this mount: the group does not exist yet.
 			if err := c.fs.MakeGroup(st.group); err != nil {
@@ -134,19 +129,17 @@ func (c *Controller) GroupFor(stream int, cuid core.CUID, fp core.Footprint) (st
 	if st.degraded {
 		return "", nil // static fallback: the controller lost this group
 	}
-	if c.cfg.UseCUIDHints {
-		if hint := c.hintClass(cuid, fp); hint != st.lastHint {
-			st.lastHint = hint
-			if hint != Unknown && hint != st.class && st.trialLeft == 0 {
-				from := st.class
-				st.class = hint
-				st.pending = hint
-				st.streak = 0
-				st.sinceTrial = 0
-				st.nextTrial = c.cfg.TrialInterval
-				if err := c.apply(st, stream, -1, from, false); err != nil {
-					return "", err
-				}
+	if hint := c.hintClass(cuid, fp); hint != st.lastHint {
+		st.lastHint = hint
+		if hint != Unknown && hint != st.class && st.trialLeft == 0 {
+			from := st.class
+			st.class = hint
+			st.pending = hint
+			st.streak = 0
+			st.sinceTrial = 0
+			st.nextTrial = trialInterval
+			if err := c.apply(st, stream, -1, from, false); err != nil {
+				return "", err
 			}
 		}
 	}
@@ -214,15 +207,12 @@ func (c *Controller) observe(st *streamState, stream, epoch int) error {
 				st.class = st.trialObs
 				st.pending = st.trialObs
 				st.streak = 0
-				st.nextTrial = c.cfg.TrialInterval
+				st.nextTrial = trialInterval
 			} else {
 				// Still streaming with the whole cache on offer:
 				// confine it again and back off the next probation.
 				st.trialEnded = true
-				st.nextTrial = int(float64(st.nextTrial) * c.cfg.TrialBackoff)
-				if st.nextTrial > c.cfg.TrialIntervalMax {
-					st.nextTrial = c.cfg.TrialIntervalMax
-				}
+				st.nextTrial = min(st.nextTrial*trialBackoff, trialIntervalMax)
 			}
 		}
 		return nil
@@ -239,11 +229,11 @@ func (c *Controller) observe(st *streamState, stream, epoch int) error {
 		st.pending = obs
 		st.streak = 1
 	}
-	if obs != st.class && st.streak >= c.cfg.Hysteresis {
+	if obs != st.class && st.streak >= hysteresis {
 		st.class = obs
 		st.streak = 0
 		st.sinceTrial = 0
-		st.nextTrial = c.cfg.TrialInterval
+		st.nextTrial = trialInterval
 	}
 
 	// Schedule probation for streams that are actually confined; an
@@ -258,7 +248,7 @@ func (c *Controller) observe(st *streamState, stream, epoch int) error {
 			st.sinceTrial++
 			if st.sinceTrial >= st.nextTrial {
 				st.sinceTrial = 0
-				st.trialLeft = c.cfg.TrialLength
+				st.trialLeft = trialLength
 				st.trialObs = Unknown
 				written, err := c.program(st, cat.FullMask(c.ways))
 				if err != nil {
@@ -277,11 +267,9 @@ func (c *Controller) observe(st *streamState, stream, epoch int) error {
 // may hold) a working set in the cache. Without a beneficiary the
 // controller leaves even streaming streams unconfined — confinement
 // costs the stream a little (prefetched lines evict each other in a
-// narrow slice) and buys nothing. Disabled via RequireBeneficiary.
+// narrow slice) and buys nothing. In particular an isolated query is
+// never confined.
 func (c *Controller) beneficiary(i int) bool {
-	if !c.cfg.RequireBeneficiary {
-		return true
-	}
 	for j := range c.streams {
 		if j == i {
 			continue
@@ -309,8 +297,7 @@ func (c *Controller) apply(st *streamState, stream, epoch int, from Class, trial
 }
 
 // record logs a transition if it changed anything — a real schemata
-// write or a class change — trimming the history to the configured
-// bound.
+// write or a class change — trimming the history to historyLimit.
 func (c *Controller) record(t Transition) {
 	if t.Written {
 		c.writes++
@@ -318,17 +305,14 @@ func (c *Controller) record(t Transition) {
 	if !t.Written && t.From == t.To {
 		return
 	}
-	if c.cfg.HistoryLimit == 0 {
-		return
-	}
 	c.history = append(c.history, t)
-	if len(c.history) > c.cfg.HistoryLimit {
-		c.history = append(c.history[:0], c.history[len(c.history)-c.cfg.HistoryLimit:]...)
+	if len(c.history) > historyLimit {
+		c.history = append(c.history[:0], c.history[len(c.history)-historyLimit:]...)
 	}
 }
 
 // Transitions returns the recorded mask reprogrammings of the current
-// run, oldest first (bounded by Config.HistoryLimit).
+// run, oldest first (bounded by historyLimit).
 func (c *Controller) Transitions() []Transition {
 	out := make([]Transition, len(c.history))
 	copy(out, c.history)
@@ -356,6 +340,3 @@ func (c *Controller) ClassOf(stream int) Class {
 	}
 	return c.streams[stream].class
 }
-
-// Config returns the controller's configuration.
-func (c *Controller) Config() Config { return c.cfg }

@@ -18,6 +18,19 @@ func beginRun(c *Controller, names ...string) error {
 	return c.BeginRun(infos)
 }
 
+// beginBesideResident starts a run of stream 0 beside a stream 1 that
+// holds a resident working set and pulls no traffic. Stream 1 is the
+// beneficiary that confining stream 0 protects: Unknown at first, then
+// cache-sensitive. Groups are numbered in creation order on a fresh
+// mount, so stream 1 is CLOS 2.
+func beginBesideResident(t *testing.T, c *Controller, mon *fakeMon) {
+	t.Helper()
+	mon.occ[stream0CLOS+1] = bigOcc
+	if err := beginRun(c, "s", "resident"); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // fakeMon lets tests script per-CLOS telemetry.
 type fakeMon struct {
 	occ     map[int]uint64
@@ -34,25 +47,10 @@ const (
 	testPeakBW = 8e9
 )
 
-// testConfig shortens the probation cadence so tests stay compact,
-// and drops the beneficiary rule: most tests drive a single stream
-// whose confinement is the behaviour under test.
-func testConfig() Config {
-	cfg := DefaultConfig()
-	cfg.TrialInterval = 4
-	cfg.TrialLength = 2
-	cfg.TrialIntervalMax = 16
-	cfg.RequireBeneficiary = false
-	return cfg
-}
-
 // newTestController builds a controller over a fake mount without an
 // engine, so tests can drive the control loop epoch by epoch.
-func newTestController(t *testing.T, cfg Config) (*Controller, *fakeMon) {
+func newTestController(t *testing.T) (*Controller, *fakeMon) {
 	t.Helper()
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	regs, err := cat.NewRegisters(4, 20, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -63,7 +61,6 @@ func newTestController(t *testing.T, cfg Config) (*Controller, *fakeMon) {
 	return &Controller{
 		fs:                 fs,
 		win:                resctrl.NewMonWindow(fs),
-		cfg:                cfg,
 		policy:             core.DefaultPolicy(testLLCBytes, 20),
 		ways:               20,
 		llcBytes:           testLLCBytes,
@@ -97,14 +94,11 @@ const (
 
 func narrowMask() cat.WayMask { return cat.PortionMask(20, 0.10) }
 
+// TestBlindStreamingThenSensitive ends before trialInterval epochs,
+// so no probation interferes.
 func TestBlindStreamingThenSensitive(t *testing.T) {
-	cfg := testConfig()
-	cfg.TrialInterval = 64 // keep probation out of this test
-	cfg.TrialIntervalMax = 64
-	c, mon := newTestController(t, cfg)
-	if err := beginRun(c, "s"); err != nil {
-		t.Fatal(err)
-	}
+	c, mon := newTestController(t)
+	beginBesideResident(t, c, mon)
 	if got := c.SchemataWrites(); got != 0 {
 		t.Fatalf("BeginRun on a fresh mount wrote %d times, want 0", got)
 	}
@@ -153,10 +147,8 @@ func TestBlindStreamingThenSensitive(t *testing.T) {
 }
 
 func TestTrialRecoversThrashingStream(t *testing.T) {
-	c, mon := newTestController(t, testConfig())
-	if err := beginRun(c, "s"); err != nil {
-		t.Fatal(err)
-	}
+	c, mon := newTestController(t)
+	beginBesideResident(t, c, mon)
 	// Annotated polluting: confined immediately, before any epoch.
 	if _, err := c.GroupFor(0, core.Polluting, core.Footprint{}); err != nil {
 		t.Fatal(err)
@@ -169,7 +161,7 @@ func TestTrialRecoversThrashingStream(t *testing.T) {
 	// thrashes: traffic stays hot, indistinguishable from a scan.
 	flip := 0
 	e := 0
-	for ; e < 16; e++ {
+	for ; e < 2*trialInterval; e++ {
 		if c.streams[0].trialLeft > 0 {
 			break // probation: the mask was widened
 		}
@@ -191,22 +183,21 @@ func TestTrialRecoversThrashingStream(t *testing.T) {
 	if m, _ := c.fs.Mask("adapt0"); m != cat.FullMask(20) {
 		t.Fatal("recovered stream did not keep the full mask")
 	}
-	if bound := c.cfg.TrialInterval + c.cfg.TrialLength + c.cfg.Hysteresis; e+1-flip > bound {
+	if bound := trialInterval + trialLength + hysteresis; e+1-flip > bound {
 		t.Fatalf("recovery took %d epochs, bound %d", e+1-flip, bound)
 	}
 }
 
 func TestTrialConfirmsStreamingAndBacksOff(t *testing.T) {
-	c, mon := newTestController(t, testConfig())
-	if err := beginRun(c, "s"); err != nil {
-		t.Fatal(err)
-	}
+	c, mon := newTestController(t)
+	beginBesideResident(t, c, mon)
 	if _, err := c.GroupFor(0, core.Polluting, core.Footprint{}); err != nil {
 		t.Fatal(err)
 	}
 	// A genuine scan: hot through confinement and both probations.
+	const epochs = 4 * trialInterval
 	widenEpochs := []int{}
-	for e := 0; e < 40; e++ {
+	for e := 0; e < epochs; e++ {
 		before := c.streams[0].trialLeft
 		epoch(t, c, mon, e, hotTraffic, bigOcc)
 		if before == 0 && c.streams[0].trialLeft > 0 {
@@ -214,7 +205,7 @@ func TestTrialConfirmsStreamingAndBacksOff(t *testing.T) {
 		}
 	}
 	if len(widenEpochs) < 2 {
-		t.Fatalf("saw %d probations in 40 epochs, want at least 2", len(widenEpochs))
+		t.Fatalf("saw %d probations in %d epochs, want at least 2", len(widenEpochs), epochs)
 	}
 	// Each probation ends narrow again.
 	if m, _ := c.fs.Mask("adapt0"); m != narrowMask() {
@@ -225,9 +216,9 @@ func TestTrialConfirmsStreamingAndBacksOff(t *testing.T) {
 	}
 	// Backoff: the second interval is at least twice the first.
 	first := widenEpochs[1] - widenEpochs[0]
-	if first < 2*c.cfg.TrialInterval-1 {
+	if first < 2*trialInterval-1 {
 		t.Fatalf("probation interval %d did not back off (base %d)",
-			first, c.cfg.TrialInterval)
+			first, trialInterval)
 	}
 	// The transition log shows the widen/narrow pairs as trials.
 	var widens, narrows int
@@ -248,7 +239,7 @@ func TestTrialConfirmsStreamingAndBacksOff(t *testing.T) {
 }
 
 func TestHintSeeding(t *testing.T) {
-	c, _ := newTestController(t, testConfig())
+	c, _ := newTestController(t)
 	if err := beginRun(c, "s"); err != nil {
 		t.Fatal(err)
 	}
@@ -302,7 +293,7 @@ func TestHintSeeding(t *testing.T) {
 }
 
 func TestBeginRunResetsState(t *testing.T) {
-	c, mon := newTestController(t, testConfig())
+	c, mon := newTestController(t)
 	if err := beginRun(c, "a", "b"); err != nil {
 		t.Fatal(err)
 	}
@@ -342,9 +333,7 @@ func epochBoth(t *testing.T, c *Controller, mon *fakeMon, n int, d0, o0, d1, o1 
 }
 
 func TestBeneficiaryGate(t *testing.T) {
-	cfg := testConfig()
-	cfg.RequireBeneficiary = true
-	c, mon := newTestController(t, cfg)
+	c, mon := newTestController(t)
 
 	// Scan ∥ scan: two streaming streams, nobody with a working set to
 	// protect — neither gets confined.
@@ -380,8 +369,7 @@ func TestBeneficiaryGate(t *testing.T) {
 		t.Fatalf("beneficiary stream confined to %v", m)
 	}
 
-	// Single-stream run under the same config: a lone scan is never
-	// confined, however hot.
+	// Single-stream run: a lone scan is never confined, however hot.
 	if err := beginRun(c, "solo"); err != nil {
 		t.Fatal(err)
 	}
@@ -397,7 +385,7 @@ func TestBeneficiaryGate(t *testing.T) {
 }
 
 func TestClassify(t *testing.T) {
-	c, _ := newTestController(t, testConfig())
+	c, _ := newTestController(t)
 	cases := []struct {
 		name string
 		d    resctrl.MonDelta
@@ -412,31 +400,5 @@ func TestClassify(t *testing.T) {
 		if got := c.classify(tc.d, 1); got != tc.want {
 			t.Errorf("%s: classify(%+v) = %v, want %v", tc.name, tc.d, got, tc.want)
 		}
-	}
-}
-
-func TestConfigValidate(t *testing.T) {
-	mutations := []func(*Config){
-		func(c *Config) { c.EpochSeconds = 0 },
-		func(c *Config) { c.Hysteresis = 0 },
-		func(c *Config) { c.StreamingBandwidthFraction = 0 },
-		func(c *Config) { c.StreamingBandwidthFraction = 1.5 },
-		func(c *Config) { c.SensitiveOccupancyFraction = -1 },
-		func(c *Config) { c.StreamingWaysFraction = 1.5 },
-		func(c *Config) { c.TrialInterval = 0 },
-		func(c *Config) { c.TrialLength = 0 },
-		func(c *Config) { c.TrialBackoff = 0.5 },
-		func(c *Config) { c.TrialIntervalMax = 1 },
-		func(c *Config) { c.HistoryLimit = -1 },
-	}
-	for i, mutate := range mutations {
-		cfg := DefaultConfig()
-		mutate(&cfg)
-		if err := cfg.Validate(); err == nil {
-			t.Errorf("mutation %d: invalid config accepted", i)
-		}
-	}
-	if err := DefaultConfig().Validate(); err != nil {
-		t.Errorf("default config rejected: %v", err)
 	}
 }

@@ -68,9 +68,28 @@ func (q *flipQuery) Plan(cores int, rng *rand.Rand) ([]engine.Phase, error) {
 	}, nil
 }
 
-// flipSystem builds a small machine with an attached controller tuned
-// to a fast probation cadence.
-func flipSystem(t *testing.T) (*engine.Engine, *adapt.Controller, *flipQuery) {
+// residentQuery walks a region smaller than the LLC over and over: a
+// cache-sensitive stream, the co-runner that confining a streaming
+// stream protects.
+type residentQuery struct {
+	region memory.Region
+	rows   int
+}
+
+func (q *residentQuery) Name() string { return "resident" }
+
+func (q *residentQuery) Plan(cores int, rng *rand.Rand) ([]engine.Phase, error) {
+	return []engine.Phase{{
+		Name: "reuse", CUID: core.Sensitive,
+		Kernels:   []exec.Kernel{&walkKernel{region: q.region, left: q.rows}},
+		CountRows: true,
+	}}, nil
+}
+
+// flipSystem builds a small machine with an attached controller and
+// the flip query, which runs on core 0 beside a resident stream on
+// core 1.
+func flipSystem(t *testing.T) (*engine.Engine, *adapt.Controller, []engine.StreamSpec) {
 	t.Helper()
 	cfg := cachesim.DefaultConfig().Scaled(32)
 	cfg.Cores = 2
@@ -82,15 +101,7 @@ func flipSystem(t *testing.T) (*engine.Engine, *adapt.Controller, *flipQuery) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	acfg := adapt.DefaultConfig()
-	acfg.EpochSeconds = 20e-6
-	acfg.TrialInterval = 8
-	acfg.TrialLength = 3
-	acfg.TrialIntervalMax = 32
-	// The flip query runs alone; confinement itself is under test, so
-	// drop the nobody-to-protect escape.
-	acfg.RequireBeneficiary = false
-	ctrl, err := adapt.Attach(e, acfg)
+	ctrl, err := adapt.Attach(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,21 +110,24 @@ func flipSystem(t *testing.T) (*engine.Engine, *adapt.Controller, *flipQuery) {
 	q := &flipQuery{
 		big:        space.Alloc("flip.big", 4*llc),
 		small:      space.Alloc("flip.small", llc/4),
-		streamRows: 60_000,
-		reuseRows:  100_000,
+		streamRows: 300_000,
+		reuseRows:  500_000,
 	}
-	return e, ctrl, q
+	resident := &residentQuery{region: space.Alloc("resident", llc/8), rows: 100_000}
+	return e, ctrl, []engine.StreamSpec{
+		{Query: q, Cores: []int{0}},
+		{Query: resident, Cores: []int{1}},
+	}
 }
 
 // TestPhaseFlipReclassified runs the flip query under the blind
 // controller and checks that it tracks both directions: the streaming
-// phase gets confined to the narrow slice, and after the flip a
-// probation widens the mask and the reuse phase is committed
-// cache-sensitive.
+// phase gets confined to the narrow slice, the confined stream is put
+// on probation, and after the flip the reuse phase is committed
+// cache-sensitive. The resident co-runner is never confined.
 func TestPhaseFlipReclassified(t *testing.T) {
-	e, ctrl, q := flipSystem(t)
-	res, err := e.Run([]engine.StreamSpec{{Query: q, Cores: []int{0}}},
-		engine.RunOptions{Duration: 0.004, Seed: 1})
+	e, ctrl, specs := flipSystem(t)
+	res, err := e.Run(specs, engine.RunOptions{Duration: 0.02, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,11 +137,15 @@ func TestPhaseFlipReclassified(t *testing.T) {
 
 	ways := e.Policy().LLCWays
 	full := cat.FullMask(ways)
-	narrow := cat.PortionMask(ways, ctrl.Config().StreamingWaysFraction)
+	narrow := cat.PortionMask(ways, adapt.StreamingWaysFraction)
 	var confines, widens, recoveries int
 	firstConfine, firstRecovery := -1, -1
 	for _, tr := range ctrl.Transitions() {
 		switch {
+		case tr.Stream != 0:
+			if tr.Mask != full {
+				t.Fatalf("resident stream confined: %+v", tr)
+			}
 		case !tr.Trial && tr.To == adapt.Streaming && tr.Mask == narrow:
 			confines++
 			if firstConfine < 0 {
@@ -171,9 +189,8 @@ func TestPhaseFlipReclassified(t *testing.T) {
 // adaptive path.
 func TestAdaptiveRunBitIdentical(t *testing.T) {
 	run := func() ([]engine.StreamResult, []adapt.Transition) {
-		e, ctrl, q := flipSystem(t)
-		res, err := e.Run([]engine.StreamSpec{{Query: q, Cores: []int{0}}},
-			engine.RunOptions{Duration: 0.002, Seed: 42})
+		e, ctrl, specs := flipSystem(t)
+		res, err := e.Run(specs, engine.RunOptions{Duration: 0.004, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}

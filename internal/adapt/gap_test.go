@@ -43,15 +43,10 @@ func (p *flakyPlane) MakeGroup(name string) error {
 
 // gapController builds a controller over an optionally-wrapped mount,
 // returning the underlying FS so tests can script telemetry gaps by
-// detaching the monitor.
+// detaching the monitor. The tests below end before trialInterval
+// epochs, so no probation interferes.
 func gapController(t *testing.T, wrap func(resctrl.Plane) resctrl.Plane) (*Controller, *fakeMon, *resctrl.FS) {
 	t.Helper()
-	cfg := testConfig()
-	cfg.TrialInterval = 64 // keep probation out of these tests
-	cfg.TrialIntervalMax = 64
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
 	regs, err := cat.NewRegisters(4, 20, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -66,7 +61,6 @@ func gapController(t *testing.T, wrap func(resctrl.Plane) resctrl.Plane) (*Contr
 	return &Controller{
 		fs:                 plane,
 		win:                resctrl.NewMonWindow(plane),
-		cfg:                cfg,
 		policy:             core.DefaultPolicy(testLLCBytes, 20),
 		ways:               20,
 		llcBytes:           testLLCBytes,
@@ -80,9 +74,7 @@ func gapController(t *testing.T, wrap func(resctrl.Plane) resctrl.Plane) (*Contr
 // missing telemetry as evidence of anything.
 func TestTelemetryGapHoldsClass(t *testing.T) {
 	c, mon, fs := gapController(t, nil)
-	if err := beginRun(c, "s"); err != nil {
-		t.Fatal(err)
-	}
+	beginBesideResident(t, c, mon)
 	epoch(t, c, mon, 0, hotTraffic, bigOcc)
 	epoch(t, c, mon, 1, hotTraffic, bigOcc)
 	if got := c.ClassOf(0); got != Streaming {
@@ -102,8 +94,8 @@ func TestTelemetryGapHoldsClass(t *testing.T) {
 	if m, _ := c.fs.Mask("adapt0"); m != narrowMask() {
 		t.Errorf("mask during gap = %v, want %v held", m, narrowMask())
 	}
-	if got := c.Gaps(); got != 4 {
-		t.Errorf("Gaps() = %d, want 4", got)
+	if got := c.Gaps(); got != 8 { // 4 epochs of both streams
+		t.Errorf("Gaps() = %d, want 8", got)
 	}
 
 	// Recovery: the stream is still streaming; no spurious transition.
@@ -167,9 +159,7 @@ func TestWriteFaultDegradesToStaleMask(t *testing.T) {
 		fp = &flakyPlane{Plane: p, failWrites: 1}
 		return fp
 	})
-	if err := beginRun(c, "s"); err != nil {
-		t.Fatal(err)
-	}
+	beginBesideResident(t, c, mon)
 	epoch(t, c, mon, 0, hotTraffic, bigOcc)
 	epoch(t, c, mon, 1, hotTraffic, bigOcc) // confinement write → injected fault
 	if got := c.WriteFailures(); got != 1 {

@@ -13,7 +13,7 @@ import (
 // an unclassified stream slower than an unpartitioned run would.
 func (c *Controller) maskFor(class Class, confine bool) cat.WayMask {
 	if class == Streaming && confine {
-		return cat.PortionMask(c.ways, c.cfg.StreamingWaysFraction)
+		return cat.PortionMask(c.ways, StreamingWaysFraction)
 	}
 	return cat.FullMask(c.ways)
 }

@@ -32,7 +32,7 @@ func adaptiveFixture(t *testing.T) (*engine.Engine, *adapt.Controller, []engine.
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := adapt.Attach(e, adapt.DefaultConfig())
+	ctrl, err := adapt.Attach(e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,53 +54,38 @@ func adaptiveFixture(t *testing.T) (*engine.Engine, *adapt.Controller, []engine.
 // TestRunBitIdenticalAdaptive extends the reproducibility contract of
 // TestRunBitIdentical to controller-enabled runs: with the online
 // feedback controller attached, two same-seed runs must produce
-// bit-for-bit identical results and an identical mask-transition log,
-// on both the disjoint-cores path and the shared worker pool.
+// bit-for-bit identical results and an identical mask-transition log.
 func TestRunBitIdenticalAdaptive(t *testing.T) {
 	type outcome struct {
 		res []engine.StreamResult
 		trs []adapt.Transition
 	}
-	run := func(shared bool) outcome {
+	run := func() outcome {
 		t.Helper()
 		e, ctrl, qs := adaptiveFixture(t)
-		var (
-			res []engine.StreamResult
-			err error
-		)
-		opts := engine.RunOptions{Duration: 3e-4, Seed: 42}
-		if shared {
-			res, err = e.RunSharedPool(qs, opts)
-		} else {
-			res, err = e.Run([]engine.StreamSpec{
-				{Query: qs[0], Cores: []int{0, 1, 2, 3}},
-				{Query: qs[1], Cores: []int{4, 5, 6, 7}},
-			}, opts)
-		}
+		res, err := e.Run([]engine.StreamSpec{
+			{Query: qs[0], Cores: []int{0, 1, 2, 3}},
+			{Query: qs[1], Cores: []int{4, 5, 6, 7}},
+		}, engine.RunOptions{Duration: 3e-4, Seed: 42})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return outcome{res: res, trs: ctrl.Transitions()}
 	}
 
-	for _, mode := range []struct {
-		name   string
-		shared bool
-	}{{"disjoint", false}, {"pool", true}} {
-		t.Run(mode.name, func(t *testing.T) {
-			first := run(mode.shared)
-			second := run(mode.shared)
-			if !reflect.DeepEqual(first.res, second.res) {
-				t.Errorf("same-seed adaptive runs diverged:\n first: %+v\nsecond: %+v",
-					first.res, second.res)
-			}
-			if !reflect.DeepEqual(first.trs, second.trs) {
-				t.Errorf("controller transitions diverged:\n first: %+v\nsecond: %+v",
-					first.trs, second.trs)
-			}
-			if len(first.trs) == 0 {
-				t.Error("controller recorded no transitions; workload too quiet to pin determinism")
-			}
-		})
-	}
+	t.Run("disjoint", func(t *testing.T) {
+		first := run()
+		second := run()
+		if !reflect.DeepEqual(first.res, second.res) {
+			t.Errorf("same-seed adaptive runs diverged:\n first: %+v\nsecond: %+v",
+				first.res, second.res)
+		}
+		if !reflect.DeepEqual(first.trs, second.trs) {
+			t.Errorf("controller transitions diverged:\n first: %+v\nsecond: %+v",
+				first.trs, second.trs)
+		}
+		if len(first.trs) == 0 {
+			t.Error("controller recorded no transitions; workload too quiet to pin determinism")
+		}
+	})
 }

@@ -16,11 +16,11 @@ import (
 // virtual-time scheduling loop, so a controller needs no locking of
 // its own and its decisions are deterministic for a given seed.
 type Controller interface {
-	// BeginRun is called once per Run, RunOpenLoop or RunSharedPool,
-	// directly after the machine reset and before any job placement,
-	// describing the streams (of an open loop: the core groups) about
-	// to execute — the point where the controller sets up its
-	// per-stream control groups and forgets stale telemetry.
+	// BeginRun is called once per Run or RunOpenLoop, directly after
+	// the machine reset and before any job placement, describing the
+	// streams (of an open loop: the core groups) about to execute —
+	// the point where the controller sets up its per-stream control
+	// groups and forgets stale telemetry.
 	// Machine counters are rewound again after prewarming; a controller
 	// sampling through resctrl.MonWindow absorbs that reset.
 	BeginRun(streams []StreamInfo) error
@@ -38,9 +38,9 @@ type Controller interface {
 // StreamInfo describes one stream of a run to a controller.
 type StreamInfo struct {
 	Name string
-	// Cores is the number of worker cores executing the stream — in
-	// shared-pool runs, the stream's fair share of the pool. Telemetry
-	// normalized per core stays comparable across machine sizes.
+	// Cores is the number of worker cores executing the stream.
+	// Telemetry normalized per core stays comparable across machine
+	// sizes.
 	Cores int
 }
 
@@ -102,9 +102,7 @@ func (e *Engine) controllerTick(es *epochState, now int64, coreID int) error {
 		}
 		if w := e.fs.Writes() - before; w > 0 {
 			e.maskWrites += w
-			if e.maskOverheadCycles > 0 {
-				e.m.Compute(coreID, int64(w)*e.maskOverheadCycles, uint64(w))
-			}
+			e.m.Compute(coreID, int64(w)*DefaultMaskOverheadCycles, uint64(w))
 		}
 		es.idx++
 		es.next += es.ticks

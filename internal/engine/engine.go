@@ -50,10 +50,6 @@ type Engine struct {
 	fs     resctrl.Plane
 	policy core.Policy
 
-	// maskOverheadCycles is charged to a core whenever programming its
-	// job's mask required real kernel writes.
-	maskOverheadCycles int64
-
 	// groupOfMask lazily maps a capacity mask to a resctrl group.
 	groupOfMask map[cat.WayMask]string
 
@@ -67,9 +63,6 @@ type Engine struct {
 
 	maskWrites int
 
-	// retryLimit bounds how often one operation retries a transient
-	// control-plane fault before degrading.
-	retryLimit int
 	// brokenGroups holds groups whose placement writes failed
 	// persistently this run; workers bound for them go to the root
 	// group instead. Accessed by key only, never iterated.
@@ -99,14 +92,12 @@ func New(m *cachesim.Machine, policy core.Policy) (*Engine, error) {
 	// monitoring files.
 	mount.AttachMonitor(m)
 	e := &Engine{
-		m:                  m,
-		fs:                 mount,
-		policy:             policy,
-		maskOverheadCycles: DefaultMaskOverheadCycles,
-		retryLimit:         DefaultRetryLimit,
-		groupOfMask:        make(map[cat.WayMask]string),
-		brokenGroups:       make(map[string]bool),
-		tids:               make([]int, m.Cores()),
+		m:            m,
+		fs:           mount,
+		policy:       policy,
+		groupOfMask:  make(map[cat.WayMask]string),
+		brokenGroups: make(map[string]bool),
+		tids:         make([]int, m.Cores()),
 	}
 	e.groupOfMask[cat.FullMask(policy.LLCWays)] = resctrl.RootGroup
 	for c := range e.tids {
@@ -143,19 +134,6 @@ func (e *Engine) SetPolicy(p core.Policy) error {
 		return err
 	}
 	e.policy = p
-	return nil
-}
-
-// SetMaskOverhead overrides the modelled kernel-interaction cost.
-func (e *Engine) SetMaskOverhead(cycles int64) { e.maskOverheadCycles = cycles }
-
-// SetRetryLimit overrides how many times a transient control-plane
-// fault is retried before the engine degrades the placement.
-func (e *Engine) SetRetryLimit(n int) error {
-	if n < 0 {
-		return fmt.Errorf("engine: retry limit %d must not be negative", n)
-	}
-	e.retryLimit = n
 	return nil
 }
 
@@ -219,7 +197,7 @@ func (e *Engine) retry(coreID, streamIdx int, op func() error) error {
 			return nil
 		}
 		transient, injected := injectedFault(err)
-		if !injected || !transient || attempt >= e.retryLimit {
+		if !injected || !transient || attempt >= DefaultRetryLimit {
 			return err
 		}
 		e.countRetry(streamIdx)
@@ -347,9 +325,7 @@ func (e *Engine) placeWorker(coreID, streamIdx int, group string) error {
 	}
 	if e.fs.Writes() != before {
 		e.maskWrites++
-		if e.maskOverheadCycles > 0 {
-			e.m.Compute(coreID, e.maskOverheadCycles, 1)
-		}
+		e.m.Compute(coreID, DefaultMaskOverheadCycles, 1)
 	}
 	return nil
 }

@@ -90,12 +90,6 @@ func TestApplyCUIDChargesOverheadOnChange(t *testing.T) {
 	if got := e.Machine().Now(0) - before; got != DefaultMaskOverheadCycles*cachesim.TicksPerCycle {
 		t.Errorf("overhead = %d ticks, want %d", got, DefaultMaskOverheadCycles*cachesim.TicksPerCycle)
 	}
-	e.SetMaskOverhead(0)
-	before = e.Machine().Now(0)
-	_ = e.applyCUID(0, -1, core.Polluting, core.Footprint{})
-	if e.Machine().Now(0) != before {
-		t.Error("zero overhead still charged")
-	}
 }
 
 func TestPolicyDisabledNeverMasks(t *testing.T) {

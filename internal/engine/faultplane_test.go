@@ -2,11 +2,13 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
 
 	"cachepart/internal/core"
+	"cachepart/internal/exec"
 	"cachepart/internal/fault"
 )
 
@@ -32,24 +34,50 @@ func chaosSpecs() []StreamSpec {
 	}
 }
 
+// coarseQuery plans its query's phases with every kernel wrapped in a
+// coarseKernel.
+type coarseQuery struct{ Query }
+
+func (q coarseQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
+	phases, err := q.Query.Plan(cores, rng)
+	for i := range phases {
+		for k, kernel := range phases[i].Kernels {
+			phases[i].Kernels[k] = &coarseKernel{Kernel: kernel}
+		}
+	}
+	return phases, err
+}
+
+// coarseKernel ignores the engine's row budget and sizes its own
+// slices exactly as the engine does, but to coarseSliceTicks: the
+// slices the engine would run if its slice bound were that long.
+type coarseKernel struct {
+	exec.Kernel
+	slot kernelSlot
+}
+
+const coarseSliceTicks = 1 << 20
+
+func (k *coarseKernel) Step(ctx *exec.Ctx, _ int) (int, bool) {
+	before := ctx.M.Now(ctx.Core)
+	rows, done := k.Kernel.Step(ctx, k.slot.budgetFor(coarseSliceTicks, quantumRows))
+	k.slot.observe(rows, ctx.M.Now(ctx.Core)-before)
+	return rows, done
+}
+
 // TestRunBitIdenticalChaos extends the reproducibility contract of
 // TestRunBitIdentical to fault-injected runs: with the same run seed
 // AND the same fault seed, two runs — injections, retries, backoff
 // cycles, degradations and all — must be bit-for-bit identical.
 func TestRunBitIdenticalChaos(t *testing.T) {
-	var injected fault.Stats
-	runOpts := func(opts RunOptions, faultSeed int64) []StreamResult {
+	run := func(runSeed, faultSeed int64) []StreamResult {
 		t.Helper()
-		e, pl := chaosEngine(t, fault.Uniform(0.2, faultSeed))
-		res, err := e.Run(chaosSpecs(), opts)
+		e, _ := chaosEngine(t, fault.Uniform(0.2, faultSeed))
+		res, err := e.Run(chaosSpecs(), RunOptions{Duration: 1e-4, Seed: runSeed})
 		if err != nil {
 			t.Fatal(err)
 		}
-		injected = pl.Stats()
 		return res
-	}
-	run := func(runSeed, faultSeed int64) []StreamResult {
-		return runOpts(RunOptions{Duration: 1e-4, Seed: runSeed}, faultSeed)
 	}
 
 	first := run(42, 7)
@@ -67,14 +95,23 @@ func TestRunBitIdenticalChaos(t *testing.T) {
 	// earliest event (as the open loop parks a group before asking its
 	// feed) would let the other stream's re-plans overtake it. Slices
 	// as long as an execution make that window wide enough to move
-	// these numbers, which the default slices do not.
-	coarse := runOpts(RunOptions{Duration: 1e-4, Seed: 42, TargetSliceTicks: 1 << 20}, 7)
+	// these numbers, which the engine's own slices do not; coarseQuery
+	// runs the queries in such slices.
+	e, pl := chaosEngine(t, fault.Uniform(0.2, 7))
+	specs := chaosSpecs()
+	for i := range specs {
+		specs[i].Query = coarseQuery{specs[i].Query}
+	}
+	coarse, err := e.Run(specs, RunOptions{Duration: 1e-4, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
 	got := ""
 	for _, r := range coarse {
 		got += fmt.Sprintf("%s execs=%d rows=%d retries=%d degraded=%d last=%+v | ",
 			r.Name, r.Executions, r.Rows, r.Retries, r.Degraded, r.Queries[len(r.Queries)-1])
 	}
-	got += fmt.Sprintf("%+v", injected)
+	got += fmt.Sprintf("%+v", pl.Stats())
 	const want = "A execs=11 rows=6300 retries=24 degraded=0 last={Start:2800000 Done:3528000} | " +
 		"B execs=140 rows=55700 retries=12 degraded=556 last={Start:3504000 Done:3520000} | " +
 		"{Injected:593 PersistentTrips:1 MonFaults:0}"
@@ -123,20 +160,17 @@ func TestRunSurvivesFullFaultRate(t *testing.T) {
 }
 
 // TestRetryRecoversTransientFaults checks the other end: with purely
-// transient faults and a generous retry budget, the engine absorbs
+// transient faults at a rate the retry limit covers, the engine absorbs
 // every failure through cycle-domain backoff — retries counted, no
 // stream degraded.
 func TestRetryRecoversTransientFaults(t *testing.T) {
 	e, _ := chaosEngine(t, fault.Config{
 		Seed:          11,
-		WriteSchemata: 0.3,
-		MoveTask:      0.3,
-		MakeGroup:     0.3,
+		WriteSchemata: 0.05,
+		MoveTask:      0.05,
+		MakeGroup:     0.05,
 		// PersistentFraction 0: every fault is retryable.
 	})
-	if err := e.SetRetryLimit(10); err != nil {
-		t.Fatal(err)
-	}
 	res, err := e.Run(chaosSpecs(), RunOptions{Duration: 1e-4, Seed: 1})
 	if err != nil {
 		t.Fatalf("run errored on transient-only faults: %v", err)
@@ -147,13 +181,10 @@ func TestRetryRecoversTransientFaults(t *testing.T) {
 		degraded += r.Degraded
 	}
 	if retries == 0 {
-		t.Error("no retries recorded at fault rate 0.3")
+		t.Error("no retries recorded at fault rate 0.05")
 	}
 	if degraded != 0 {
-		t.Errorf("%d degradations despite transient-only faults and retry limit 10", degraded)
-	}
-	if err := e.SetRetryLimit(-1); err == nil {
-		t.Error("SetRetryLimit accepted a negative limit")
+		t.Errorf("%d degradations despite transient-only faults at rate 0.05 and retry limit %d", degraded, DefaultRetryLimit)
 	}
 }
 
@@ -181,22 +212,5 @@ func TestRunErrorPathUnwindsCleanly(t *testing.T) {
 	}
 	if !reflect.DeepEqual(reused, fresh) {
 		t.Errorf("run after failure diverges from fresh engine:\nreused: %+v\n fresh: %+v", reused, fresh)
-	}
-}
-
-// TestSharedPoolErrorPathSurfacesOnce asserts RunSharedPool reports a
-// mid-run failure as exactly one error mentioning the cause once —
-// not once per worker or once per remaining stream.
-func TestSharedPoolErrorPathSurfacesOnce(t *testing.T) {
-	e := testEngine(t, true)
-	_, err := e.RunSharedPool([]Query{
-		&failingQuery{ok: 1},
-		&countQuery{name: "B", rowsPerExec: 400, cuid: core.Sensitive},
-	}, RunOptions{Duration: 0.01, Seed: 1})
-	if err == nil {
-		t.Fatal("mid-run shared-pool failure not surfaced")
-	}
-	if n := strings.Count(err.Error(), "synthetic planning failure"); n != 1 {
-		t.Errorf("error mentions the cause %d times, want exactly once: %v", n, err)
 	}
 }

@@ -47,8 +47,7 @@ func (s *kernelSlot) observe(rows int, ticks int64) {
 }
 
 // stream is the state of one core group for the length of a run: a
-// StreamSpec of Run, a group of RunOpenLoop, a query of RunSharedPool
-// (whose core set is the whole pool).
+// StreamSpec of Run or a group of RunOpenLoop.
 type stream struct {
 	// spec holds the group's cores and the query in flight on them, which
 	// a fed run replaces at every dispatch.
@@ -75,10 +74,6 @@ type stream struct {
 	// warm-up boundary, or in a fed run the dispatch of the execution in
 	// flight.
 	statsAt cachesim.CoreStats
-	// poolStats sums the counter deltas of the slices the stream's jobs
-	// ran, on whichever core; only a pool run fills it, where a core's
-	// counters belong to no one stream.
-	poolStats cachesim.CoreStats
 
 	// A fed run's group is idle between a completion and the next
 	// dispatch; wake is the tick to ask the feed at. A retired group
@@ -91,8 +86,8 @@ type stream struct {
 }
 
 // runState is what a front end hands the loop, the one scheduler under
-// every run. What Run, RunOpenLoop and RunSharedPool differ in is data
-// here — the horizon, feed and pool — not a scheduler of their own.
+// every run. What Run and RunOpenLoop differ in is data here — the
+// horizon and the feed — not a scheduler of their own.
 type runState struct {
 	streams []*stream
 	// bindings ties every worker core to its stream and kernel slot, in
@@ -101,10 +96,6 @@ type runState struct {
 	bindings []runnable
 	ctxs     []*exec.Ctx
 	ces      *epochState // controller clock, nil without a controller
-
-	// quantum and targetTicks bound a scheduling slice in rows and ticks.
-	quantum     int
-	targetTicks int64
 
 	// The loop returns once the least-advanced core reaches durTicks
 	// (MaxInt64: once the feed has retired every group); results cover
@@ -120,11 +111,6 @@ type runState struct {
 	feed Feed
 	obs  CompletionObserver
 	done []Completion
-
-	// pool is nil when every stream owns its cores; otherwise every core
-	// takes whichever stream's job is next, slice by slice, and pool[c]
-	// is the stream core c ran last, its affinity for the next pick.
-	pool []int
 }
 
 // checkCores rejects core groups that are empty, out of the machine's
@@ -193,8 +179,7 @@ func (e *Engine) prewarm(q Query, cores []int) {
 }
 
 // runnable is one armed, unfinished kernel slot: the stream it belongs
-// to, its slot there and the core it runs on. In a pool run it is a
-// core alone, and the slot is picked when the core's turn comes.
+// to, its slot there and the core it runs on.
 type runnable struct {
 	st   *stream
 	slot int
@@ -204,12 +189,6 @@ type runnable struct {
 // runnables lists what can take the next slice, in the order equal
 // clocks are served.
 func (rs *runState) runnables(run []runnable) []runnable {
-	if rs.pool != nil {
-		for c := range rs.ctxs {
-			run = append(run, runnable{core: c})
-		}
-		return run
-	}
 	for _, b := range rs.bindings {
 		if !b.st.idle && b.st.slots[b.slot].kernel != nil && !b.st.slots[b.slot].done {
 			run = append(run, b)
@@ -256,17 +235,8 @@ func (rs *runState) snapshotWarm(e *Engine) {
 		st.rowsAtWarm = st.rows
 		st.execsAtWarm = st.execs
 		st.ticksAtWarm = len(st.execTicks)
-		st.statsAt = rs.statsOf(e, st)
+		st.statsAt = e.coreStats(st.spec.Cores)
 	}
-}
-
-// statsOf returns the counters of the stream's work so far: those of
-// its cores, or in a pool run those of the slices its jobs ran.
-func (rs *runState) statsOf(e *Engine, st *stream) cachesim.CoreStats {
-	if rs.pool != nil {
-		return st.poolStats
-	}
-	return e.coreStats(st.spec.Cores)
 }
 
 // coreStats sums the cores' counters at the current instant.
@@ -342,14 +312,7 @@ func (e *Engine) loop(rs *runState) error {
 		if err := e.controllerTick(rs.ces, now, r.core); err != nil {
 			return err
 		}
-
-		var done bool
-		var err error
-		if rs.pool == nil {
-			done, err = e.stepSlice(rs, r.st, r.slot, r.core)
-		} else {
-			r.st, done, err = e.poolSlice(rs, r.core)
-		}
+		done, err := e.stepSlice(rs, r.st, r.slot, r.core)
 		if err != nil {
 			return err
 		}
@@ -371,7 +334,7 @@ func (e *Engine) loop(rs *runState) error {
 // neither progresses nor finishes is an error.
 func (e *Engine) stepSlice(rs *runState, st *stream, slotIdx, core int) (done bool, err error) {
 	slot := &st.slots[slotIdx]
-	budget := slot.budgetFor(rs.targetTicks, rs.quantum)
+	budget := slot.budgetFor(sliceTicks, quantumRows)
 	before := e.m.Now(core)
 	rows, done := slot.kernel.Step(rs.ctxs[core], budget)
 	slot.observe(rows, e.m.Now(core)-before)
@@ -401,11 +364,10 @@ func (st *stream) phaseDone() bool {
 }
 
 // barrier ends the stream's phase at tick t — its cores' synchronised
-// clock, to which the early finishers idle; in a pool, where other jobs
-// fill that time, the clock of the core that finished last. It arms the
-// next phase, or completes the execution: a fed stream reports it and
-// goes idle until the feed is asked at t, any other stream plans its
-// next execution here and now. That re-plan must not wait for t to
+// clock, to which the early finishers idle. It arms the next phase, or
+// completes the execution: a fed stream reports it and goes idle until
+// the feed is asked at t, any other stream plans its next execution
+// here and now. That re-plan must not wait for t to
 // become the earliest event as a dispatch does: Plan draws from the
 // stream's rng and allocates in the address space, and arming phase 0
 // writes masks through the control plane and, under fault injection,
@@ -413,13 +375,10 @@ func (st *stream) phaseDone() bool {
 // re-plans happen relative to every other core's slices is part of
 // every result the closed loops have ever produced.
 func (e *Engine) barrier(rs *runState, st *stream, core int) error {
-	t := e.m.Now(core)
-	if rs.pool == nil {
-		t = e.syncTo(st.spec.Cores, t)
-	}
+	t := e.syncTo(st.spec.Cores, e.m.Now(core))
 	st.phaseIdx++
 	if st.phaseIdx < len(st.phases) {
-		return e.armPhase(rs, st)
+		return e.armPhase(st)
 	}
 	st.execs++
 	if rs.feed != nil {
@@ -429,12 +388,12 @@ func (e *Engine) barrier(rs *runState, st *stream, core int) error {
 	st.execTicks = append(st.execTicks, t-st.execStart)
 	st.execDone = append(st.execDone, t)
 	st.execStart = t
-	return e.plan(rs, st)
+	return e.plan(st)
 }
 
 // plan asks the stream's query for one execution's phases, checks them
 // against the stream's core count and arms phase 0.
-func (e *Engine) plan(rs *runState, st *stream) error {
+func (e *Engine) plan(st *stream) error {
 	q := st.spec.Query
 	phases, err := q.Plan(len(st.spec.Cores), st.rng)
 	if err != nil {
@@ -454,20 +413,16 @@ func (e *Engine) plan(rs *runState, st *stream) error {
 	}
 	st.phases = phases
 	st.phaseIdx = 0
-	return e.armPhase(rs, st)
+	return e.armPhase(st)
 }
 
 // armPhase binds the current phase's kernels to the stream's slots and
-// applies the phase's CUID to each participating worker. A pool worker
-// takes its job's CUID when it picks the slot instead (poolSlice).
-func (e *Engine) armPhase(rs *runState, st *stream) error {
+// applies the phase's CUID to each participating worker.
+func (e *Engine) armPhase(st *stream) error {
 	ph := st.phases[st.phaseIdx]
 	st.slots = make([]kernelSlot, len(st.spec.Cores))
 	for i := range ph.Kernels {
 		st.slots[i] = kernelSlot{kernel: ph.Kernels[i]}
-		if rs.pool != nil {
-			continue
-		}
 		if err := e.applyJob(st.spec.Cores[i], st.idx, ph.CUID, ph.Footprint); err != nil {
 			return err
 		}

@@ -96,21 +96,10 @@ type CompletionObserver interface {
 
 // OpenLoopOptions tunes an open-loop run. The zero value is usable.
 type OpenLoopOptions struct {
-	// Quantum caps the row budget per scheduling slice as in
-	// RunOptions. Default 1024. Slices are bounded in virtual time by
-	// RunOptions' default TargetSliceTicks.
-	Quantum int
-
 	// Prewarm lists queries whose declared regions (Prewarmer) are
 	// touched once before the clocks zero, so dictionaries and tables
 	// start resident as they would be on a long-running server.
 	Prewarm []Query
-}
-
-func (o *OpenLoopOptions) setDefaults() {
-	if o.Quantum <= 0 {
-		o.Quantum = 1024
-	}
 }
 
 // GroupResult summarises one core group over an open-loop run.
@@ -138,7 +127,6 @@ type OpenLoopResult struct {
 // groups until every group retires. The machine is reset first; the
 // attached controller (if any) sees one stream per group.
 func (e *Engine) RunOpenLoop(groups [][]int, feed Feed, opts OpenLoopOptions) (*OpenLoopResult, error) {
-	opts.setDefaults()
 	if feed == nil {
 		return nil, fmt.Errorf("engine: nil feed")
 	}
@@ -157,11 +145,9 @@ func (e *Engine) RunOpenLoop(groups [][]int, feed Feed, opts OpenLoopOptions) (*
 	// No horizon and no warm-up window: the run ends when the feed has
 	// retired every group, and all of it is measured.
 	rs := &runState{
-		quantum:     opts.Quantum,
-		targetTicks: defaultSliceTicks,
-		durTicks:    math.MaxInt64,
-		warmed:      true,
-		feed:        feed,
+		durTicks: math.MaxInt64,
+		warmed:   true,
+		feed:     feed,
 	}
 	rs.obs, _ = feed.(CompletionObserver)
 	if err := e.begin(rs, specs, infos); err != nil {
@@ -209,7 +195,7 @@ func (e *Engine) dispatch(rs *runState, st *stream) error {
 	st.spec.Query, st.rng, st.sub = sub.Query, sub.Rng, sub
 	st.execStart = e.syncTo(st.spec.Cores, sub.Release)
 	st.rows = 0
-	if err := e.plan(rs, st); err != nil {
+	if err := e.plan(st); err != nil {
 		return err
 	}
 	st.idle = false

@@ -56,12 +56,7 @@ func TestStreamQueryStamps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The shared pool is the other closed loop and reports the same way.
-	pooled, err := testEngine(t, true).RunSharedPool([]Query{a, b}, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range append(res, pooled...) {
+	for _, r := range res {
 		if len(r.Queries) != len(r.ExecTicks) {
 			t.Fatalf("%s: %d stamps for %d exec ticks", r.Name, len(r.Queries), len(r.ExecTicks))
 		}

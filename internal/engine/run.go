@@ -32,37 +32,23 @@ type RunOptions struct {
 	// each workload for 90 wall-clock seconds; simulated runs use
 	// shorter budgets at smaller data scales).
 	Duration float64
-	// WarmupFraction of the duration is excluded from measurement so
-	// caches reach steady state. Default 0.25.
-	WarmupFraction float64
 	// Seed drives per-execution query parameters. Streams derive
 	// distinct sub-seeds.
 	Seed int64
-	// Quantum caps the row budget per scheduling slice. Default 1024.
-	Quantum int
-	// TargetSliceTicks bounds the virtual time one scheduling slice
-	// may advance a core. Keeping slices time-uniform across kernels
-	// with very different per-row costs bounds the clock skew between
-	// cores, which the shared DRAM queue is sensitive to. Default 1024
-	// ticks (64 cycles).
-	TargetSliceTicks int64
 }
 
-// defaultSliceTicks is RunOptions.TargetSliceTicks's default and the
-// open loop's only slice bound.
-const defaultSliceTicks = 1024
+// warmupFraction of a closed run's duration is excluded from
+// measurement so caches reach steady state.
+const warmupFraction = 0.25
 
-func (o *RunOptions) setDefaults() {
-	if o.WarmupFraction <= 0 || o.WarmupFraction >= 1 {
-		o.WarmupFraction = 0.25
-	}
-	if o.Quantum <= 0 {
-		o.Quantum = 1024
-	}
-	if o.TargetSliceTicks <= 0 {
-		o.TargetSliceTicks = defaultSliceTicks
-	}
-}
+// quantumRows caps the row budget of one scheduling slice.
+const quantumRows = 1024
+
+// sliceTicks bounds the virtual time one scheduling slice may advance
+// a core (64 cycles). Keeping slices time-uniform across kernels with
+// very different per-row costs bounds the clock skew between cores,
+// which the shared DRAM queue is sensitive to.
+const sliceTicks = 1024
 
 // StreamResult reports one stream's measured throughput and counters
 // over the post-warmup window.
@@ -129,34 +115,24 @@ func (r StreamResult) Percentile(p float64) int64 {
 // Run executes the streams concurrently in virtual time until the
 // simulated duration elapses, returning per-stream results. The
 // machine is reset first so runs are independent and deterministic;
-// the loop interleaves cores in min-clock order.
+// the loop interleaves cores in min-clock order. Each stream re-plans
+// its own query back to back: it plans its first execution from an rng
+// of its own sub-seed, then the declared working sets are prewarmed
+// with the phase-0 masks already applied.
 func (e *Engine) Run(specs []StreamSpec, opts RunOptions) ([]StreamResult, error) {
 	if err := e.checkCores(specs); err != nil {
 		return nil, err
+	}
+	if opts.Duration <= 0 {
+		return nil, fmt.Errorf("engine: duration %v must be positive", opts.Duration)
 	}
 	infos := make([]StreamInfo, len(specs))
 	for i, s := range specs {
 		infos[i] = StreamInfo{Name: s.Query.Name(), Cores: len(s.Cores)}
 	}
-	return e.runClosed(specs, infos, opts, nil)
-}
-
-// runClosed runs streams that re-plan their own query back to back
-// until the simulated duration elapses — on cores of their own, or with
-// pool set on every core of the machine. Each stream plans its first
-// execution from an rng of its own sub-seed, then the declared working
-// sets are prewarmed with the phase-0 masks already applied.
-func (e *Engine) runClosed(specs []StreamSpec, infos []StreamInfo, opts RunOptions, pool []int) ([]StreamResult, error) {
-	opts.setDefaults()
-	if opts.Duration <= 0 {
-		return nil, fmt.Errorf("engine: duration %v must be positive", opts.Duration)
-	}
 	rs := &runState{
-		quantum:     opts.Quantum,
-		targetTicks: opts.TargetSliceTicks,
-		durTicks:    e.m.Ticks(opts.Duration),
-		warmTicks:   e.m.Ticks(opts.Duration * opts.WarmupFraction),
-		pool:        pool,
+		durTicks:  e.m.Ticks(opts.Duration),
+		warmTicks: e.m.Ticks(opts.Duration * warmupFraction),
 	}
 	if err := e.begin(rs, specs, infos); err != nil {
 		return nil, err
@@ -165,7 +141,7 @@ func (e *Engine) runClosed(specs []StreamSpec, infos []StreamInfo, opts RunOptio
 	sort.Slice(rs.bindings, func(i, j int) bool { return rs.bindings[i].core < rs.bindings[j].core })
 	for i, st := range rs.streams {
 		st.rng = rand.New(rand.NewSource(opts.Seed + int64(i)*7919))
-		if err := e.plan(rs, st); err != nil {
+		if err := e.plan(st); err != nil {
 			return nil, err
 		}
 	}
@@ -200,7 +176,7 @@ func (e *Engine) results(rs *runState) []StreamResult {
 			Rows:          rows,
 			WindowSeconds: window,
 			Throughput:    float64(rows) / window,
-			Stats:         rs.statsOf(e, st).Sub(st.statsAt),
+			Stats:         e.coreStats(st.spec.Cores).Sub(st.statsAt),
 			ExecTicks:     ticks,
 			Queries:       stamps,
 			Retries:       e.streamFaults[i].retries,

@@ -13,9 +13,10 @@ import (
 // adapt) to the system's engine. While attached, runs ignore the
 // static CUID→mask policy and let the controller program per-stream
 // masks from CMT/MBM telemetry. The returned controller exposes the
-// transition log for inspection.
-func (s *System) EnableAdaptive(cfg adapt.Config) (*adapt.Controller, error) {
-	return adapt.Attach(s.Engine, cfg)
+// transition log for inspection. adapt.Config carries no settings; the
+// parameter remains only because the repository benchmark passes one.
+func (s *System) EnableAdaptive(adapt.Config) (*adapt.Controller, error) {
+	return adapt.Attach(s.Engine)
 }
 
 // DisableAdaptive detaches the controller, restoring the static
@@ -24,8 +25,9 @@ func (s *System) DisableAdaptive() { s.Engine.DetachController() }
 
 // unannotated erases a query's cache-usage annotations: every phase
 // reports the default Sensitive CUID and an empty footprint, the
-// shape of a workload whose operators were never classified. Prewarm
-// regions are forwarded so measurement windows stay comparable.
+// shape of a workload whose operators were never classified. It is the
+// one way to run the controller blind. Prewarm regions are forwarded
+// so measurement windows stay comparable.
 type unannotated struct {
 	q engine.Query
 }
@@ -71,15 +73,13 @@ func (u *unannotatedPrewarmer) PrewarmRegions(cores int) []memory.Region {
 type AdaptResult struct {
 	Annotated PairRow
 	Blind     PairRow
-	// Config is the controller configuration both rows ran under.
-	Config adapt.Config
 }
 
 // adaptArms builds the three experiment arms over a system. The
 // static policy stays disabled in the adaptive arm: whatever the
 // controller achieves it achieves from telemetry (plus whatever
 // annotations the queries carry).
-func (s *System) adaptArms(cfg adapt.Config) []struct {
+func (s *System) adaptArms() []struct {
 	name  string
 	apply func() error
 } {
@@ -99,7 +99,7 @@ func (s *System) adaptArms(cfg adapt.Config) []struct {
 			if err := s.SetPartitioning(false); err != nil {
 				return err
 			}
-			_, err := s.EnableAdaptive(cfg)
+			_, err := adapt.Attach(s.Engine)
 			return err
 		}},
 	}
@@ -114,14 +114,8 @@ var (
 )
 
 // FigAdapt runs the adaptive-controller experiment at the given
-// parameters with the default controller configuration.
+// parameters.
 func FigAdapt(p Params) (AdaptResult, error) {
-	return FigAdaptConfig(p, adapt.DefaultConfig())
-}
-
-// FigAdaptConfig runs the adaptive-controller experiment with an
-// explicit controller configuration.
-func FigAdaptConfig(p Params, cfg adapt.Config) (AdaptResult, error) {
 	sys, err := NewSystem(p)
 	if err != nil {
 		return AdaptResult{}, err
@@ -135,17 +129,17 @@ func FigAdaptConfig(p Params, cfg adapt.Config) (AdaptResult, error) {
 	if err != nil {
 		return AdaptResult{}, err
 	}
-	out := AdaptResult{Config: cfg}
+	var out AdaptResult
 
 	sys.DisableAdaptive()
-	annotated, err := sys.runPairArms("annotated", q1, q2, sys.adaptArms(cfg))
+	annotated, err := sys.runPairArms("annotated", q1, q2, sys.adaptArms())
 	if err != nil {
 		return AdaptResult{}, err
 	}
 	out.Annotated = annotated
 
 	sys.DisableAdaptive()
-	blind, err := sys.runPairArms("blind", Unannotated(q1), Unannotated(q2), sys.adaptArms(cfg))
+	blind, err := sys.runPairArms("blind", Unannotated(q1), Unannotated(q2), sys.adaptArms())
 	if err != nil {
 		return AdaptResult{}, err
 	}

@@ -41,8 +41,6 @@ type Params struct {
 	RowsScan, RowsAgg, RowsProbe int
 	// Seed makes runs reproducible.
 	Seed int64
-	// Quantum is the scheduling slice in rows.
-	Quantum int
 
 	// DictSweep, GroupSweep and KeySweep override the paper-nominal
 	// parameter lists of Figures 5/9 (dictionary cardinalities, group
@@ -254,7 +252,6 @@ func (s *System) runOptions() engine.RunOptions {
 	return engine.RunOptions{
 		Duration: s.Params.Duration,
 		Seed:     s.Params.Seed,
-		Quantum:  s.Params.Quantum,
 	}
 }
 
@@ -265,22 +262,6 @@ func (s *System) RunIsolated(q engine.Query, cores []int) (Measure, error) {
 		return Measure{}, err
 	}
 	return s.measureOf(res[0]), nil
-}
-
-// RunShared measures queries co-running on one shared worker pool —
-// the engine's real execution model, where jobs of all statements
-// time-share every core and the CUID mask is applied on each context
-// switch.
-func (s *System) RunShared(queries ...engine.Query) ([]Measure, error) {
-	res, err := s.Engine.RunSharedPool(queries, s.runOptions())
-	if err != nil {
-		return nil, err
-	}
-	out := make([]Measure, len(res))
-	for i, r := range res {
-		out[i] = s.measureOf(r)
-	}
-	return out, nil
 }
 
 // RunPair measures two queries co-running on disjoint core sets.

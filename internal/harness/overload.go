@@ -5,7 +5,6 @@ import (
 	"io"
 	"text/tabwriter"
 
-	"cachepart/internal/adapt"
 	"cachepart/internal/fault"
 	"cachepart/internal/serve"
 )
@@ -183,7 +182,7 @@ func FigOverloadOpts(p Params, o OverloadOptions) (*OverloadResult, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, arm := range sys.adaptArms(adapt.DefaultConfig()) {
+			for _, arm := range sys.adaptArms() {
 				if !armSelected(o.Arms, arm.name) {
 					continue
 				}
@@ -198,7 +197,6 @@ func FigOverloadOpts(p Params, o OverloadOptions) (*OverloadResult, error) {
 					Retry:   o.Retry,
 					Breaker: o.Breaker,
 					Faults:  o.ServeFaults,
-					Quantum: p.Quantum,
 				}
 				r, err := serve.Run(sys.Engine, ss.groups, cfg)
 				if err != nil {

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"text/tabwriter"
 
-	"cachepart/internal/adapt"
 	"cachepart/internal/column"
 	"cachepart/internal/core"
 	"cachepart/internal/engine"
@@ -19,7 +18,7 @@ import (
 
 // serve.go: the FigServe capacity-sweep experiment — the serving tier
 // (internal/serve) exercised over three tenants built from the
-// repository's existing kernels, under shared-pool, the paper's static
+// repository's existing kernels, under shared-cache, the paper's static
 // scheme, and the adaptive controller, at fractions of the system's
 // estimated capacity.
 
@@ -239,7 +238,7 @@ func (s *System) calibrateServe(tenants []serve.Tenant, shares []float64, groups
 			w := &t.Mix[wi]
 			res, err := s.Engine.Run(
 				[]engine.StreamSpec{{Query: w.Instances[0], Cores: groups[0]}},
-				engine.RunOptions{Duration: s.Params.Duration, Seed: s.Params.Seed, Quantum: s.Params.Quantum},
+				s.runOptions(),
 			)
 			if err != nil {
 				return nil, 0, fmt.Errorf("calibrating %s/%s: %w", t.Name, w.Name, err)
@@ -324,7 +323,7 @@ func newServeSystem(p Params, faults *fault.Config) (*serveSystem, error) {
 
 // FigServeOpts runs the serving-tier capacity sweep: tenant rates are
 // set to Load × estimated capacity (split by serveShares), and each
-// load point runs under the shared-pool, static-partitioning and
+// load point runs under the shared-cache, static-partitioning and
 // adaptive-controller arms. Reports are bit-identical per
 // (Params.Seed, options) — including under fault injection.
 func FigServeOpts(p Params, o ServeOptions) (*ServeResult, error) {
@@ -354,9 +353,8 @@ func FigServeOpts(p Params, o ServeOptions) (*ServeResult, error) {
 			Seed:    p.Seed,
 			Horizon: float64(o.Arrivals) / rate,
 			Tenants: tenants,
-			Quantum: p.Quantum,
 		}
-		for _, arm := range sys.adaptArms(adapt.DefaultConfig()) {
+		for _, arm := range sys.adaptArms() {
 			if err := arm.apply(); err != nil {
 				return nil, err
 			}

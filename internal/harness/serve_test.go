@@ -31,7 +31,7 @@ func TestFigServeSmoke(t *testing.T) {
 // TestFigServeAcceptance pins the experiment's headline claim: at the
 // 1.0x saturation point, both the paper's static scheme and the
 // adaptive controller deliver lower p99 latency and higher Jain
-// fairness than the shared-pool baseline (the committed table in
+// fairness than the shared-cache baseline (the committed table in
 // EXPERIMENTS.md).
 func TestFigServeAcceptance(t *testing.T) {
 	if testing.Short() {

@@ -112,7 +112,7 @@ func newFeed(cfg *Config, m *cachesim.Machine, arrivals []Arrival, groupCores []
 		queues:     make([][]Arrival, n),
 		heads:      make([]int, n),
 		shed:       shed,
-		tracker:    newPolluterTracker(cfg.Tenants, groupCores, adapt.DefaultStreamingBandwidthFraction*m.Config().DRAMBandwidth, ticksPerSec),
+		tracker:    newPolluterTracker(cfg.Tenants, groupCores, adapt.StreamingBandwidthFraction*m.Config().DRAMBandwidth, ticksPerSec),
 		deadline:   make([]int64, n),
 		retry:      cfg.Retry,
 		retryBase:  m.Ticks(backoff),

@@ -42,9 +42,6 @@ type Config struct {
 	// Faults enables serving-plane chaos: seeded arrival bursts (see
 	// fault.ServeConfig). nil injects nothing.
 	Faults *fault.ServeConfig
-
-	// Quantum passes through to engine.OpenLoopOptions.
-	Quantum int
 }
 
 // Run executes one serving run on the engine's machine: groups are
@@ -84,10 +81,7 @@ func Run(e *engine.Engine, groups [][]int, cfg Config) (*Report, error) {
 		}
 	}
 
-	res, err := e.RunOpenLoop(groups, f, engine.OpenLoopOptions{
-		Quantum: cfg.Quantum,
-		Prewarm: prewarm,
-	})
+	res, err := e.RunOpenLoop(groups, f, engine.OpenLoopOptions{Prewarm: prewarm})
 	if err != nil {
 		return nil, err
 	}

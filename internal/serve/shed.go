@@ -137,7 +137,7 @@ const polluterEWMAAlpha = 0.3
 // polluterTracker classifies each (tenant, workload) as LLC-polluting
 // from per-completion DRAM telemetry (Completion.MemBytes): an EWMA of
 // the per-core bytes/second each kind sustains while executing,
-// compared against adapt.DefaultStreamingBandwidthFraction of the
+// compared against adapt.StreamingBandwidthFraction of the
 // machine's DRAM bandwidth — the completion-granular analogue of
 // internal/adapt's MBM classifier.
 // All updates happen in the engine's deterministic Observe order.

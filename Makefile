@@ -11,9 +11,9 @@ build:
 test:
 	$(GO) test ./...
 
+# The CI lint job: build, gofmt -l, vet and cachelint.
 lint:
-	$(GO) vet ./...
-	$(GO) run ./cmd/cachelint ./...
+	sh scripts/check.sh lint
 
 # The repo benchmark declared in BENCHMARK.json (see bench/README.md).
 bench:

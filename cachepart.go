@@ -164,7 +164,8 @@ type (
 	ServeReport = serve.Report
 	// ServeTenantReport is one tenant's slice of a ServeReport.
 	ServeTenantReport = serve.TenantReport
-	// ServeOptions parameterises the FigServe capacity sweep.
+	// ServeOptions parameterises the FigServe capacity sweep
+	// (Params.Serve).
 	ServeOptions = harness.ServeOptions
 	// ServeResult is the sweep: per load multiple, the shared-cache,
 	// static-scheme and adaptive-controller arms.
@@ -193,7 +194,8 @@ type (
 	// ServeFaultConfig seeds serving-plane chaos: arrival-burst fault
 	// windows composing with resctrl faults.
 	ServeFaultConfig = fault.ServeConfig
-	// OverloadOptions parameterises the FigOverload sweep.
+	// OverloadOptions parameterises the FigOverload sweep
+	// (Params.Overload).
 	OverloadOptions = harness.OverloadOptions
 	// OverloadResult is the sweep: per rogue-polluter load multiple,
 	// every (cache arm, shed policy) cell.
@@ -373,14 +375,12 @@ var (
 	// FigServe sweeps the open-loop serving tier across offered-load
 	// multiples of estimated capacity, comparing shared-cache, the
 	// paper's static scheme and the adaptive controller on tail
-	// latency and fairness; FigServeOpts takes explicit options.
-	FigServe     = harness.FigServe
-	FigServeOpts = harness.FigServeOpts
+	// latency and fairness; Params.Serve tunes it.
+	FigServe = harness.FigServe
 	// FigOverload drives the serving tier past capacity with a rogue
 	// polluting cohort and sweeps SLO-aware shedding policies against
-	// the cache arms; FigOverloadOpts takes explicit options.
-	FigOverload     = harness.FigOverload
-	FigOverloadOpts = harness.FigOverloadOpts
+	// the cache arms; Params.Overload tunes it.
+	FigOverload = harness.FigOverload
 	// ParseShedPolicy resolves a shedding policy by name (none, fair,
 	// polluter).
 	ParseShedPolicy = serve.ParseShedPolicy

@@ -24,12 +24,7 @@ func TestFigAdaptAcceptance(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	PrintPairRows(&out,
-		"Adaptive controller — scan ∥ aggregation, annotated (A=scan, B=aggregation)",
-		[]PairRow{r.Annotated})
-	PrintPairRows(&out,
-		"Adaptive controller — scan ∥ aggregation, annotations stripped (A=scan, B=aggregation)",
-		[]PairRow{r.Blind})
+	PrintAdapt(&out, r)
 	checkGolden(t, "adapt", out.Bytes())
 	arm := func(row PairRow, name string) PairArm {
 		a, ok := row.Arm(name)

@@ -35,7 +35,7 @@ func TestFig5Function(t *testing.T) {
 		t.Errorf("panel label = %q", sets[0].Label)
 	}
 	var out bytes.Buffer
-	PrintCurveSets(&out, "Figure 5", sets)
+	PrintFig5(&out, sets)
 	checkGolden(t, "fig5", out.Bytes())
 }
 
@@ -52,7 +52,7 @@ func TestFig6Function(t *testing.T) {
 		t.Errorf("1e8-key join not sensitive: %.3f vs %.3f", pts[0].Norm, pts[1].Norm)
 	}
 	var out bytes.Buffer
-	PrintGroupSeries(&out, "Figure 6", series)
+	PrintFig6(&out, series)
 	checkGolden(t, "fig6", out.Bytes())
 }
 
@@ -73,6 +73,9 @@ func TestFig9Function(t *testing.T) {
 	if part.NormB <= shared.NormB {
 		t.Errorf("Fig9 partitioning did not help: %.3f -> %.3f", shared.NormB, part.NormB)
 	}
+	var out bytes.Buffer
+	PrintFig9(&out, panels)
+	checkGolden(t, "fig9", out.Bytes())
 }
 
 func TestFig10Function(t *testing.T) {
@@ -92,6 +95,9 @@ func TestFig10Function(t *testing.T) {
 		t.Errorf("join60 (%.3f) should protect the 1e8-key join better than join10 (%.3f)",
 			j60.NormB, j10.NormB)
 	}
+	var out bytes.Buffer
+	PrintFig10(&out, rows)
+	checkGolden(t, "fig10", out.Bytes())
 }
 
 func TestFig11QueryFunction(t *testing.T) {
@@ -107,6 +113,9 @@ func TestFig11QueryFunction(t *testing.T) {
 	if part.NormB <= shared.NormB {
 		t.Errorf("TPC-H Q1 gained nothing: %.3f -> %.3f", shared.NormB, part.NormB)
 	}
+	var out bytes.Buffer
+	PrintFig11(&out, []PairRow{row})
+	checkGolden(t, "fig11", out.Bytes())
 	if _, err := Fig11Query(p, 99); err == nil {
 		t.Error("query 99 accepted")
 	}
@@ -129,7 +138,7 @@ func TestFig12Function(t *testing.T) {
 		}
 	}
 	var out bytes.Buffer
-	PrintPairRows(&out, "Figure 12", rows)
+	PrintFig12(&out, rows)
 	checkGolden(t, "fig12", out.Bytes())
 }
 
@@ -153,6 +162,9 @@ func TestFigProjSweepFunction(t *testing.T) {
 			t.Errorf("%s: partitioning regressed OLTP %.3f -> %.3f", r.Label, shared.NormB, part.NormB)
 		}
 	}
+	var out bytes.Buffer
+	PrintProj(&out, rows)
+	checkGolden(t, "proj", out.Bytes())
 }
 
 func TestFig1Function(t *testing.T) {

@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -14,79 +13,34 @@ var update = flag.Bool("update", false, "rewrite testdata/golden.json from the c
 
 const goldenPath = "testdata/golden.json"
 
-// goldenFigures renders each pinned figure through the printers
-// cmd/cachepart uses, at the parameters the shape tests in this
-// package use.
-var goldenFigures = []struct {
-	name   string
-	render func(w *bytes.Buffer) error
-}{
-	{"fig9b", func(w *bytes.Buffer) error {
-		panels, err := Fig9(figureParams())
-		if err != nil {
-			return err
-		}
-		for _, panel := range panels {
-			PrintPairRows(w, "Figure 9 — "+panel.Label, panel.Rows)
-		}
-		return nil
-	}},
-	{"fig10", func(w *bytes.Buffer) error {
-		rows, err := Fig10(figureParams())
-		if err != nil {
-			return err
-		}
-		PrintPairRows(w, "Figure 10", rows)
-		return nil
-	}},
-	{"fig11", func(w *bytes.Buffer) error {
-		p := figureParams()
-		p.RowsAgg = 1 << 17
-		row, err := Fig11Query(p, 1)
-		if err != nil {
-			return err
-		}
-		PrintPairRows(w, "Figure 11", []PairRow{row})
-		return nil
-	}},
-	{"serve", func(w *bytes.Buffer) error {
-		r, err := FigServeOpts(Fast(), serveTestOpts())
-		if err != nil {
-			return err
-		}
-		PrintServe(w, r)
-		return nil
-	}},
-}
-
-// TestGoldenDigests pins the serial reference model: the printed
-// output of each figure must hash to the digest recorded in
-// testdata/golden.json. The simulator is deterministic per seed, so
-// any drift is a behaviour change; a PR that moves a digest
-// regenerates the file with `go test ./internal/harness -update` and
-// says why in CHANGES.md. The count check catches a missing or stale
-// entry.
+// TestGoldenDigests keeps testdata/golden.json in step with the
+// figure table: exactly one digest per entry of Figures. Each digest
+// pins what the CLI prints for that figure; the test that already runs
+// the figure checks it with checkGolden. The simulator is
+// deterministic per seed, so any drift is a behaviour change; a PR
+// that moves a digest regenerates the file with
+// `go test ./internal/harness -update` and says why in CHANGES.md.
 func TestGoldenDigests(t *testing.T) {
-	if testing.Short() {
-		t.Skip("figure runs in short mode")
+	if *update {
+		t.Skip("recording digests")
 	}
-	for _, fig := range goldenFigures {
-		var buf bytes.Buffer
-		if err := fig.render(&buf); err != nil {
-			t.Fatalf("%s: %v", fig.name, err)
+	want := readGolden(t)
+	seen := map[string]bool{}
+	for _, f := range Figures() {
+		if seen[f.Name] {
+			t.Errorf("figure %q appears twice in the table", f.Name)
 		}
-		checkGolden(t, fig.name, buf.Bytes())
+		seen[f.Name] = true
+		if _, ok := want[f.Name]; !ok {
+			t.Errorf("figure %q has no digest in %s", f.Name, goldenPath)
+		}
 	}
-	if want, n := readGolden(t), len(goldenFigures)+len(figureDigests); len(want) != n {
-		t.Errorf("%s holds %d digests, the tests render %d", goldenPath, len(want), n)
+	for name := range want {
+		if !seen[name] {
+			t.Errorf("%s holds digest %q, which names no figure", goldenPath, name)
+		}
 	}
 }
-
-// figureDigests are the entries the Test*Function tests in
-// figures_test.go, TestFigOverloadAcceptance, TestFigAdaptAcceptance,
-// TestFigChaosFunction and TestFigCoSchedule check, each from the run
-// it already makes.
-var figureDigests = []string{"fig1", "fig5", "fig6", "fig12", "overload", "adapt", "chaos", "cosched"}
 
 // readGolden loads testdata/golden.json; under -update a missing file
 // reads as empty.

@@ -49,6 +49,11 @@ type Params struct {
 	DictSweep  []int64
 	GroupSweep []int64
 	KeySweep   []int64
+
+	// Serve and Overload tune the FigServe and FigOverload sweeps; the
+	// zero value of each uses that sweep's defaults.
+	Serve    ServeOptions
+	Overload OverloadOptions
 }
 
 // Default returns parameters tuned for the command-line tool: 1/8 of

@@ -111,6 +111,21 @@ func TestFig4Flat(t *testing.T) {
 	if pts[len(pts)-1].LLCMiB != 55.0 {
 		t.Errorf("full cache labelled %.1f MiB, want 55", pts[len(pts)-1].LLCMiB)
 	}
+	var out bytes.Buffer
+	PrintFig4(&out, pts)
+	checkGolden(t, "fig4", out.Bytes())
+
+	// Section V-B derives the scheme from this sweep.
+	d, err := Derive(pts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.CUID != core.Polluting {
+		t.Errorf("flat scan classified as %v, want polluting", d.CUID)
+	}
+	out.Reset()
+	PrintDerive(&out, d)
+	checkGolden(t, "derive", out.Bytes())
 }
 
 // TestAggregationSensitive asserts Figure 5's headline: aggregation
@@ -317,10 +332,10 @@ func TestPolicyAutoMatchesHeuristic(t *testing.T) {
 
 func TestPrintersProduceOutput(t *testing.T) {
 	var sb strings.Builder
-	PrintWayPoints(&sb, "t", []WayPoint{{Ways: 2, LLCMiB: 5.5, Norm: 0.5}})
-	PrintGroupSeries(&sb, "t", []GroupSeries{{Label: "a", Points: []WayPoint{{Ways: 2, LLCMiB: 5.5, Norm: 1}}}})
-	PrintCurveSets(&sb, "t", []CurveSet{{Label: "p", Series: []GroupSeries{{Label: "a", Points: []WayPoint{{Ways: 2}}}}}})
-	PrintPairRows(&sb, "t", []PairRow{{
+	PrintFig4(&sb, []WayPoint{{Ways: 2, LLCMiB: 5.5, Norm: 0.5}})
+	printGroupSeries(&sb, "t", []GroupSeries{{Label: "a", Points: []WayPoint{{Ways: 2, LLCMiB: 5.5, Norm: 1}}}})
+	PrintFig5(&sb, []CurveSet{{Label: "p", Series: []GroupSeries{{Label: "a", Points: []WayPoint{{Ways: 2}}}}}})
+	printPairRows(&sb, "t", []PairRow{{
 		Label: "x", NameA: "a", NameB: "b",
 		Arms: []PairArm{{Name: "shared", NormA: 1, NormB: 0.5}, {Name: "partitioned", NormA: 1, NormB: 0.7}},
 	}})
@@ -332,8 +347,8 @@ func TestPrintersProduceOutput(t *testing.T) {
 		}
 	}
 	// Empty inputs do not panic.
-	PrintGroupSeries(&sb, "empty", nil)
-	PrintPairRows(&sb, "empty", nil)
+	printGroupSeries(&sb, "empty", nil)
+	printPairRows(&sb, "empty", nil)
 }
 
 // TestFigCoSchedule exercises the Section VIII sketch: the cache-aware

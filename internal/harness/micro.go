@@ -3,7 +3,10 @@ package harness
 import (
 	"fmt"
 
+	"cachepart/internal/cat"
+	"cachepart/internal/core"
 	"cachepart/internal/engine"
+	"cachepart/internal/resctrl"
 	"cachepart/internal/workload"
 )
 
@@ -78,6 +81,48 @@ func Fig4(p Params) ([]WayPoint, error) {
 		return nil, err
 	}
 	return sys.sweepWays(q1, sys.AllCores())
+}
+
+// DeriveResult is the automated Section V-B: the class the scan's
+// curve falls in, the polluting mask of the scheme derived from it,
+// and the resctrl script that applies that scheme.
+type DeriveResult struct {
+	CUID   core.CUID
+	Mask   cat.WayMask
+	Script string
+}
+
+// Derive classifies a Figure 4 scan sweep and derives the paper
+// machine's partitioning scheme (55 MiB, 20 ways) from it.
+func Derive(pts []WayPoint) (DeriveResult, error) {
+	curve := make([]core.CurvePoint, 0, len(pts))
+	for _, pt := range pts {
+		curve = append(curve, core.CurvePoint{Ways: pt.Ways, Throughput: pt.Norm})
+	}
+	cuid, err := core.ClassifyCurve(curve, 20)
+	if err != nil {
+		return DeriveResult{}, err
+	}
+	pol, err := core.DeriveScheme(55<<20, 20, [][]core.CurvePoint{curve})
+	if err != nil {
+		return DeriveResult{}, err
+	}
+	pol.Enabled = true
+	script, err := resctrl.Script(pol)
+	if err != nil {
+		return DeriveResult{}, err
+	}
+	return DeriveResult{CUID: cuid, Mask: pol.MaskFor(core.Polluting, core.Footprint{}), Script: script}, nil
+}
+
+// FigDerive measures the Figure 4 sweep and derives the scheme from
+// it.
+func FigDerive(p Params) (DeriveResult, error) {
+	pts, err := Fig4(p)
+	if err != nil {
+		return DeriveResult{}, err
+	}
+	return Derive(pts)
 }
 
 // Fig5Dictionaries are the paper's three dictionary configurations:

@@ -120,18 +120,14 @@ func (l *OverloadLoad) Run(arm, shed string) *serve.Report {
 	return nil
 }
 
-// FigOverload runs the overload sweep with default options.
+// FigOverload runs the SLO-aware overload sweep that p.Overload tunes:
+// the FigServe cohorts with per-tenant SLOs derived from their
+// isolated baselines, client retries and circuit breakers enabled,
+// driven at Loads × capacity under every (shed policy, cache arm)
+// pair. Reports are bit-identical per (Params.Seed, p.Overload) —
+// including under composed control-plane and serving-plane chaos.
 func FigOverload(p Params) (*OverloadResult, error) {
-	return FigOverloadOpts(p, OverloadOptions{})
-}
-
-// FigOverloadOpts runs the SLO-aware overload sweep: the FigServe
-// cohorts with per-tenant SLOs derived from their isolated baselines,
-// client retries and circuit breakers enabled, driven at Loads ×
-// capacity under every (shed policy, cache arm) pair. Reports are
-// bit-identical per (Params.Seed, options) — including under composed
-// control-plane and serving-plane chaos.
-func FigOverloadOpts(p Params, o OverloadOptions) (*OverloadResult, error) {
+	o := p.Overload
 	o.setDefaults()
 	ss, err := newServeSystem(p, o.Faults)
 	if err != nil {

@@ -12,8 +12,10 @@ import (
 // overloadTestOpts pins the 3x rogue-polluter point the acceptance
 // criterion cares about, with both the no-shed control and the
 // polluter-first treatment.
-func overloadTestOpts() OverloadOptions {
-	return OverloadOptions{Loads: []float64{3.0}, Sheds: []string{"none", "polluter"}}
+func overloadTestOpts() Params {
+	p := Fast()
+	p.Overload = OverloadOptions{Loads: []float64{3.0}, Sheds: []string{"none", "polluter"}}
+	return p
 }
 
 // TestFigOverloadSmoke prints a reduced sweep at test scale (visual
@@ -22,7 +24,9 @@ func TestFigOverloadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in short mode")
 	}
-	r, err := FigOverloadOpts(Fast(), OverloadOptions{Loads: []float64{1, 3}})
+	p := Fast()
+	p.Overload.Loads = []float64{1, 3}
+	r, err := FigOverload(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +41,7 @@ func TestFigOverloadAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload sweep in short mode")
 	}
-	r, err := FigOverloadOpts(Fast(), overloadTestOpts())
+	r, err := FigOverload(overloadTestOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,16 +76,17 @@ func TestFigOverloadAcceptance(t *testing.T) {
 
 // overloadChaosOpts composes control-plane resctrl chaos with
 // serving-plane bursts on top of retries and breakers.
-func overloadChaosOpts() OverloadOptions {
-	o := OverloadOptions{
+func overloadChaosOpts() Params {
+	p := Fast()
+	p.Overload = OverloadOptions{
 		Loads: []float64{3.0},
 		Sheds: []string{"polluter"},
 		Arms:  []string{"static", "adaptive"},
 	}
 	cfg := fault.Uniform(0.2, 7)
-	o.Faults = &cfg
-	o.ServeFaults = &fault.ServeConfig{Seed: 7, Bursts: 1, BurstFactor: 3}
-	return o
+	p.Overload.Faults = &cfg
+	p.Overload.ServeFaults = &fault.ServeConfig{Seed: 7, Bursts: 1, BurstFactor: 3}
+	return p
 }
 
 // TestFigOverloadChaosReplay pins chaos interop: the sweep under
@@ -92,11 +97,11 @@ func TestFigOverloadChaosReplay(t *testing.T) {
 	if testing.Short() {
 		t.Skip("overload sweep in short mode")
 	}
-	a, err := FigOverloadOpts(Fast(), overloadChaosOpts())
+	a, err := FigOverload(overloadChaosOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FigOverloadOpts(Fast(), overloadChaosOpts())
+	b, err := FigOverload(overloadChaosOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,8 +109,8 @@ func TestFigOverloadChaosReplay(t *testing.T) {
 		t.Error("chaos overload sweep differs across identical replays")
 	}
 	reseed := overloadChaosOpts()
-	reseed.ServeFaults.Seed = 8
-	c, err := FigOverloadOpts(Fast(), reseed)
+	reseed.Overload.ServeFaults.Seed = 8
+	c, err := FigOverload(reseed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,21 +7,8 @@ import (
 	"text/tabwriter"
 )
 
-// PrintWayPoints renders an LLC-size sweep (Figure 4 style).
-func PrintWayPoints(w io.Writer, title string, pts []WayPoint) {
-	fmt.Fprintf(w, "%s\n", title)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "ways\tLLC(paper MiB)\tnorm.throughput\tLLC hit ratio\tmisses/instr\tDRAM GB/s")
-	for _, p := range pts {
-		fmt.Fprintf(tw, "%d\t%.2f\t%.3f\t%.3f\t%.2e\t%.1f\n",
-			p.Ways, p.LLCMiB, p.Norm, p.Measure.HitRatio, p.Measure.MPI, p.Measure.Bandwidth/1e9)
-	}
-	tw.Flush()
-	fmt.Fprintln(w)
-}
-
-// PrintGroupSeries renders a family of sweeps (Figure 6 style).
-func PrintGroupSeries(w io.Writer, title string, series []GroupSeries) {
+// printGroupSeries renders a family of sweeps (Figure 6 style).
+func printGroupSeries(w io.Writer, title string, series []GroupSeries) {
 	fmt.Fprintf(w, "%s\n", title)
 	if len(series) == 0 {
 		return
@@ -43,17 +30,9 @@ func PrintGroupSeries(w io.Writer, title string, series []GroupSeries) {
 	fmt.Fprintln(w)
 }
 
-// PrintCurveSets renders panelled sweeps (Figure 5 style).
-func PrintCurveSets(w io.Writer, title string, sets []CurveSet) {
-	fmt.Fprintf(w, "%s\n\n", title)
-	for _, set := range sets {
-		PrintGroupSeries(w, "  "+set.Label, set.Series)
-	}
-}
-
-// PrintPairRows renders co-run results (Figures 9-12 style): per row,
+// printPairRows renders co-run results (Figures 9-12 style): per row,
 // each query's normalized throughput under every arm.
-func PrintPairRows(w io.Writer, title string, rows []PairRow) {
+func printPairRows(w io.Writer, title string, rows []PairRow) {
 	fmt.Fprintf(w, "%s\n", title)
 	if len(rows) == 0 {
 		return
@@ -115,4 +94,74 @@ func PrintFig1(w io.Writer, r Fig1Result) {
 		fmt.Fprintf(w, "  %-30s %-40s %.2f\n", b.label, strings.Repeat("#", n), b.v)
 	}
 	fmt.Fprintln(w)
+}
+
+// PrintFig4 renders the Figure 4 scan sweep.
+func PrintFig4(w io.Writer, pts []WayPoint) {
+	fmt.Fprintln(w, "Figure 4 — column scan vs. LLC size (expect: flat)")
+	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
+	fmt.Fprintln(tw, "ways\tLLC(paper MiB)\tnorm.throughput\tLLC hit ratio\tmisses/instr\tDRAM GB/s")
+	for _, p := range pts {
+		fmt.Fprintf(tw, "%d\t%.2f\t%.3f\t%.3f\t%.2e\t%.1f\n",
+			p.Ways, p.LLCMiB, p.Norm, p.Measure.HitRatio, p.Measure.MPI, p.Measure.Bandwidth/1e9)
+	}
+	tw.Flush()
+	fmt.Fprintln(w)
+}
+
+// PrintFig5 renders the Figure 5 aggregation panels.
+func PrintFig5(w io.Writer, sets []CurveSet) {
+	fmt.Fprint(w, "Figure 5 — aggregation vs. LLC size (expect: knees where hash table ≈ LLC)\n\n")
+	for _, set := range sets {
+		printGroupSeries(w, "  "+set.Label, set.Series)
+	}
+}
+
+// PrintFig6 renders the Figure 6 join sweeps.
+func PrintFig6(w io.Writer, series []GroupSeries) {
+	printGroupSeries(w, "Figure 6 — foreign-key join vs. LLC size (expect: only P=1e8 sensitive)", series)
+}
+
+// PrintFig9 renders one table per Figure 9 panel.
+func PrintFig9(w io.Writer, panels []Fig9Panel) {
+	for _, panel := range panels {
+		printPairRows(w, "Figure 9 — scan ∥ aggregation, "+panel.Label+" (A=scan, B=aggregation)", panel.Rows)
+	}
+}
+
+// PrintFig10 renders the Figure 10 co-runs.
+func PrintFig10(w io.Writer, rows []PairRow) {
+	printPairRows(w, "Figure 10 — aggregation ∥ join under join→10% and join→60% schemes (A=aggregation, B=join)", rows)
+}
+
+// PrintFig11 renders the Figure 11 TPC-H co-runs.
+func PrintFig11(w io.Writer, rows []PairRow) {
+	printPairRows(w, "Figure 11 — column scan ∥ TPC-H queries (A=scan, B=TPC-H; expect Q1/Q7/Q8/Q9 to gain most)", rows)
+}
+
+// PrintFig12 renders the Figure 12 OLTP co-runs.
+func PrintFig12(w io.Writer, rows []PairRow) {
+	printPairRows(w, "Figure 12 — column scan ∥ S/4HANA OLTP query (A=scan, B=OLTP)", rows)
+}
+
+// PrintProj renders the Section VI-E projected-columns sweep.
+func PrintProj(w io.Writer, rows []PairRow) {
+	printPairRows(w, "Section VI-E sweep — OLTP benefit vs. projected columns (A=scan, B=OLTP)", rows)
+}
+
+// PrintAdapt renders the adaptive-controller co-run, annotated and
+// with annotations stripped.
+func PrintAdapt(w io.Writer, r AdaptResult) {
+	printPairRows(w, "Adaptive controller — scan ∥ aggregation, annotated (A=scan, B=aggregation)",
+		[]PairRow{r.Annotated})
+	printPairRows(w, "Adaptive controller — scan ∥ aggregation, annotations stripped (A=scan, B=aggregation)",
+		[]PairRow{r.Blind})
+}
+
+// PrintDerive renders the derived scheme and its resctrl script.
+func PrintDerive(w io.Writer, r DeriveResult) {
+	fmt.Fprintf(w, "Derived scheme — the scan classifies as %q; polluting mask %v (%d of 20 ways)\n\n",
+		r.CUID, r.Mask, r.Mask.Ways())
+	fmt.Fprintln(w, "To apply on a real Linux machine with CAT:")
+	fmt.Fprintln(w, r.Script)
 }

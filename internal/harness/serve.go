@@ -266,11 +266,6 @@ func (s *System) calibrateServe(tenants []serve.Tenant, shares []float64, groups
 	return baselines, capacityQPS, nil
 }
 
-// FigServe runs the capacity sweep with default options.
-func FigServe(p Params) (*ServeResult, error) {
-	return FigServeOpts(p, ServeOptions{})
-}
-
 // serveSystem is what FigServe and FigOverload share: a system, its
 // dispatch groups, the three cohorts with their load shares normalised
 // to 1, and their calibrated isolated baselines and estimated capacity.
@@ -321,12 +316,14 @@ func newServeSystem(p Params, faults *fault.Config) (*serveSystem, error) {
 		baselines: baselines, capacity: capacity}, nil
 }
 
-// FigServeOpts runs the serving-tier capacity sweep: tenant rates are
-// set to Load × estimated capacity (split by serveShares), and each
-// load point runs under the shared-cache, static-partitioning and
-// adaptive-controller arms. Reports are bit-identical per
-// (Params.Seed, options) — including under fault injection.
-func FigServeOpts(p Params, o ServeOptions) (*ServeResult, error) {
+// FigServe runs the serving-tier capacity sweep that p.Serve tunes:
+// tenant rates are set to Load × estimated capacity (split by
+// serveShares), and each load point runs under the shared-cache,
+// static-partitioning and adaptive-controller arms. Reports are
+// bit-identical per (Params.Seed, p.Serve) — including under fault
+// injection.
+func FigServe(p Params) (*ServeResult, error) {
+	o := p.Serve
 	o.setDefaults()
 	ss, err := newServeSystem(p, o.Faults)
 	if err != nil {

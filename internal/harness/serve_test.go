@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"bytes"
 	"os"
 	"reflect"
 	"testing"
@@ -11,8 +12,10 @@ import (
 
 // serveTestOpts keeps the sweep small enough for CI while preserving
 // the saturation point the acceptance criterion cares about.
-func serveTestOpts() ServeOptions {
-	return ServeOptions{Loads: []float64{1.0}, Arrivals: 120}
+func serveTestOpts() Params {
+	p := Fast()
+	p.Serve = ServeOptions{Loads: []float64{1.0}, Arrivals: 120}
+	return p
 }
 
 // TestFigServeSmoke prints a full sweep at test scale (visual check
@@ -37,7 +40,9 @@ func TestFigServeAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep in short mode")
 	}
-	r, err := FigServeOpts(Fast(), ServeOptions{Loads: []float64{1.0}})
+	p := Fast()
+	p.Serve.Loads = []float64{1.0}
+	r, err := FigServe(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,13 +65,17 @@ func TestFigServeAcceptance(t *testing.T) {
 	}
 }
 
-// TestFigServeDeterminism pins bit-identical reports per seed.
+// TestFigServeDeterminism pins bit-identical reports per seed, and
+// the serve digest on the first run.
 func TestFigServeDeterminism(t *testing.T) {
-	a, err := FigServeOpts(Fast(), serveTestOpts())
+	a, err := FigServe(serveTestOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FigServeOpts(Fast(), serveTestOpts())
+	var out bytes.Buffer
+	PrintServe(&out, a)
+	checkGolden(t, "serve", out.Bytes())
+	b, err := FigServe(serveTestOpts())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,14 +88,14 @@ func TestFigServeDeterminism(t *testing.T) {
 // fault injection is bit-identical per (run-seed, fault-seed), and
 // degraded runs still report complete latency accounting.
 func TestFigServeChaos(t *testing.T) {
-	opts := serveTestOpts()
+	p := serveTestOpts()
 	cfg := fault.Uniform(0.2, 7)
-	opts.Faults = &cfg
-	a, err := FigServeOpts(Fast(), opts)
+	p.Serve.Faults = &cfg
+	a, err := FigServe(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := FigServeOpts(Fast(), opts)
+	b, err := FigServe(p)
 	if err != nil {
 		t.Fatal(err)
 	}

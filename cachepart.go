@@ -20,7 +20,7 @@
 //   - the paper's full evaluation: micro-benchmark sweeps (Figures
 //     4-6), concurrent workloads (Figures 9-10), TPC-H co-runs
 //     (Figure 11) and the S/4HANA OLTP experiments (Figures 1 and 12)
-//     (internal/harness, internal/workload);
+//     (internal/harness, internal/workload; cmd/cachepart runs them);
 //
 //   - an online feedback controller that reprograms the CAT masks from
 //     cache-occupancy and memory-bandwidth telemetry every control
@@ -48,13 +48,10 @@ package cachepart
 import (
 	"cachepart/internal/adapt"
 	"cachepart/internal/cachesim"
-	"cachepart/internal/cat"
 	"cachepart/internal/column"
 	"cachepart/internal/core"
 	"cachepart/internal/engine"
-	"cachepart/internal/fault"
 	"cachepart/internal/harness"
-	"cachepart/internal/serve"
 	"cachepart/internal/workload"
 	"cachepart/internal/workload/s4"
 	"cachepart/internal/workload/tpch"
@@ -70,21 +67,6 @@ type (
 	// Measure is one stream's measured window: throughput, LLC hit
 	// ratio, misses per instruction, DRAM bandwidth.
 	Measure = harness.Measure
-	// PairRow is a two-query co-run result with isolated baselines and
-	// per-arm normalized throughputs.
-	PairRow = harness.PairRow
-	// PairArm is one arm (e.g. "shared", "partitioned") of a PairRow.
-	PairArm = harness.PairArm
-	// WayPoint is one sample of an LLC-size sweep.
-	WayPoint = harness.WayPoint
-	// GroupSeries is one curve of a sweep figure.
-	GroupSeries = harness.GroupSeries
-	// CurveSet is one figure panel of curves.
-	CurveSet = harness.CurveSet
-	// Fig9Panel is one dictionary configuration of Figure 9.
-	Fig9Panel = harness.Fig9Panel
-	// Fig1Result is the teaser experiment's three bars.
-	Fig1Result = harness.Fig1Result
 
 	// Policy is the paper's partitioning scheme: which LLC fraction
 	// each job class may fill into.
@@ -96,18 +78,11 @@ type (
 	// CurvePoint is a micro-benchmark sample used to derive schemes.
 	CurvePoint = core.CurvePoint
 
-	// WayMask is a CAT capacity bitmask over LLC ways.
-	WayMask = cat.WayMask
-
 	// Query plans repeated executions of one statement.
 	Query = engine.Query
 	// Phase is one barrier-separated stage of an execution.
 	Phase = engine.Phase
-	// StreamSpec assigns a query to a set of worker cores.
-	StreamSpec = engine.StreamSpec
 
-	// MachineConfig describes the simulated hardware.
-	MachineConfig = cachesim.Config
 	// CoreStats are the simulator's per-core performance counters.
 	CoreStats = cachesim.CoreStats
 
@@ -119,103 +94,6 @@ type (
 	// AdaptController is an attached controller: it exposes the mask
 	// transition log, schemata-write count and per-stream classes.
 	AdaptController = adapt.Controller
-	// AdaptTransition is one recorded mask reprogramming.
-	AdaptTransition = adapt.Transition
-	// AdaptClass is the controller's behavioural classification of a
-	// stream.
-	AdaptClass = adapt.Class
-	// AdaptResult is the adaptive-vs-static experiment: the Figure 9(b)
-	// co-run under no partitioning, the static scheme and the online
-	// controller, annotated and blind.
-	AdaptResult = harness.AdaptResult
-
-	// FaultConfig sets per-operation control-plane fault-injection
-	// probabilities; enable with System.EnableChaos, disable with
-	// System.DisableChaos.
-	FaultConfig = fault.Config
-	// FaultPlane is an interposed fault injector over the resctrl
-	// control plane; it exposes injection statistics.
-	FaultPlane = fault.Plane
-	// FaultStats counts what a FaultPlane injected.
-	FaultStats = fault.Stats
-	// ChaosPoint is one fault rate of the chaos sweep.
-	ChaosPoint = harness.ChaosPoint
-	// ChaosResult is the chaos experiment's baseline and sweep points.
-	ChaosResult = harness.ChaosResult
-
-	// ServeConfig drives the open-loop multi-tenant serving tier: a
-	// seeded arrival generator over tenant cohorts, bounded per-tenant
-	// queues and a CLOS-aware FIFO dispatcher, all in virtual time.
-	ServeConfig = serve.Config
-	// ServeTenant is one cohort: an arrival process over a workload mix
-	// with a bounded queue.
-	ServeTenant = serve.Tenant
-	// ServeWorkload is one entry of a tenant's query mix.
-	ServeWorkload = serve.Workload
-	// ServeProcess is a tenant's arrival process (Poisson or diurnal).
-	ServeProcess = serve.Process
-	// ServePeriod is one sinusoidal component of a diurnal process.
-	ServePeriod = serve.Period
-	// ServeArrival is one generated arrival of the seeded trace.
-	ServeArrival = serve.Arrival
-	// ServeReport is a serving run's metrics: latency percentiles in
-	// virtual cycles, queue depths, drop accounting, per-tenant
-	// slowdowns and Jain fairness.
-	ServeReport = serve.Report
-	// ServeTenantReport is one tenant's slice of a ServeReport.
-	ServeTenantReport = serve.TenantReport
-	// ServeOptions parameterises the FigServe capacity sweep
-	// (Params.Serve).
-	ServeOptions = harness.ServeOptions
-	// ServeResult is the sweep: per load multiple, the shared-cache,
-	// static-scheme and adaptive-controller arms.
-	ServeResult = harness.ServeResult
-	// ServeLoad is one load multiple of the sweep.
-	ServeLoad = harness.ServeLoad
-	// ServeArmReport is one partitioning arm's report at one load.
-	ServeArmReport = harness.ServeArmReport
-
-	// SLOConfig is a tenant's service-level objective: a client-visible
-	// p99 latency target and a queueing deadline past which a waiting
-	// query is dropped, both in simulated seconds.
-	SLOConfig = serve.SLO
-	// RetryConfig is the deterministic client retry model: attempts,
-	// seeded exponential backoff and a per-tenant retry budget.
-	RetryConfig = serve.Retry
-	// BreakerConfig tunes the per-tenant circuit breakers (sliding
-	// violation window, trip fraction, seeded half-open backoff).
-	BreakerConfig = serve.Breaker
-	// ShedPolicy decides which arrivals to turn away under overload;
-	// ShedNone, ShedFair and ShedPolluter implement it.
-	ShedPolicy   = serve.ShedPolicy
-	ShedNone     = serve.ShedNone
-	ShedFair     = serve.ShedFair
-	ShedPolluter = serve.ShedPolluter
-	// ServeFaultConfig seeds serving-plane chaos: arrival-burst fault
-	// windows composing with resctrl faults.
-	ServeFaultConfig = fault.ServeConfig
-	// OverloadOptions parameterises the FigOverload sweep
-	// (Params.Overload).
-	OverloadOptions = harness.OverloadOptions
-	// OverloadResult is the sweep: per rogue-polluter load multiple,
-	// every (cache arm, shed policy) cell.
-	OverloadResult = harness.OverloadResult
-	// OverloadLoad is one load multiple of the overload sweep.
-	OverloadLoad = harness.OverloadLoad
-	// OverloadRun is one (cache arm, shed policy) cell.
-	OverloadRun = harness.OverloadRun
-)
-
-// UniformFaults builds a FaultConfig injecting every control-plane
-// operation at the same rate from the given seed.
-func UniformFaults(rate float64, seed int64) FaultConfig { return fault.Uniform(rate, seed) }
-
-// The controller's stream classes.
-const (
-	AdaptUnknown        = adapt.Unknown
-	AdaptNeutral        = adapt.Neutral
-	AdaptCacheSensitive = adapt.CacheSensitive
-	AdaptStreaming      = adapt.Streaming
 )
 
 // Cache usage identifiers (Section V-C of the paper).
@@ -229,10 +107,6 @@ const (
 	// footprint.
 	Depends = core.Depends
 )
-
-// DefaultParams returns the command-line tool's defaults: 1/8 of the
-// paper machine with multi-second simulations per figure.
-func DefaultParams() Params { return harness.Default() }
 
 // FastParams returns test/benchmark defaults: 1/32 scale, short
 // windows.
@@ -250,12 +124,6 @@ func NewSystem(p Params) (*System, error) { return harness.NewSystem(p) }
 // epochs, backs its probations off, and never confines an isolated
 // query.
 func DefaultAdaptConfig() AdaptConfig { return adapt.DefaultConfig() }
-
-// Unannotated wraps a query with its CUID annotations stripped: every
-// phase reports the unannotated default. Under the static policy such
-// a query is never confined; under the adaptive controller telemetry
-// alone must classify it.
-func Unannotated(q Query) Query { return harness.Unannotated(q) }
 
 // DefaultPolicy returns the paper's partitioning scheme for an LLC
 // geometry: polluting jobs 10%, sensitive jobs 100%, joins 10% or 60%
@@ -340,48 +208,3 @@ func GenerateColumn(sys *System, name string, n int, lo, hi int64) (*Column, err
 
 // Column is a dictionary-encoded, bit-packed column.
 type Column = column.Column
-
-// Paper figures. Each function runs the complete experiment at the
-// given parameters and returns the series the paper plots.
-var (
-	// Fig1 is the teaser: OLTP isolated / concurrent / partitioned.
-	Fig1 = harness.Fig1
-	// Fig4 sweeps the column scan across LLC sizes.
-	Fig4 = harness.Fig4
-	// Fig5 sweeps aggregation across LLC sizes, dictionary sizes and
-	// group counts.
-	Fig5 = harness.Fig5
-	// Fig6 sweeps the foreign-key join across LLC sizes and key counts.
-	Fig6 = harness.Fig6
-	// Fig9 co-runs scan and aggregation with and without partitioning.
-	Fig9 = harness.Fig9
-	// Fig10 co-runs aggregation and join under the 10% and 60% schemes.
-	Fig10 = harness.Fig10
-	// Fig11 co-runs each TPC-H query with the polluting scan.
-	Fig11 = harness.Fig11
-	// Fig12 co-runs the scan with the S/4HANA OLTP query.
-	Fig12 = harness.Fig12
-	// FigProjSweep is the Section VI-E projected-columns sweep.
-	FigProjSweep = harness.FigProjSweep
-	// FigAdapt co-runs scan and aggregation under no partitioning, the
-	// static scheme and the online controller — annotated and blind.
-	FigAdapt = harness.FigAdapt
-	// FigChaos sweeps control-plane fault rates over the partitioned
-	// co-run: throughput vs. the fault-free baseline plus retry and
-	// degradation counts; FigChaosRatesConfig takes an explicit rate
-	// list.
-	FigChaos            = harness.FigChaos
-	FigChaosRatesConfig = harness.FigChaosRatesConfig
-	// FigServe sweeps the open-loop serving tier across offered-load
-	// multiples of estimated capacity, comparing shared-cache, the
-	// paper's static scheme and the adaptive controller on tail
-	// latency and fairness; Params.Serve tunes it.
-	FigServe = harness.FigServe
-	// FigOverload drives the serving tier past capacity with a rogue
-	// polluting cohort and sweeps SLO-aware shedding policies against
-	// the cache arms; Params.Overload tunes it.
-	FigOverload = harness.FigOverload
-	// ParseShedPolicy resolves a shedding policy by name (none, fair,
-	// polluter).
-	ParseShedPolicy = serve.ParseShedPolicy
-)

@@ -2,6 +2,8 @@ package cachepart
 
 import (
 	"testing"
+
+	"cachepart/internal/harness"
 )
 
 func tinyParams() Params {
@@ -166,7 +168,7 @@ func TestGenerateColumn(t *testing.T) {
 
 func TestFig1Facade(t *testing.T) {
 	p := tinyParams()
-	r, err := Fig1(p)
+	r, err := harness.Fig1(p)
 	if err != nil {
 		t.Fatal(err)
 	}

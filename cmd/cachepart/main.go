@@ -108,7 +108,7 @@ func main() {
 		badFlag("%v", err)
 	}
 	p.Serve = harness.ServeOptions{Loads: l, QueueCap: *capacity, Arrivals: *arrivals}
-	p.Overload = harness.OverloadOptions{Loads: l, Arrivals: *arrivals, SLOMultiple: *sloMult, QueueCap: *capacity}
+	p.Overload = harness.OverloadOptions{Loads: l, Arrivals: *arrivals, SLOMultiple: *sloMult, Retries: *retries, QueueCap: *capacity}
 	if *sheds != "" {
 		for _, field := range strings.Split(*sheds, ",") {
 			name := strings.TrimSpace(field)
@@ -117,9 +117,6 @@ func main() {
 			}
 			p.Overload.Sheds = append(p.Overload.Sheds, name)
 		}
-	}
-	if *retries > 0 {
-		p.Overload.Retry = serve.Retry{MaxAttempts: *retries, BudgetFraction: 0.3}
 	}
 	if *burst > 0 {
 		p.Overload.ServeFaults = &fault.ServeConfig{Seed: *seed, Bursts: 1, BurstFactor: *burst}

@@ -79,14 +79,8 @@ type AdaptResult struct {
 // static policy stays disabled in the adaptive arm: whatever the
 // controller achieves it achieves from telemetry (plus whatever
 // annotations the queries carry).
-func (s *System) adaptArms() []struct {
-	name  string
-	apply func() error
-} {
-	return []struct {
-		name  string
-		apply func() error
-	}{
+func (s *System) adaptArms() []arm {
+	return []arm{
 		{"shared", func() error {
 			s.DisableAdaptive()
 			return s.SetPartitioning(false)
@@ -105,10 +99,10 @@ func (s *System) adaptArms() []struct {
 	}
 }
 
-// FigAdaptNominal are the Figure 9(b) co-run parameters the adaptive
-// experiment reuses: the 40 MiB dictionary and a mid-sweep group
-// count where the paper's static scheme helps most.
-var (
+// FigAdaptDistinct and FigAdaptGroups are the Figure 9(b) co-run
+// parameters the adaptive experiment reuses: the 40 MiB dictionary and
+// a mid-sweep group count where the paper's static scheme helps most.
+const (
 	FigAdaptDistinct int64 = 10_000_000
 	FigAdaptGroups   int64 = 100_000
 )
@@ -130,16 +124,17 @@ func FigAdapt(p Params) (AdaptResult, error) {
 		return AdaptResult{}, err
 	}
 	var out AdaptResult
+	a, b := sys.SplitCores()
 
 	sys.DisableAdaptive()
-	annotated, err := sys.runPairArms("annotated", q1, q2, sys.adaptArms())
+	annotated, err := sys.runPairArms("annotated", q1, a, q2, b, sys.adaptArms())
 	if err != nil {
 		return AdaptResult{}, err
 	}
 	out.Annotated = annotated
 
 	sys.DisableAdaptive()
-	blind, err := sys.runPairArms("blind", Unannotated(q1), Unannotated(q2), sys.adaptArms())
+	blind, err := sys.runPairArms("blind", Unannotated(q1), a, Unannotated(q2), b, sys.adaptArms())
 	if err != nil {
 		return AdaptResult{}, err
 	}

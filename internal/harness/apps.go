@@ -3,7 +3,6 @@ package harness
 import (
 	"fmt"
 
-	"cachepart/internal/engine"
 	"cachepart/internal/workload/s4"
 	"cachepart/internal/workload/tpch"
 )
@@ -42,24 +41,18 @@ func fig11Queries(p Params, numbers []int) ([]PairRow, error) {
 		return nil, err
 	}
 	if numbers == nil {
-		for n := 1; n <= len(tpch.Specs); n++ {
+		for n := 1; n <= tpch.Queries; n++ {
 			numbers = append(numbers, n)
 		}
 	}
+	a, b := sys.SplitCores()
 	var rows []PairRow
 	for _, n := range numbers {
 		q, err := tpch.NewQuery(db, sys.Space, n)
 		if err != nil {
 			return nil, err
 		}
-		row, err := sys.runPairArms(q.Name(), q1, q,
-			[]struct {
-				name  string
-				apply func() error
-			}{
-				{"shared", func() error { return sys.SetPartitioning(false) }},
-				{"partitioned", func() error { return sys.SetPartitioning(true) }},
-			})
+		row, err := sys.runPairArms(q.Name(), q1, a, q, b, sys.partitionArms())
 		if err != nil {
 			return nil, err
 		}
@@ -114,6 +107,7 @@ func Fig12(p Params) ([]PairRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	olap, dedicated := sys.oltpCoreSplit()
 	var rows []PairRow
 	projections := []struct {
 		label   string
@@ -133,57 +127,13 @@ func Fig12(p Params) ([]PairRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		row, err := sys.runOLTPArms(sel.label, q1, oltp)
+		row, err := sys.runPairArms(sel.label, q1, olap, oltp, dedicated, sys.partitionArms())
 		if err != nil {
 			return nil, err
 		}
 		rows = append(rows, row)
 	}
 	return rows, nil
-}
-
-// runOLTPArms is runPairArms with the dedicated OLTP core split.
-func (s *System) runOLTPArms(label string, olap, oltp engine.Query) (PairRow, error) {
-	ca, cb := s.oltpCoreSplit()
-	if err := s.SetPartitioning(false); err != nil {
-		return PairRow{}, err
-	}
-	isoA, err := s.RunIsolated(olap, ca)
-	if err != nil {
-		return PairRow{}, err
-	}
-	isoB, err := s.RunIsolated(oltp, cb)
-	if err != nil {
-		return PairRow{}, err
-	}
-	row := PairRow{
-		Label: label,
-		NameA: olap.Name(), NameB: oltp.Name(),
-		IsoA: isoA, IsoB: isoB,
-	}
-	for _, arm := range []struct {
-		name    string
-		enabled bool
-	}{
-		{"shared", false},
-		{"partitioned", true},
-	} {
-		if err := s.SetPartitioning(arm.enabled); err != nil {
-			return PairRow{}, err
-		}
-		ma, mb, err := s.RunPair(olap, ca, oltp, cb)
-		if err != nil {
-			return PairRow{}, err
-		}
-		row.Arms = append(row.Arms, PairArm{
-			Name:  arm.name,
-			A:     ma,
-			B:     mb,
-			NormA: ratio(ma.Throughput, isoA.Throughput),
-			NormB: ratio(mb.Throughput, isoB.Throughput),
-		})
-	}
-	return row, s.SetPartitioning(false)
 }
 
 // Fig1 reproduces the teaser figure: the OLTP query's throughput
@@ -214,7 +164,8 @@ func Fig1(p Params) (Fig1Result, error) {
 	if err != nil {
 		return Fig1Result{}, err
 	}
-	row, err := sys.runOLTPArms("teaser", q1, oltp)
+	olap, dedicated := sys.oltpCoreSplit()
+	row, err := sys.runPairArms("teaser", q1, olap, oltp, dedicated, sys.partitionArms())
 	if err != nil {
 		return Fig1Result{}, err
 	}
@@ -249,13 +200,14 @@ func FigProjSweep(p Params) ([]PairRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	olap, dedicated := sys.oltpCoreSplit()
 	var rows []PairRow
 	for _, k := range []int{2, 4, 6, 8, 10, 13} {
 		oltp, err := s4.NewOLTPQuery(table, table.Big[:k])
 		if err != nil {
 			return nil, err
 		}
-		row, err := sys.runOLTPArms(fmt.Sprintf("%d columns", k), q1, oltp)
+		row, err := sys.runPairArms(fmt.Sprintf("%d columns", k), q1, olap, oltp, dedicated, sys.partitionArms())
 		if err != nil {
 			return nil, err
 		}

@@ -59,9 +59,9 @@ type ChaosResult struct {
 	Points       []ChaosPoint
 }
 
-// FigChaosRates is the default fault-rate sweep: from one failure per
-// thousand control-plane calls up to every call failing.
-var FigChaosRates = []float64{0.001, 0.01, 0.05, 0.2, 1.0}
+// figChaosRates returns the default fault-rate sweep: from one failure
+// per thousand control-plane calls up to every call failing.
+func figChaosRates() []float64 { return []float64{0.001, 0.01, 0.05, 0.2, 1.0} }
 
 // FigChaos sweeps control-plane fault rates over the Figure 9(b)
 // co-run (scan ∥ aggregation, partitioned) and reports throughput
@@ -71,11 +71,11 @@ var FigChaosRates = []float64{0.001, 0.01, 0.05, 0.2, 1.0}
 // is isolation (degraded streams share the full cache) and retry
 // cycles, both of which the result quantifies.
 func FigChaos(p Params) (ChaosResult, error) {
-	return FigChaosRatesConfig(p, FigChaosRates)
+	return figChaosAt(p, figChaosRates())
 }
 
-// FigChaosRatesConfig runs the chaos sweep over an explicit rate list.
-func FigChaosRatesConfig(p Params, rates []float64) (ChaosResult, error) {
+// figChaosAt runs the chaos sweep over an explicit rate list.
+func figChaosAt(p Params, rates []float64) (ChaosResult, error) {
 	sys, err := NewSystem(p)
 	if err != nil {
 		return ChaosResult{}, err

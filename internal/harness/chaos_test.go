@@ -13,7 +13,7 @@ import (
 // reporting the injection accounting that proves faults actually flew.
 func TestFigChaosFunction(t *testing.T) {
 	p := Fast()
-	r, err := FigChaosRatesConfig(p, []float64{0.05, 1.0})
+	r, err := figChaosAt(p, []float64{0.05, 1.0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,7 +47,7 @@ func TestFigChaosFunction(t *testing.T) {
 func TestChaosSameSeedIdentical(t *testing.T) {
 	run := func() ChaosResult {
 		t.Helper()
-		r, err := FigChaosRatesConfig(Fast(), []float64{0.1})
+		r, err := figChaosAt(Fast(), []float64{0.1})
 		if err != nil {
 			t.Fatal(err)
 		}

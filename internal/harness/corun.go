@@ -39,16 +39,28 @@ type Fig9Panel struct {
 	Rows  []PairRow
 }
 
-// runPairArms measures the isolated baselines and each policy arm of a
-// query pair. The two queries run on disjoint halves of the cores, as
-// the engine pins co-running statements; isolated baselines use the
-// same core counts so normalization isolates cache and bandwidth
-// interference.
-func (s *System) runPairArms(label string, qa, qb engine.Query, arms []struct {
+// arm is one experiment configuration: apply programs it on the system
+// before the arm's co-run.
+type arm struct {
 	name  string
 	apply func() error
-}) (PairRow, error) {
-	ca, cb := s.SplitCores()
+}
+
+// partitionArms are the paper's two arms: the shared cache, and the
+// static scheme.
+func (s *System) partitionArms() []arm {
+	return []arm{
+		{"shared", func() error { return s.SetPartitioning(false) }},
+		{"partitioned", func() error { return s.SetPartitioning(true) }},
+	}
+}
+
+// runPairArms measures the isolated baselines and each arm of a query
+// pair. The two queries run on the disjoint core sets ca and cb, as
+// the engine pins co-running statements; isolated baselines use the
+// same cores so normalization isolates cache and bandwidth
+// interference.
+func (s *System) runPairArms(label string, qa engine.Query, ca []int, qb engine.Query, cb []int, arms []arm) (PairRow, error) {
 	if err := s.SetPartitioning(false); err != nil {
 		return PairRow{}, err
 	}
@@ -112,6 +124,7 @@ func Fig9(p Params) ([]Fig9Panel, error) {
 	if err != nil {
 		return nil, err
 	}
+	a, b := sys.SplitCores()
 	var panels []Fig9Panel
 	for _, distinct := range p.dictSweep() {
 		panel := Fig9Panel{Label: fmt.Sprintf("%d MiB dictionary", 4*distinct/1_000_000)}
@@ -120,15 +133,7 @@ func Fig9(p Params) ([]Fig9Panel, error) {
 			if err != nil {
 				return nil, err
 			}
-			row, err := sys.runPairArms(
-				fmt.Sprintf("G=%s", sciLabel(groups)), q1, q2,
-				[]struct {
-					name  string
-					apply func() error
-				}{
-					{"shared", func() error { return sys.SetPartitioning(false) }},
-					{"partitioned", func() error { return sys.SetPartitioning(true) }},
-				})
+			row, err := sys.runPairArms(fmt.Sprintf("G=%s", sciLabel(groups)), q1, a, q2, b, sys.partitionArms())
 			if err != nil {
 				return nil, err
 			}
@@ -139,8 +144,8 @@ func Fig9(p Params) ([]Fig9Panel, error) {
 	return panels, nil
 }
 
-// Fig10Keys are the two primary-key counts of Figure 10.
-var Fig10Keys = []int64{1_000_000, 100_000_000}
+// fig10Keys returns the two primary-key counts of Figure 10.
+func fig10Keys() []int64 { return []int64{1_000_000, 100_000_000} }
 
 // Fig10 reproduces Figure 10 (a, b): Query 2 (aggregation, 40 MiB
 // dictionary) and Query 3 (foreign-key join) executed concurrently for
@@ -152,8 +157,9 @@ func Fig10(p Params) ([]PairRow, error) {
 	if err != nil {
 		return nil, err
 	}
+	a, b := sys.SplitCores()
 	var rows []PairRow
-	keys10 := Fig10Keys
+	keys10 := fig10Keys()
 	if len(p.KeySweep) > 0 {
 		keys10 = p.KeySweep
 	}
@@ -168,11 +174,8 @@ func Fig10(p Params) ([]PairRow, error) {
 				return nil, err
 			}
 			row, err := sys.runPairArms(
-				fmt.Sprintf("P=%s G=%s", sciLabel(keys), sciLabel(groups)), q2, q3,
-				[]struct {
-					name  string
-					apply func() error
-				}{
+				fmt.Sprintf("P=%s G=%s", sciLabel(keys), sciLabel(groups)), q2, a, q3, b,
+				[]arm{
 					{"shared", func() error { return sys.SetPartitioning(false) }},
 					{"join10", func() error { return sys.setJoinFraction(0.10) }},
 					{"join60", func() error { return sys.setJoinFraction(0.60) }},

@@ -120,7 +120,7 @@ func (p Params) dictSweep() []int64 {
 	if len(p.DictSweep) > 0 {
 		return p.DictSweep
 	}
-	return Fig5Dictionaries
+	return fig5Dictionaries()
 }
 
 // groupSweep returns the Figure 5/9/10 group counts.
@@ -128,7 +128,7 @@ func (p Params) groupSweep() []int64 {
 	if len(p.GroupSweep) > 0 {
 		return p.GroupSweep
 	}
-	return Fig5Groups
+	return fig5Groups()
 }
 
 // keySweep returns the Figure 6 primary-key counts.
@@ -136,7 +136,7 @@ func (p Params) keySweep() []int64 {
 	if len(p.KeySweep) > 0 {
 		return p.KeySweep
 	}
-	return Fig6Keys
+	return fig6Keys()
 }
 
 // ScaleN divides a paper-nominal cardinality by the scale factor,

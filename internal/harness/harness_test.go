@@ -201,13 +201,8 @@ func TestPartitioningHelpsCoRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := sys.runPairArms("G=1e4", q1, q2, []struct {
-		name  string
-		apply func() error
-	}{
-		{"shared", func() error { return sys.SetPartitioning(false) }},
-		{"partitioned", func() error { return sys.SetPartitioning(true) }},
-	})
+	a, b := sys.SplitCores()
+	row, err := sys.runPairArms("G=1e4", q1, a, q2, b, sys.partitionArms())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,10 +287,8 @@ func TestFig10SchemeContrast(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	row, err := sys.runPairArms("P=1e8", q2, q3, []struct {
-		name  string
-		apply func() error
-	}{
+	a, b := sys.SplitCores()
+	row, err := sys.runPairArms("P=1e8", q2, a, q3, b, []arm{
 		{"shared", func() error { return sys.SetPartitioning(false) }},
 		{"join10", func() error { return sys.setJoinFraction(0.10) }},
 		{"join60", func() error { return sys.setJoinFraction(0.60) }},

@@ -125,12 +125,12 @@ func FigDerive(p Params) (DeriveResult, error) {
 	return Derive(pts)
 }
 
-// Fig5Dictionaries are the paper's three dictionary configurations:
-// 10^6, 10^7, 10^8 distinct values = 4, 40, 400 MiB.
-var Fig5Dictionaries = []int64{1_000_000, 10_000_000, 100_000_000}
+// fig5Dictionaries returns the paper's three dictionary
+// configurations: 10^6, 10^7, 10^8 distinct values = 4, 40, 400 MiB.
+func fig5Dictionaries() []int64 { return []int64{1_000_000, 10_000_000, 100_000_000} }
 
-// Fig5Groups are the paper's group counts 10^2..10^6.
-var Fig5Groups = []int64{100, 1_000, 10_000, 100_000, 1_000_000}
+// fig5Groups returns the paper's group counts 10^2..10^6.
+func fig5Groups() []int64 { return []int64{100, 1_000, 10_000, 100_000, 1_000_000} }
 
 // Fig5 reproduces Figure 5 (a, b, c): normalized throughput of
 // aggregation with grouping at varying LLC sizes, for the three
@@ -163,8 +163,8 @@ func Fig5(p Params) ([]CurveSet, error) {
 	return sets, nil
 }
 
-// Fig6Keys are the paper's primary-key counts 10^6..10^9.
-var Fig6Keys = []int64{1_000_000, 10_000_000, 100_000_000, 1_000_000_000}
+// fig6Keys returns the paper's primary-key counts 10^6..10^9.
+func fig6Keys() []int64 { return []int64{1_000_000, 10_000_000, 100_000_000, 1_000_000_000} }
 
 // Fig6 reproduces Figure 6: normalized throughput of the foreign-key
 // join at varying LLC sizes and primary-key counts. Expected shape:

@@ -43,13 +43,10 @@ type OverloadOptions struct {
 	// inside the target, so violations measure interference and
 	// overload, not ordinary queueing noise.
 	SLOMultiple float64
-	// Retry is the client retry model; zero value uses MaxAttempts 3
-	// with a 0.3 retry budget (set MaxAttempts 1 to disable).
-	Retry serve.Retry
-	// Breaker configures the per-tenant circuit breakers; zero value
-	// uses a 32-completion window (set Window < 0 error-free off is not
-	// supported — use a huge TripFraction instead).
-	Breaker serve.Breaker
+	// Retries is the client's attempts per query, the first included;
+	// default 3, and 1 disables retries. Retries draw on a budget of
+	// 0.3 of each tenant's first arrivals.
+	Retries int
 	// QueueCap bounds every tenant queue; default 16 as in FigServe.
 	QueueCap int
 	// Faults interposes control-plane chaos (resctrl fault injection);
@@ -58,6 +55,14 @@ type OverloadOptions struct {
 	Faults      *fault.Config
 	ServeFaults *fault.ServeConfig
 }
+
+// The overload sweep's client retry budget, as a fraction of each
+// tenant's first arrivals, and its circuit breakers' sliding window in
+// completions.
+const (
+	overloadRetryBudget   = 0.3
+	overloadBreakerWindow = 32
+)
 
 func (o *OverloadOptions) setDefaults() {
 	if len(o.Loads) == 0 {
@@ -72,11 +77,8 @@ func (o *OverloadOptions) setDefaults() {
 	if o.SLOMultiple <= 0 {
 		o.SLOMultiple = 15
 	}
-	if o.Retry.MaxAttempts == 0 {
-		o.Retry = serve.Retry{MaxAttempts: 3, BudgetFraction: 0.3}
-	}
-	if o.Breaker.Window == 0 {
-		o.Breaker = serve.Breaker{Window: 32}
+	if o.Retries <= 0 {
+		o.Retries = 3
 	}
 	if o.QueueCap <= 0 {
 		o.QueueCap = 16
@@ -190,8 +192,8 @@ func FigOverload(p Params) (*OverloadResult, error) {
 					Horizon: float64(o.Arrivals) / offered,
 					Tenants: tenants,
 					Shed:    shed,
-					Retry:   o.Retry,
-					Breaker: o.Breaker,
+					Retry:   serve.Retry{MaxAttempts: o.Retries, BudgetFraction: overloadRetryBudget},
+					Breaker: serve.Breaker{Window: overloadBreakerWindow},
 					Faults:  o.ServeFaults,
 				}
 				r, err := serve.Run(sys.Engine, ss.groups, cfg)

@@ -126,10 +126,10 @@ func (q *chunkScanQuery) Plan(cores int, rng *rand.Rand) ([]engine.Phase, error)
 	}}, nil
 }
 
-// serveShares split the offered load across the three tenants: the
-// OLTP cohort dominates by query count, analytics is rare but heavy,
-// the reporting scans sit between.
-var serveShares = [3]float64{0.60, 0.15, 0.25}
+// serveShares returns how the offered load splits across the three
+// tenants: the OLTP cohort dominates by query count, analytics is rare
+// but heavy, the reporting scans sit between.
+func serveShares() []float64 { return []float64{0.60, 0.15, 0.25} }
 
 // serveGroups carves the machine into dispatch groups of two cores.
 func (s *System) serveGroups() [][]int {
@@ -294,11 +294,10 @@ func newServeSystem(p Params, faults *fault.Config) (*serveSystem, error) {
 	if err != nil {
 		return nil, err
 	}
-	shares := make([]float64, len(tenants))
+	shares := serveShares()
 	var shareSum float64
-	for ti := range tenants {
-		shares[ti] = serveShares[ti%len(serveShares)]
-		shareSum += shares[ti]
+	for _, share := range shares {
+		shareSum += share
 	}
 	for ti := range shares {
 		shares[ti] /= shareSum

@@ -77,8 +77,6 @@ type accounting struct {
 	drops     [numDropReasons][]int64
 	retries   []int64
 	abandoned []int64
-	trips     []int64
-	probes    []int64
 	peakDepth []int
 	// depthSum integrates queue depth over virtual time (Σ depth·dt);
 	// lastTick is the previous integration point.
@@ -123,8 +121,6 @@ func newFeed(cfg *Config, m *cachesim.Machine, arrivals []Arrival, groupCores []
 			admitted:  make([]int64, n),
 			retries:   make([]int64, n),
 			abandoned: make([]int64, n),
-			trips:     make([]int64, n),
-			probes:    make([]int64, n),
 			peakDepth: make([]int, n),
 			depthSum:  make([]float64, n),
 		},
@@ -259,11 +255,7 @@ func (f *feed) absorb(now int64) {
 		}
 		probe := false
 		if len(f.breakers) > 0 {
-			bk := &f.breakers[t]
-			trips, probes := bk.trips, bk.probes
-			admit, isProbe := bk.admit(a)
-			f.acct.trips[t] += bk.trips - trips
-			f.acct.probes[t] += bk.probes - probes
+			admit, isProbe := f.breakers[t].admit(a)
 			if !admit {
 				f.drop(a, DropBreaker, a.Tick)
 				continue
@@ -409,12 +401,9 @@ func (f *feed) Observe(c engine.Completion) {
 	first := f.arrivals[c.Tag]
 	f.tracker.observe(first.Tenant, first.Kind, c)
 	if len(f.breakers) > 0 {
-		bk := &f.breakers[first.Tenant]
-		trips := bk.trips
 		// Client latency spans from the first arrival, so backoff spent
 		// retrying counts against the SLO.
-		bk.observe(c.Tag, c.Done-first.Tick, c.Done, f.jitter)
-		f.acct.trips[first.Tenant] += bk.trips - trips
+		f.breakers[first.Tenant].observe(c.Tag, c.Done-first.Tick, c.Done, f.jitter)
 	}
 }
 

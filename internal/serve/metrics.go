@@ -192,8 +192,10 @@ func buildReport(cfg *Config, horizonTicks int64, ticksPerSec float64, f *feed, 
 		tr.Dropped = tr.DropQueue + tr.DropDeadline + tr.DropShed + tr.DropBreaker
 		tr.Retries = f.acct.retries[ti]
 		tr.Abandoned = f.acct.abandoned[ti]
-		tr.BreakerTrips = f.acct.trips[ti]
-		tr.Probes = f.acct.probes[ti]
+		if len(f.breakers) > 0 {
+			tr.BreakerTrips = f.breakers[ti].trips
+			tr.Probes = f.breakers[ti].probes
+		}
 		tr.Completed = int64(len(lat))
 		tr.Good = good[ti]
 		tr.QPS = float64(tr.Completed) / horizonSec

@@ -185,6 +185,47 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 	}
 }
 
+// TestReportCountsDroppedProbeReopen trips a breaker through the feed,
+// admits its half-open probe into a full queue and checks that the
+// report counts the probe drop's re-open as a second trip.
+func TestReportCountsDroppedProbeReopen(t *testing.T) {
+	e := testEngine(t)
+	m := e.Machine()
+	cfg := overloadConfig(e, 1, 1, 1.0)
+	cfg.Breaker = Breaker{Window: 4, TripFraction: 0.5, BackoffSeconds: 1e-6}
+	cfg.Tenants[0].QueueCap = 1
+	// Seqs 0-3 arrive at once: 0 fills the one-slot queue and stays
+	// there, 1-3 overflow it. Seq 4 arrives long after the trip.
+	arrivals := make([]Arrival, 5)
+	for i := range arrivals {
+		arrivals[i] = Arrival{Seq: int64(i)}
+	}
+	arrivals[4].Tick = 1 << 40
+	f := newFeed(&cfg, m, arrivals, []int{2})
+	f.absorb(0)
+
+	// Four completions far past the SLO target fill the window and trip.
+	done := 100 * m.Ticks(cfg.Tenants[0].SLO.TargetP99Seconds)
+	for seq := int64(0); seq < 4; seq++ {
+		f.Observe(engine.Completion{Tag: seq, Start: done, Done: done})
+	}
+	bk := &f.breakers[0]
+	if bk.state != bkOpen || bk.openUntil > arrivals[4].Tick {
+		t.Fatalf("breaker state %d open until %d, want open before tick %d", bk.state, bk.openUntil, arrivals[4].Tick)
+	}
+	// Seq 4 is the half-open probe; the queue is still full, so it drops
+	// and the breaker re-opens.
+	f.absorb(arrivals[4].Tick)
+	if bk.state != bkOpen || bk.trips != 2 {
+		t.Fatalf("after the probe drop: state %d, %d trips; want open, 2 trips", bk.state, bk.trips)
+	}
+
+	rep := buildReport(&cfg, m.Ticks(cfg.Horizon), float64(m.Ticks(1)), f, &engine.OpenLoopResult{})
+	if tr := rep.Tenants[0]; tr.BreakerTrips != 2 || tr.Probes != 1 || tr.DropQueue != 4 {
+		t.Errorf("report: %d trips, %d probes, %d queue drops; want 2, 1, 4", tr.BreakerTrips, tr.Probes, tr.DropQueue)
+	}
+}
+
 // TestRetryHeapOrder pushes arrivals with many tied ticks and seqs and
 // checks that pops come out in retryLess order, the (tick, seq,
 // attempt) order nextArrival merges retries by.

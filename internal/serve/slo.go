@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"container/heap"
 	"fmt"
 	"math/rand"
 )
@@ -277,8 +278,9 @@ func (b *tenantBreaker) resetWindow() {
 	b.idx, b.filled, b.violations = 0, 0, 0
 }
 
-// retryHeap is a min-heap of pending client re-arrivals ordered by
-// (Tick, Seq, Attempt) — a total order, so pops are deterministic.
+// retryHeap is a container/heap min-heap of pending client re-arrivals
+// ordered by (Tick, Seq, Attempt). A query has at most one pending
+// retry, so no two entries tie and pops are deterministic.
 type retryHeap []Arrival
 
 func retryLess(a, b Arrival) bool {
@@ -291,43 +293,21 @@ func retryLess(a, b Arrival) bool {
 	return a.Attempt < b.Attempt
 }
 
-func (h *retryHeap) push(a Arrival) {
-	*h = append(*h, a)
-	i := len(*h) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !retryLess((*h)[i], (*h)[p]) {
-			break
-		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
-		i = p
-	}
+func (h retryHeap) Len() int           { return len(h) }
+func (h retryHeap) Less(i, j int) bool { return retryLess(h[i], h[j]) }
+func (h retryHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
+func (h *retryHeap) Push(x any)        { *h = append(*h, x.(Arrival)) }
+
+func (h *retryHeap) Pop() any {
+	old := *h
+	n := len(old) - 1
+	a := old[n]
+	*h = old[:n]
+	return a
 }
 
-func (h *retryHeap) pop() Arrival {
-	old := *h
-	top := old[0]
-	n := len(old) - 1
-	old[0] = old[n]
-	*h = old[:n]
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && retryLess((*h)[l], (*h)[m]) {
-			m = l
-		}
-		if r < n && retryLess((*h)[r], (*h)[m]) {
-			m = r
-		}
-		if m == i {
-			break
-		}
-		(*h)[i], (*h)[m] = (*h)[m], (*h)[i]
-		i = m
-	}
-	return top
-}
+func (h *retryHeap) push(a Arrival) { heap.Push(h, a) }
+func (h *retryHeap) pop() Arrival   { return heap.Pop(h).(Arrival) }
 
 // olRngSalt keys the overload rng off the run seed so the jitter
 // stream is independent of the arrival and per-query streams.

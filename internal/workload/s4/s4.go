@@ -36,14 +36,14 @@ type Spec struct {
 	RowsPerDocument int
 }
 
-// bigDictMiB are the nominal dictionary sizes of the 13 biggest
+// bigDictMiB returns the nominal dictionary sizes of the 13 biggest
 // NVARCHAR columns (Figure 12a's projection set), ~36 MiB in total —
 // an OLTP working set comparable to the 55 MiB LLC.
-var bigDictMiB = []float64{8, 6, 5, 4, 3, 2.5, 2, 1.5, 1.2, 1, 0.8, 0.6, 0.4}
+func bigDictMiB() []float64 { return []float64{8, 6, 5, 4, 3, 2.5, 2, 1.5, 1.2, 1, 0.8, 0.6, 0.4} }
 
-// smallDictMiB are the nominal sizes for the 6 smaller-dictionary
+// smallDictMiB returns the nominal sizes for the 6 smaller-dictionary
 // columns of Figure 12b, ~8 MiB in total.
-var smallDictMiB = []float64{2, 1.5, 1.25, 1, 0.75, 0.5}
+func smallDictMiB() []float64 { return []float64{2, 1.5, 1.25, 1, 0.75, 0.5} }
 
 // nvarcharEntry is the simulated bytes per dictionary entry of an
 // NVARCHAR(…) column.
@@ -69,15 +69,16 @@ type Table struct {
 	docs int64
 }
 
-// residualCards are the cardinalities of the residual key columns.
-var residualCards = []int64{4, 8, 16, 8}
+// residualCards returns the cardinalities of the residual key columns.
+func residualCards() [4]int64 { return [4]int64{4, 8, 16, 8} }
 
 // residualOf derives the residual key values of a document. Mixing
 // with distinct multipliers keeps the columns decorrelated.
 func residualOf(doc int64) []int64 {
-	out := make([]int64, len(residualCards))
+	cards := residualCards()
+	out := make([]int64, len(cards))
 	h := uint64(doc) * 0x9e3779b97f4a7c15
-	for i, card := range residualCards {
+	for i, card := range cards {
 		out[i] = 1 + int64(h%uint64(card))
 		h = h>>8 ^ h*0x100000001b3
 	}
@@ -113,7 +114,7 @@ func Load(space *memory.Space, rng *rand.Rand, spec Spec) (*Table, error) {
 		return nil, err
 	}
 	names := []string{"acdoca.rclnt", "acdoca.rldnr", "acdoca.rbukrs", "acdoca.gjahr"}
-	for k, card := range residualCards {
+	for k, card := range residualCards() {
 		vals := make([]int64, spec.Rows)
 		for i, d := range docOf {
 			vals[i] = residualOf(d)[k]
@@ -129,11 +130,11 @@ func Load(space *memory.Space, rng *rand.Rand, spec Spec) (*Table, error) {
 		return nil, err
 	}
 
-	t.Big, err = buildDictColumns(space, rng, "acdoca.big", bigDictMiB, spec)
+	t.Big, err = buildDictColumns(space, rng, "acdoca.big", bigDictMiB(), spec)
 	if err != nil {
 		return nil, err
 	}
-	t.Small, err = buildDictColumns(space, rng, "acdoca.small", smallDictMiB, spec)
+	t.Small, err = buildDictColumns(space, rng, "acdoca.small", smallDictMiB(), spec)
 	if err != nil {
 		return nil, err
 	}

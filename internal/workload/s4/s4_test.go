@@ -81,8 +81,8 @@ func TestResidualOfDeterministicAndInCard(t *testing.T) {
 			if a[k] != b[k] {
 				t.Fatal("residualOf not deterministic")
 			}
-			if a[k] < 1 || a[k] > residualCards[k] {
-				t.Fatalf("residual %d = %d outside card %d", k, a[k], residualCards[k])
+			if a[k] < 1 || a[k] > residualCards()[k] {
+				t.Fatalf("residual %d = %d outside card %d", k, a[k], residualCards()[k])
 			}
 		}
 	}

@@ -65,10 +65,10 @@ type Query struct {
 
 // NewQuery builds query q (1..22) over the database.
 func NewQuery(db *DB, space *memory.Space, number int) (*Query, error) {
-	if number < 1 || number > len(Specs) {
-		return nil, fmt.Errorf("tpch: query %d out of 1..%d", number, len(Specs))
+	if number < 1 || number > Queries {
+		return nil, fmt.Errorf("tpch: query %d out of 1..%d", number, Queries)
 	}
-	spec := Specs[number-1]
+	spec := specs[number-1]
 	return &Query{
 		label:          fmt.Sprintf("TPCH-Q%d", number),
 		db:             db,

@@ -8,14 +8,17 @@ type QuerySpec struct {
 	Ops     []Op
 }
 
-// Specs expresses the 22 TPC-H queries as footprint-faithful operator
+// Queries is the number of TPC-H queries, numbered 1..Queries.
+const Queries = len(specs)
+
+// specs expresses the 22 TPC-H queries as footprint-faithful operator
 // pipelines. The parameters that matter for Figure 11 are preserved:
 // which tables are scanned, the key cardinalities of the joins (bit
 // vector sizes), the group counts of the aggregations (hash table
 // sizes), the dictionary-heavy value columns (above all
 // l_extendedprice, whose dictionary is ~29 MiB at SF 100), and the
 // predicate selectivities that gate dictionary traffic.
-var Specs = []QuerySpec{
+var specs = [...]QuerySpec{
 	{
 		Name:    "Q1",
 		Comment: "pricing summary: full-lineitem aggregation into 6 groups decoding 4 value columns incl. extendedprice",

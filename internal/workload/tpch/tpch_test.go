@@ -80,10 +80,10 @@ func TestTableLookup(t *testing.T) {
 }
 
 func TestSpecsCount(t *testing.T) {
-	if len(Specs) != 22 {
-		t.Fatalf("%d query specs, want 22", len(Specs))
+	if len(specs) != 22 {
+		t.Fatalf("%d query specs, want 22", len(specs))
 	}
-	for i, s := range Specs {
+	for i, s := range specs {
 		if s.Name == "" || len(s.Ops) == 0 || s.Comment == "" {
 			t.Errorf("spec %d (%s) incomplete", i+1, s.Name)
 		}

@@ -4,6 +4,10 @@
 # packages that hold sync primitives or start a goroutine. Run from
 # anywhere inside the module; CI and pre-merge reviews run exactly this.
 #
+# Every mode first builds the module and the benchmark (bench/, a module
+# of its own that imports the root package), so a change to the root
+# API that breaks the benchmark fails lint and test too.
+#
 # Usage: check.sh [lint|test|bench|fuzz|all]
 #   lint     build + gofmt + vet (copylocks included) + cachelint (the
 #            CI lint job); fails when gofmt -l names any file
@@ -39,6 +43,9 @@ esac
 
 echo '== go build ./...'
 go build ./...
+
+echo '== go build -C bench -o /dev/null .'
+go build -C bench -o /dev/null .
 
 if [ "$mode" = lint ] || [ "$mode" = all ]; then
 	echo '== gofmt -l .'

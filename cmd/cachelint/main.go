@@ -4,19 +4,18 @@
 // simulator state), CAT-mask validity (constant masks must be
 // non-empty and contiguous), explicit cache-usage identifiers on job
 // phases, no discarded resctrl/os errors, no mixing of cycle and
-// wall-clock units, and no allocation or integer-keyed map on the
-// //perf:hot path.
+// wall-clock units, and no heap allocation on the //perf:hot path.
 //
 // Usage:
 //
-//	cachelint [-checks nondet,...] [-json] [-list] [packages]
+//	cachelint [-json] [packages]
 //
 // Packages default to ./... relative to the enclosing module. The
 // exit status is 0 when the tree is clean, 1 when diagnostics were
 // reported, and 2 on usage or load errors. Diagnostics print as
 // "file:line:col: [check] message"; intentional exceptions are
 // annotated in the source with "//lint:allow <check> <reason>", the
-// one escape hatch. -checks runs a subset of the checks -list prints.
+// one escape hatch.
 //
 // With -json each diagnostic prints as one JSON object per line
 // (file, line, col, check, message, allowed). This mode
@@ -35,6 +34,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -43,34 +43,18 @@ import (
 )
 
 func main() {
-	var (
-		checks   = flag.String("checks", "", "comma-separated subset of checks to run (default: all)")
-		list     = flag.Bool("list", false, "list the available checks and exit")
-		jsonMode = flag.Bool("json", false, "print one JSON object per diagnostic, including allowed findings")
-	)
+	jsonMode := flag.Bool("json", false, "print one JSON object per diagnostic, including allowed findings")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: cachelint [flags] [packages]\n")
+		fmt.Fprintf(os.Stderr, "usage: cachelint [-json] [packages]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
-
-	if *list {
-		for _, a := range lint.Analyzers() {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return
-	}
 
 	root, err := findModuleRoot()
 	if err != nil {
 		fatal(err)
 	}
 	loader, err := lint.NewLoader(root)
-	if err != nil {
-		fatal(err)
-	}
-
-	analyzers, err := selectAnalyzers(*checks)
 	if err != nil {
 		fatal(err)
 	}
@@ -109,10 +93,22 @@ func main() {
 		pkgs = append(pkgs, pkg)
 	}
 
-	cfg := lint.DefaultConfig(loader.Module)
-	cfg.ReportAllowed = *jsonMode
+	failing, err := printDiagnostics(os.Stdout, lint.Run(loader, pkgs, lint.Analyzers()), cwd, *jsonMode)
+	if err != nil {
+		fatal(err)
+	}
+	if failing > 0 {
+		fmt.Fprintf(os.Stderr, "cachelint: %d problem(s) in %d package(s)\n", failing, len(pkgs))
+		os.Exit(1)
+	}
+}
+
+// printDiagnostics writes the diagnostics to w with filenames relative
+// to cwd, and returns how many are not allowed. Findings suppressed by
+// //lint:allow are printed only in JSON mode.
+func printDiagnostics(w io.Writer, diags []lint.Diagnostic, cwd string, jsonMode bool) (int, error) {
 	failing := 0
-	for _, d := range lint.Run(loader, pkgs, analyzers, cfg) {
+	for _, d := range diags {
 		pos := d.Pos
 		if cwd != "" {
 			if rel, err := filepath.Rel(cwd, pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
@@ -122,7 +118,7 @@ func main() {
 		if !d.Allowed {
 			failing++
 		}
-		if *jsonMode {
+		if jsonMode {
 			line, err := json.Marshal(jsonDiagnostic{
 				File:    pos.Filename,
 				Line:    pos.Line,
@@ -132,17 +128,14 @@ func main() {
 				Allowed: d.Allowed,
 			})
 			if err != nil {
-				fatal(err)
+				return 0, err
 			}
-			fmt.Printf("%s\n", line)
-			continue
+			fmt.Fprintf(w, "%s\n", line)
+		} else if !d.Allowed {
+			fmt.Fprintf(w, "%s:%d:%d: [%s] %s\n", pos.Filename, pos.Line, pos.Column, d.Check, d.Message)
 		}
-		fmt.Printf("%s:%d:%d: [%s] %s\n", pos.Filename, pos.Line, pos.Column, d.Check, d.Message)
 	}
-	if failing > 0 {
-		fmt.Fprintf(os.Stderr, "cachelint: %d problem(s) in %d package(s)\n", failing, len(pkgs))
-		os.Exit(1)
-	}
+	return failing, nil
 }
 
 // jsonDiagnostic is the -json line format. Field order is fixed so the
@@ -154,29 +147,6 @@ type jsonDiagnostic struct {
 	Check   string `json:"check"`
 	Message string `json:"message"`
 	Allowed bool   `json:"allowed"`
-}
-
-// selectAnalyzers resolves the -checks flag against the registry: ""
-// is the whole suite, otherwise a comma-separated list of check names;
-// an unknown name is a usage error.
-func selectAnalyzers(checks string) ([]*lint.Analyzer, error) {
-	all := lint.Analyzers()
-	if checks == "" {
-		return all, nil
-	}
-	byName := make(map[string]*lint.Analyzer, len(all))
-	for _, a := range all {
-		byName[a.Name] = a
-	}
-	var out []*lint.Analyzer
-	for _, name := range strings.Split(checks, ",") {
-		a, ok := byName[strings.TrimSpace(name)]
-		if !ok {
-			return nil, fmt.Errorf("cachelint: unknown check %q (use -list)", name)
-		}
-		out = append(out, a)
-	}
-	return out, nil
 }
 
 // findModuleRoot walks up from the working directory to the nearest

@@ -1,40 +1,32 @@
 package main
 
 import (
+	"go/token"
 	"strings"
 	"testing"
 
 	"cachepart/internal/lint"
 )
 
-func TestSelectAnalyzersAll(t *testing.T) {
-	got, err := selectAnalyzers("")
-	if err != nil {
-		t.Fatal(err)
+// TestPrintDiagnosticsAllowed pins the allowed-findings contract: a
+// finding suppressed by //lint:allow is neither printed nor counted in
+// text mode, and is printed, marked allowed, under -json.
+func TestPrintDiagnosticsAllowed(t *testing.T) {
+	diags := []lint.Diagnostic{{
+		Pos:     token.Position{Filename: "/m/a.go", Line: 3, Column: 7},
+		Check:   "nondet",
+		Message: "msg",
+		Allowed: true,
+	}}
+	var text strings.Builder
+	failing, err := printDiagnostics(&text, diags, "/m", false)
+	if err != nil || failing != 0 || text.Len() != 0 {
+		t.Errorf("text mode: failing %d, err %v, output %q; want 0, nil, empty", failing, err, text.String())
 	}
-	if len(got) != len(lint.Analyzers()) {
-		t.Errorf("no -checks selected %d analyzers, want %d", len(got), len(lint.Analyzers()))
-	}
-}
-
-func TestSelectAnalyzersErrors(t *testing.T) {
-	if _, err := selectAnalyzers("bogus"); err == nil || !strings.Contains(err.Error(), `unknown check "bogus"`) {
-		t.Errorf("unknown check: err = %v", err)
-	}
-	// The deleted checks are unknown like any other name.
-	for _, gone := range []string{"locks", "lockorder", "hotdispatch", "hotdefer", "hotbatch"} {
-		if _, err := selectAnalyzers("nondet," + gone); err == nil || !strings.Contains(err.Error(), `unknown check "`+gone+`"`) {
-			t.Errorf("deleted check %s: err = %v", gone, err)
-		}
-	}
-}
-
-func TestSelectAnalyzersChecksNarrow(t *testing.T) {
-	got, err := selectAnalyzers("hotalloc, nondet")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 || got[0].Name != "hotalloc" || got[1].Name != "nondet" {
-		t.Errorf("hotalloc,nondet selected %v", got)
+	var js strings.Builder
+	failing, err = printDiagnostics(&js, diags, "/m", true)
+	want := `{"file":"a.go","line":3,"col":7,"check":"nondet","message":"msg","allowed":true}` + "\n"
+	if err != nil || failing != 0 || js.String() != want {
+		t.Errorf("json mode: failing %d, err %v, output %q; want 0, nil, %q", failing, err, js.String(), want)
 	}
 }

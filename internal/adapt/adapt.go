@@ -92,13 +92,6 @@ func (c Class) String() string {
 // thresholds is enough, and no figure, example or benchmark runs
 // another value of any of them.
 const (
-	// epochSeconds is the control epoch in simulated time. 100 µs
-	// matches the paper's observation that mask updates cost tens of
-	// microseconds of kernel interaction: epochs are long enough that
-	// even an epoch with a mask write costs well under one percent of
-	// it.
-	epochSeconds = 100e-6
-
 	// hysteresis is how many consecutive epochs telemetry must suggest
 	// a different class before the controller commits it.
 	hysteresis = 2

@@ -2,6 +2,7 @@ package adapt
 
 import (
 	"cachepart/internal/core"
+	"cachepart/internal/engine"
 	"cachepart/internal/resctrl"
 )
 
@@ -22,7 +23,7 @@ import (
 // missed windows would read as one epoch's burst and misclassify a
 // quiet stream as streaming the moment telemetry recovers.
 func (c *Controller) classify(d resctrl.MonDelta, cores int) Class {
-	rate := float64(d.MemBytesDelta) / (epochSeconds * float64(d.Gap+1)) / float64(cores)
+	rate := float64(d.MemBytesDelta) / (engine.ControlEpochSeconds * float64(d.Gap+1)) / float64(cores)
 	if rate >= StreamingBandwidthFraction*c.peakBytesPerSecond {
 		return Streaming
 	}

@@ -52,9 +52,9 @@ func injected(err error) bool {
 
 // Attach builds a controller over the engine's resctrl mount and
 // machine geometry and attaches it. The engine then calls the
-// controller back every 100 µs control epoch of simulated time; detach
-// with e.DetachController().
-func Attach(e *engine.Engine) (*Controller, error) {
+// controller back every engine.ControlEpochSeconds of simulated time;
+// detach with e.DetachController().
+func Attach(e *engine.Engine) *Controller {
 	p := e.Policy()
 	c := &Controller{
 		fs:                 e.ControlPlane(),
@@ -64,10 +64,8 @@ func Attach(e *engine.Engine) (*Controller, error) {
 		llcBytes:           p.LLCBytes,
 		peakBytesPerSecond: e.Machine().Config().DRAMBandwidth,
 	}
-	if err := e.AttachController(c, epochSeconds); err != nil {
-		return nil, err
-	}
-	return c, nil
+	e.AttachController(c)
+	return c
 }
 
 // groupName names the monitoring/control group of a stream.

@@ -101,10 +101,7 @@ func flipSystem(t *testing.T) (*engine.Engine, *adapt.Controller, []engine.Strea
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := adapt.Attach(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctrl := adapt.Attach(e)
 	llc := cfg.LLC.Size
 	space := memory.NewSpace()
 	q := &flipQuery{

@@ -98,6 +98,12 @@ func (s CoreStats) LLCHitRatio() float64 {
 	return float64(s.LLCHits) / float64(t)
 }
 
+// DRAMBytes reports the memory traffic: every line that crossed the
+// DRAM bus, as a demand miss, a prefetch fill or a dirty writeback.
+func (s CoreStats) DRAMBytes() uint64 {
+	return (s.LLCMisses + s.PrefetchIssued + s.Writebacks) * memory.LineSize
+}
+
 // LLCMissesPerInstruction reports the paper's second metric.
 func (s CoreStats) LLCMissesPerInstruction() float64 {
 	if s.Instructions == 0 {

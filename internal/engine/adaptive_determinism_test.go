@@ -32,10 +32,7 @@ func adaptiveFixture(t *testing.T) (*engine.Engine, *adapt.Controller, []engine.
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctrl, err := adapt.Attach(e)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ctrl := adapt.Attach(e)
 	space := memory.NewSpace()
 	rng := rand.New(rand.NewSource(7))
 	q1, err := workload.NewQ1(space, rng, workload.Q1Spec{Rows: 1 << 20, Distinct: 1 << 14})

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"fmt"
-
-	"cachepart/internal/core"
-)
+import "cachepart/internal/core"
 
 // Controller is an online cache-partitioning controller driven by the
 // engine's virtual clock (internal/adapt implements one). While a
@@ -44,24 +40,20 @@ type StreamInfo struct {
 	Cores int
 }
 
+// ControlEpochSeconds is the control epoch in simulated time: an
+// attached controller is called back once per epoch. 100 µs matches
+// the paper's observation that mask updates cost tens of microseconds
+// of kernel interaction: epochs are long enough that even an epoch
+// with a mask write costs well under one percent of it.
+const ControlEpochSeconds = 100e-6
+
 // AttachController connects an online controller to the engine; during
-// runs it is called back every epochSeconds of simulated time.
-// Attaching nil detaches.
-func (e *Engine) AttachController(c Controller, epochSeconds float64) error {
-	if c != nil && epochSeconds <= 0 {
-		return fmt.Errorf("engine: control epoch %v must be positive", epochSeconds)
-	}
-	e.ctrl = c
-	e.ctrlEpochSeconds = epochSeconds
-	return nil
-}
+// runs it is called back every ControlEpochSeconds of simulated time.
+func (e *Engine) AttachController(c Controller) { e.ctrl = c }
 
 // DetachController removes the attached controller, restoring the
 // static policy path.
 func (e *Engine) DetachController() { e.ctrl = nil }
-
-// Controller reports the attached controller, nil when none.
-func (e *Engine) Controller() Controller { return e.ctrl }
 
 // epochState tracks the controller's clock within one run.
 type epochState struct {
@@ -79,7 +71,7 @@ func (e *Engine) controllerBegin(infos []StreamInfo) (*epochState, error) {
 	if err := e.ctrl.BeginRun(infos); err != nil {
 		return nil, err
 	}
-	t := e.m.Ticks(e.ctrlEpochSeconds)
+	t := e.m.Ticks(ControlEpochSeconds)
 	if t < 1 {
 		t = 1
 	}

@@ -72,10 +72,9 @@ type Engine struct {
 	streamFaults []faultTally
 
 	// ctrl, when non-nil, replaces the static CUID→mask policy with an
-	// online controller called back every ctrlEpochSeconds of virtual
-	// time (see controller.go).
-	ctrl             Controller
-	ctrlEpochSeconds float64
+	// online controller called back every ControlEpochSeconds of
+	// virtual time (see controller.go).
+	ctrl Controller
 }
 
 // New builds an engine over a machine with the given policy.

@@ -61,15 +61,14 @@ type stream struct {
 	slots    []kernelSlot
 
 	execs     int64
-	rows      int64 // counted rows: of the run, or in a fed run of the execution in flight
-	execStart int64 // tick the in-flight execution began
-	execTicks []int64
-	execDone  []int64 // completion tick of each recorded execution
+	rows      int64        // counted rows: of the run, or in a fed run of the execution in flight
+	execStart int64        // tick the in-flight execution began
+	queries   []QueryStamp // every recorded execution, in completion order
 
 	// The tally at the warm-up boundary, which the results subtract.
-	execsAtWarm int64
-	rowsAtWarm  int64
-	ticksAtWarm int // executions recorded before warm-up
+	execsAtWarm   int64
+	rowsAtWarm    int64
+	queriesAtWarm int // executions recorded before warm-up
 	// statsAt is the stream's counters where its measurement began: the
 	// warm-up boundary, or in a fed run the dispatch of the execution in
 	// flight.
@@ -234,7 +233,7 @@ func (rs *runState) snapshotWarm(e *Engine) {
 	for _, st := range rs.streams {
 		st.rowsAtWarm = st.rows
 		st.execsAtWarm = st.execs
-		st.ticksAtWarm = len(st.execTicks)
+		st.queriesAtWarm = len(st.queries)
 		st.statsAt = e.coreStats(st.spec.Cores)
 	}
 }
@@ -385,8 +384,7 @@ func (e *Engine) barrier(rs *runState, st *stream, core int) error {
 		e.complete(rs, st, t)
 		return nil
 	}
-	st.execTicks = append(st.execTicks, t-st.execStart)
-	st.execDone = append(st.execDone, t)
+	st.queries = append(st.queries, QueryStamp{Start: st.execStart, Done: t})
 	st.execStart = t
 	return e.plan(st)
 }

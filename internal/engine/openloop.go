@@ -7,7 +7,6 @@ import (
 	"sort"
 
 	"cachepart/internal/cachesim"
-	"cachepart/internal/memory"
 )
 
 // openloop: query-granular execution for open-loop serving workloads.
@@ -214,7 +213,7 @@ func (e *Engine) complete(rs *runState, st *stream, t int64) {
 		Start:    st.execStart,
 		Done:     t,
 		Rows:     st.rows,
-		MemBytes: int64(d.LLCMisses+d.PrefetchIssued+d.Writebacks) * memory.LineSize,
+		MemBytes: int64(d.DRAMBytes()),
 	}
 	rs.done = append(rs.done, c)
 	if rs.obs != nil {

@@ -41,10 +41,9 @@ func testSubs(n int, gap int64, rows int) []Submission {
 	return subs
 }
 
-// TestStreamQueryStamps pins the satellite contract: every execution
-// recorded in ExecTicks carries a (Start, Done) stamp on the run's
-// virtual clock, stamp durations equal the recorded ticks entry for
-// entry, and back-to-back executions tile the stream's timeline.
+// TestStreamQueryStamps pins the per-execution record: every execution
+// carries a positive (Start, Done) stamp on the run's virtual clock,
+// and back-to-back executions tile the stream's timeline.
 func TestStreamQueryStamps(t *testing.T) {
 	a := &countQuery{name: "a", rowsPerExec: 2000}
 	b := &countQuery{name: "b", rowsPerExec: 500}
@@ -57,17 +56,11 @@ func TestStreamQueryStamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range res {
-		if len(r.Queries) != len(r.ExecTicks) {
-			t.Fatalf("%s: %d stamps for %d exec ticks", r.Name, len(r.Queries), len(r.ExecTicks))
-		}
 		if len(r.Queries) == 0 {
 			t.Fatalf("%s: no executions completed", r.Name)
 		}
 		var total int64
 		for i, q := range r.Queries {
-			if q.Ticks() != r.ExecTicks[i] {
-				t.Errorf("%s: stamp %d spans %d ticks, ExecTicks %d", r.Name, i, q.Ticks(), r.ExecTicks[i])
-			}
 			if q.Done <= q.Start {
 				t.Errorf("%s: stamp %d not positive: %+v", r.Name, i, q)
 			}

@@ -61,16 +61,11 @@ type StreamResult struct {
 	Throughput float64
 	// Stats is the delta of the stream's cores over the window.
 	Stats cachesim.CoreStats
-	// ExecTicks holds the end-to-end duration of every execution
-	// completed after warm-up, for response-time percentiles (the
-	// paper measures end-to-end response times, Section III-D).
-	ExecTicks []int64
-	// Queries stamps every execution counted in ExecTicks with its
+	// Queries stamps every execution completed after warm-up with its
 	// absolute start and completion tick on the run's virtual clock, in
-	// completion order. Latency consumers (the serving tier's
-	// percentile report) read these directly instead of keeping
-	// parallel bookkeeping; Queries[i].Done-Queries[i].Start ==
-	// ExecTicks[i] by construction, pinned by TestStreamQueryStamps.
+	// completion order. Their durations give the response-time
+	// percentiles (the paper measures end-to-end response times,
+	// Section III-D).
 	Queries []QueryStamp
 	// Retries counts the stream's retried control-plane operations:
 	// transient injected faults the engine cleared by retrying with
@@ -96,11 +91,13 @@ func (q QueryStamp) Ticks() int64 { return q.Done - q.Start }
 // Percentile returns the p-quantile (0..1) of the recorded execution
 // durations in ticks, or 0 when none completed.
 func (r StreamResult) Percentile(p float64) int64 {
-	if len(r.ExecTicks) == 0 {
+	if len(r.Queries) == 0 {
 		return 0
 	}
-	sorted := make([]int64, len(r.ExecTicks))
-	copy(sorted, r.ExecTicks)
+	sorted := make([]int64, len(r.Queries))
+	for i, q := range r.Queries {
+		sorted[i] = q.Ticks()
+	}
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
 	idx := int(p * float64(len(sorted)-1))
 	if idx < 0 {
@@ -165,11 +162,6 @@ func (e *Engine) results(rs *runState) []StreamResult {
 	window := e.m.Seconds(rs.durTicks - warmTicks)
 	for i, st := range rs.streams {
 		rows := st.rows - st.rowsAtWarm
-		ticks := st.execTicks[st.ticksAtWarm:]
-		stamps := make([]QueryStamp, len(ticks))
-		for j, done := range st.execDone[st.ticksAtWarm:] {
-			stamps[j] = QueryStamp{Start: done - ticks[j], Done: done}
-		}
 		results[i] = StreamResult{
 			Name:          st.spec.Query.Name(),
 			Executions:    st.execs - st.execsAtWarm,
@@ -177,8 +169,7 @@ func (e *Engine) results(rs *runState) []StreamResult {
 			WindowSeconds: window,
 			Throughput:    float64(rows) / window,
 			Stats:         e.coreStats(st.spec.Cores).Sub(st.statsAt),
-			ExecTicks:     ticks,
-			Queries:       stamps,
+			Queries:       st.queries[st.queriesAtWarm:],
 			Retries:       e.streamFaults[i].retries,
 			Degraded:      e.streamFaults[i].degraded,
 		}

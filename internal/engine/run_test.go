@@ -214,15 +214,15 @@ func TestExecTicksAndPercentiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := res[0]
-	if int64(len(r.ExecTicks)) != r.Executions {
-		t.Errorf("recorded %d latencies for %d executions", len(r.ExecTicks), r.Executions)
+	if int64(len(r.Queries)) != r.Executions {
+		t.Errorf("recorded %d latencies for %d executions", len(r.Queries), r.Executions)
 	}
-	if len(r.ExecTicks) == 0 {
+	if len(r.Queries) == 0 {
 		t.Fatal("no executions completed")
 	}
-	for _, ticks := range r.ExecTicks {
-		if ticks <= 0 {
-			t.Fatalf("non-positive latency %d", ticks)
+	for _, q := range r.Queries {
+		if q.Ticks() <= 0 {
+			t.Fatalf("non-positive latency %d", q.Ticks())
 		}
 	}
 	p50, p99 := r.Percentile(0.5), r.Percentile(0.99)

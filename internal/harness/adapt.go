@@ -13,10 +13,11 @@ import (
 // adapt) to the system's engine. While attached, runs ignore the
 // static CUID→mask policy and let the controller program per-stream
 // masks from CMT/MBM telemetry. The returned controller exposes the
-// transition log for inspection. adapt.Config carries no settings; the
-// parameter remains only because the repository benchmark passes one.
+// transition log for inspection. adapt.Config carries no settings and
+// the error is always nil; both remain only because the repository
+// benchmark compiles against this signature.
 func (s *System) EnableAdaptive(adapt.Config) (*adapt.Controller, error) {
-	return adapt.Attach(s.Engine)
+	return adapt.Attach(s.Engine), nil
 }
 
 // DisableAdaptive detaches the controller, restoring the static
@@ -93,8 +94,8 @@ func (s *System) adaptArms() []arm {
 			if err := s.SetPartitioning(false); err != nil {
 				return err
 			}
-			_, err := adapt.Attach(s.Engine)
-			return err
+			adapt.Attach(s.Engine)
+			return nil
 		}},
 	}
 }

@@ -235,17 +235,16 @@ type Measure struct {
 
 // measureOf converts a stream result on the system's machine clock.
 func (s *System) measureOf(r engine.StreamResult) Measure {
-	lines := r.Stats.LLCMisses + r.Stats.PrefetchIssued + r.Stats.Writebacks
 	m := Measure{
 		Throughput: r.Throughput,
 		Executions: r.Executions,
 		HitRatio:   r.Stats.LLCHitRatio(),
 		MPI:        r.Stats.LLCMissesPerInstruction(),
-		Bandwidth:  float64(lines*memory.LineSize) / r.WindowSeconds,
+		Bandwidth:  float64(r.Stats.DRAMBytes()) / r.WindowSeconds,
 		Retries:    r.Retries,
 		Degraded:   r.Degraded,
 	}
-	if len(r.ExecTicks) > 0 {
+	if len(r.Queries) > 0 {
 		m.P50 = s.Machine.Seconds(r.Percentile(0.50))
 		m.P99 = s.Machine.Seconds(r.Percentile(0.99))
 	}

@@ -243,18 +243,18 @@ func (s *System) calibrateServe(tenants []serve.Tenant, shares []float64, groups
 			if err != nil {
 				return nil, 0, fmt.Errorf("calibrating %s/%s: %w", t.Name, w.Name, err)
 			}
-			if len(res[0].ExecTicks) == 0 {
+			if len(res[0].Queries) == 0 {
 				return nil, 0, fmt.Errorf("calibrating %s/%s: no execution completed in %vs", t.Name, w.Name, s.Params.Duration)
 			}
 			var sum int64
-			for _, ticks := range res[0].ExecTicks {
-				sum += ticks
+			for _, q := range res[0].Queries {
+				sum += q.Ticks()
 			}
 			weight := float64(w.Weight)
 			if weight <= 0 {
 				weight = 1
 			}
-			mean += weight * float64(sum) / float64(len(res[0].ExecTicks))
+			mean += weight * float64(sum) / float64(len(res[0].Queries))
 			wsum += weight
 		}
 		baselines[ti] = mean / wsum

@@ -9,12 +9,12 @@ import (
 )
 
 // This file builds the shared interprocedural infrastructure the
-// module-level analyzers (taintflow, timeunits, hotalloc) run
-// on: a static call graph over the analyzed packages plus every
-// module-internal package they transitively import, and its strongly
-// connected components in bottom-up (callee-before-caller) order, so
-// per-function summaries can be computed to fixpoint one SCC at a
-// time, as in compositional analyzers like Infer.
+// analyzers taintflow, timeunits and hotalloc run on: a static call
+// graph over the analyzed packages plus every module-internal package
+// they transitively import, and its strongly connected components in
+// bottom-up (callee-before-caller) order, so per-function summaries
+// can be computed to fixpoint one SCC at a time, as in compositional
+// analyzers like Infer.
 //
 // Resolution is purely static: an edge exists when a call expression's
 // callee resolves (through go/types) to a function or method declared
@@ -43,10 +43,6 @@ type Call struct {
 	Callee *FuncNode
 }
 
-// QualifiedName renders the node as "pkgpath.Name" or
-// "pkgpath.Recv.Name" for methods.
-func (n *FuncNode) QualifiedName() string { return funcQualified(n.Obj) }
-
 // funcQualified renders a function object as "pkgpath.Name", with the
 // receiver's base type name spliced in for methods.
 func funcQualified(fn *types.Func) string {
@@ -66,7 +62,7 @@ func funcQualified(fn *types.Func) string {
 	return fn.Pkg().Path() + "." + name
 }
 
-// Program is the interprocedural view shared by the module analyzers.
+// Program is the interprocedural view shared by the analyzers.
 type Program struct {
 	// Pkgs is the closure of the analyzed packages over module-internal
 	// imports, sorted by import path.
@@ -81,10 +77,6 @@ type Program struct {
 	SCCs [][]*FuncNode
 
 	byObj map[*types.Func]*FuncNode
-	// hot memoizes the //perf:hot reachability set hotalloc uses
-	// (hotness.go); module analyzers run serially, so the lazy fill is
-	// race-free.
-	hot map[*FuncNode]hotInfo
 }
 
 // NodeOf returns the program node of a function object, nil when the

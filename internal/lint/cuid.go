@@ -19,45 +19,54 @@ var CUIDCheck = &Analyzer{
 	Run:  runCUIDCheck,
 }
 
+// phaseType is the job-phase struct, relative to the module path,
+// whose keyed literals must set cuidField.
+const (
+	phaseType = "/internal/engine.Phase"
+	cuidField = "CUID"
+)
+
 func runCUIDCheck(p *Pass) {
-	info := p.Pkg.Info
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			lit, ok := n.(*ast.CompositeLit)
-			if !ok {
-				return true
-			}
-			tv, ok := info.Types[lit]
-			if !ok || qualifiedName(tv.Type) != p.Config.PhaseType {
-				return true
-			}
-			var name string
-			for _, elt := range lit.Elts {
-				kv, ok := elt.(*ast.KeyValueExpr)
+	for _, pkg := range p.Pkgs {
+		info := pkg.Info
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				lit, ok := n.(*ast.CompositeLit)
 				if !ok {
-					// Positional literals must populate every field,
-					// including the CUID, to compile.
 					return true
 				}
-				key, ok := kv.Key.(*ast.Ident)
-				if !ok {
-					continue
-				}
-				if key.Name == p.Config.CUIDField {
+				tv, ok := info.Types[lit]
+				if !ok || qualifiedName(tv.Type) != p.Module+phaseType {
 					return true
 				}
-				if key.Name == "Name" {
-					if v, ok := info.Types[kv.Value]; ok && v.Value != nil && v.Value.Kind() == constant.String {
-						name = constant.StringVal(v.Value)
+				var name string
+				for _, elt := range lit.Elts {
+					kv, ok := elt.(*ast.KeyValueExpr)
+					if !ok {
+						// Positional literals must populate every field,
+						// including the CUID, to compile.
+						return true
+					}
+					key, ok := kv.Key.(*ast.Ident)
+					if !ok {
+						continue
+					}
+					if key.Name == cuidField {
+						return true
+					}
+					if key.Name == "Name" {
+						if v, ok := info.Types[kv.Value]; ok && v.Value != nil && v.Value.Kind() == constant.String {
+							name = constant.StringVal(v.Value)
+						}
 					}
 				}
-			}
-			if name != "" {
-				p.Reportf(lit.Pos(), "job phase %q lacks an explicit %s; annotate the cache-usage class instead of defaulting silently (PAPER.md §V-C)", name, p.Config.CUIDField)
-			} else {
-				p.Reportf(lit.Pos(), "job-phase literal lacks an explicit %s; annotate the cache-usage class instead of defaulting silently (PAPER.md §V-C)", p.Config.CUIDField)
-			}
-			return true
-		})
+				if name != "" {
+					p.Reportf(lit.Pos(), "job phase %q lacks an explicit %s; annotate the cache-usage class instead of defaulting silently (PAPER.md §V-C)", name, cuidField)
+				} else {
+					p.Reportf(lit.Pos(), "job-phase literal lacks an explicit %s; annotate the cache-usage class instead of defaulting silently (PAPER.md §V-C)", cuidField)
+				}
+				return true
+			})
+		}
 	}
 }

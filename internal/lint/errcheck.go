@@ -18,35 +18,42 @@ var ErrCheck = &Analyzer{
 	Run:  runErrCheck,
 }
 
+// faultPkg is the fault injector, relative to the module path. Its
+// error returns, resctrl's (resctrlPkg) and those of package os must
+// not be discarded.
+const faultPkg = "/internal/fault"
+
 func runErrCheck(p *Pass) {
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			var call *ast.CallExpr
-			kind := ""
-			switch s := n.(type) {
-			case *ast.ExprStmt:
-				call, _ = s.X.(*ast.CallExpr)
-			case *ast.GoStmt:
-				call, kind = s.Call, "go statement "
-			case *ast.DeferStmt:
-				call, kind = s.Call, "deferred "
-			default:
+	for _, pkg := range p.Pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				var call *ast.CallExpr
+				kind := ""
+				switch s := n.(type) {
+				case *ast.ExprStmt:
+					call, _ = s.X.(*ast.CallExpr)
+				case *ast.GoStmt:
+					call, kind = s.Call, "go statement "
+				case *ast.DeferStmt:
+					call, kind = s.Call, "deferred "
+				default:
+					return true
+				}
+				if call == nil {
+					return true
+				}
+				fn, ok := calleeObj(pkg.Info, call).(*types.Func)
+				if !ok || !returnsError(fn) {
+					return true
+				}
+				if path := pkgPathOf(fn); !underAny(path, "os") && !underModule(p.Module, path, resctrlPkg, faultPkg) {
+					return true
+				}
+				p.Reportf(call.Pos(), "%scall discards the error from %s.%s; handle it or assign it explicitly",
+					kind, fn.Pkg().Name(), fn.Name())
 				return true
-			}
-			if call == nil {
-				return true
-			}
-			fn, ok := calleeObj(p.Pkg.Info, call).(*types.Func)
-			if !ok || !underAny(pkgPathOf(fn), p.Config.ErrPackages) {
-				return true
-			}
-			if !returnsError(fn) {
-				return true
-			}
-			p.Reportf(call.Pos(), "%scall discards the error from %s.%s; handle it or assign it explicitly",
-				kind, fn.Pkg().Name(), fn.Name())
-			return true
-		})
+			})
+		}
 	}
 }
 

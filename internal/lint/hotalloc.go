@@ -25,9 +25,9 @@ import (
 // package is reported at the call site even when the helper itself is
 // outside the analyzed set.
 var HotAlloc = &Analyzer{
-	Name:      "hotalloc",
-	Doc:       "no unconditional heap allocation in //perf:hot code: make/new, composite literals, string building, interface boxing, per-iteration append growth, closures in loops",
-	RunModule: runHotAlloc,
+	Name: "hotalloc",
+	Doc:  "no unconditional heap allocation in //perf:hot code: make/new, composite literals, string building, interface boxing, per-iteration append growth, closures in loops",
+	Run:  runHotAlloc,
 }
 
 // allocFinding is one allocation site in a function body.
@@ -55,7 +55,7 @@ type allocFacts struct {
 	calls  []allocCall
 }
 
-func runHotAlloc(p *ModulePass) {
+func runHotAlloc(p *Pass) {
 	// Walk every program function once — dependencies included, their
 	// summaries are what makes cross-package reporting work.
 	facts := make(map[*FuncNode]*allocFacts, len(p.Prog.Funcs))

@@ -65,15 +65,11 @@ func isHotRoot(decl *ast.FuncDecl) bool {
 	return false
 }
 
-// hotness computes the hot set once per Program and memoizes it; the
-// module analyzers run serially, so no locking is needed. Propagation
-// is a breadth-first sweep from the annotated roots in deterministic
-// Funcs order, so provenance (which root, at what depth) is stable
-// run to run.
+// hotness computes the hot set of the program. Propagation is a
+// breadth-first sweep from the annotated roots in deterministic Funcs
+// order, so provenance (which root, at what depth) is stable run to
+// run.
 func (prog *Program) hotness() map[*FuncNode]hotInfo {
-	if prog.hot != nil {
-		return prog.hot
-	}
 	hot := make(map[*FuncNode]hotInfo)
 	var frontier []*FuncNode
 	for _, fn := range prog.Funcs {
@@ -96,25 +92,18 @@ func (prog *Program) hotness() map[*FuncNode]hotInfo {
 		}
 		frontier = next
 	}
-	prog.hot = hot
 	return hot
 }
 
 // forEachHotFunc visits every hot function that belongs to the
-// analyzed package set and the configured simulation prefixes, in
-// deterministic program order — the reporting loop both hot-path
-// analyzers use.
-func forEachHotFunc(p *ModulePass, visit func(fn *FuncNode, info hotInfo)) {
+// analyzed package set, in deterministic program order — hotalloc's
+// reporting loop.
+func forEachHotFunc(p *Pass, visit func(fn *FuncNode, info hotInfo)) {
 	hot := p.Prog.hotness()
 	for _, fn := range p.Prog.Funcs {
-		info, ok := hot[fn]
-		if !ok {
-			continue
+		if info, ok := hot[fn]; ok && p.analyzed(fn) {
+			visit(fn, info)
 		}
-		if !p.analyzed(fn) || !underAny(fn.Pkg.Path, p.Config.SimPrefixes) {
-			continue
-		}
-		visit(fn, info)
 	}
 }
 
@@ -269,7 +258,7 @@ func (w *hotWalker) expr(e ast.Expr, inLoop, cond bool) {
 // "helper".
 func hotFuncName(fn *FuncNode) string {
 	name := fn.Obj.Name()
-	if recv := receiverOf(fn); recv != nil {
+	if recv := fn.Obj.Type().(*types.Signature).Recv(); recv != nil {
 		if named, ok := derefNamed(recv.Type()).(*types.Named); ok {
 			name = named.Obj().Name() + "." + name
 		}
@@ -279,7 +268,7 @@ func hotFuncName(fn *FuncNode) string {
 
 // reportHot is the shared reporting shim: every perf diagnostic names
 // the function and its hotness provenance the same way.
-func reportHot(p *ModulePass, fn *FuncNode, info hotInfo, pos token.Pos, format string, args ...any) {
+func reportHot(p *Pass, fn *FuncNode, info hotInfo, pos token.Pos, format string, args ...any) {
 	prefix := hotFuncName(fn) + " is " + info.describe() + ": "
 	p.Reportf(pos, prefix+format, args...)
 }

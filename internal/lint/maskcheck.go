@@ -17,8 +17,8 @@ import (
 // but a constant bad mask is a bug that should never survive review.
 // Two shapes are checked module-wide:
 //
-//   - every constant expression of the configured WayMask type
-//     (conversions, call arguments, composite-literal fields);
+//   - every constant expression of the cat.WayMask type (conversions,
+//     call arguments, composite-literal fields);
 //   - constant schemata strings ("L3:0=<hexmask>") passed to
 //     parameters named "schemata" of the cat/resctrl packages.
 var MaskCheck = &Analyzer{
@@ -27,29 +27,39 @@ var MaskCheck = &Analyzer{
 	Run:  runMaskCheck,
 }
 
+// The capacity-mask type and the packages whose schemata parameters
+// are checked, relative to the module path.
+const (
+	maskType   = "/internal/cat.WayMask"
+	catPkg     = "/internal/cat"
+	resctrlPkg = "/internal/resctrl"
+)
+
 func runMaskCheck(p *Pass) {
-	info := p.Pkg.Info
-	for _, f := range p.Pkg.Files {
-		tolerant := zeroTolerantExprs(f)
-		ast.Inspect(f, func(n ast.Node) bool {
-			if call, ok := n.(*ast.CallExpr); ok {
-				checkSchemataArgs(p, call)
-			}
-			e, ok := n.(ast.Expr)
-			if !ok {
-				return true
-			}
-			tv, ok := info.Types[e]
-			if !ok || tv.Value == nil || qualifiedName(tv.Type) != p.Config.MaskType {
-				return true
-			}
-			if msg := maskProblem(tv.Value, tolerant[e]); msg != "" {
-				p.Reportf(e.Pos(), "%s", msg)
-			}
-			// The operand of a flagged conversion carries the same
-			// constant; do not report it twice.
-			return false
-		})
+	for _, pkg := range p.Pkgs {
+		info := pkg.Info
+		for _, f := range pkg.Files {
+			tolerant := zeroTolerantExprs(f)
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					checkSchemataArgs(p, info, call)
+				}
+				e, ok := n.(ast.Expr)
+				if !ok {
+					return true
+				}
+				tv, ok := info.Types[e]
+				if !ok || tv.Value == nil || qualifiedName(tv.Type) != p.Module+maskType {
+					return true
+				}
+				if msg := maskProblem(tv.Value, tolerant[e]); msg != "" {
+					p.Reportf(e.Pos(), "%s", msg)
+				}
+				// The operand of a flagged conversion carries the same
+				// constant; do not report it twice.
+				return false
+			})
+		}
 	}
 }
 
@@ -111,11 +121,10 @@ func maskBitsProblem(u uint64) string {
 }
 
 // checkSchemataArgs validates constant strings passed to "schemata"
-// parameters of the configured mask packages.
-func checkSchemataArgs(p *Pass, call *ast.CallExpr) {
-	obj := calleeObj(p.Pkg.Info, call)
-	fn, ok := obj.(*types.Func)
-	if !ok || !underAny(pkgPathOf(fn), p.Config.MaskPackages) {
+// parameters of the cat and resctrl packages.
+func checkSchemataArgs(p *Pass, info *types.Info, call *ast.CallExpr) {
+	fn, ok := calleeObj(info, call).(*types.Func)
+	if !ok || !underModule(p.Module, pkgPathOf(fn), catPkg, resctrlPkg) {
 		return
 	}
 	sig := fn.Type().(*types.Signature)
@@ -124,7 +133,7 @@ func checkSchemataArgs(p *Pass, call *ast.CallExpr) {
 			continue
 		}
 		arg := call.Args[i]
-		tv, ok := p.Pkg.Info.Types[arg]
+		tv, ok := info.Types[arg]
 		if !ok || tv.Value == nil || tv.Value.Kind() != constant.String {
 			continue
 		}

@@ -45,39 +45,38 @@ var wallClockFuncs = map[string]bool{
 }
 
 func runNondeterminism(p *Pass) {
-	if !p.inSimPackages() {
-		return
-	}
-	info := p.Pkg.Info
-	for _, f := range p.Pkg.Files {
-		sorted := sortedCollectors(info, f)
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.SelectorExpr:
-				obj := info.Uses[n.Sel]
-				if name, ok := isPackageFunc(obj, "math/rand"); ok && !randConstructors[name] {
-					p.Reportf(n.Pos(), "global math/rand.%s draws from a runtime-seeded source; thread a seeded *rand.Rand instead (cf. engine.RunOptions.Seed)", name)
+	for _, pkg := range p.Pkgs {
+		info := pkg.Info
+		for _, f := range pkg.Files {
+			sorted := sortedCollectors(info, f)
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.SelectorExpr:
+					obj := info.Uses[n.Sel]
+					if name, ok := isPackageFunc(obj, "math/rand"); ok && !randConstructors[name] {
+						p.Reportf(n.Pos(), "global math/rand.%s draws from a runtime-seeded source; thread a seeded *rand.Rand instead (cf. engine.RunOptions.Seed)", name)
+					}
+					if name, ok := isPackageFunc(obj, "math/rand/v2"); ok && !randConstructors[name] {
+						p.Reportf(n.Pos(), "global math/rand/v2.%s draws from a runtime-seeded source; thread a seeded *rand.Rand instead", name)
+					}
+					if name, ok := isPackageFunc(obj, "time"); ok && wallClockFuncs[name] {
+						p.Reportf(n.Pos(), "time.%s reads the wall clock; simulation state and reports must derive timing from the machine's virtual clock", name)
+					}
+				case *ast.RangeStmt:
+					if !rangesOverMap(info, n) {
+						return true
+					}
+					if obj := appendCollector(info, n.Body); obj != nil && sorted[obj] {
+						return true // values collected, then sorted in this file
+					}
+					if orderInsensitiveStmts(info, n.Body.List) {
+						return true
+					}
+					p.Reportf(n.Pos(), "map iteration order varies between runs and this loop is order-sensitive; iterate sorted keys or restrict the body to order-insensitive updates")
 				}
-				if name, ok := isPackageFunc(obj, "math/rand/v2"); ok && !randConstructors[name] {
-					p.Reportf(n.Pos(), "global math/rand/v2.%s draws from a runtime-seeded source; thread a seeded *rand.Rand instead", name)
-				}
-				if name, ok := isPackageFunc(obj, "time"); ok && wallClockFuncs[name] {
-					p.Reportf(n.Pos(), "time.%s reads the wall clock; simulation state and reports must derive timing from the machine's virtual clock", name)
-				}
-			case *ast.RangeStmt:
-				if !rangesOverMap(info, n) {
-					return true
-				}
-				if obj := appendCollector(info, n.Body); obj != nil && sorted[obj] {
-					return true // values collected, then sorted in this file
-				}
-				if orderInsensitiveStmts(info, n.Body.List) {
-					return true
-				}
-				p.Reportf(n.Pos(), "map iteration order varies between runs and this loop is order-sensitive; iterate sorted keys or restrict the body to order-insensitive updates")
-			}
-			return true
-		})
+				return true
+			})
+		}
 	}
 }
 

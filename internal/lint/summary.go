@@ -6,9 +6,9 @@ import (
 	"strings"
 )
 
-// The module analyzers are summary-based: each computes one small fact
-// record per function (what taint a result carries, which domain a
-// parameter is demanded in, whether a call allocates) and
+// The interprocedural analyzers are summary-based: each computes one
+// small fact record per function (what taint a result carries, which
+// domain a parameter is demanded in, whether a call allocates) and
 // reaches a module-wide fixpoint by iterating each call-graph SCC
 // until its members' summaries stop changing. Summaries must be
 // monotone — facts only accumulate — so the iteration terminates; the
@@ -68,19 +68,6 @@ func rootObj(info *types.Info, e ast.Expr) types.Object {
 	}
 }
 
-// typeDefinedUnder reports whether the (possibly pointered) named type
-// is declared in a package under any of the prefixes.
-func typeDefinedUnder(t types.Type, prefixes []string) bool {
-	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
-	}
-	named, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	return underAny(pkgPathOf(named.Obj()), prefixes)
-}
-
 // isConversion reports whether the call expression is a type
 // conversion, returning the target type.
 func isConversion(info *types.Info, call *ast.CallExpr) (types.Type, bool) {
@@ -109,12 +96,6 @@ func paramIndexOf(sig *types.Signature, obj types.Object) int {
 		}
 	}
 	return -1
-}
-
-// receiverOf returns the method receiver variable of the node, nil for
-// plain functions.
-func receiverOf(fn *FuncNode) *types.Var {
-	return fn.Obj.Type().(*types.Signature).Recv()
 }
 
 // viaChain annotates a taint-source description with the helper it was

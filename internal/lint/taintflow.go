@@ -12,7 +12,7 @@ import (
 // map-iteration order, select arrival order — through call chains,
 // field assignments, and returns, and reports only where such a value
 // reaches simulator state (a call, composite literal, or field write
-// of a Config.SinkPackages package). That placement eliminates both
+// of a package holding simulator state). That placement eliminates both
 // failure modes of the intra-procedural check: a helper that wraps
 // time.Now() no longer launders the value past the analysis (the
 // helper's summary says its result is tainted), and timing that only
@@ -28,9 +28,24 @@ import (
 // ignores implicit flows and interface dispatch — see DESIGN.md §9
 // for the soundness caveats.
 var TaintFlow = &Analyzer{
-	Name:      "taintflow",
-	Doc:       "no value derived from wall clock, global math/rand, map or select ordering may reach simulator state, across call chains",
-	RunModule: runTaintFlow,
+	Name: "taintflow",
+	Doc:  "no value derived from wall clock, global math/rand, map or select ordering may reach simulator state, across call chains",
+	Run:  runTaintFlow,
+}
+
+// The packages holding simulator state, relative to the module path
+// (with faultPkg): a tainted value reaching a call, composite literal
+// or field write of one of them is reported.
+const (
+	cachesimPkg = "/internal/cachesim"
+	enginePkg   = "/internal/engine"
+	adaptPkg    = "/internal/adapt"
+	servePkg    = "/internal/serve"
+)
+
+// sinkPkg reports whether path is one of the simulator-state packages.
+func sinkPkg(module, path string) bool {
+	return underModule(module, path, cachesimPkg, enginePkg, adaptPkg, faultPkg, servePkg)
 }
 
 // taintVal is the dataflow fact attached to one object or expression.
@@ -65,7 +80,7 @@ type taintSummary struct {
 	paramSink uint64
 }
 
-func runTaintFlow(p *ModulePass) {
+func runTaintFlow(p *Pass) {
 	summaries := make(map[*FuncNode]*taintSummary, len(p.Prog.Funcs))
 	for _, fn := range p.Prog.Funcs {
 		summaries[fn] = &taintSummary{}
@@ -78,7 +93,7 @@ func runTaintFlow(p *ModulePass) {
 	// Phase 2: report-only walk of the analyzed functions with the
 	// final summaries.
 	for _, fn := range p.Prog.Funcs {
-		if !p.analyzed(fn) || !underAny(fn.Pkg.Path, p.Config.SimPrefixes) {
+		if !p.analyzed(fn) {
 			continue
 		}
 		w := &taintWalker{pass: p, summaries: summaries, fn: fn, sum: summaries[fn], reporting: true}
@@ -88,7 +103,7 @@ func runTaintFlow(p *ModulePass) {
 
 // taintWalker carries one function's walk state.
 type taintWalker struct {
-	pass      *ModulePass
+	pass      *Pass
 	summaries map[*FuncNode]*taintSummary
 	fn        *FuncNode
 	sum       *taintSummary
@@ -194,7 +209,7 @@ func (w *taintWalker) expr(e ast.Expr) taintVal {
 			}
 			t = t.merge(w.expr(v))
 		}
-		if typ := info.TypeOf(e); typ != nil && typeDefinedUnder(typ, w.pass.Config.SinkPackages) && !t.zero() {
+		if typ := info.TypeOf(e); typ != nil && w.sinkType(typ) && !t.zero() {
 			w.sinkReach(t, qualifiedName(derefNamed(typ))+" literal", e.Pos())
 		}
 		return t
@@ -206,6 +221,13 @@ func (w *taintWalker) expr(e ast.Expr) taintVal {
 		return taintVal{}
 	}
 	return taintVal{}
+}
+
+// sinkType reports whether the (possibly pointered) named type is
+// declared in a simulator-state package.
+func (w *taintWalker) sinkType(t types.Type) bool {
+	named, ok := derefNamed(t).(*types.Named)
+	return ok && sinkPkg(w.pass.Module, pkgPathOf(named.Obj()))
 }
 
 // derefNamed strips one pointer level for message rendering.
@@ -240,7 +262,7 @@ func (w *taintWalker) call(call *ast.CallExpr) taintVal {
 		return taintVal{src: "math/rand/v2." + name}
 	}
 
-	sinkCallee := obj != nil && underAny(pkgPathOf(obj), w.pass.Config.SinkPackages)
+	sinkCallee := obj != nil && sinkPkg(w.pass.Module, pkgPathOf(obj))
 	callee := w.pass.Prog.NodeOf(obj)
 	calleeDesc := ""
 	if obj != nil {
@@ -302,11 +324,11 @@ func (w *taintWalker) assign(lhs ast.Expr, t taintVal) {
 	if !t.zero() {
 		switch l := ast.Unparen(lhs).(type) {
 		case *ast.SelectorExpr:
-			if bt := info.TypeOf(l.X); bt != nil && typeDefinedUnder(bt, w.pass.Config.SinkPackages) {
+			if bt := info.TypeOf(l.X); bt != nil && w.sinkType(bt) {
 				w.sinkReach(t, "field "+l.Sel.Name+" of "+qualifiedName(derefNamed(bt)), lhs.Pos())
 			}
 		case *ast.IndexExpr:
-			if bt := info.TypeOf(l); bt != nil && typeDefinedUnder(bt, w.pass.Config.SinkPackages) {
+			if bt := info.TypeOf(l); bt != nil && w.sinkType(bt) {
 				w.sinkReach(t, "element of "+qualifiedName(derefNamed(bt)), lhs.Pos())
 			}
 		}

@@ -20,16 +20,32 @@ import (
 // Domains are inferred from types (time.Duration/time.Time are
 // wall-clock), from names (integer-typed identifiers containing
 // "tick"/"cycle", or named like now/minNow, are cycle-domain; the same
-// applies to function results), from Config.CycleFuncs, and
+// applies to function results), from the cycle functions listed in
+// cycleFunc, and
 // interprocedurally from per-function summaries: a parameter added
 // into a cycle-domain expression inside the callee demands
 // cycle-domain arguments from every caller. Dividing two values of the
 // same domain yields a dimensionless ratio — the sanctioned conversion
 // boundary (d / time.Millisecond is a count, not a duration).
 var TimeUnits = &Analyzer{
-	Name:      "timeunits",
-	Doc:       "no arithmetic, assignment, or argument passing mixing the virtual cycle domain with the wall-clock domain",
-	RunModule: runTimeUnits,
+	Name: "timeunits",
+	Doc:  "no arithmetic, assignment, or argument passing mixing the virtual cycle domain with the wall-clock domain",
+	Run:  runTimeUnits,
+}
+
+// cycleFunc reports whether the qualified function name ("pkgpath.Name"
+// or "pkgpath.Recv.Name") is one whose integer results live in the
+// cycle domain regardless of its name; the names are relative to the
+// module path.
+func cycleFunc(module, name string) bool {
+	switch strings.TrimPrefix(name, module) {
+	case "/internal/cachesim.Machine.Now",
+		"/internal/cachesim.Machine.MaxNow",
+		"/internal/cachesim.Machine.Ticks",
+		"/internal/engine.StreamResult.Percentile":
+		return true
+	}
+	return false
 }
 
 // unitDom is a small domain lattice encoded as a bitset so summary
@@ -72,7 +88,7 @@ type unitSummary struct {
 	results []unitDom
 }
 
-func runTimeUnits(p *ModulePass) {
+func runTimeUnits(p *Pass) {
 	summaries := make(map[*FuncNode]*unitSummary, len(p.Prog.Funcs))
 	for _, fn := range p.Prog.Funcs {
 		sig := fn.Obj.Type().(*types.Signature)
@@ -86,7 +102,7 @@ func runTimeUnits(p *ModulePass) {
 			s.results[i] = declaredDomain(sig.Results().At(i).Type(), fn.Obj.Name()) |
 				declaredDomain(sig.Results().At(i).Type(), sig.Results().At(i).Name())
 		}
-		if underAny2(funcQualified(fn.Obj), p.Config.CycleFuncs) && len(s.results) > 0 {
+		if cycleFunc(p.Module, funcQualified(fn.Obj)) && len(s.results) > 0 {
 			s.results[0] |= domCycle
 		}
 		summaries[fn] = s
@@ -96,7 +112,7 @@ func runTimeUnits(p *ModulePass) {
 		return w.walk()
 	})
 	for _, fn := range p.Prog.Funcs {
-		if !p.analyzed(fn) || !underAny(fn.Pkg.Path, p.Config.SimPrefixes) {
+		if !p.analyzed(fn) {
 			continue
 		}
 		w := &unitWalker{pass: p, summaries: summaries, fn: fn, sum: summaries[fn], reporting: true}
@@ -109,17 +125,6 @@ func runTimeUnits(p *ModulePass) {
 			}
 		}
 	}
-}
-
-// underAny2 reports exact membership of name in list (no prefix
-// semantics — qualified function names are compared whole).
-func underAny2(name string, list []string) bool {
-	for _, s := range list {
-		if name == s {
-			return true
-		}
-	}
-	return false
 }
 
 // cycleName reports whether an identifier names a virtual-time
@@ -173,7 +178,7 @@ func isNumeric(t types.Type) bool {
 
 // unitWalker carries one function's walk state.
 type unitWalker struct {
-	pass      *ModulePass
+	pass      *Pass
 	summaries map[*FuncNode]*unitSummary
 	fn        *FuncNode
 	sum       *unitSummary
@@ -317,7 +322,7 @@ func (w *unitWalker) callDomain(call *ast.CallExpr) unitDom {
 	var out unitDom
 	var calleeSum *unitSummary
 	if fn, ok := obj.(*types.Func); ok {
-		if underAny2(funcQualified(fn), w.pass.Config.CycleFuncs) {
+		if cycleFunc(w.pass.Module, funcQualified(fn)) {
 			out |= domCycle
 		}
 		sig := fn.Type().(*types.Signature)

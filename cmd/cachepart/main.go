@@ -14,6 +14,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"strconv"
@@ -25,27 +26,34 @@ import (
 	"cachepart/internal/serve"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the command: it parses args, prints the chosen figures to
+// stdout and returns the exit status. Bad flags return 2, as the flag
+// package does, and a failed run returns 1.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("cachepart", flag.ExitOnError)
+	flags.SetOutput(stderr)
 	var (
-		fast     = flag.Bool("fast", false, "use 1/32-scale test parameters")
-		scale    = flag.Int("scale", 0, "divide the paper machine's sizes by this factor (default 8, or 32 with -fast)")
-		cores    = flag.Int("cores", 0, "simulated physical cores (default 22)")
-		duration = flag.Float64("duration", 0, "simulated seconds per measurement (default 0.008)")
-		rows     = flag.Int("rows", 0, "sampled rows per aggregation/join input (default ~2M)")
-		scanRows = flag.Int("scanrows", 0, "rows of the scan column (default ~33M; must exceed the scaled LLC several times)")
-		ways     = flag.String("ways", "", "comma-separated LLC way limits to sweep (default 2,4,...,20)")
-		seed     = flag.Int64("seed", 1, "random seed")
+		fast     = flags.Bool("fast", false, "use 1/32-scale test parameters")
+		scale    = flags.Int("scale", 0, "divide the paper machine's sizes by this factor (default 8, or 32 with -fast)")
+		cores    = flags.Int("cores", 0, "simulated physical cores (default 22)")
+		duration = flags.Float64("duration", 0, "simulated seconds per measurement (default 0.008)")
+		rows     = flags.Int("rows", 0, "sampled rows per aggregation/join input (default ~2M)")
+		scanRows = flags.Int("scanrows", 0, "rows of the scan column (default ~33M; must exceed the scaled LLC several times)")
+		ways     = flags.String("ways", "", "comma-separated LLC way limits to sweep (default 2,4,...,20)")
+		seed     = flags.Int64("seed", 1, "random seed")
 
 		// serve-only flags (DESIGN.md §13).
-		loads    = flag.String("loads", "", "serve: comma-separated capacity multiples to sweep (default 0.7,1.0,3.0)")
-		capacity = flag.Int("capacity", 0, "serve: per-tenant queue capacity (default 16)")
-		arrivals = flag.Int("arrivals", 0, "serve: target arrivals per load point (default 240; overload default 320)")
+		loads    = flags.String("loads", "", "serve: comma-separated capacity multiples to sweep (default 0.7,1.0,3.0)")
+		capacity = flags.Int("capacity", 0, "serve: per-tenant queue capacity (default 16)")
+		arrivals = flags.Int("arrivals", 0, "serve: target arrivals per load point (default 240; overload default 320)")
 
 		// overload-only flags (DESIGN.md §15).
-		sloMult = flag.Float64("slo", 0, "overload: SLO multiple of each tenant's isolated mean latency (default 15)")
-		sheds   = flag.String("shed", "", "overload: comma-separated shedding policies to sweep — none, fair, polluter (default all)")
-		retries = flag.Int("retries", 0, "overload: client retry attempts per query (default 3; 1 disables retries)")
-		burst   = flag.Float64("burst", 0, "overload: inject a serving-plane arrival-burst fault at this rate factor (default off)")
+		sloMult = flags.Float64("slo", 0, "overload: SLO multiple of each tenant's isolated mean latency (default 15)")
+		sheds   = flags.String("shed", "", "overload: comma-separated shedding policies to sweep — none, fair, polluter (default all)")
+		retries = flags.Int("retries", 0, "overload: client retry attempts per query (default 3; 1 disables retries)")
+		burst   = flags.Float64("burst", 0, "overload: inject a serving-plane arrival-burst fault at this rate factor (default off)")
 	)
 	figures := harness.Figures()
 	names := make([]string, 0, len(figures)+1)
@@ -53,14 +61,31 @@ func main() {
 		names = append(names, f.Name)
 	}
 	names = append(names, "all")
-	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: cachepart [flags] <%s>\n", strings.Join(names, "|"))
-		flag.PrintDefaults()
+	flags.Usage = func() {
+		fmt.Fprintf(stderr, "usage: cachepart [flags] <%s>\n", strings.Join(names, "|"))
+		flags.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() != 1 {
-		flag.Usage()
-		os.Exit(2)
+	bad := func(format string, args ...any) int {
+		fmt.Fprintf(stderr, "cachepart: "+format+"\n", args...)
+		return 2
+	}
+	flags.Parse(args) // ExitOnError: a parse error exits 2 here
+	if flags.NArg() != 1 {
+		flags.Usage()
+		return 2
+	}
+	// Every numeric flag but -seed is a scale, count, size, time or
+	// rate: a negative, NaN or infinite value is an error, and 0 keeps
+	// the default.
+	var badValue error
+	flags.Visit(func(f *flag.Flag) {
+		v, err := strconv.ParseFloat(f.Value.String(), 64)
+		if badValue == nil && err == nil && f.Name != "seed" && (v < 0 || math.IsNaN(v) || math.IsInf(v, 0)) {
+			badValue = fmt.Errorf("bad -%s value %v", f.Name, v)
+		}
+	})
+	if badValue != nil {
+		return bad("%v", badValue)
 	}
 
 	p := harness.Default()
@@ -73,14 +98,6 @@ func main() {
 	}
 	if *cores > 0 {
 		p.Cores = *cores
-	}
-	for _, f := range []struct {
-		name string
-		v    float64
-	}{{"duration", *duration}, {"slo", *sloMult}, {"burst", *burst}} {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			badFlag("bad -%s value %v", f.name, f.v)
-		}
 	}
 	if *duration > 0 {
 		p.Duration = *duration
@@ -97,7 +114,7 @@ func main() {
 		for _, field := range strings.Split(*ways, ",") {
 			w, err := strconv.Atoi(strings.TrimSpace(field))
 			if err != nil || w < 1 || w > 20 {
-				badFlag("bad -ways entry %q", field)
+				return bad("bad -ways entry %q", field)
 			}
 			p.Ways = append(p.Ways, w)
 		}
@@ -105,7 +122,7 @@ func main() {
 	p.Seed = *seed
 	l, err := parseLoads(*loads)
 	if err != nil {
-		badFlag("%v", err)
+		return bad("%v", err)
 	}
 	p.Serve = harness.ServeOptions{Loads: l, QueueCap: *capacity, Arrivals: *arrivals}
 	p.Overload = harness.OverloadOptions{Loads: l, Arrivals: *arrivals, SLOMultiple: *sloMult, Retries: *retries, QueueCap: *capacity}
@@ -113,7 +130,7 @@ func main() {
 		for _, field := range strings.Split(*sheds, ",") {
 			name := strings.TrimSpace(field)
 			if _, err := serve.ParseShedPolicy(name); err != nil {
-				badFlag("bad -shed entry %q", field)
+				return bad("bad -shed entry %q", field)
 			}
 			p.Overload.Sheds = append(p.Overload.Sheds, name)
 		}
@@ -122,7 +139,7 @@ func main() {
 		p.Overload.ServeFaults = &fault.ServeConfig{Seed: *seed, Bursts: 1, BurstFactor: *burst}
 	}
 
-	cmd := flag.Arg(0)
+	cmd := flags.Arg(0)
 	run := figures
 	if cmd != "all" {
 		run = nil
@@ -132,27 +149,21 @@ func main() {
 			}
 		}
 		if run == nil {
-			flag.Usage()
-			os.Exit(2)
+			flags.Usage()
+			return 2
 		}
 	}
 	t0 := time.Now() //lint:allow nondet operator-facing progress timing, not simulation state
 	for _, f := range run {
-		if err := f.Render(p, os.Stdout); err != nil {
-			fmt.Fprintf(os.Stderr, "cachepart: %v\n", err)
-			os.Exit(1)
+		if err := f.Render(p, stdout); err != nil {
+			fmt.Fprintf(stderr, "cachepart: %v\n", err)
+			return 1
 		}
 	}
 	elapsed := time.Since(t0) //lint:allow nondet operator-facing progress timing, not simulation state
-	fmt.Printf("(%s, scale 1/%d, %d cores, %.0f ms windows, completed in %.1fs)\n",
+	fmt.Fprintf(stdout, "(%s, scale 1/%d, %d cores, %.0f ms windows, completed in %.1fs)\n",
 		cmd, p.Scale, p.Cores, p.Duration*1e3, elapsed.Seconds())
-}
-
-// badFlag reports bad command-line input and exits 2, as the flag
-// package does.
-func badFlag(format string, args ...any) {
-	fmt.Fprintf(os.Stderr, "cachepart: "+format+"\n", args...)
-	os.Exit(2)
+	return 0
 }
 
 // parseLoads parses the -loads list; empty keeps the sweep's default.

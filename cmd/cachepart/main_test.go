@@ -1,7 +1,10 @@
 package main
 
 import (
+	"bytes"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -27,6 +30,32 @@ func TestParseLoads(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("parseLoads(%q) = %v, want %v", tc.in, got, tc.want)
+		}
+	}
+}
+
+// TestBadNumericFlagsExit2 pins the numeric flags' contract: 0 keeps
+// the default, and a negative, NaN or infinite value exits 2 naming
+// the flag instead of silently running at the default.
+func TestBadNumericFlagsExit2(t *testing.T) {
+	for _, args := range [][]string{
+		{"-scale", "-4"},
+		{"-cores", "-3"},
+		{"-duration", "-1"},
+		{"-rows", "-1"},
+		{"-scanrows", "-1"},
+		{"-capacity", "-1"},
+		{"-arrivals", "-1"},
+		{"-slo", "-1"},
+		{"-retries", "-1"},
+		{"-burst", "-1"},
+		{"-duration", "NaN"},
+		{"-slo", "+Inf"},
+	} {
+		var stderr bytes.Buffer
+		code := run(append([]string{"-fast"}, append(args, "fig1")...), io.Discard, &stderr)
+		if code != 2 || !strings.Contains(stderr.String(), args[0]+" ") {
+			t.Errorf("cachepart %s %s fig1: exit %d, stderr %q; want exit 2 naming %s", args[0], args[1], code, stderr.String(), args[0])
 		}
 	}
 }

@@ -170,9 +170,6 @@ func TestPackedVectorGeometry(t *testing.T) {
 	if got := v.Bytes(); got < 2_500_000 || got > 2_500_064 {
 		t.Errorf("Bytes = %d, want ~2.5e6", got)
 	}
-	if got := v.RowsPerLine(); got != 25.6 {
-		t.Errorf("RowsPerLine = %v, want 25.6", got)
-	}
 	if v.LineOfRow(0) != 0 {
 		t.Error("row 0 not in line 0")
 	}

@@ -115,12 +115,6 @@ func (v *PackedVector) LineOfRow(i int) uint64 {
 	return bitPos / 8 / memory.LineSize
 }
 
-// RowsPerLine reports how many codes fit in one cache line on average;
-// at 20 bits that is 25.6, matching the paper's SIMD scan density.
-func (v *PackedVector) RowsPerLine() float64 {
-	return float64(memory.LineSize*8) / float64(v.bits)
-}
-
 // StartCountInRange starts CountInRange(from, to, lo, hi) on a
 // goroutine of its own and returns the channel its one result arrives
 // on. The channel has capacity one, so the send never blocks and a

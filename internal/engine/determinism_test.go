@@ -2,10 +2,12 @@ package engine
 
 import (
 	"reflect"
+	"sync"
 	"testing"
 
 	"cachepart/internal/cachesim"
 	"cachepart/internal/core"
+	"cachepart/internal/fault"
 )
 
 // TestRunBitIdentical pins the reproducibility contract the nondet
@@ -58,5 +60,63 @@ func TestRunBitIdentical(t *testing.T) {
 	// stream RNG.)
 	if other := run(43); reflect.DeepEqual(first, other) {
 		t.Logf("seed 42 and 43 produced identical results; seed may be unused by this workload")
+	}
+}
+
+// TestIndependentSystemsShareNothing is the contract that lets the
+// simulator hold no lock: two engines, each with its own machine,
+// address space and chaos-wrapped control plane, run the same co-run
+// on two goroutines, and each returns what a serial run returns. Under
+// -race it also fails on any state the two share.
+func TestIndependentSystemsShareNothing(t *testing.T) {
+	type system struct {
+		e    *Engine
+		pl   *fault.Plane
+		scan *scanQuery
+	}
+	type outcome struct {
+		res    []StreamResult
+		total  cachesim.CoreStats
+		faults fault.Stats
+	}
+	build := func() system {
+		e, pl := chaosEngine(t, fault.Uniform(0.2, 7))
+		return system{e, pl, newScanQuery(t, 60_000)}
+	}
+	run := func(s system) (outcome, error) {
+		specs := []StreamSpec{
+			{Query: s.scan, Cores: []int{0, 1, 2, 3}},
+			{Query: &countQuery{name: "B", rowsPerExec: 400, cuid: core.Sensitive}, Cores: []int{4, 5, 6, 7}},
+		}
+		res, err := s.e.Run(specs, RunOptions{Duration: 1e-4, Seed: 42})
+		return outcome{res, s.e.Machine().TotalStats(), s.pl.Stats()}, err
+	}
+
+	serial, err := run(build())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if serial.faults.Injected == 0 {
+		t.Fatal("the serial run injected no fault; the control plane is not exercised")
+	}
+	systems := [2]system{build(), build()}
+	var got [2]outcome
+	var errs [2]error
+	var wg sync.WaitGroup
+	for i := range systems {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = run(systems[i])
+		}()
+	}
+	wg.Wait()
+	for i := range got {
+		if errs[i] != nil {
+			t.Fatalf("system %d: %v", i, errs[i])
+		}
+		if !reflect.DeepEqual(serial, got[i]) {
+			t.Errorf("system %d on its own goroutine diverged from the serial run:\n serial: %+v\n    got: %+v", i, serial, got[i])
+		}
 	}
 }

@@ -66,10 +66,6 @@ func (c Completion) Wait() int64 { return c.Start - c.Release }
 // Service returns the completion's execution time on its group.
 func (c Completion) Service() int64 { return c.Done - c.Start }
 
-// Latency returns the completion's end-to-end response time from
-// admission to completion.
-func (c Completion) Latency() int64 { return c.Done - c.Release }
-
 // Feed supplies an open-loop run with work. The engine calls Next with
 // a monotone non-decreasing now per group; implementations must be
 // deterministic functions of their configuration (seeded streams, never

@@ -193,7 +193,6 @@ func (t *AggTable) grow(ctx *Ctx) {
 		}
 		t.reinsert(ctx, old[i].key, old[i].val)
 	}
-	t.space.Free(oldRegion)
 }
 
 // reinsert places a key during rehash without growth checks.

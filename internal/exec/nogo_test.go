@@ -13,9 +13,9 @@ import (
 // packages that can reach a Ctx or a Machine contain no go statement.
 // The one helper the simulator starts (PackedVector.StartCountInRange)
 // lives in internal/column, which imports only memory and so cannot.
-// memory, resctrl and fault hold the module's three mutexes; with no
-// goroutine of their own either, no lock runs concurrently with the
-// loop, so none can be held across a channel or taken in two orders.
+// Nor do they import "sync": one serial loop drives each System, so a
+// lock inside the simulator would guard nothing. (sync/atomic is a
+// different path; exec's bit vector keeps it.)
 func TestSimulatorStartsNoGoroutines(t *testing.T) {
 	for _, pkg := range []string{"exec", "engine", "cachesim", "serve", "adapt", "harness", "memory", "resctrl", "fault"} {
 		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
@@ -30,6 +30,11 @@ func TestSimulatorStartsNoGoroutines(t *testing.T) {
 			f, err := parser.ParseFile(fset, name, nil, 0)
 			if err != nil {
 				t.Fatal(err)
+			}
+			for _, imp := range f.Imports {
+				if imp.Path.Value == `"sync"` {
+					t.Errorf("%s: imports sync; a System is driven by one loop and needs no lock", fset.Position(imp.Pos()))
+				}
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {

@@ -16,15 +16,13 @@
 // Determinism: all control-plane calls happen inside the engine's
 // serial virtual-time loop, so the injector's random draws occur in a
 // deterministic order and two runs with the same fault seed inject the
-// identical schedule. The internal mutex exists only so the race
-// detector stays satisfied when tests probe the plane from outside a
-// run; it serialises nothing the engine does not already serialise.
+// identical schedule. A Plane is owned by one System, like the mount it
+// wraps, so it holds no lock.
 package fault
 
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"cachepart/internal/cat"
 	"cachepart/internal/resctrl"
@@ -144,7 +142,6 @@ type Stats struct {
 // Plane wraps a resctrl control plane with fault injection. Build one
 // with Wrap; it implements resctrl.Plane.
 type Plane struct {
-	mu    sync.Mutex
 	inner resctrl.Plane
 	cfg   Config
 	rng   *rand.Rand
@@ -175,33 +172,14 @@ func Wrap(inner resctrl.Plane, cfg Config) (*Plane, error) {
 // Inner returns the wrapped plane, for unwrapping after an experiment.
 func (p *Plane) Inner() resctrl.Plane { return p.inner }
 
-// Config returns the injection configuration.
-func (p *Plane) Config() Config { return p.cfg }
-
 // Stats returns a snapshot of the injection counters.
-func (p *Plane) Stats() Stats {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.stats
-}
-
-// Reset clears the breakers and counters and rewinds the random
-// schedule to the seed, so a reused plane replays the same faults.
-func (p *Plane) Reset() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.rng = rand.New(rand.NewSource(p.cfg.Seed))
-	clear(p.broken)
-	p.stats = Stats{}
-}
+func (p *Plane) Stats() Stats { return p.stats }
 
 // maybeFail decides one call's fate. A tripped breaker fails without
 // consuming randomness — the draw order over non-broken calls is what
 // the determinism guarantee covers — and a fresh fault draws once for
 // the injection and, when injected, once for persistence.
 func (p *Plane) maybeFail(op, group string, rate float64, errno string) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
 	key := op + "\x00" + group
 	if p.broken[key] {
 		p.stats.Injected++
@@ -229,14 +207,6 @@ func (p *Plane) MakeGroup(name string) error {
 	return p.inner.MakeGroup(name)
 }
 
-// RemoveGroup passes through: rmdir of an existing group does not fail
-// on real kernels short of unmount races the simulator has no analog
-// for.
-func (p *Plane) RemoveGroup(name string) error { return p.inner.RemoveGroup(name) }
-
-// Groups passes through (read-only).
-func (p *Plane) Groups() []string { return p.inner.Groups() }
-
 // WriteSchemata injects EBUSY, the errno a schemata write returns when
 // the domain is locked or another writer is mid-update.
 func (p *Plane) WriteSchemata(groupName, schemata string) error {
@@ -244,11 +214,6 @@ func (p *Plane) WriteSchemata(groupName, schemata string) error {
 		return err
 	}
 	return p.inner.WriteSchemata(groupName, schemata)
-}
-
-// ReadSchemata passes through (read-only).
-func (p *Plane) ReadSchemata(groupName string) (string, error) {
-	return p.inner.ReadSchemata(groupName)
 }
 
 // Mask passes through (read-only).
@@ -266,21 +231,15 @@ func (p *Plane) MoveTask(tid int, groupName string) error {
 // GroupOf passes through (read-only).
 func (p *Plane) GroupOf(tid int) string { return p.inner.GroupOf(tid) }
 
-// Tasks passes through (read-only).
-func (p *Plane) Tasks(groupName string) []int { return p.inner.Tasks(groupName) }
-
 // Schedule injects EAGAIN — a failed association on the context-switch
 // path. Schedule faults are always transient: the next dispatch of the
 // task retries the association, so no breaker is kept. The group key
 // is the task's current group so the draw stays group-attributed.
 func (p *Plane) Schedule(tid, core int) error {
-	p.mu.Lock()
 	if p.cfg.Schedule > 0 && p.rng.Float64() < p.cfg.Schedule {
 		p.stats.Injected++
-		p.mu.Unlock()
 		return &Fault{Op: OpSchedule, Group: p.inner.GroupOf(tid), Errno: "EAGAIN"}
 	}
-	p.mu.Unlock()
 	return p.inner.Schedule(tid, core)
 }
 
@@ -292,27 +251,22 @@ func (p *Plane) Writes() int { return p.inner.Writes() }
 // "Error" counter failure. Both are returned wrapping the resctrl
 // sentinels so errors.Is sees through the injection layer.
 func (p *Plane) ReadMonData(groupName string) (resctrl.MonData, error) {
-	p.mu.Lock()
 	key := OpReadMonData + "\x00" + groupName
 	switch {
 	case p.broken[key]:
 		p.stats.Injected++
 		p.stats.MonFaults++
-		p.mu.Unlock()
 		return resctrl.MonData{}, fmt.Errorf("%w (injected, persistent)", resctrl.ErrCounter)
 	case p.cfg.MonError > 0 && p.rng.Float64() < p.cfg.MonError:
 		p.broken[key] = true
 		p.stats.Injected++
 		p.stats.MonFaults++
 		p.stats.PersistentTrips++
-		p.mu.Unlock()
 		return resctrl.MonData{}, fmt.Errorf("%w (injected, persistent)", resctrl.ErrCounter)
 	case p.cfg.MonUnavailable > 0 && p.rng.Float64() < p.cfg.MonUnavailable:
 		p.stats.Injected++
 		p.stats.MonFaults++
-		p.mu.Unlock()
 		return resctrl.MonData{}, fmt.Errorf("%w (injected)", resctrl.ErrUnavailable)
 	}
-	p.mu.Unlock()
 	return p.inner.ReadMonData(groupName)
 }

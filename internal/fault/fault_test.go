@@ -108,21 +108,6 @@ func TestFaultSameSeedSameSchedule(t *testing.T) {
 	}
 }
 
-func TestFaultResetReplaysSchedule(t *testing.T) {
-	pl := newPlane(t, Uniform(0.3, 7))
-	a := script(pl)
-	pl.Reset()
-	if s := pl.Stats(); s != (Stats{}) {
-		t.Errorf("stats not cleared by Reset: %+v", s)
-	}
-	b := script(pl)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("replay diverges at call %d", i)
-		}
-	}
-}
-
 func TestFaultTransience(t *testing.T) {
 	f := &Fault{Op: OpWriteSchemata, Group: "g", Errno: "EBUSY"}
 	if !f.Transient() {

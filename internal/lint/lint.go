@@ -12,8 +12,8 @@
 // check keeps heap allocation off the //perf:hot path. Each is one
 // Analyzer; Run applies them in turn, on one goroutine, and
 // cmd/cachelint runs them all over the module. Lock copies are go vet's copylocks; lock order needs no
-// check, because no package that holds a mutex starts a goroutine
-// (exec's TestSimulatorStartsNoGoroutines).
+// check, because the simulator's packages hold no lock and start no
+// goroutine (exec's TestSimulatorStartsNoGoroutines).
 //
 // Intentional exceptions are annotated in the source with
 //

@@ -67,8 +67,6 @@ func (s *Space) AllocColored(name string, size uint64, colors []int, numColors i
 	if size == 0 {
 		size = PageSize
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	need := int((size + PageSize - 1) / PageSize)
 	r := ColoredRegion{Name: name, size: size, pages: make([]Addr, 0, need)}
 	for len(r.pages) < need {
@@ -78,7 +76,6 @@ func (s *Space) AllocColored(name string, size uint64, colors []int, numColors i
 			r.pages = append(r.pages, page)
 		}
 	}
-	s.regions = append(s.regions, Region{Name: name + ".colored", Base: r.pages[0], Size: size})
 	return r, nil
 }
 

@@ -10,11 +10,7 @@
 // allocator would.
 package memory
 
-import (
-	"fmt"
-	"sort"
-	"sync"
-)
+import "fmt"
 
 // Addr is a simulated physical byte address.
 type Addr uint64
@@ -55,11 +51,11 @@ func (r Region) Contains(a Addr) bool {
 }
 
 // Space is a simulated physical address space with a bump allocator.
-// The zero value is ready to use. Space is safe for concurrent use.
+// It never recycles an address: recycling would let two logically
+// distinct structures alias in the cache simulator. A Space is owned by
+// one System, whose serial loop makes every call, so it holds no lock.
 type Space struct {
-	mu      sync.Mutex
-	next    Addr
-	regions []Region
+	next Addr
 }
 
 // NewSpace returns an empty address space starting at one page, so that
@@ -72,62 +68,14 @@ func NewSpace() *Space {
 // A zero size allocates one page so that every region has a distinct,
 // valid base address.
 func (s *Space) Alloc(name string, size uint64) Region {
-	s.mu.Lock()
 	if size == 0 {
 		size = PageSize
 	}
 	r := Region{Name: name, Base: s.next, Size: size}
 	pages := (size + PageSize - 1) / PageSize
 	s.next += Addr(pages * PageSize)
-	s.regions = append(s.regions, r)
-	s.mu.Unlock()
 	return r
 }
 
-// Free releases a region for accounting purposes. The bump allocator
-// does not recycle addresses — recycling would let two logically
-// distinct structures alias in the cache simulator — so Free only
-// removes the region from the inventory.
-func (s *Space) Free(r Region) {
-	s.mu.Lock()
-	for i := range s.regions {
-		if s.regions[i].Base == r.Base {
-			s.regions = append(s.regions[:i], s.regions[i+1:]...)
-			break
-		}
-	}
-	s.mu.Unlock()
-}
-
-// Allocated reports the total bytes currently allocated.
-func (s *Space) Allocated() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total uint64
-	for _, r := range s.regions {
-		total += r.Size
-	}
-	return total
-}
-
-// Regions returns a snapshot of live regions ordered by base address.
-func (s *Space) Regions() []Region {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]Region, len(s.regions))
-	copy(out, s.regions)
-	sort.Slice(out, func(i, j int) bool { return out[i].Base < out[j].Base })
-	return out
-}
-
-// Lookup finds the region containing the address, if any.
-func (s *Space) Lookup(a Addr) (Region, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, r := range s.regions {
-		if r.Contains(a) {
-			return r, true
-		}
-	}
-	return Region{}, false
-}
+// Allocated reports the bytes handed out so far, in whole pages.
+func (s *Space) Allocated() uint64 { return uint64(s.next - PageSize) }

@@ -7,43 +7,6 @@ import (
 	"cachepart/internal/cat"
 )
 
-// TestRemoveGroupResetsMask pins the freed-CLOS invariant: deleting a
-// group returns its class of service to the allocator with the full
-// mask, so a later group reusing the CLOS does not inherit a stale
-// confinement. The reset is a real register write and counts as one.
-func TestRemoveGroupResetsMask(t *testing.T) {
-	fs, regs := mountTest(t)
-	if err := fs.MakeGroup("g"); err != nil { // CLOS 1
-		t.Fatal(err)
-	}
-	if err := fs.WriteSchemata("g", "L3:0=3"); err != nil {
-		t.Fatal(err)
-	}
-	writes := fs.Writes()
-	if err := fs.RemoveGroup("g"); err != nil {
-		t.Fatal(err)
-	}
-	if got := regs.Mask(1); got != cat.FullMask(20) {
-		t.Errorf("freed CLOS 1 mask = %v, want full", got)
-	}
-	if got := fs.Writes(); got != writes+1 {
-		t.Errorf("Writes() after removal = %d, want %d (reset counted)", got, writes+1)
-	}
-
-	// A group removed with the full mask still in place needs no
-	// reset write.
-	if err := fs.MakeGroup("h"); err != nil {
-		t.Fatal(err)
-	}
-	writes = fs.Writes()
-	if err := fs.RemoveGroup("h"); err != nil {
-		t.Fatal(err)
-	}
-	if got := fs.Writes(); got != writes {
-		t.Errorf("removing an unconfined group wrote %d times", got-writes)
-	}
-}
-
 // TestMonWindowGapSkipsNotZeroFills is the telemetry-gap contract: a
 // failed sample must not move the baseline, so the first success after
 // an outage reports the whole spanned delta with the gap length —

@@ -43,8 +43,6 @@ type MonData struct {
 // Attaching nil detaches, after which reads fail with ErrUnavailable —
 // the hook tests use to script telemetry gaps.
 func (fs *FS) AttachMonitor(mon Monitor) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	fs.monitor = mon
 }
 
@@ -52,8 +50,6 @@ func (fs *FS) AttachMonitor(mon Monitor) {
 // attached monitor it fails with an error wrapping ErrUnavailable, the
 // same shape as an RMID whose counts have not materialised.
 func (fs *FS) ReadMonData(groupName string) (MonData, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if fs.monitor == nil {
 		return MonData{}, fmt.Errorf("resctrl: monitoring not available: %w", ErrUnavailable)
 	}

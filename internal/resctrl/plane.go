@@ -10,28 +10,20 @@ import "cachepart/internal/cat"
 // monitoring reads), so the layers above are written against the
 // interface rather than the concrete filesystem.
 //
-// Read-only calls (Mask, ReadSchemata, GroupOf, Tasks, Groups, Writes)
-// are part of the interface but are never fault-injected: the kernel's
-// failure modes live on the write paths and the monitoring files.
+// Read-only calls (Mask, GroupOf, Writes) are part of the interface
+// but are never fault-injected: the kernel's failure modes live on the
+// write paths and the monitoring files.
 type Plane interface {
 	// MakeGroup creates a control group, allocating a CLOS (mkdir).
 	MakeGroup(name string) error
-	// RemoveGroup deletes a group; its tasks fall back to root (rmdir).
-	RemoveGroup(name string) error
-	// Groups lists control group names, root first.
-	Groups() []string
 	// WriteSchemata programs a group's L3 mask ("L3:0=<hexmask>").
 	WriteSchemata(groupName, schemata string) error
-	// ReadSchemata renders a group's schemata file.
-	ReadSchemata(groupName string) (string, error)
 	// Mask reports a group's current capacity mask.
 	Mask(groupName string) (cat.WayMask, error)
 	// MoveTask writes a TID into a group's tasks file.
 	MoveTask(tid int, groupName string) error
 	// GroupOf reports the group a task belongs to.
 	GroupOf(tid int) string
-	// Tasks lists the TIDs in a group, sorted.
-	Tasks(groupName string) []int
 	// Schedule programs a core's CLOS from its task's group (the
 	// context-switch hook).
 	Schedule(tid, core int) error

@@ -9,10 +9,8 @@ package resctrl
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"cachepart/internal/cat"
 )
@@ -22,9 +20,9 @@ import (
 const RootGroup = ""
 
 // FS is a mounted resctrl filesystem bound to one socket's CAT
-// registers. It is safe for concurrent use.
+// registers. It is owned by one System, whose serial loop makes every
+// call, so it holds no lock.
 type FS struct {
-	mu      sync.Mutex
 	regs    *cat.Registers
 	groups  map[string]*group
 	tasks   map[int]string // TID -> group name
@@ -33,7 +31,6 @@ type FS struct {
 }
 
 type group struct {
-	name string
 	clos int
 	mask cat.WayMask
 }
@@ -41,94 +38,34 @@ type group struct {
 // Mount creates the filesystem over a register file. The root group is
 // bound to CLOS 0 with the full mask, mirroring the kernel.
 func Mount(regs *cat.Registers) *FS {
-	fs := &FS{
+	return &FS{
 		regs:   regs,
-		groups: make(map[string]*group),
+		groups: map[string]*group{RootGroup: {clos: 0, mask: cat.FullMask(regs.NumWays())}},
 		tasks:  make(map[int]string),
 	}
-	fs.groups[RootGroup] = &group{
-		name: RootGroup,
-		clos: 0,
-		mask: cat.FullMask(regs.NumWays()),
-	}
-	return fs
 }
 
 // MakeGroup creates a control group, allocating the next free CLOS.
 // The new group starts with the full capacity mask, like `mkdir` under
-// /sys/fs/resctrl.
+// /sys/fs/resctrl. Groups are never removed, so the CLOSes in use are
+// exactly 0 through len(groups)-1.
 func (fs *FS) MakeGroup(name string) error {
 	if name == RootGroup || strings.ContainsAny(name, "/\x00") {
 		return fmt.Errorf("resctrl: invalid group name %q", name)
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if _, ok := fs.groups[name]; ok {
 		return fmt.Errorf("resctrl: group %q exists", name)
 	}
-	used := make(map[int]bool, len(fs.groups))
-	for _, g := range fs.groups {
-		used[g.clos] = true
-	}
-	clos := -1
-	for c := 0; c < fs.regs.NumCLOS(); c++ {
-		if !used[c] {
-			clos = c
-			break
-		}
-	}
-	if clos < 0 {
-		return fmt.Errorf("resctrl: out of CLOS (%d in use)", len(fs.groups))
+	clos := len(fs.groups)
+	if clos >= fs.regs.NumCLOS() {
+		return fmt.Errorf("resctrl: out of CLOS (%d in use)", clos)
 	}
 	full := cat.FullMask(fs.regs.NumWays())
 	if err := fs.regs.SetMask(clos, full); err != nil {
 		return err
 	}
-	fs.groups[name] = &group{name: name, clos: clos, mask: full}
+	fs.groups[name] = &group{clos: clos, mask: full}
 	return nil
-}
-
-// RemoveGroup deletes a control group; its tasks fall back to the root
-// group, as in the kernel. The freed CLOS is restored to the full
-// capacity mask — the kernel resets removed groups' schemata to the
-// default, so a restrictive mask must not survive in the register file
-// until the CLOS is reused. A reset of a narrowed mask counts as a
-// state-changing write.
-func (fs *FS) RemoveGroup(name string) error {
-	if name == RootGroup {
-		return fmt.Errorf("resctrl: cannot remove root group")
-	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	g, ok := fs.groups[name]
-	if !ok {
-		return fmt.Errorf("resctrl: no group %q", name)
-	}
-	if full := cat.FullMask(fs.regs.NumWays()); g.mask != full {
-		if err := fs.regs.SetMask(g.clos, full); err != nil {
-			return err
-		}
-		fs.writes++
-	}
-	delete(fs.groups, name)
-	for tid, gn := range fs.tasks {
-		if gn == name {
-			fs.tasks[tid] = RootGroup
-		}
-	}
-	return nil
-}
-
-// Groups lists control group names, root first.
-func (fs *FS) Groups() []string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	names := make([]string, 0, len(fs.groups))
-	for n := range fs.groups {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // WriteSchemata programs a group's L3 mask from the kernel's textual
@@ -138,8 +75,6 @@ func (fs *FS) WriteSchemata(groupName, schemata string) error {
 	if err != nil {
 		return err
 	}
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	g, ok := fs.groups[groupName]
 	if !ok {
 		return fmt.Errorf("resctrl: no group %q", groupName)
@@ -152,21 +87,8 @@ func (fs *FS) WriteSchemata(groupName, schemata string) error {
 	return nil
 }
 
-// ReadSchemata renders a group's schemata file.
-func (fs *FS) ReadSchemata(groupName string) (string, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	g, ok := fs.groups[groupName]
-	if !ok {
-		return "", fmt.Errorf("resctrl: no group %q", groupName)
-	}
-	return FormatSchemata(g.mask), nil
-}
-
 // Mask reports a group's current capacity mask.
 func (fs *FS) Mask(groupName string) (cat.WayMask, error) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	g, ok := fs.groups[groupName]
 	if !ok {
 		return 0, fmt.Errorf("resctrl: no group %q", groupName)
@@ -179,8 +101,6 @@ func (fs *FS) Mask(groupName string) (cat.WayMask, error) {
 // write, which is the redundant-write elision the paper implements in
 // the engine (Section V-C).
 func (fs *FS) MoveTask(tid int, groupName string) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	if _, ok := fs.groups[groupName]; !ok {
 		return fmt.Errorf("resctrl: no group %q", groupName)
 	}
@@ -194,31 +114,13 @@ func (fs *FS) MoveTask(tid int, groupName string) error {
 
 // GroupOf reports the group a task belongs to (root if never moved).
 func (fs *FS) GroupOf(tid int) string {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.tasks[tid]
-}
-
-// Tasks lists the TIDs in a group, sorted.
-func (fs *FS) Tasks(groupName string) []int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	var out []int
-	for tid, g := range fs.tasks {
-		if g == groupName {
-			out = append(out, tid)
-		}
-	}
-	sort.Ints(out)
-	return out
 }
 
 // Schedule is the kernel scheduler hook: when task tid is dispatched on
 // a core, the core's CLOS register is updated to the task's group, as
 // the resctrl documentation describes for context switches.
 func (fs *FS) Schedule(tid, core int) error {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	g := fs.groups[fs.tasks[tid]]
 	if g == nil {
 		g = fs.groups[RootGroup]
@@ -232,8 +134,6 @@ func (fs *FS) Schedule(tid, core int) error {
 // Writes reports how many state-changing writes (schemata and task
 // moves) the filesystem has absorbed, for overhead accounting.
 func (fs *FS) Writes() int {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
 	return fs.writes
 }
 

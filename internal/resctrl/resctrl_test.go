@@ -18,9 +18,8 @@ func mountTest(t *testing.T) (*FS, *cat.Registers) {
 
 func TestMountRootGroup(t *testing.T) {
 	fs, regs := mountTest(t)
-	groups := fs.Groups()
-	if len(groups) != 1 || groups[0] != RootGroup {
-		t.Fatalf("groups = %v, want only root", groups)
+	if len(fs.groups) != 1 || fs.groups[RootGroup] == nil {
+		t.Fatalf("groups = %v, want only root", fs.groups)
 	}
 	m, err := fs.Mask(RootGroup)
 	if err != nil || m != cat.FullMask(20) {
@@ -91,8 +90,8 @@ func TestReadSchemataRoundTrip(t *testing.T) {
 		if err := fs.WriteSchemata("g", "L3:0="+mask); err != nil {
 			t.Fatal(err)
 		}
-		got, err := fs.ReadSchemata("g")
-		if err != nil || got != "L3:0="+mask {
+		m, err := fs.Mask("g")
+		if got := FormatSchemata(m); err != nil || got != "L3:0="+mask {
 			t.Errorf("round trip %q -> %q (%v)", mask, got, err)
 		}
 	}
@@ -115,27 +114,6 @@ func TestMoveTaskElidesRedundantWrites(t *testing.T) {
 	}
 	if g := fs.GroupOf(7); g != "g" {
 		t.Errorf("GroupOf = %q", g)
-	}
-	if tasks := fs.Tasks("g"); len(tasks) != 1 || tasks[0] != 7 {
-		t.Errorf("Tasks = %v", tasks)
-	}
-}
-
-func TestRemoveGroupReparentsTasks(t *testing.T) {
-	fs, _ := mountTest(t)
-	_ = fs.MakeGroup("g")
-	_ = fs.MoveTask(1, "g")
-	if err := fs.RemoveGroup("g"); err != nil {
-		t.Fatal(err)
-	}
-	if g := fs.GroupOf(1); g != RootGroup {
-		t.Errorf("task fell into %q, want root", g)
-	}
-	if err := fs.RemoveGroup(RootGroup); err == nil {
-		t.Error("removing root should fail")
-	}
-	if err := fs.RemoveGroup("gone"); err == nil {
-		t.Error("removing unknown group should fail")
 	}
 }
 
@@ -190,9 +168,6 @@ func TestWriteSchemataErrors(t *testing.T) {
 	}
 	if err := fs.MoveTask(1, "nope"); err == nil {
 		t.Error("MoveTask to unknown group should fail")
-	}
-	if _, err := fs.ReadSchemata("nope"); err == nil {
-		t.Error("ReadSchemata of unknown group should fail")
 	}
 	if _, err := fs.Mask("nope"); err == nil {
 		t.Error("Mask of unknown group should fail")

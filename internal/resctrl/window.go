@@ -35,8 +35,8 @@ type MonReader interface {
 // delta (flagged with MonDelta.Gap) instead of a bogus zero followed by
 // a bogus burst.
 //
-// A MonWindow is driven from one control loop and is not safe for
-// concurrent use; the underlying filesystem reads are.
+// A MonWindow is driven from one control loop, like the plane it
+// reads.
 type MonWindow struct {
 	fs MonReader
 	// last holds the cumulative traffic reading per group at its

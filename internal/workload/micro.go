@@ -16,48 +16,6 @@ import (
 	"cachepart/internal/memory"
 )
 
-// UniformInts generates n integers uniformly in [lo, hi].
-func UniformInts(rng *rand.Rand, n int, lo, hi int64) []int64 {
-	out := make([]int64, n)
-	span := hi - lo + 1
-	for i := range out {
-		out[i] = lo + rng.Int63n(span)
-	}
-	return out
-}
-
-// ZipfInts generates n integers from [lo, hi] under a Zipf
-// distribution with exponent s > 1 — skewed domains for workloads
-// beyond the paper's uniform data (hot dictionary entries, skewed
-// group sizes).
-func ZipfInts(rng *rand.Rand, n int, lo, hi int64, s float64) ([]int64, error) {
-	if hi < lo {
-		return nil, fmt.Errorf("workload: empty domain [%d,%d]", lo, hi)
-	}
-	if s <= 1 {
-		return nil, fmt.Errorf("workload: Zipf exponent %v must exceed 1", s)
-	}
-	z := rand.NewZipf(rng, s, 1, uint64(hi-lo))
-	if z == nil {
-		return nil, fmt.Errorf("workload: invalid Zipf parameters")
-	}
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = lo + int64(z.Uint64())
-	}
-	return out, nil
-}
-
-// EncodeZipfDense builds a dense-dictionary column of Zipf-distributed
-// values over [lo, hi].
-func EncodeZipfDense(space *memory.Space, name string, rng *rand.Rand, n int, lo, hi int64, s float64) (*column.Column, error) {
-	vals, err := ZipfInts(rng, n, lo, hi, s)
-	if err != nil {
-		return nil, err
-	}
-	return column.EncodeDense(space, name, vals, lo, hi, column.DefaultEntrySize)
-}
-
 // EncodeUniformDense builds a dense-dictionary column of n values
 // drawn uniformly from [lo, hi] without materialising an intermediate
 // value slice, so multi-million-row samples stay cheap to load.

@@ -12,20 +12,6 @@ import (
 
 func testRng() *rand.Rand { return rand.New(rand.NewSource(1)) }
 
-func TestUniformInts(t *testing.T) {
-	vals := UniformInts(testRng(), 10_000, 5, 9)
-	seen := map[int64]bool{}
-	for _, v := range vals {
-		if v < 5 || v > 9 {
-			t.Fatalf("value %d out of [5,9]", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 5 {
-		t.Errorf("only %d distinct values", len(seen))
-	}
-}
-
 func TestDistinctInts(t *testing.T) {
 	vals, err := DistinctInts(testRng(), 100, 1, 1000)
 	if err != nil {
@@ -49,43 +35,6 @@ func TestDistinctInts(t *testing.T) {
 	// Over-ask.
 	if _, err := DistinctInts(testRng(), 11, 1, 10); err == nil {
 		t.Error("oversized sample accepted")
-	}
-}
-
-func TestZipfInts(t *testing.T) {
-	vals, err := ZipfInts(testRng(), 50_000, 1, 1000, 1.5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	counts := map[int64]int{}
-	for _, v := range vals {
-		if v < 1 || v > 1000 {
-			t.Fatalf("value %d out of domain", v)
-		}
-		counts[v]++
-	}
-	// Skew: the most frequent value dominates a uniform share by far.
-	if counts[1] < 10*len(vals)/1000 {
-		t.Errorf("value 1 occurs %d times — not Zipf-skewed", counts[1])
-	}
-	if _, err := ZipfInts(testRng(), 10, 5, 4, 1.5); err == nil {
-		t.Error("empty domain accepted")
-	}
-	if _, err := ZipfInts(testRng(), 10, 1, 10, 1.0); err == nil {
-		t.Error("exponent 1 accepted")
-	}
-}
-
-func TestEncodeZipfDense(t *testing.T) {
-	space := memory.NewSpace()
-	col, err := EncodeZipfDense(space, "z", testRng(), 5000, 10, 100, 2.0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < col.Rows(); i += 101 {
-		if v := col.Value(i); v < 10 || v > 100 {
-			t.Fatalf("value %d out of domain", v)
-		}
 	}
 }
 
@@ -153,12 +102,12 @@ func TestQ2PlanAndTables(t *testing.T) {
 		t.Errorf("merge kernels = %d, want one per worker", len(phases[1].Kernels))
 	}
 	// Replanning with the same core count reuses the tables.
-	regions := len(space.Regions())
+	allocated := space.Allocated()
 	if _, err := q.Plan(4, testRng()); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(space.Regions()); got != regions {
-		t.Errorf("replanning allocated %d new regions", got-regions)
+	if got := space.Allocated(); got != allocated {
+		t.Errorf("replanning allocated %d new bytes", got-allocated)
 	}
 	// Prewarm regions include dictionary and tables.
 	pw := q.PrewarmRegions(4)

@@ -170,12 +170,12 @@ func TestPlanReusesState(t *testing.T) {
 	if _, err := q.Plan(4, rng); err != nil {
 		t.Fatal(err)
 	}
-	regions := len(space.Regions())
+	allocated := space.Allocated()
 	if _, err := q.Plan(4, rng); err != nil {
 		t.Fatal(err)
 	}
-	if got := len(space.Regions()); got != regions {
-		t.Errorf("replanning allocated %d new regions", got-regions)
+	if got := space.Allocated(); got != allocated {
+		t.Errorf("replanning allocated %d new bytes", got-allocated)
 	}
 }
 

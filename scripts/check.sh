@@ -1,7 +1,8 @@
 #!/bin/sh
 # check.sh — the repository's full verification gate: compile, vet,
 # domain lint (cachelint), unit tests, and the race detector over the
-# packages that hold sync primitives or start a goroutine. Run from
+# packages that start a goroutine, run beside one, or make up a System
+# that two goroutines may each own. Run from
 # anywhere inside the module; CI and pre-merge reviews run exactly this.
 #
 # Every mode first builds the module and the benchmark (bench/, a module
@@ -68,16 +69,18 @@ if [ "$mode" = test ] || [ "$mode" = all ]; then
 	echo '== go test ./...'
 	go test ./...
 
-	# The packages that hold sync primitives, start the scan's count
-	# goroutine (column) or run beside it, and the controllers that are
-	# called back from inside the loop (adapt, serve). internal/lint
-	# holds no sync primitive and starts no goroutine, so it is not here.
+	# The packages that start the scan's count goroutine (column) or run
+	# beside it, the controllers called back from inside the loop (adapt,
+	# serve), and the address space and control planes a System owns
+	# (memory, resctrl, fault): engine's TestIndependentSystemsShareNothing
+	# runs two Systems at once. internal/lint holds no sync primitive and
+	# starts no goroutine, so it is not here.
 	echo '== go test -race (column, exec, engine, adapt, serve, workload, memory, resctrl, fault)'
 	go test -race ./internal/column/... ./internal/exec/... ./internal/engine/... ./internal/adapt/... ./internal/serve/... ./internal/workload/... ./internal/memory/... ./internal/resctrl/... ./internal/fault/...
 
 	# The harness is too slow to run whole under the race detector;
 	# its fault-injection, degraded-mode and telemetry-gap tests are the
-	# slice that drives the mutex-holding planes end to end.
+	# slice that drives the control planes end to end.
 	echo '== go test -race (harness: fault injection, degraded mode, telemetry gaps)'
 	go test -race -run 'Fault|Chaos|Gap|Degrad|ErrorPath|Retry' ./internal/harness/...
 

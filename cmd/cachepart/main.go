@@ -53,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		sloMult = flags.Float64("slo", 0, "overload: SLO multiple of each tenant's isolated mean latency (default 15)")
 		sheds   = flags.String("shed", "", "overload: comma-separated shedding policies to sweep — none, fair, polluter (default all)")
 		retries = flags.Int("retries", 0, "overload: client retry attempts per query (default 3; 1 disables retries)")
-		burst   = flags.Float64("burst", 0, "overload: inject a serving-plane arrival-burst fault at this rate factor (default off)")
+		burst   = flags.Float64("burst", 0, "overload: inject a serving-plane arrival-burst fault at this rate factor, > 1 (default off)")
 	)
 	figures := harness.Figures()
 	names := make([]string, 0, len(figures)+1)
@@ -128,15 +128,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	p.Overload = harness.OverloadOptions{Loads: l, Arrivals: *arrivals, SLOMultiple: *sloMult, Retries: *retries, QueueCap: *capacity}
 	if *sheds != "" {
 		for _, field := range strings.Split(*sheds, ",") {
-			name := strings.TrimSpace(field)
-			if _, err := serve.ParseShedPolicy(name); err != nil {
+			s, err := serve.ParseShed(strings.TrimSpace(field))
+			if err != nil {
 				return bad("bad -shed entry %q", field)
 			}
-			p.Overload.Sheds = append(p.Overload.Sheds, name)
+			p.Overload.Sheds = append(p.Overload.Sheds, s)
 		}
 	}
 	if *burst > 0 {
-		p.Overload.ServeFaults = &fault.ServeConfig{Seed: *seed, Bursts: 1, BurstFactor: *burst}
+		faults := &fault.ServeConfig{Seed: *seed, Bursts: 1, BurstFactor: *burst}
+		if err := faults.Validate(); err != nil {
+			return bad("bad -burst value %v: %v", *burst, err)
+		}
+		p.Overload.ServeFaults = faults
 	}
 
 	cmd := flags.Arg(0)

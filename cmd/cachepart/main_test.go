@@ -36,7 +36,8 @@ func TestParseLoads(t *testing.T) {
 
 // TestBadNumericFlagsExit2 pins the numeric flags' contract: 0 keeps
 // the default, and a negative, NaN or infinite value exits 2 naming
-// the flag instead of silently running at the default.
+// the flag instead of silently running at the default. So does a
+// -burst factor in (0, 1], which would inject no burst.
 func TestBadNumericFlagsExit2(t *testing.T) {
 	for _, args := range [][]string{
 		{"-scale", "-4"},
@@ -49,6 +50,8 @@ func TestBadNumericFlagsExit2(t *testing.T) {
 		{"-slo", "-1"},
 		{"-retries", "-1"},
 		{"-burst", "-1"},
+		{"-burst", "0.5"},
+		{"-burst", "1"},
 		{"-duration", "NaN"},
 		{"-slo", "+Inf"},
 	} {

@@ -110,9 +110,6 @@ func (r *Registers) NumWays() int { return r.numWays }
 // NumCLOS reports how many classes of service are available.
 func (r *Registers) NumCLOS() int { return len(r.masks) }
 
-// NumCores reports the logical core count.
-func (r *Registers) NumCores() int { return r.numCores }
-
 // Writes reports how many register writes have been performed, for
 // overhead accounting.
 func (r *Registers) Writes() int { return r.writes }

@@ -83,9 +83,8 @@ func TestRegistersResetState(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.NumCLOS() != 16 || r.NumWays() != 20 || r.NumCores() != 22 {
-		t.Fatalf("geometry mismatch: %d CLOS, %d ways, %d cores",
-			r.NumCLOS(), r.NumWays(), r.NumCores())
+	if r.NumCLOS() != 16 || r.NumWays() != 20 {
+		t.Fatalf("geometry mismatch: %d CLOS, %d ways", r.NumCLOS(), r.NumWays())
 	}
 	for clos := 0; clos < 16; clos++ {
 		if r.Mask(clos) != 0xfffff {

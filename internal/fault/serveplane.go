@@ -2,6 +2,7 @@ package fault
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sort"
 )
@@ -32,8 +33,8 @@ type ServeConfig struct {
 	// over the horizon.
 	Bursts float64
 	// BurstFactor is the tenant's rate multiplier inside a burst window
-	// (2.0 = arrivals at twice the configured rate); values <= 1 inject
-	// no extra arrivals. 0 uses DefaultBurstFactor.
+	// (2.0 = arrivals at twice the configured rate), finite and above 1.
+	// 0 uses DefaultBurstFactor.
 	BurstFactor float64
 }
 
@@ -49,8 +50,8 @@ func (c ServeConfig) Validate() error {
 	if c.Bursts < 0 {
 		return fmt.Errorf("fault: serve Bursts %v must be >= 0", c.Bursts)
 	}
-	if c.BurstFactor < 0 {
-		return fmt.Errorf("fault: serve BurstFactor %v must be >= 0", c.BurstFactor)
+	if c.BurstFactor != 0 && !(c.BurstFactor > 1 && !math.IsInf(c.BurstFactor, 1)) {
+		return fmt.Errorf("fault: serve BurstFactor %v must be 0 (the default) or a finite factor > 1", c.BurstFactor)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"math"
 	"reflect"
 	"testing"
 )
@@ -59,6 +60,10 @@ func TestServeConfigValidate(t *testing.T) {
 	for _, bad := range []ServeConfig{
 		{Bursts: -1},
 		{BurstFactor: -2},
+		{BurstFactor: 0.5},
+		{BurstFactor: 1},
+		{BurstFactor: math.NaN()},
+		{BurstFactor: math.Inf(1)},
 	} {
 		if err := bad.Validate(); err == nil {
 			t.Errorf("config %+v accepted", bad)

@@ -29,23 +29,23 @@ type OverloadOptions struct {
 	// enough that steady state, not the warm-up transient, dominates
 	// the SLO accounting).
 	Arrivals int
-	// Sheds names the shedding policies to sweep (serve.ParseShedPolicy
-	// names); default {"none", "fair", "polluter"}. Fair and
-	// polluter-first shed from 30% aggregate queue fill.
-	Sheds []string
+	// Sheds are the shedding policies to sweep; default none, fair and
+	// polluter. Fair and polluter-first shed from 30% aggregate queue
+	// fill.
+	Sheds []serve.Shed
 	// Arms keeps only the named cache arms (shared / static /
 	// adaptive); empty keeps all three.
 	Arms []string
 	// SLOMultiple sets each tenant's SLO from its isolated baseline:
-	// target p99 = SLOMultiple × isolated mean, queueing deadline =
-	// 2 × SLOMultiple × isolated mean. Default 15: loose enough that a
+	// target p99 = SLOMultiple × isolated mean (so the queueing
+	// deadline is twice that). Default 15: loose enough that a
 	// well-partitioned tenant at its provisioned rate sits comfortably
 	// inside the target, so violations measure interference and
 	// overload, not ordinary queueing noise.
 	SLOMultiple float64
 	// Retries is the client's attempts per query, the first included;
-	// default 3, and 1 disables retries. Retries draw on a budget of
-	// 0.3 of each tenant's first arrivals.
+	// default 3, and 1 disables retries. Retries draw on serve's budget
+	// of 0.3 of each tenant's first arrivals.
 	Retries int
 	// QueueCap bounds every tenant queue; default 16 as in FigServe.
 	QueueCap int
@@ -56,14 +56,6 @@ type OverloadOptions struct {
 	ServeFaults *fault.ServeConfig
 }
 
-// The overload sweep's client retry budget, as a fraction of each
-// tenant's first arrivals, and its circuit breakers' sliding window in
-// completions.
-const (
-	overloadRetryBudget   = 0.3
-	overloadBreakerWindow = 32
-)
-
 func (o *OverloadOptions) setDefaults() {
 	if len(o.Loads) == 0 {
 		o.Loads = []float64{1, 3, 5}
@@ -72,7 +64,7 @@ func (o *OverloadOptions) setDefaults() {
 		o.Arrivals = 320
 	}
 	if len(o.Sheds) == 0 {
-		o.Sheds = []string{"none", "fair", "polluter"}
+		o.Sheds = []serve.Shed{serve.ShedNone, serve.ShedFair, serve.ShedPolluter}
 	}
 	if o.SLOMultiple <= 0 {
 		o.SLOMultiple = 15
@@ -88,7 +80,7 @@ func (o *OverloadOptions) setDefaults() {
 // OverloadRun is one (cache arm, shed policy) cell at one load point.
 type OverloadRun struct {
 	Arm    string
-	Shed   string
+	Shed   serve.Shed
 	Report *serve.Report
 }
 
@@ -113,7 +105,7 @@ type OverloadResult struct {
 }
 
 // Run returns the cell for the named (arm, shed) pair, nil if absent.
-func (l *OverloadLoad) Run(arm, shed string) *serve.Report {
+func (l *OverloadLoad) Run(arm string, shed serve.Shed) *serve.Report {
 	for i := range l.Runs {
 		if l.Runs[i].Arm == arm && l.Runs[i].Shed == shed {
 			return l.Runs[i].Report
@@ -144,11 +136,7 @@ func FigOverload(p Params) (*OverloadResult, error) {
 	// at twice that.
 	secPerTick := sys.Machine.Seconds(1)
 	for ti := range tenants {
-		base := ss.baselines[ti] * secPerTick
-		tenants[ti].SLO = serve.SLO{
-			TargetP99Seconds: o.SLOMultiple * base,
-			DeadlineSeconds:  2 * o.SLOMultiple * base,
-		}
+		tenants[ti].SLO = o.SLOMultiple * (ss.baselines[ti] * secPerTick)
 		tenants[ti].QueueCap = o.QueueCap
 	}
 
@@ -175,11 +163,7 @@ func FigOverload(p Params) (*OverloadResult, error) {
 			offered += r
 		}
 		point := OverloadLoad{Load: load, RateQPS: offered}
-		for _, shedName := range o.Sheds {
-			shed, err := serve.ParseShedPolicy(shedName)
-			if err != nil {
-				return nil, err
-			}
+		for _, shed := range o.Sheds {
 			for _, arm := range sys.adaptArms() {
 				if !armSelected(o.Arms, arm.name) {
 					continue
@@ -192,15 +176,14 @@ func FigOverload(p Params) (*OverloadResult, error) {
 					Horizon: float64(o.Arrivals) / offered,
 					Tenants: tenants,
 					Shed:    shed,
-					Retry:   serve.Retry{MaxAttempts: o.Retries, BudgetFraction: overloadRetryBudget},
-					Breaker: serve.Breaker{Window: overloadBreakerWindow},
+					Retries: o.Retries - 1,
 					Faults:  o.ServeFaults,
 				}
 				r, err := serve.Run(sys.Engine, ss.groups, cfg)
 				if err != nil {
-					return nil, fmt.Errorf("overload %s/%s at %.1fx: %w", arm.name, shedName, load, err)
+					return nil, fmt.Errorf("overload %s/%s at %.1fx: %w", arm.name, shed, load, err)
 				}
-				point.Runs = append(point.Runs, OverloadRun{Arm: arm.name, Shed: shedName, Report: r})
+				point.Runs = append(point.Runs, OverloadRun{Arm: arm.name, Shed: shed, Report: r})
 			}
 			sys.DisableAdaptive()
 		}

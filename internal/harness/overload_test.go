@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"cachepart/internal/fault"
+	"cachepart/internal/serve"
 )
 
 // overloadTestOpts pins the 3x rogue-polluter point the acceptance
@@ -14,7 +15,7 @@ import (
 // polluter-first treatment.
 func overloadTestOpts() Params {
 	p := Fast()
-	p.Overload = OverloadOptions{Loads: []float64{3.0}, Sheds: []string{"none", "polluter"}}
+	p.Overload = OverloadOptions{Loads: []float64{3.0}, Sheds: []serve.Shed{serve.ShedNone, serve.ShedPolluter}}
 	return p
 }
 
@@ -50,7 +51,7 @@ func TestFigOverloadAcceptance(t *testing.T) {
 	checkGolden(t, "overload", out.Bytes())
 	ld := r.Loads[0]
 	for _, arm := range []string{"shared", "static", "adaptive"} {
-		none, pol := ld.Run(arm, "none"), ld.Run(arm, "polluter")
+		none, pol := ld.Run(arm, serve.ShedNone), ld.Run(arm, serve.ShedPolluter)
 		if none == nil || pol == nil {
 			t.Fatalf("arm %q missing none/polluter cells", arm)
 		}
@@ -80,7 +81,7 @@ func overloadChaosOpts() Params {
 	p := Fast()
 	p.Overload = OverloadOptions{
 		Loads: []float64{3.0},
-		Sheds: []string{"polluter"},
+		Sheds: []serve.Shed{serve.ShedPolluter},
 		Arms:  []string{"static", "adaptive"},
 	}
 	cfg := fault.Uniform(0.2, 7)

@@ -1,11 +1,11 @@
 // Package overloadfix is a golden-test fixture pinning the overload
-// control layer into the determinism net: retry backoff, SLO
-// deadlines and serving-plane burst faults are all simulator state
-// inside the internal/serve and internal/fault sinks, so a wall-clock
-// deadline or a global-rand backoff is flagged even when the
-// nondeterministic read hides behind a laundering helper. Replaying a
-// retry storm requires every backoff draw to derive from the run
-// seed and the virtual clock.
+// control layer into the determinism net: retry counts, SLOs and
+// serving-plane burst faults are all simulator state inside the
+// internal/serve and internal/fault sinks, so a wall-clock SLO or a
+// global-rand retry count is flagged even when the nondeterministic
+// read hides behind a laundering helper. Replaying a retry storm
+// requires every overload-control value to derive from the run seed
+// and the virtual clock.
 package overloadfix
 
 import (
@@ -16,22 +16,22 @@ import (
 	"cachepart/internal/serve"
 )
 
-// wallDeadline launders a wall-clock read past the intraprocedural
-// nondet check; only taintflow can follow it into the SLO spec.
-func wallDeadline() float64 {
+// wallSLO launders a wall-clock read past the intraprocedural nondet
+// check; only taintflow can follow it into the tenant's SLO.
+func wallSLO() float64 {
 	return float64(time.Now().UnixNano()) * 1e-9 //lint:allow nondet fixture laundering helper for operator-facing timing
 }
 
-func launderedSLO() serve.SLO {
-	// A deadline measured off the host clock makes drop accounting
-	// differ between two replays of the same trace.
-	return serve.SLO{DeadlineSeconds: wallDeadline()} // want "derived from time.Now (via wallDeadline) reaches simulator state"
+func launderedSLO() serve.Tenant {
+	// An SLO measured off the host clock makes deadline and breaker
+	// accounting differ between two replays of the same trace.
+	return serve.Tenant{Name: "oltp", SLO: wallSLO()} // want "derived from time.Now (via wallSLO) reaches simulator state"
 }
 
-func globalRandBackoff() serve.Retry {
+func globalRandRetries() serve.Config {
 	// Both checks fire: nondet at the draw, taintflow at the sink — a
-	// retry storm jittered by global rand never replays bit-identically.
-	return serve.Retry{MaxAttempts: 3, BackoffSeconds: rand.Float64() * 1e-4} // want "global math/rand.Float64 draws from a runtime-seeded source" "derived from math/rand.Float64 reaches simulator state"
+	// retry storm sized by global rand never replays bit-identically.
+	return serve.Config{Retries: rand.Intn(4)} // want "global math/rand.Intn draws from a runtime-seeded source" "derived from math/rand.Intn reaches simulator state"
 }
 
 // clockBurstSeed launders the wall clock toward the serving-plane
@@ -44,16 +44,16 @@ func launderedBursts() fault.ServeConfig {
 	return fault.ServeConfig{Seed: clockBurstSeed(), Bursts: 1} // want "derived from time.Now (via clockBurstSeed) reaches simulator state"
 }
 
-// seededOverload is the sanctioned shape: deadlines are plain
-// configuration, and the retry backoff and burst schedule derive from
-// the config seeds, so two runs with equal configs shed, trip and
+// seededOverload is the sanctioned shape: the shed policy and retry
+// count are plain configuration, and the burst schedule derives from
+// the config seed, so two runs with equal configs shed, trip and
 // retry identically.
 func seededOverload(seed int64, tenants []serve.Tenant) serve.Config {
 	return serve.Config{
 		Seed:    seed,
 		Tenants: tenants,
-		Retry:   serve.Retry{MaxAttempts: 3, BackoffSeconds: 50e-6},
-		Breaker: serve.Breaker{Window: 32},
+		Shed:    serve.ShedPolluter,
+		Retries: 2,
 		Faults:  &fault.ServeConfig{Seed: seed * 31, Bursts: 1}, // clean: seed-derived
 	}
 }

@@ -78,20 +78,3 @@ func (s *Space) AllocColored(name string, size uint64, colors []int, numColors i
 	}
 	return r, nil
 }
-
-// ColorSlice returns the first ceil(fraction·numColors) colors, the
-// coloring analogue of cat.PortionMask.
-func ColorSlice(numColors int, fraction float64) []int {
-	n := int(fraction*float64(numColors) + 0.5)
-	if n < 1 {
-		n = 1
-	}
-	if n > numColors {
-		n = numColors
-	}
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	return out
-}

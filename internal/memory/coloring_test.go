@@ -67,18 +67,6 @@ func TestAllocColoredValidation(t *testing.T) {
 	_ = r.Addr(PageSize)
 }
 
-func TestColorSlice(t *testing.T) {
-	if got := ColorSlice(704, 0.10); len(got) != 70 {
-		t.Errorf("10%% of 704 colors = %d", len(got))
-	}
-	if got := ColorSlice(8, 0); len(got) != 1 {
-		t.Errorf("zero fraction = %d colors, want 1", len(got))
-	}
-	if got := ColorSlice(8, 2); len(got) != 8 {
-		t.Errorf("clamped fraction = %d colors, want 8", len(got))
-	}
-}
-
 func TestColoredDoesNotOverlapPlain(t *testing.T) {
 	s := NewSpace()
 	plain := s.Alloc("p", 4*PageSize)

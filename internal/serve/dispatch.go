@@ -45,18 +45,21 @@ type feed struct {
 	queues [][]Arrival
 	heads  []int
 
-	// Overload control. deadline[t] is tenant t's queueing deadline in
-	// ticks (0 = none); breakers is empty when breakers are disabled.
-	// pending holds scheduled client retries, merged with the trace in
-	// (tick, seq, attempt) order. olRng draws every overload-control
-	// jitter (retry backoff, breaker reopen) at deterministic event
+	// Overload control. target[t] and deadline[t] are tenant t's SLO
+	// and queueing deadline in ticks (0 = none); breakers[t] is inert
+	// without an SLO. pending holds scheduled client retries, merged
+	// with the trace in (tick, seq, attempt) order. shedRng draws the
+	// shed policy's coin flips, olRng every overload-control jitter
+	// (retry backoff, breaker reopen), both at deterministic event
 	// points inside the virtual-time loop.
-	shed        ShedPolicy
+	shed        Shed
+	shedRng     *rand.Rand
 	tracker     *polluterTracker
 	breakers    []tenantBreaker
+	target      []int64
 	deadline    []int64
 	hasDeadline bool
-	retry       Retry
+	retries     int
 	retryBase   int64
 	pending     retryHeap
 	olRng       *rand.Rand
@@ -92,15 +95,6 @@ func newFeed(cfg *Config, m *cachesim.Machine, arrivals []Arrival, groupCores []
 	for i := range last {
 		last[i] = -1
 	}
-	shed := cfg.Shed
-	if shed == nil {
-		shed = ShedNone{}
-	}
-	shed.Init(n, cfg.Seed)
-	backoff := cfg.Retry.BackoffSeconds
-	if backoff == 0 {
-		backoff = DefaultRetryBackoffSeconds
-	}
 	f := &feed{
 		seed:       cfg.Seed,
 		tenants:    cfg.Tenants,
@@ -109,11 +103,14 @@ func newFeed(cfg *Config, m *cachesim.Machine, arrivals []Arrival, groupCores []
 		agingTicks: m.Ticks(agingBound),
 		queues:     make([][]Arrival, n),
 		heads:      make([]int, n),
-		shed:       shed,
+		shed:       cfg.Shed,
+		shedRng:    rand.New(rand.NewSource(cfg.Seed ^ shedRngSalt)),
 		tracker:    newPolluterTracker(cfg.Tenants, groupCores, adapt.StreamingBandwidthFraction*m.Config().DRAMBandwidth, ticksPerSec),
+		breakers:   make([]tenantBreaker, n),
+		target:     make([]int64, n),
 		deadline:   make([]int64, n),
-		retry:      cfg.Retry,
-		retryBase:  m.Ticks(backoff),
+		retries:    cfg.Retries,
+		retryBase:  max(m.Ticks(retryBackoffSeconds), 1),
 		olRng:      newOverloadRng(cfg.Seed),
 		acct: accounting{
 			arrivals:  make([]int64, n),
@@ -125,29 +122,19 @@ func newFeed(cfg *Config, m *cachesim.Machine, arrivals []Arrival, groupCores []
 			depthSum:  make([]float64, n),
 		},
 	}
-	if f.retryBase < 1 {
-		f.retryBase = 1
-	}
 	for r := range f.acct.drops {
 		f.acct.drops[r] = make([]int64, n)
 	}
+	breakerBase := max(m.Ticks(breakerBackoffSeconds), 1)
 	for ti := range cfg.Tenants {
 		t := &cfg.Tenants[ti]
 		f.capSum += t.queueCap()
-		if t.SLO.DeadlineSeconds > 0 {
-			f.deadline[ti] = m.Ticks(t.SLO.DeadlineSeconds)
+		if t.SLO > 0 {
+			f.target[ti] = m.Ticks(t.SLO)
+			f.deadline[ti] = m.Ticks(deadlineSLOs * t.SLO)
 			f.hasDeadline = true
 		}
-	}
-	if cfg.Breaker.enabled() {
-		f.breakers = make([]tenantBreaker, n)
-		for ti := range cfg.Tenants {
-			var target int64
-			if s := cfg.Tenants[ti].SLO.TargetP99Seconds; s > 0 {
-				target = m.Ticks(s)
-			}
-			f.breakers[ti] = newTenantBreaker(cfg.Breaker, target, ticksPerSec)
-		}
+		f.breakers[ti] = newTenantBreaker(f.target[ti], breakerBase)
 	}
 	return f
 }
@@ -188,10 +175,8 @@ func (f *feed) integrate(tick int64) {
 func (f *feed) drop(a Arrival, reason DropReason, at int64) {
 	t := a.Tenant
 	f.acct.drops[reason][t]++
-	if len(f.breakers) > 0 {
-		f.breakers[t].probeDropped(a.Seq, at, f.jitter)
-	}
-	if f.retry.enabled() && a.Attempt+1 < f.retry.MaxAttempts && f.withinBudget(t) {
+	f.breakers[t].probeDropped(a.Seq, at, f.jitter)
+	if a.Attempt < f.retries && f.withinBudget(t) {
 		backoff := float64(f.retryBase<<uint(a.Attempt)) * f.jitter()
 		r := a
 		r.Attempt++
@@ -204,12 +189,9 @@ func (f *feed) drop(a Arrival, reason DropReason, at int64) {
 }
 
 // withinBudget checks the tenant's client retry budget: cumulative
-// retries stay under BudgetFraction of cumulative first arrivals.
+// retries stay within retryBudget of cumulative first arrivals.
 func (f *feed) withinBudget(t int) bool {
-	if f.retry.BudgetFraction == 0 {
-		return true
-	}
-	return float64(f.acct.retries[t]+1) <= f.retry.BudgetFraction*float64(f.acct.arrivals[t])
+	return float64(f.acct.retries[t]+1) <= retryBudget*float64(f.acct.arrivals[t])
 }
 
 // nextArrival peeks the earliest unabsorbed arrival across the trace
@@ -253,16 +235,12 @@ func (f *feed) absorb(now int64) {
 		if a.Attempt == 0 {
 			f.acct.arrivals[t]++
 		}
-		probe := false
-		if len(f.breakers) > 0 {
-			admit, isProbe := f.breakers[t].admit(a)
-			if !admit {
-				f.drop(a, DropBreaker, a.Tick)
-				continue
-			}
-			probe = isProbe
+		admit, probe := f.breakers[t].admit(a)
+		if !admit {
+			f.drop(a, DropBreaker, a.Tick)
+			continue
 		}
-		if !probe && f.shed.Shed(a, f.load(), f.tracker.polluter(t, a.Kind)) {
+		if !probe && f.shed.shed(f.load(), f.tracker.polluter(t, a.Kind), f.shedRng) {
 			f.drop(a, DropShed, a.Tick)
 			continue
 		}
@@ -400,11 +378,9 @@ func (f *feed) Next(group int, now int64) (engine.Submission, bool, int64) {
 func (f *feed) Observe(c engine.Completion) {
 	first := f.arrivals[c.Tag]
 	f.tracker.observe(first.Tenant, first.Kind, c)
-	if len(f.breakers) > 0 {
-		// Client latency spans from the first arrival, so backoff spent
-		// retrying counts against the SLO.
-		f.breakers[first.Tenant].observe(c.Tag, c.Done-first.Tick, c.Done, f.jitter)
-	}
+	// Client latency spans from the first arrival, so backoff spent
+	// retrying counts against the SLO.
+	f.breakers[first.Tenant].observe(c.Tag, c.Done-first.Tick, c.Done, f.jitter)
 }
 
 // leftover reports queries still queued when the run drains — with

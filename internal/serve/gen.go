@@ -110,9 +110,6 @@ func GenArrivals(m *cachesim.Machine, cfg Config) ([]Arrival, error) {
 			brng := rand.New(rand.NewSource(cfg.Seed ^ int64(ti+1)*burstRngSalt))
 			for _, b := range bursts {
 				extra := (b.Factor - 1) * t.Process.Rate
-				if extra <= 0 {
-					continue
-				}
 				for sec := b.Start + brng.ExpFloat64()/extra; sec < b.End && sec < cfg.Horizon; sec += brng.ExpFloat64() / extra {
 					kind := pickKind(brng, weights, total)
 					all = append(all, Arrival{Tick: m.Ticks(sec), Tenant: ti, Kind: kind})

@@ -39,7 +39,7 @@ type TenantReport struct {
 	BreakerTrips int64
 	Probes       int64
 	Completed    int64
-	// Good counts completions within the tenant's TargetP99Seconds
+	// Good counts completions within the tenant's SLO
 	// (all completions when no target is set); GoodQPS is goodput per
 	// simulated second and SLOAttainment is Good over Arrivals — a
 	// query abandoned by overload control counts against the SLO.
@@ -147,13 +147,6 @@ func buildReport(cfg *Config, horizonTicks int64, ticksPerSec float64, f *feed, 
 	}
 	horizonSec := float64(horizonTicks) / ticksPerSec
 
-	targetTicks := make([]int64, len(cfg.Tenants))
-	for ti := range cfg.Tenants {
-		if s := cfg.Tenants[ti].SLO.TargetP99Seconds; s > 0 {
-			targetTicks[ti] = int64(s * ticksPerSec)
-		}
-	}
-
 	perTenant := make([][]int64, len(cfg.Tenants))
 	var all []int64
 	sumWait := make([]float64, len(cfg.Tenants))
@@ -167,7 +160,7 @@ func buildReport(cfg *Config, horizonTicks int64, ticksPerSec float64, f *feed, 
 		all = append(all, lat)
 		sumWait[t] += float64(c.Wait())
 		sumSvc[t] += float64(c.Service())
-		if targetTicks[t] == 0 || lat <= targetTicks[t] {
+		if f.target[t] == 0 || lat <= f.target[t] {
 			good[t]++
 		}
 		if c.Done > r.EndTick {
@@ -192,10 +185,8 @@ func buildReport(cfg *Config, horizonTicks int64, ticksPerSec float64, f *feed, 
 		tr.Dropped = tr.DropQueue + tr.DropDeadline + tr.DropShed + tr.DropBreaker
 		tr.Retries = f.acct.retries[ti]
 		tr.Abandoned = f.acct.abandoned[ti]
-		if len(f.breakers) > 0 {
-			tr.BreakerTrips = f.breakers[ti].trips
-			tr.Probes = f.breakers[ti].probes
-		}
+		tr.BreakerTrips = f.breakers[ti].trips
+		tr.Probes = f.breakers[ti].probes
 		tr.Completed = int64(len(lat))
 		tr.Good = good[ti]
 		tr.QPS = float64(tr.Completed) / horizonSec

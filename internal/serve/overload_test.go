@@ -83,7 +83,7 @@ func overloadConfig(e *engine.Engine, seed int64, groups int, mult float64) Conf
 				Mix: []Workload{{Name: "point", Weight: 1, Class: int(core.Sensitive),
 					Instances: alias(&expQuery{name: "point", meanRows: 60}, groups)}},
 				QueueCap: 16,
-				SLO:      SLO{DeadlineSeconds: 4e-6, TargetP99Seconds: 3e-6},
+				SLO:      2e-6,
 			},
 			{
 				Name:    "polluter",
@@ -91,7 +91,7 @@ func overloadConfig(e *engine.Engine, seed int64, groups int, mult float64) Conf
 				Mix: []Workload{{Name: "stream", Weight: 1, Class: int(core.Polluting),
 					Instances: alias(&streamQuery{name: "stream", region: region, meanRows: 300}, groups)}},
 				QueueCap: 16,
-				SLO:      SLO{DeadlineSeconds: 8e-6, TargetP99Seconds: 6e-6},
+				SLO:      4e-6,
 			},
 		},
 	}
@@ -118,13 +118,20 @@ func checkAccounting(t *testing.T, rep *Report) {
 }
 
 func TestBreakerHalfOpenSingleProbe(t *testing.T) {
-	bk := newTenantBreaker(Breaker{Window: 4, TripFraction: 0.5, BackoffSeconds: 1e-6}, 100, 1e9)
+	bk := newTenantBreaker(100, 1000)
 	jit := func() float64 { return 1.0 }
 	arrival := func(seq, tick int64) Arrival { return Arrival{Seq: seq, Tick: tick} }
 
-	// Trip: fill the window with violations.
-	for i := int64(0); i < 4; i++ {
-		bk.observe(i, 500, 1000+i, jit)
+	// Half a window of violations trips only once the window is full.
+	for i := int64(0); i < breakerWindow; i++ {
+		if bk.state != bkClosed {
+			t.Fatalf("breaker tripped after %d completions, want %d", i, breakerWindow)
+		}
+		lat := int64(50)
+		if i%2 == 0 {
+			lat = 500
+		}
+		bk.observe(i, lat, 1000+i, jit)
 	}
 	if bk.state != bkOpen {
 		t.Fatalf("breaker not open after sustained violation (state %d)", bk.state)
@@ -172,16 +179,37 @@ func TestBreakerHalfOpenSingleProbe(t *testing.T) {
 		t.Fatalf("backoff %d after close, want base %d", bk.backoffTicks, bk.baseTicks)
 	}
 	// A dropped probe also reopens.
-	for i := int64(30); i < 34; i++ {
-		bk.observe(i, 500, 6000+i, jit)
+	for i := int64(0); i < breakerWindow; i++ {
+		bk.observe(100+i, 500, 6000+i, jit)
 	}
-	ok, _ = bk.admit(arrival(40, bk.openUntil))
+	ok, _ = bk.admit(arrival(200, bk.openUntil))
 	if !ok {
 		t.Fatal("third probe not admitted")
 	}
-	bk.probeDropped(40, bk.openUntil+10, jit)
+	bk.probeDropped(200, bk.openUntil+10, jit)
 	if bk.state != bkOpen {
 		t.Fatal("dropped probe did not reopen the breaker")
+	}
+}
+
+// TestBreakerInertWithoutSLO pins the opt-out: a tenant without an SLO
+// has a breaker that admits everything, draws no jitter and counts
+// nothing.
+func TestBreakerInertWithoutSLO(t *testing.T) {
+	bk := newTenantBreaker(0, 1000)
+	jit := func() float64 {
+		t.Fatal("inert breaker drew jitter")
+		return 1
+	}
+	for i := int64(0); i < 2*breakerWindow; i++ {
+		bk.observe(i, 1<<40, 1000+i, jit)
+		if ok, probe := bk.admit(Arrival{Seq: i, Tick: 1000 + i}); !ok || probe {
+			t.Fatalf("arrival %d: admit=%v probe=%v, want true/false", i, ok, probe)
+		}
+	}
+	if bk.state != bkClosed || bk.trips != 0 || bk.probes != 0 || bk.filled != 0 {
+		t.Errorf("inert breaker: state %d, %d trips, %d probes, %d filled; want closed and zeros",
+			bk.state, bk.trips, bk.probes, bk.filled)
 	}
 }
 
@@ -192,37 +220,38 @@ func TestReportCountsDroppedProbeReopen(t *testing.T) {
 	e := testEngine(t)
 	m := e.Machine()
 	cfg := overloadConfig(e, 1, 1, 1.0)
-	cfg.Breaker = Breaker{Window: 4, TripFraction: 0.5, BackoffSeconds: 1e-6}
 	cfg.Tenants[0].QueueCap = 1
-	// Seqs 0-3 arrive at once: 0 fills the one-slot queue and stays
-	// there, 1-3 overflow it. Seq 4 arrives long after the trip.
-	arrivals := make([]Arrival, 5)
+	// Seqs 0 to breakerWindow-1 arrive at once: 0 fills the one-slot
+	// queue and stays there, the rest overflow it. The last seq arrives
+	// long after the trip.
+	const probe = breakerWindow
+	arrivals := make([]Arrival, probe+1)
 	for i := range arrivals {
 		arrivals[i] = Arrival{Seq: int64(i)}
 	}
-	arrivals[4].Tick = 1 << 40
+	arrivals[probe].Tick = 1 << 40
 	f := newFeed(&cfg, m, arrivals, []int{2})
 	f.absorb(0)
 
-	// Four completions far past the SLO target fill the window and trip.
-	done := 100 * m.Ticks(cfg.Tenants[0].SLO.TargetP99Seconds)
-	for seq := int64(0); seq < 4; seq++ {
+	// A window of completions far past the SLO fills the window and trips.
+	done := 100 * m.Ticks(cfg.Tenants[0].SLO)
+	for seq := int64(0); seq < probe; seq++ {
 		f.Observe(engine.Completion{Tag: seq, Start: done, Done: done})
 	}
 	bk := &f.breakers[0]
-	if bk.state != bkOpen || bk.openUntil > arrivals[4].Tick {
-		t.Fatalf("breaker state %d open until %d, want open before tick %d", bk.state, bk.openUntil, arrivals[4].Tick)
+	if bk.state != bkOpen || bk.openUntil > arrivals[probe].Tick {
+		t.Fatalf("breaker state %d open until %d, want open before tick %d", bk.state, bk.openUntil, arrivals[probe].Tick)
 	}
-	// Seq 4 is the half-open probe; the queue is still full, so it drops
-	// and the breaker re-opens.
-	f.absorb(arrivals[4].Tick)
+	// The last seq is the half-open probe; the queue is still full, so
+	// it drops and the breaker re-opens.
+	f.absorb(arrivals[probe].Tick)
 	if bk.state != bkOpen || bk.trips != 2 {
 		t.Fatalf("after the probe drop: state %d, %d trips; want open, 2 trips", bk.state, bk.trips)
 	}
 
 	rep := buildReport(&cfg, m.Ticks(cfg.Horizon), float64(m.Ticks(1)), f, &engine.OpenLoopResult{})
-	if tr := rep.Tenants[0]; tr.BreakerTrips != 2 || tr.Probes != 1 || tr.DropQueue != 4 {
-		t.Errorf("report: %d trips, %d probes, %d queue drops; want 2, 1, 4", tr.BreakerTrips, tr.Probes, tr.DropQueue)
+	if tr := rep.Tenants[0]; tr.BreakerTrips != 2 || tr.Probes != 1 || tr.DropQueue != probe {
+		t.Errorf("report: %d trips, %d probes, %d queue drops; want 2, 1, %d", tr.BreakerTrips, tr.Probes, tr.DropQueue, probe)
 	}
 }
 
@@ -272,7 +301,7 @@ func TestDeadlineExpiryAccounting(t *testing.T) {
 func TestRetryBudget(t *testing.T) {
 	e := testEngine(t)
 	cfg := overloadConfig(e, 5, 2, 3.0)
-	cfg.Retry = Retry{MaxAttempts: 4, BackoffSeconds: 1e-6, BudgetFraction: 0.2}
+	cfg.Retries = 3
 	rep, err := Run(e, [][]int{{0, 1}, {2, 3}}, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +311,7 @@ func TestRetryBudget(t *testing.T) {
 		t.Fatal("overloaded run with retries enabled scheduled none")
 	}
 	for _, tr := range rep.Tenants {
-		if budget := int64(0.2 * float64(tr.Arrivals)); tr.Retries > budget {
+		if budget := int64(retryBudget * float64(tr.Arrivals)); tr.Retries > budget {
 			t.Errorf("tenant %s: %d retries exceed budget %d (arrivals %d)",
 				tr.Name, tr.Retries, budget, tr.Arrivals)
 		}
@@ -312,7 +341,7 @@ func TestShedPolicies(t *testing.T) {
 	}
 
 	fair := overloadConfig(e, 7, 2, 3.0)
-	fair.Shed = &ShedFair{}
+	fair.Shed = ShedFair
 	frep, err := Run(e, groups, fair)
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +352,7 @@ func TestShedPolicies(t *testing.T) {
 	}
 
 	pol := overloadConfig(e, 7, 2, 3.0)
-	pol.Shed = &ShedPolluter{}
+	pol.Shed = ShedPolluter
 	prep, err := Run(e, groups, pol)
 	if err != nil {
 		t.Fatal(err)
@@ -342,36 +371,72 @@ func TestShedPolicies(t *testing.T) {
 
 // fullOverloadConfig layers every overload-control mechanism plus
 // serving-plane chaos on the victim/polluter setup.
-func fullOverloadConfig(e *engine.Engine, seed int64, groups int) Config {
+func fullOverloadConfig(e *engine.Engine, seed int64, groups int, shed Shed) Config {
 	cfg := overloadConfig(e, seed, groups, 3.0)
-	cfg.Shed = &ShedPolluter{}
-	cfg.Retry = Retry{MaxAttempts: 3, BackoffSeconds: 1e-6, BudgetFraction: 0.3}
-	cfg.Breaker = Breaker{Window: 16, TripFraction: 0.5, BackoffSeconds: 2e-6}
+	cfg.Shed = shed
+	cfg.Retries = 2
 	cfg.Faults = &fault.ServeConfig{Seed: seed * 31, Bursts: 1, BurstFactor: 3}
 	return cfg
 }
 
+// TestOverloadBitIdentity runs every shed policy under the full
+// overload-control stack: equal configs give equal reports, and a
+// different seed gives a different one.
 func TestOverloadBitIdentity(t *testing.T) {
-	for _, seed := range []int64{2, 11, 23} {
+	groups := [][]int{{0, 1}, {2, 3}}
+	for _, shed := range []Shed{ShedNone, ShedFair, ShedPolluter} {
+		for _, seed := range []int64{2, 11, 23} {
+			e := testEngine(t)
+			a, err := Run(e, groups, fullOverloadConfig(e, seed, 2, shed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := Run(e, groups, fullOverloadConfig(e, seed, 2, shed))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("%v seed %d: identical overload configs produced different reports", shed, seed)
+			}
+			checkAccounting(t, a)
+		}
 		e := testEngine(t)
-		a, err := Run(e, [][]int{{0, 1}, {2, 3}}, fullOverloadConfig(e, seed, 2))
-		if err != nil {
-			t.Fatal(err)
+		a, errA := Run(e, groups, fullOverloadConfig(e, 2, 2, shed))
+		b, errB := Run(e, groups, fullOverloadConfig(e, 3, 2, shed))
+		if errA != nil || errB != nil {
+			t.Fatal(errA, errB)
 		}
-		b, err := Run(e, [][]int{{0, 1}, {2, 3}}, fullOverloadConfig(e, seed, 2))
-		if err != nil {
-			t.Fatal(err)
+		if reflect.DeepEqual(a, b) {
+			t.Errorf("%v: different seeds produced identical overload reports", shed)
 		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("seed %d: identical overload configs produced different reports", seed)
-		}
-		checkAccounting(t, a)
 	}
+}
+
+// TestRunRejectsBadOverloadConfig pins Run's checks on the two
+// overload values a Config carries.
+func TestRunRejectsBadOverloadConfig(t *testing.T) {
 	e := testEngine(t)
-	a, _ := Run(e, [][]int{{0, 1}, {2, 3}}, fullOverloadConfig(e, 2, 2))
-	b, _ := Run(e, [][]int{{0, 1}, {2, 3}}, fullOverloadConfig(e, 3, 2))
-	if reflect.DeepEqual(a, b) {
-		t.Error("different seeds produced identical overload reports")
+	neg := overloadConfig(e, 1, 2, 1.0)
+	neg.Retries = -1
+	unknown := overloadConfig(e, 1, 2, 1.0)
+	unknown.Shed = ShedPolluter + 1
+	for _, cfg := range []Config{neg, unknown} {
+		if _, err := Run(e, [][]int{{0, 1}, {2, 3}}, cfg); err == nil {
+			t.Errorf("Run accepted retries %d, shed %v", cfg.Retries, cfg.Shed)
+		}
+	}
+}
+
+// TestParseShed pins the shed policy names: each policy's String
+// parses back to it, and an unknown name is an error.
+func TestParseShed(t *testing.T) {
+	for _, s := range []Shed{ShedNone, ShedFair, ShedPolluter} {
+		if got, err := ParseShed(s.String()); err != nil || got != s {
+			t.Errorf("ParseShed(%q) = %v, %v; want %v", s.String(), got, err, s)
+		}
+	}
+	if _, err := ParseShed("random"); err == nil {
+		t.Error(`ParseShed("random") succeeded`)
 	}
 }
 

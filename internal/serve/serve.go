@@ -34,11 +34,11 @@ type Config struct {
 	Tenants []Tenant
 
 	// Overload control (DESIGN.md §15), off in the zero value. Shed is
-	// the load-shedding policy (nil means ShedNone); Retry the client
-	// retry model; Breaker the per-tenant circuit breakers.
-	Shed    ShedPolicy
-	Retry   Retry
-	Breaker Breaker
+	// the load-shedding policy; Retries is how many times a client
+	// retries a dropped query. Deadlines and circuit breakers follow
+	// each Tenant.SLO.
+	Shed    Shed
+	Retries int
 	// Faults enables serving-plane chaos: seeded arrival bursts (see
 	// fault.ServeConfig). nil injects nothing.
 	Faults *fault.ServeConfig
@@ -54,11 +54,11 @@ func Run(e *engine.Engine, groups [][]int, cfg Config) (*Report, error) {
 	if err := validateTenants(cfg.Tenants, len(groups)); err != nil {
 		return nil, err
 	}
-	if err := cfg.Retry.validate(); err != nil {
-		return nil, err
+	if cfg.Retries < 0 {
+		return nil, fmt.Errorf("serve: retries %d must be >= 0", cfg.Retries)
 	}
-	if err := cfg.Breaker.validate(); err != nil {
-		return nil, err
+	if cfg.Shed < ShedNone || cfg.Shed > ShedPolluter {
+		return nil, fmt.Errorf("serve: unknown shed policy %v", cfg.Shed)
 	}
 	m := e.Machine()
 	arrivals, err := GenArrivals(m, cfg)

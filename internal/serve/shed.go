@@ -8,7 +8,7 @@ import (
 )
 
 // shed: overload-control load shedding. Under queue pressure the feed
-// consults a ShedPolicy per arrival, before the bounded queue, so a
+// consults its Shed policy per arrival, before the bounded queue, so a
 // deliberate rejection (DropShed) is distinct from a tail-drop
 // (DropQueueFull). The polluter-first policy targets the cohort whose
 // queries stream through the LLC — identified online from completion
@@ -16,20 +16,45 @@ import (
 // the MBM counters — so victims keep their tail latency while the
 // polluting class absorbs the overload.
 
-// ShedPolicy decides, per arrival, whether to deliberately reject a
-// query under load. Shed is called once per arrival that survived the
-// circuit breaker, in trace order; load is the aggregate queue fill
-// fraction (Σ depth / Σ cap, in [0,1]) at the arrival tick, and
-// polluter reports whether the arrival's (tenant, workload) is
-// currently classified as an LLC polluter. Implementations draw any
-// randomness from the rng seeded in Init, never package-global state.
-type ShedPolicy interface {
-	Name() string
-	// Init is called once before each run with the tenant count and the
-	// run seed, so a policy value can be reused across runs and still
-	// replay bit-identically.
-	Init(tenants int, seed int64)
-	Shed(a Arrival, load float64, polluter bool) bool
+// Shed is a load-shedding policy. The zero value, ShedNone, never
+// sheds.
+type Shed int
+
+const (
+	// ShedNone never sheds: the bounded queues are the only limiter.
+	ShedNone Shed = iota
+	// ShedFair sheds uniformly at random once aggregate queue fill
+	// crosses shedFill, with probability rising linearly to 1 at full
+	// queues — every tenant degrades alike, the baseline
+	// graceful-degradation policy.
+	ShedFair
+	// ShedPolluter sheds the polluting class first: arrivals classified
+	// as LLC polluters are rejected outright once queue fill crosses
+	// shedFill, and only past shedAllFill does it fall back to fair
+	// random shedding of everyone else. Under a 3× overload driven by
+	// the streaming cohort this keeps the cache-sensitive victims'
+	// tails intact — degradation by choice rather than by accident.
+	ShedPolluter
+)
+
+var shedNames = [...]string{ShedNone: "none", ShedFair: "fair", ShedPolluter: "polluter"}
+
+// String names the policy as ParseShed accepts it.
+func (s Shed) String() string {
+	if s >= 0 && int(s) < len(shedNames) {
+		return shedNames[s]
+	}
+	return fmt.Sprintf("Shed(%d)", int(s))
+}
+
+// ParseShed maps a policy name to its policy.
+func ParseShed(name string) (Shed, error) {
+	for s, n := range shedNames {
+		if n == name {
+			return Shed(s), nil
+		}
+	}
+	return 0, fmt.Errorf("serve: unknown shed policy %q (want none, fair or polluter)", name)
 }
 
 // Queue-fill fractions where shedding engages: fair shedding and
@@ -44,90 +69,35 @@ const (
 	shedAllFill float64 = 0.9
 )
 
-// ShedNone never sheds: the bounded queues are the only limiter.
-type ShedNone struct{}
-
-// Name implements ShedPolicy.
-func (ShedNone) Name() string { return "none" }
-
-// Init implements ShedPolicy.
-func (ShedNone) Init(int, int64) {}
-
-// Shed implements ShedPolicy.
-func (ShedNone) Shed(Arrival, float64, bool) bool { return false }
-
-// ShedFair sheds uniformly at random once aggregate queue fill crosses
-// shedFill, with probability rising linearly to 1 at full queues —
-// every tenant degrades alike, the baseline graceful-degradation
-// policy.
-type ShedFair struct {
-	rng *rand.Rand
-}
-
-// Name implements ShedPolicy.
-func (s *ShedFair) Name() string { return "fair" }
-
-// Init implements ShedPolicy.
-func (s *ShedFair) Init(tenants int, seed int64) {
-	s.rng = rand.New(rand.NewSource(seed ^ shedRngSalt))
-}
-
-// Shed implements ShedPolicy.
-func (s *ShedFair) Shed(a Arrival, load float64, polluter bool) bool {
-	if load < shedFill {
-		return false
-	}
-	p := (load - shedFill) / (1 - shedFill)
-	return s.rng.Float64() < p
-}
-
-// ShedPolluter sheds the polluting class first: arrivals classified as
-// LLC polluters are rejected outright once queue fill crosses
-// shedFill, and only past shedAllFill does it fall back to fair random
-// shedding of everyone else. Under a 3× overload driven by the
-// streaming cohort this keeps the cache-sensitive victims' tails
-// intact — degradation by choice rather than by accident.
-type ShedPolluter struct {
-	rng *rand.Rand
-}
-
-// Name implements ShedPolicy.
-func (s *ShedPolluter) Name() string { return "polluter" }
-
-// Init implements ShedPolicy.
-func (s *ShedPolluter) Init(tenants int, seed int64) {
-	s.rng = rand.New(rand.NewSource(seed ^ shedRngSalt))
-}
-
-// Shed implements ShedPolicy.
-func (s *ShedPolluter) Shed(a Arrival, load float64, polluter bool) bool {
-	if polluter && load >= shedFill {
-		return true
-	}
-	if load < shedAllFill {
-		return false
-	}
-	p := (load - shedAllFill) / (1 - shedAllFill)
-	return s.rng.Float64() < p
-}
-
-// shedRngSalt keys shed-policy rngs off the run seed, independent of
-// the arrival, query and overload jitter streams.
-const shedRngSalt = 0x73686564 // "shed"
-
-// ParseShedPolicy maps a policy name to a fresh policy.
-func ParseShedPolicy(s string) (ShedPolicy, error) {
+// shed decides whether to reject one arrival that survived the
+// circuit breaker. load is the aggregate queue fill fraction (Σ depth
+// / Σ cap, in [0,1]) at the arrival tick, and polluter reports whether
+// the arrival's (tenant, workload) is currently classified as an LLC
+// polluter. Random draws come from rng, the feed's shed stream, in
+// trace order.
+func (s Shed) shed(load float64, polluter bool, rng *rand.Rand) bool {
 	switch s {
-	case "none":
-		return ShedNone{}, nil
-	case "fair":
-		return &ShedFair{}, nil
-	case "polluter":
-		return &ShedPolluter{}, nil
+	case ShedFair:
+		if load < shedFill {
+			return false
+		}
+		return rng.Float64() < (load-shedFill)/(1-shedFill)
+	case ShedPolluter:
+		if polluter && load >= shedFill {
+			return true
+		}
+		if load < shedAllFill {
+			return false
+		}
+		return rng.Float64() < (load-shedAllFill)/(1-shedAllFill)
 	default:
-		return nil, fmt.Errorf("serve: unknown shed policy %q (want none, fair or polluter)", s)
+		return false
 	}
 }
+
+// shedRngSalt keys the shed rng off the run seed, independent of the
+// arrival, query and overload jitter streams.
+const shedRngSalt = 0x73686564 // "shed"
 
 // polluterEWMAAlpha smooths the per-(tenant, workload) rate estimate;
 // high enough to follow a phase change within a few completions, low

@@ -2,112 +2,50 @@ package serve
 
 import (
 	"container/heap"
-	"fmt"
 	"math/rand"
 )
 
-// slo: per-tenant service-level objectives and the overload-control
-// state machines that enforce them — virtual-time deadline expiry,
-// per-tenant circuit breakers, and the deterministic client retry
-// model. Every random quantity (backoff jitter) is drawn from the
-// feed's seeded overload rng at deterministic event points inside the
-// virtual-time loop, so the whole control layer replays bit-
-// identically per (seed, fault-seed). DESIGN.md §15 documents the
+// slo: the overload-control state machines that enforce each
+// tenant's SLO — virtual-time deadline expiry, per-tenant circuit
+// breakers, and the deterministic client retry model. Their shapes are
+// constants; the only settable values are Tenant.SLO, Config.Retries
+// and Config.Shed. Every random quantity (backoff jitter) is drawn
+// from the feed's seeded overload rng at deterministic event points
+// inside the virtual-time loop, so the whole control layer replays
+// bit-identically per (seed, fault-seed). DESIGN.md §15 documents the
 // model.
 
-// SLO is one tenant's service-level objective, in simulated seconds.
-// The zero value disables both mechanisms for the tenant.
-type SLO struct {
-	// DeadlineSeconds is the client's end-to-end timeout: a query still
-	// queued this long after its (first) arrival is dropped with
-	// DropDeadline at the moment the expiry is observed, and the
-	// client's retry model takes over. 0 means queries never expire.
-	DeadlineSeconds float64
-	// TargetP99Seconds is the tenant's tail-latency target, the
-	// circuit breaker's per-completion violation bound. 0 exempts the
-	// tenant from breaker control.
-	TargetP99Seconds float64
-}
+// deadlineSLOs is a tenant's queueing deadline in multiples of its
+// SLO: a query still queued this long after its queued attempt's
+// arrival tick is dropped with DropDeadline, and the client's retry
+// model takes over.
+const deadlineSLOs = 2
 
-// Retry models the client population's reaction to failure: a dropped
-// or timed-out query re-enters the arrival stream after a seeded
-// exponential backoff, so retry storms are simulated rather than
-// assumed away. The zero value disables retries.
-type Retry struct {
-	// MaxAttempts is the total number of tries per query including the
-	// first; 0 or 1 disables retries.
-	MaxAttempts int
-	// BackoffSeconds is the base client backoff before the first
-	// retry; it doubles per subsequent attempt, scaled by a seeded
-	// jitter factor in [0.5, 1.5). 0 uses DefaultRetryBackoffSeconds.
-	BackoffSeconds float64
-	// BudgetFraction caps each tenant's cumulative retries at this
-	// fraction of its cumulative first arrivals (the classic client
-	// retry budget: a failing service sees at most 1+budget times its
-	// offered load). 0 leaves the budget unlimited.
-	BudgetFraction float64
-}
-
-// DefaultRetryBackoffSeconds is the base client backoff when
-// Retry.BackoffSeconds is 0: a few mean service times at serving
-// scale, long enough that retries land after transient queue spikes.
-const DefaultRetryBackoffSeconds = 50e-6
-
-func (r Retry) enabled() bool { return r.MaxAttempts > 1 }
-
-func (r Retry) validate() error {
-	if r.MaxAttempts < 0 {
-		return fmt.Errorf("serve: retry attempts %d must be >= 0", r.MaxAttempts)
-	}
-	if r.BackoffSeconds < 0 {
-		return fmt.Errorf("serve: retry backoff %v must be >= 0", r.BackoffSeconds)
-	}
-	if r.BudgetFraction < 0 {
-		return fmt.Errorf("serve: retry budget %v must be >= 0", r.BudgetFraction)
-	}
-	return nil
-}
-
-// Breaker configures the per-tenant circuit breakers. A breaker trips
-// when, over a sliding window of recent completions, the share
-// violating the tenant's TargetP99Seconds reaches TripFraction; it
-// then rejects the tenant's arrivals for a backed-off virtual-time
-// interval, admits exactly one half-open probe, and closes again only
-// if the probe meets the SLO. The zero value disables breakers.
-type Breaker struct {
-	// Window is the sliding completion window the violation share is
-	// computed over; 0 disables breakers entirely.
-	Window int
-	// TripFraction is the violating share of the window that trips;
-	// 0 uses DefaultBreakerTripFraction.
-	TripFraction float64
-	// BackoffSeconds is the initial open interval; it doubles on each
-	// failed half-open probe, scaled by a seeded jitter factor in
-	// [0.5, 1.5). 0 uses DefaultBreakerBackoffSeconds.
-	BackoffSeconds float64
-}
-
-// Breaker defaults: half the window violating trips, and the first
-// open interval spans a few control epochs of simulated time.
+// The client retry model: a dropped or timed-out query re-enters the
+// arrival stream after retryBackoffSeconds, doubled per later attempt
+// and scaled by a seeded jitter factor in [0.5, 1.5) — a few mean
+// service times at serving scale, so retries land after transient
+// queue spikes. Each tenant's cumulative retries stay within
+// retryBudget of its cumulative first arrivals (the classic client
+// retry budget: a failing service sees at most 1+budget times its
+// offered load).
 const (
-	DefaultBreakerTripFraction   = 0.5
-	DefaultBreakerBackoffSeconds = 200e-6
+	retryBackoffSeconds = 50e-6
+	retryBudget         = 0.3
 )
 
-func (b Breaker) enabled() bool { return b.Window > 0 }
-
-func (b Breaker) validate() error {
-	if b.Window < 0 {
-		return fmt.Errorf("serve: breaker window %d must be >= 0", b.Window)
-	}
-	if b.TripFraction < 0 || b.TripFraction > 1 {
-		return fmt.Errorf("serve: breaker trip fraction %v out of [0,1]", b.TripFraction)
-	}
-	if b.BackoffSeconds < 0 {
-		return fmt.Errorf("serve: breaker backoff %v must be >= 0", b.BackoffSeconds)
-	}
-	return nil
-}
+// The circuit breaker of every tenant with an SLO: it trips when
+// breakerTrip of the last breakerWindow completions missed the SLO,
+// rejects the tenant's arrivals for breakerBackoffSeconds (doubled on
+// each failed half-open probe, scaled by a seeded jitter factor in
+// [0.5, 1.5)), admits exactly one half-open probe, and closes again
+// only if the probe meets the SLO. Half the window trips, and the
+// first open interval spans a few control epochs of simulated time.
+const (
+	breakerWindow         = 32
+	breakerTrip           = 16
+	breakerBackoffSeconds = 200e-6
+)
 
 // breakerState enumerates the circuit-breaker state machine.
 type breakerState int
@@ -123,13 +61,13 @@ const (
 // observation on the coordinator), so the state sequence is a pure
 // function of the trace.
 type tenantBreaker struct {
-	// targetTicks is the per-completion violation bound; 0 disables
-	// this tenant's breaker.
+	// targetTicks is the per-completion violation bound, the tenant's
+	// SLO; 0 leaves the breaker inert: it admits everything, draws no
+	// jitter and counts nothing.
 	targetTicks int64
-	window      []bool
+	window      [breakerWindow]bool
 	idx, filled int
 	violations  int
-	tripAt      int // violations threshold, ceil(TripFraction·Window)
 
 	state     breakerState
 	openUntil int64
@@ -145,34 +83,16 @@ type tenantBreaker struct {
 	probes int64
 }
 
-func newTenantBreaker(cfg Breaker, targetTicks int64, ticksPerSec float64) tenantBreaker {
-	trip := cfg.TripFraction
-	if trip == 0 {
-		trip = DefaultBreakerTripFraction
-	}
-	backoff := cfg.BackoffSeconds
-	if backoff == 0 {
-		backoff = DefaultBreakerBackoffSeconds
-	}
-	base := int64(backoff * ticksPerSec)
-	if base < 1 {
-		base = 1
-	}
-	tripAt := int(trip*float64(cfg.Window) + 0.9999)
-	if tripAt < 1 {
-		tripAt = 1
-	}
+func newTenantBreaker(targetTicks, baseTicks int64) tenantBreaker {
 	return tenantBreaker{
 		targetTicks:  targetTicks,
-		window:       make([]bool, cfg.Window),
-		tripAt:       tripAt,
-		backoffTicks: base,
-		baseTicks:    base,
+		backoffTicks: baseTicks,
+		baseTicks:    baseTicks,
 		probeSeq:     -1,
 	}
 }
 
-func (b *tenantBreaker) enabled() bool { return b.targetTicks > 0 && len(b.window) > 0 }
+func (b *tenantBreaker) enabled() bool { return b.targetTicks > 0 }
 
 // admit decides one arrival's fate: closed admits, open rejects until
 // the backoff elapses, and the first arrival at or past openUntil
@@ -233,7 +153,7 @@ func (b *tenantBreaker) observe(seq, latency, now int64, jitter jitterFn) {
 	if b.filled < len(b.window) {
 		b.filled++
 	}
-	if b.filled == len(b.window) && b.violations >= b.tripAt {
+	if b.filled == len(b.window) && b.violations >= breakerTrip {
 		b.trip(now, jitter)
 	}
 }
@@ -272,9 +192,7 @@ func (b *tenantBreaker) close() {
 }
 
 func (b *tenantBreaker) resetWindow() {
-	for i := range b.window {
-		b.window[i] = false
-	}
+	b.window = [breakerWindow]bool{}
 	b.idx, b.filled, b.violations = 0, 0, 0
 }
 

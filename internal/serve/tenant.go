@@ -16,10 +16,13 @@ type Tenant struct {
 	Mix []Workload
 	// QueueCap bounds the tenant's FIFO; 0 uses DefaultQueueCap.
 	QueueCap int
-	// SLO is the tenant's service-level objective: the queueing deadline
-	// and the tail-latency target overload control enforces. The zero
-	// value opts the tenant out of deadline expiry and breaker control.
-	SLO SLO
+	// SLO is the tenant's p99 latency target in simulated seconds. A
+	// completion slower than it is an SLO violation: it does not count
+	// as good, and it feeds the tenant's circuit breaker. A query still
+	// queued 2×SLO after its attempt arrived is dropped with
+	// DropDeadline. 0 counts every completion as good and opts the
+	// tenant out of the breaker and the deadline.
+	SLO float64
 	// BaselineTicks is the tenant's isolated mixture-mean service time
 	// (from calibration), the denominator of the slowdown metric; 0
 	// leaves slowdown unreported.

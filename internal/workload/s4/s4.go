@@ -177,16 +177,6 @@ func encodeInts(space *memory.Space, name string, vals []int64, lo, hi int64, en
 // Docs reports the number of distinct documents.
 func (t *Table) Docs() int64 { return t.docs }
 
-// DictionaryBytes reports the aggregate simulated dictionary size of a
-// projection set.
-func DictionaryBytes(cols []*column.Column) uint64 {
-	var total uint64
-	for _, c := range cols {
-		total += c.Dict.Bytes()
-	}
-	return total
-}
-
 // OLTPQuery is the most frequent OLTP query of the customer system:
 // look up one document by its full primary key and project its line
 // items to a set of columns.

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cachepart/internal/cachesim"
+	"cachepart/internal/column"
 	"cachepart/internal/core"
 	"cachepart/internal/engine"
 	"cachepart/internal/exec"
@@ -37,7 +38,7 @@ func TestLoadGeometry(t *testing.T) {
 	}
 	// Big dictionaries are bigger than small ones, and sorted
 	// descending.
-	if DictionaryBytes(tab.Big) <= DictionaryBytes(tab.Small) {
+	if dictBytes(tab.Big) <= dictBytes(tab.Small) {
 		t.Error("big projection set not bigger than small one")
 	}
 	for i := 1; i < len(tab.Big); i++ {
@@ -168,4 +169,13 @@ func TestOLTPRunsOnEngine(t *testing.T) {
 	if res[0].Executions == 0 {
 		t.Error("no OLTP executions completed")
 	}
+}
+
+// dictBytes sums the simulated dictionary sizes of a projection set.
+func dictBytes(cols []*column.Column) uint64 {
+	var total uint64
+	for _, c := range cols {
+		total += c.Dict.Bytes()
+	}
+	return total
 }

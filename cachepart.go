@@ -203,7 +203,7 @@ func NewOLTPQuery(t *ACDOCA, n int) (Query, error) {
 // integers in [lo, hi] in the system's space, for building custom
 // workloads.
 func GenerateColumn(sys *System, name string, n int, lo, hi int64) (*Column, error) {
-	return workload.EncodeUniformDense(sys.Space, name, sys.Rng, n, lo, hi)
+	return workload.EncodeUniformDense(sys.Space, name, sys.Rng, n, lo, hi, column.DefaultEntrySize)
 }
 
 // Column is a dictionary-encoded, bit-packed column.

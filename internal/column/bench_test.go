@@ -7,6 +7,23 @@ import (
 	"cachepart/internal/memory"
 )
 
+// BenchmarkPackRun measures the run writer per code, in runs of 256
+// as the column generators write them.
+func BenchmarkPackRun(b *testing.B) {
+	space := memory.NewSpace()
+	v, _ := NewPackedVector(space, "b", 1<<20, 20)
+	var run [256]uint32
+	for j := range run {
+		run[j] = uint32(j) * 4099 & 0xFFFFF
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i += len(run) {
+		v.PackRun(i&(1<<20-1), run[:])
+	}
+}
+
+// BenchmarkPackedVectorSet measures the Set oracle per code, the
+// baseline BenchmarkPackRun is read against.
 func BenchmarkPackedVectorSet(b *testing.B) {
 	space := memory.NewSpace()
 	v, _ := NewPackedVector(space, "b", 1<<20, 20)

@@ -27,12 +27,17 @@ func EncodeDense(space *memory.Space, name string, values []int64, lo, hi int64,
 	if err != nil {
 		return nil, err
 	}
-	for i, v := range values {
-		c, ok := dict.CodeOf(v)
-		if !ok {
-			return nil, fmt.Errorf("column: value %d outside dictionary of column %q", v, name)
+	var run [256]uint32
+	for from := 0; from < len(values); from += len(run) {
+		r := run[:min(len(run), len(values)-from)]
+		for j, v := range values[from : from+len(r)] {
+			c, ok := dict.CodeOf(v)
+			if !ok {
+				return nil, fmt.Errorf("column: value %d outside dictionary of column %q", v, name)
+			}
+			r[j] = c
 		}
-		codes.Set(i, c)
+		codes.PackRun(from, r)
 	}
 	return &Column{Name: name, Dict: dict, Codes: codes}, nil
 }

@@ -2,6 +2,7 @@ package column
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -253,9 +254,21 @@ func TestEncodeDenseRoundTrip(t *testing.T) {
 			t.Fatalf("Value(%d) = %d, want %d", i, got, want)
 		}
 	}
-	// Out-of-domain value rejected.
+	// The same words as the per-row Set loop EncodeDense ran before
+	// it packed runs.
+	oracle, _ := NewPackedVector(memory.NewSpace(), "c", len(vals), c.Codes.Bits())
+	for i, v := range vals {
+		oracle.Set(i, uint32(v-1))
+	}
+	if !slices.Equal(c.Codes.words, oracle.words) {
+		t.Error("EncodeDense wrote other words than the Set loop")
+	}
+	// Out-of-domain value rejected, in the first run or a later one.
 	if _, err := EncodeDense(s, "d", []int64{0}, 1, 1000, 4); err == nil {
 		t.Error("out-of-domain value should fail")
+	}
+	if _, err := EncodeDense(s, "e", append(vals[:300:300], 1001), 1, 1000, 4); err == nil {
+		t.Error("out-of-domain value in row 300 should fail")
 	}
 }
 

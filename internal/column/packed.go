@@ -68,22 +68,45 @@ func (e codeError) Error() string {
 	return fmt.Sprintf("column: code %d exceeds %d bits", e.code, e.bits)
 }
 
-// Set stores a code at index i. Codes wider than the vector's width
-// are rejected as corruption.
-func (v *PackedVector) Set(i int, code uint32) {
-	if uint(i) >= uint(v.n) {
-		panic(indexError{i, v.n})
+// PackRun stores codes in rows [from, from+len(codes)), in order, and
+// keeps every bit outside those rows. It is the one writer of a
+// vector's codes: it holds the word being filled in a register and
+// stores it once per 64 bits. A run that reaches outside the vector
+// panics before it writes, naming its first row outside; a code wider
+// than the vector's width is rejected as corruption.
+func (v *PackedVector) PackRun(from int, codes []uint32) {
+	if from < 0 {
+		panic(indexError{from, v.n})
 	}
-	if uint64(code)>>v.bits != 0 {
-		panic(codeError{code, v.bits})
+	if len(codes) > v.n-from {
+		panic(indexError{max(from, v.n), v.n})
 	}
-	bitPos := uint64(i) * uint64(v.bits)
-	w, off := bitPos/64, bitPos%64
-	mask := uint64(1)<<v.bits - 1
-	v.words[w] = v.words[w]&^(mask<<off) | uint64(code)<<off
-	if off+uint64(v.bits) > 64 {
-		// The code's high bits spill into the next word's low bits.
-		v.words[w+1] = v.words[w+1]&^(mask>>(64-off)) | uint64(code)>>(64-off)
+	if len(codes) == 0 {
+		return
+	}
+	// Shift counts are masked to 63, which they never exceed, so each
+	// shift compiles to one instruction.
+	bits := uint64(v.bits)
+	top := uint32(uint64(1)<<bits - 1)
+	pos := uint64(from) * bits
+	w, off := pos/64, pos%64
+	word := v.words[w] & (uint64(1)<<off - 1)
+	for _, c := range codes {
+		if c > top {
+			panic(codeError{c, v.bits})
+		}
+		word |= uint64(c) << (off & 63)
+		off += bits
+		if off >= 64 {
+			v.words[w] = word
+			w++
+			off -= 64
+			// The code's high off bits spill into the next word.
+			word = uint64(c) >> ((bits - off) & 63)
+		}
+	}
+	if off > 0 {
+		v.words[w] = word | v.words[w]&^(uint64(1)<<off-1)
 	}
 }
 

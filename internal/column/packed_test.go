@@ -3,10 +3,46 @@ package column
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cachepart/internal/memory"
 )
+
+// Set stores a code at index i, a masked read-modify-write of the one
+// or two words the code spans. It is the oracle for PackRun: the
+// per-row writer the run writer replaced.
+func (v *PackedVector) Set(i int, code uint32) {
+	if uint(i) >= uint(v.n) {
+		panic(indexError{i, v.n})
+	}
+	if uint64(code)>>v.bits != 0 {
+		panic(codeError{code, v.bits})
+	}
+	bitPos := uint64(i) * uint64(v.bits)
+	w, off := bitPos/64, bitPos%64
+	mask := uint64(1)<<v.bits - 1
+	v.words[w] = v.words[w]&^(mask<<off) | uint64(code)<<off
+	if off+uint64(v.bits) > 64 {
+		// The code's high bits spill into the next word's low bits.
+		v.words[w+1] = v.words[w+1]&^(mask>>(64-off)) | uint64(code)>>(64-off)
+	}
+}
+
+// packBySet writes codes into rows [from, from+len(codes)) of one copy
+// of base with PackRun and of another with the Set loop, and returns
+// the two copies' words.
+func packBySet(base *PackedVector, from int, codes []uint32) (got, want []uint64) {
+	oracle := *base
+	oracle.words = append([]uint64(nil), base.words...)
+	for j, c := range codes {
+		oracle.Set(from+j, c)
+	}
+	run := *base
+	run.words = append([]uint64(nil), base.words...)
+	run.PackRun(from, codes)
+	return run.words, oracle.words
+}
 
 // countByGet is the oracle for CountInRange: the per-row Get loop the
 // word-level decoder replaced.
@@ -75,6 +111,37 @@ func TestCountInRangeMatchesGetLoop(t *testing.T) {
 	}
 }
 
+// TestPackRunMatchesSet compares the run writer with the Set loop for
+// every code width, over a vector already holding random codes, so the
+// bits outside the run must survive. Every run (from, to) near the
+// front is written: from lands on each in-word offset, and to ends
+// before, on and after a word boundary at every width.
+func TestPackRunMatchesSet(t *testing.T) {
+	for bits := uint(1); bits <= 32; bits++ {
+		rng := rand.New(rand.NewSource(int64(bits)))
+		const n = 203
+		base := randomVector(t, n, bits, rng)
+		codes := make([]uint32, n)
+		for i := range codes {
+			codes[i] = rng.Uint32() & maxCode(bits)
+		}
+		for from := 0; from < 70; from++ {
+			for to := from; to <= 140; to++ {
+				got, want := packBySet(base, from, codes[from:to])
+				if !slices.Equal(got, want) {
+					t.Fatalf("bits=%d: PackRun over rows [%d, %d) wrote %x, Set loop %x", bits, from, to, got, want)
+				}
+			}
+		}
+		// Runs that end at Len(), inside the last partial word.
+		for from := n - 70; from <= n; from++ {
+			if got, want := packBySet(base, from, codes[from:]); !slices.Equal(got, want) {
+				t.Fatalf("bits=%d: PackRun over rows [%d, %d) wrote %x, Set loop %x", bits, from, n, got, want)
+			}
+		}
+	}
+}
+
 func TestCountInRangeContract(t *testing.T) {
 	v := randomVector(t, 4, 8, rand.New(rand.NewSource(1)))
 	// A range outside the vector panics once, with Get's message for
@@ -117,7 +184,7 @@ func TestCountInRangeContract(t *testing.T) {
 }
 
 // TestPackedVectorPanicMessages pins the messages of the typed panic
-// values that keep Get inlinable.
+// values that keep Get inlinable, which PackRun raises too.
 func TestPackedVectorPanicMessages(t *testing.T) {
 	v, _ := NewPackedVector(memory.NewSpace(), "p", 4, 8)
 	for _, tc := range []struct {
@@ -128,6 +195,10 @@ func TestPackedVectorPanicMessages(t *testing.T) {
 		{func() { v.Get(4) }, "column: index 4 out of 4"},
 		{func() { v.Set(7, 0) }, "column: index 7 out of 4"},
 		{func() { v.Set(0, 256) }, "column: code 256 exceeds 8 bits"},
+		{func() { v.PackRun(-1, []uint32{0}) }, "column: index -1 out of 4"},
+		{func() { v.PackRun(3, []uint32{0, 0}) }, "column: index 4 out of 4"},
+		{func() { v.PackRun(6, nil) }, "column: index 6 out of 4"},
+		{func() { v.PackRun(1, []uint32{0, 256}) }, "column: code 256 exceeds 8 bits"},
 	} {
 		if got := panicMessage(tc.f); got != tc.msg {
 			t.Errorf("panic %q, want %q", got, tc.msg)
@@ -164,6 +235,33 @@ func FuzzCountInRange(f *testing.F) {
 		a, b := int(from)%(n+1), int(to)%(n+1)
 		if got, want := v.CountInRange(a, b, lo, hi), countByGet(v, a, b, lo, hi); got != want {
 			t.Fatalf("bits=%d n=%d: CountInRange(%d, %d, %d, %d) = %d, Get loop counts %d", bits, n, a, b, lo, hi, got, want)
+		}
+	})
+}
+
+// FuzzPackRun builds a vector of all-ones codes and writes a run of
+// fuzzer codes (four bytes each, masked to the width) over a
+// fuzzer-chosen row range with PackRun, and over a copy with the Set
+// loop, and compares the words. The seed corpus is
+// testdata/fuzz/FuzzPackRun.
+func FuzzPackRun(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte, width uint8, from, to uint16) {
+		bits := uint(width)%32 + 1
+		n := len(data) / 4
+		base, err := NewPackedVector(memory.NewSpace(), "f", n, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes := make([]uint32, n)
+		for i := range codes {
+			d := data[4*i:]
+			codes[i] = (uint32(d[0]) | uint32(d[1])<<8 | uint32(d[2])<<16 | uint32(d[3])<<24) & maxCode(bits)
+			base.Set(i, maxCode(bits))
+		}
+		a, b := int(from)%(n+1), int(to)%(n+1)
+		a, b = min(a, b), max(a, b)
+		if got, want := packBySet(base, a, codes[a:b]); !slices.Equal(got, want) {
+			t.Fatalf("bits=%d n=%d: PackRun over rows [%d, %d) wrote %x, Set loop %x", bits, n, a, b, got, want)
 		}
 	})
 }

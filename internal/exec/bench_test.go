@@ -31,8 +31,13 @@ func benchColumn(b *testing.B, space *memory.Space, name string, n int, distinct
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i := 0; i < n; i++ {
-		codes.Set(i, uint32(rng.Int63n(distinct)))
+	var run [256]uint32
+	for from := 0; from < n; from += len(run) {
+		r := run[:min(len(run), n-from)]
+		for j := range r {
+			r[j] = uint32(rng.Int63n(distinct))
+		}
+		codes.PackRun(from, r)
 	}
 	return &column.Column{Name: name, Dict: dict, Codes: codes}
 }

@@ -7,6 +7,8 @@ package workload
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 
 	"cachepart/internal/column"
@@ -17,10 +19,12 @@ import (
 )
 
 // EncodeUniformDense builds a dense-dictionary column of n values
-// drawn uniformly from [lo, hi] without materialising an intermediate
-// value slice, so multi-million-row samples stay cheap to load.
-func EncodeUniformDense(space *memory.Space, name string, rng *rand.Rand, n int, lo, hi int64) (*column.Column, error) {
-	dict, err := column.NewDenseDictionary(space, name, lo, hi, column.DefaultEntrySize)
+// drawn uniformly from [lo, hi], with entrySize bytes per dictionary
+// entry, without materialising an intermediate value slice, so
+// multi-million-row samples stay cheap to load. Row i holds the i-th
+// draw of rng.Int63n(hi-lo+1).
+func EncodeUniformDense(space *memory.Space, name string, rng *rand.Rand, n int, lo, hi int64, entrySize uint64) (*column.Column, error) {
+	dict, err := column.NewDenseDictionary(space, name, lo, hi, entrySize)
 	if err != nil {
 		return nil, err
 	}
@@ -28,9 +32,14 @@ func EncodeUniformDense(space *memory.Space, name string, rng *rand.Rand, n int,
 	if err != nil {
 		return nil, err
 	}
-	span := hi - lo + 1
-	for i := 0; i < n; i++ {
-		codes.Set(i, uint32(rng.Int63n(span)))
+	d := newBounded(hi - lo + 1)
+	var run [256]uint32
+	for from := 0; from < n; from += len(run) {
+		r := run[:min(len(run), n-from)]
+		for j := range r {
+			r[j] = uint32(d.draw(rng))
+		}
+		codes.PackRun(from, r)
 	}
 	return &column.Column{Name: name, Dict: dict, Codes: codes}, nil
 }
@@ -51,10 +60,11 @@ func DistinctInts(rng *rand.Rand, n int, lo, hi int64) ([]int64, error) {
 		rng.Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
 		return all[:n], nil
 	}
+	d := newBounded(span)
 	seen := make(map[int64]struct{}, n)
 	out := make([]int64, 0, n)
 	for len(out) < n {
-		v := lo + rng.Int63n(span)
+		v := lo + d.draw(rng)
 		if _, ok := seen[v]; ok {
 			continue
 		}
@@ -62,6 +72,53 @@ func DistinctInts(rng *rand.Rand, n int, lo, hi int64) ([]int64, error) {
 		out = append(out, v)
 	}
 	return out, nil
+}
+
+// bounded draws from [0, n) exactly as (*rand.Rand).Int63n(n) does,
+// draw for draw, with the per-draw divisions prepared once per n.
+// Int63n rejects raw draws above its bound and reduces the rest modulo
+// n; a power of two masks instead, which is the same remainder under a
+// bound that rejects nothing. The bound is computed here, and the
+// remainder is computed from a 128-bit reciprocal of n without a
+// divide (Lemire, Kaser & Kurz, "Faster Remainder by Direct
+// Computation", 2019).
+type bounded struct {
+	n   uint64
+	max int64 // the largest raw draw Int63n accepts
+	// c is ceil(2^128 / n) mod 2^128, as high and low words.
+	chi, clo uint64
+}
+
+func newBounded(n int64) bounded {
+	if n <= 0 {
+		panic("invalid argument to Int63n")
+	}
+	d := uint64(n)
+	qhi, r := bits.Div64(0, math.MaxUint64, d)
+	qlo, _ := bits.Div64(r, math.MaxUint64, d)
+	clo, carry := bits.Add64(qlo, 1, 0)
+	return bounded{n: d, max: int64(math.MaxInt64 - (1<<63)%d), chi: qhi + carry, clo: clo}
+}
+
+// draw returns the next value Int63n(n) would return from r.
+func (b *bounded) draw(r *rand.Rand) int64 {
+	v := r.Int63()
+	for v > b.max {
+		v = r.Int63()
+	}
+	return b.mod(uint64(v))
+}
+
+// mod returns v mod n for v < 2^63: the low 128 bits of c·v, times n,
+// shifted right by 128. It is exact because c carries 128 bits, at
+// least the 63 of v plus the 63 of n.
+func (b *bounded) mod(v uint64) int64 {
+	fhi, flo := bits.Mul64(b.clo, v)
+	fhi += b.chi * v
+	top, _ := bits.Mul64(flo, b.n)
+	rem, mid := bits.Mul64(fhi, b.n)
+	_, carry := bits.Add64(mid, top, 0)
+	return int64(rem + carry)
 }
 
 // Q1Spec describes the column-scan data set: a single INT column of
@@ -85,7 +142,7 @@ func NewQ1(space *memory.Space, rng *rand.Rand, spec Q1Spec) (*ScanQuery, error)
 	if spec.Rows <= 0 || spec.Distinct <= 0 {
 		return nil, fmt.Errorf("workload: bad Q1 spec %+v", spec)
 	}
-	col, err := EncodeUniformDense(space, "A.X", rng, spec.Rows, 1, spec.Distinct)
+	col, err := EncodeUniformDense(space, "A.X", rng, spec.Rows, 1, spec.Distinct, column.DefaultEntrySize)
 	if err != nil {
 		return nil, err
 	}
@@ -148,11 +205,11 @@ func NewQ2(space *memory.Space, rng *rand.Rand, spec Q2Spec) (*AggQuery, error) 
 	if spec.Rows <= 0 || spec.DistinctV <= 0 || spec.Groups <= 0 {
 		return nil, fmt.Errorf("workload: bad Q2 spec %+v", spec)
 	}
-	gcol, err := EncodeUniformDense(space, "B.G", rng, spec.Rows, 1, spec.Groups)
+	gcol, err := EncodeUniformDense(space, "B.G", rng, spec.Rows, 1, spec.Groups, column.DefaultEntrySize)
 	if err != nil {
 		return nil, err
 	}
-	vcol, err := EncodeUniformDense(space, "B.V", rng, spec.Rows, 1, spec.DistinctV)
+	vcol, err := EncodeUniformDense(space, "B.V", rng, spec.Rows, 1, spec.DistinctV, column.DefaultEntrySize)
 	if err != nil {
 		return nil, err
 	}
@@ -312,7 +369,7 @@ func NewQ3(space *memory.Space, rng *rand.Rand, spec Q3Spec) (*JoinQuery, error)
 	if err != nil {
 		return nil, err
 	}
-	fkCol, err := EncodeUniformDense(space, "S.F", rng, spec.ProbeRows, 1, spec.Keys)
+	fkCol, err := EncodeUniformDense(space, "S.F", rng, spec.ProbeRows, 1, spec.Keys, column.DefaultEntrySize)
 	if err != nil {
 		return nil, err
 	}

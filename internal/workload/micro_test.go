@@ -2,9 +2,11 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"cachepart/internal/cachesim"
+	"cachepart/internal/column"
 	"cachepart/internal/core"
 	"cachepart/internal/engine"
 	"cachepart/internal/memory"
@@ -40,7 +42,7 @@ func TestDistinctInts(t *testing.T) {
 
 func TestEncodeUniformDenseRoundTrip(t *testing.T) {
 	space := memory.NewSpace()
-	col, err := EncodeUniformDense(space, "c", testRng(), 10_000, 10, 50)
+	col, err := EncodeUniformDense(space, "c", testRng(), 10_000, 10, 50, column.DefaultEntrySize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,6 +51,56 @@ func TestEncodeUniformDenseRoundTrip(t *testing.T) {
 		if v < 10 || v > 50 {
 			t.Fatalf("row %d decodes to %d", i, v)
 		}
+	}
+}
+
+// TestEncodeUniformDenseMatchesInt63nLoop pins the generator to the
+// per-row rng.Int63n loop it replaced: the same code in every row, the
+// same regions, and the same raw draws consumed, for a power-of-two
+// and an odd span and a row count that ends inside a run.
+func TestEncodeUniformDenseMatchesInt63nLoop(t *testing.T) {
+	for _, span := range []int64{1 << 10, 31250} {
+		const n = 1000
+		space, rng := memory.NewSpace(), testRng()
+		col, err := EncodeUniformDense(space, "c", rng, n, 1, span, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracleSpace, oracle := memory.NewSpace(), testRng()
+		dict, _ := column.NewDenseDictionary(oracleSpace, "c", 1, span, 64)
+		codes, _ := column.NewPackedVector(oracleSpace, "c", n, dict.CodeBits())
+		if col.Dict.Region() != dict.Region() || col.Codes.Region() != codes.Region() {
+			t.Errorf("span %d: regions %v %v, want %v %v", span, col.Dict.Region(), col.Codes.Region(), dict.Region(), codes.Region())
+		}
+		for i := 0; i < n; i++ {
+			if got, want := col.Codes.Get(i), uint32(oracle.Int63n(span)); got != want {
+				t.Fatalf("span %d: row %d holds code %d, the Int63n loop %d", span, i, got, want)
+			}
+		}
+		if rng.Int63() != oracle.Int63() {
+			t.Errorf("span %d: the generator consumed other draws than the Int63n loop", span)
+		}
+	}
+}
+
+// TestDistinctIntsMatchesInt63nLoop pins the rejection-sampling path to
+// the rng.Int63n loop it replaced.
+func TestDistinctIntsMatchesInt63nLoop(t *testing.T) {
+	rng, oracle := testRng(), testRng()
+	got, err := DistinctInts(rng, 500, 1, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[int64]bool{}
+	var want []int64
+	for len(want) < 500 {
+		if v := 1 + oracle.Int63n(1_000_000); !seen[v] {
+			seen[v] = true
+			want = append(want, v)
+		}
+	}
+	if !slices.Equal(got, want) || rng.Int63() != oracle.Int63() {
+		t.Error("DistinctInts drew other values than the Int63n loop")
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"cachepart/internal/engine"
 	"cachepart/internal/exec"
 	"cachepart/internal/memory"
+	"cachepart/internal/workload"
 )
 
 // Spec configures the ACDOCA model.
@@ -74,11 +75,10 @@ func residualCards() [4]int64 { return [4]int64{4, 8, 16, 8} }
 
 // residualOf derives the residual key values of a document. Mixing
 // with distinct multipliers keeps the columns decorrelated.
-func residualOf(doc int64) []int64 {
-	cards := residualCards()
-	out := make([]int64, len(cards))
+func residualOf(doc int64) [4]int64 {
+	var out [4]int64
 	h := uint64(doc) * 0x9e3779b97f4a7c15
-	for i, card := range cards {
+	for i, card := range residualCards() {
 		out[i] = 1 + int64(h%uint64(card))
 		h = h>>8 ^ h*0x100000001b3
 	}
@@ -102,24 +102,25 @@ func Load(space *memory.Space, rng *rand.Rand, spec Spec) (*Table, error) {
 		t.docs = 1
 	}
 
-	// Assign every row a document, then derive the residual keys so
-	// that all rows of one document agree on them.
-	docOf := make([]int64, spec.Rows)
-	for i := range docOf {
-		docOf[i] = 1 + rng.Int63n(t.docs)
-	}
+	// Assign every row a document (document d has code d-1), then
+	// derive the residual keys, once per document, so that all rows of
+	// one document agree on them.
 	var err error
-	t.DocKey, err = encodeInts(space, "acdoca.belnr", docOf, 1, t.docs, column.DefaultEntrySize)
+	t.DocKey, err = workload.EncodeUniformDense(space, "acdoca.belnr", rng, spec.Rows, 1, t.docs, column.DefaultEntrySize)
 	if err != nil {
 		return nil, err
 	}
+	residual := make([][4]int64, t.docs)
+	for d := range residual {
+		residual[d] = residualOf(int64(d) + 1)
+	}
 	names := []string{"acdoca.rclnt", "acdoca.rldnr", "acdoca.rbukrs", "acdoca.gjahr"}
+	vals := make([]int64, spec.Rows)
 	for k, card := range residualCards() {
-		vals := make([]int64, spec.Rows)
-		for i, d := range docOf {
-			vals[i] = residualOf(d)[k]
+		for i := range vals {
+			vals[i] = residual[t.DocKey.Codes.Get(i)][k]
 		}
-		col, err := encodeInts(space, names[k], vals, 1, card, column.DefaultEntrySize)
+		col, err := column.EncodeDense(space, names[k], vals, 1, card, column.DefaultEntrySize)
 		if err != nil {
 			return nil, err
 		}
@@ -148,30 +149,13 @@ func buildDictColumns(space *memory.Space, rng *rand.Rand, prefix string, sizesM
 		if distinct < 2 {
 			distinct = 2
 		}
-		dict, err := column.NewDenseDictionary(space,
-			fmt.Sprintf("%s%d", prefix, i), 1, distinct, nvarcharEntry)
+		col, err := workload.EncodeUniformDense(space, fmt.Sprintf("%s%d", prefix, i), rng, spec.Rows, 1, distinct, nvarcharEntry)
 		if err != nil {
 			return nil, err
 		}
-		codes, err := column.NewPackedVector(space,
-			fmt.Sprintf("%s%d", prefix, i), spec.Rows, dict.CodeBits())
-		if err != nil {
-			return nil, err
-		}
-		for r := 0; r < spec.Rows; r++ {
-			codes.Set(r, uint32(rng.Int63n(distinct)))
-		}
-		out = append(out, &column.Column{
-			Name:  fmt.Sprintf("%s%d", prefix, i),
-			Dict:  dict,
-			Codes: codes,
-		})
+		out = append(out, col)
 	}
 	return out, nil
-}
-
-func encodeInts(space *memory.Space, name string, vals []int64, lo, hi int64, entry uint64) (*column.Column, error) {
-	return column.EncodeDense(space, name, vals, lo, hi, entry)
 }
 
 // Docs reports the number of distinct documents.
@@ -231,7 +215,8 @@ const StatementOverheadCycles = 10_000
 // Sensitive identifier.
 func (q *OLTPQuery) Plan(cores int, rng *rand.Rand) ([]engine.Phase, error) {
 	doc := 1 + rng.Int63n(q.t.docs)
-	k, err := exec.NewPKLookupProject(q.t.Index, doc, q.t.Residual, residualOf(doc), q.project)
+	keys := residualOf(doc)
+	k, err := exec.NewPKLookupProject(q.t.Index, doc, q.t.Residual, keys[:], q.project)
 	if err != nil {
 		return nil, err
 	}

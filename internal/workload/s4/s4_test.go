@@ -49,6 +49,48 @@ func TestLoadGeometry(t *testing.T) {
 	}
 }
 
+// TestLoadMatchesInt63nLoop pins Load to the per-row generator it
+// replaced: each row's document drawn with rng.Int63n, the residual
+// keys derived per row, then every projection column's codes drawn
+// row by row with rng.Int63n. Every column holds the same codes and
+// the same raw draws are consumed.
+func TestLoadMatchesInt63nLoop(t *testing.T) {
+	spec := Spec{Rows: 3000, Scale: 256, RowsPerDocument: 20}
+	rng := rand.New(rand.NewSource(9))
+	tab, err := Load(memory.NewSpace(), rng, spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := rand.New(rand.NewSource(9))
+	check := func(col *column.Column, want func(i int) int64) {
+		t.Helper()
+		for i := 0; i < spec.Rows; i++ {
+			if got, w := col.Value(i), want(i); got != w {
+				t.Fatalf("%s row %d = %d, the per-row loop %d", col.Name, i, got, w)
+			}
+		}
+	}
+	docOf := make([]int64, spec.Rows)
+	for i := range docOf {
+		docOf[i] = 1 + oracle.Int63n(tab.Docs())
+	}
+	check(tab.DocKey, func(i int) int64 { return docOf[i] })
+	for k, col := range tab.Residual {
+		check(col, func(i int) int64 { return residualOf(docOf[i])[k] })
+	}
+	for _, col := range append(tab.Big, tab.Small...) {
+		distinct := int64(col.Dict.Len())
+		codes := make([]int64, spec.Rows)
+		for i := range codes {
+			codes[i] = 1 + oracle.Int63n(distinct)
+		}
+		check(col, func(i int) int64 { return codes[i] })
+	}
+	if rng.Int63() != oracle.Int63() {
+		t.Error("Load consumed other draws than the per-row loop")
+	}
+}
+
 func TestLoadValidation(t *testing.T) {
 	space := memory.NewSpace()
 	if _, err := Load(space, rand.New(rand.NewSource(1)), Spec{}); err == nil {

@@ -159,7 +159,7 @@ func buildTable(space *memory.Space, rng *rand.Rand, name string, rows int, cols
 		if cs.clustered {
 			c, err = encodeClustered(space, name+"."+cs.name, rows, cs.distinct)
 		} else {
-			c, err = workload.EncodeUniformDense(space, name+"."+cs.name, rng, rows, 1, cs.distinct)
+			c, err = workload.EncodeUniformDense(space, name+"."+cs.name, rng, rows, 1, cs.distinct, column.DefaultEntrySize)
 		}
 		if err != nil {
 			return nil, fmt.Errorf("tpch: column %s.%s: %w", name, cs.name, err)
@@ -183,8 +183,13 @@ func encodeClustered(space *memory.Space, name string, rows int, distinct int64)
 	if err != nil {
 		return nil, err
 	}
-	for i := 0; i < rows; i++ {
-		codes.Set(i, uint32(int64(i)*distinct/int64(rows)))
+	var run [256]uint32
+	for from := 0; from < rows; from += len(run) {
+		r := run[:min(len(run), rows-from)]
+		for j := range r {
+			r[j] = uint32(int64(from+j) * distinct / int64(rows))
+		}
+		codes.PackRun(from, r)
 	}
 	return &column.Column{Name: name, Dict: dict, Codes: codes}, nil
 }

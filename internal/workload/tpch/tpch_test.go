@@ -67,6 +67,26 @@ func TestClusteredKeysAscend(t *testing.T) {
 	}
 }
 
+// TestEncodeClusteredMatchesRowLoop pins encodeClustered to the
+// per-row formula it packed before it packed runs, at row counts that
+// end inside a run and a domain wider and narrower than the rows.
+func TestEncodeClusteredMatchesRowLoop(t *testing.T) {
+	for _, tc := range []struct {
+		rows     int
+		distinct int64
+	}{{1000, 250}, {777, 100_000}, {256, 256}} {
+		col, err := encodeClustered(memory.NewSpace(), "k", tc.rows, tc.distinct)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < tc.rows; i++ {
+			if got, want := col.Codes.Get(i), uint32(int64(i)*tc.distinct/int64(tc.rows)); got != want {
+				t.Fatalf("%d rows over %d: row %d holds code %d, want %d", tc.rows, tc.distinct, i, got, want)
+			}
+		}
+	}
+}
+
 func TestTableLookup(t *testing.T) {
 	db, _ := testDB(t)
 	for _, name := range []string{"lineitem", "orders", "customer", "part", "supplier"} {

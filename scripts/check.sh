@@ -22,7 +22,8 @@
 #            naive Get loop, the cachesim probes' outcome shares, and
 #            the digests of repeated runs (the CI bench job)
 #   fuzz     a 10 s smoke run of each fuzz target beyond its checked-in
-#            seeds: FuzzCountInRange (packed scan against the Get loop)
+#            seeds: FuzzCountInRange (packed scan against the Get loop),
+#            FuzzPackRun (the run writer against the per-row Set loop)
 #            and FuzzCacheOps (word-at-a-time sets against the stamp
 #            reference) (the CI fuzz job)
 #   all      every gate, in order (the default)
@@ -105,6 +106,9 @@ if [ "$mode" = fuzz ] || [ "$mode" = all ]; then
 	# One target per invocation: go test -fuzz accepts a single match.
 	echo '== go test -fuzz FuzzCountInRange -fuzztime 10s ./internal/column'
 	go test -run '^$' -fuzz '^FuzzCountInRange$' -fuzztime 10s ./internal/column
+
+	echo '== go test -fuzz FuzzPackRun -fuzztime 10s ./internal/column'
+	go test -run '^$' -fuzz '^FuzzPackRun$' -fuzztime 10s ./internal/column
 
 	echo '== go test -fuzz FuzzCacheOps -fuzztime 10s ./internal/cachesim'
 	go test -run '^$' -fuzz '^FuzzCacheOps$' -fuzztime 10s ./internal/cachesim

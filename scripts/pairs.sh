@@ -15,8 +15,9 @@
 # pairs the change won (ties count for neither), and whether
 # sim_throughput, sim_p99_cycles and sim_digest were equal in every
 # run. A claim needs the change ahead in nine pairs of ten and medians
-# further apart than the parent's q3-q1; the last line says whether
-# host_s met that.
+# further apart than the parent's q3-q1, in the metric's better
+# direction; the last four lines say whether host_s,
+# sim_accesses_per_host_s, setup_s and host_heap_mib met that.
 #
 # How far to trust the session is printed with it: the host's core
 # count, GOMAXPROCS and load average before and after (a gain that
@@ -24,11 +25,14 @@
 # noise control. Data generation is the same code on both sides unless
 # the change touched it, so setup_s medians further apart than the
 # parent's q3-q1 mean the host drifted between the two sides by more
-# than its own spread, and the script says so in place of a verdict.
+# than its own spread, unless the change is to data generation. Either
+# way the script then withholds the two host-time verdicts, host_s and
+# sim_accesses_per_host_s, and still gives the setup_s and
+# host_heap_mib ones.
 set -eu
 
 if [ $# -lt 2 ]; then
-	sed -n '2,27p' "$0" >&2
+	sed -n '2,31p' "$0" >&2
 	exit 2
 fi
 ref=$1 workload=$2 seed=${3:-1} pairs=${4:-10} seconds=${5:-}
@@ -91,7 +95,7 @@ for metric in host_s sim_accesses_per_host_s setup_s host_heap_mib; do
 			apart = q("change", .5) - q("parent", .5); iqr = q("parent", .75) - q("parent", .25)
 			printf "%-26s %-38s %-38s %d of %d  (medians x%.3f, apart %.4g, parent q3-q1 %.4g)\n", m, three("parent"), three("change"), won, pairs,
 				q("change", .5) / q("parent", .5), apart, iqr
-			print m, won + 0, pairs, apart, iqr >stats
+			print m, won + 0, pairs, higher ? apart : -apart, iqr >stats
 		}'
 done
 for metric in sim_throughput sim_p99_cycles sim_digest ops_failed; do
@@ -102,12 +106,19 @@ done
 host 'at end  '
 awk '
 	function abs(x) { return x < 0 ? -x : x }
-	$1 == "setup_s" && abs($4) > $5 {
-		printf "noise control: setup_s medians are %.4g apart, more than the parent q3-q1 of %.4g; unless the change touched data generation that code is the same on both sides, so this session was too noisy to rule on host_s. Run it again.\n", abs($4), $5
-		noisy = 1
-	}
-	$1 == "setup_s" && !noisy { printf "noise control: setup_s medians are %.4g apart, inside the parent q3-q1 of %.4g\n", abs($4), $5 }
-	$1 == "host_s" && !noisy {
-		ok = $2 * 10 >= $3 * 9 && -$4 > $5
-		printf "host_s: change ahead in %d of %d pairs, its median %.4g below the parent'"'"'s against a parent q3-q1 of %.4g: %s\n", $2, $3, -$4, $5, ok ? "meets the bar for a claim" : "does not meet the bar for a claim"
-	}' "$tmp/stats.setup_s" "$tmp/stats.host_s"
+	{ m[NR] = $1; won[NR] = $2; pairs[NR] = $3; gain[NR] = $4; iqr[NR] = $5 }
+	$1 == "setup_s" { noisy = abs($4) > $5; apart = abs($4); spread = $5 }
+	END {
+		if (noisy)
+			printf "noise control: setup_s medians are %.4g apart, more than the parent q3-q1 of %.4g: the change is to data generation or the host drifted between the two sides, so neither host-time metric gets a verdict. If the change did not touch data generation, run it again.\n", apart, spread
+		else
+			printf "noise control: setup_s medians are %.4g apart, inside the parent q3-q1 of %.4g\n", apart, spread
+		for (i = 1; i <= NR; i++) {
+			if (noisy && (m[i] == "host_s" || m[i] == "sim_accesses_per_host_s")) {
+				printf "%s: no verdict, setup_s moved (see the noise control)\n", m[i]
+				continue
+			}
+			ok = won[i] * 10 >= pairs[i] * 9 && gain[i] > iqr[i]
+			printf "%s: change ahead in %d of %d pairs, its median %.4g better than the parent'"'"'s against a parent q3-q1 of %.4g: %s\n", m[i], won[i], pairs[i], gain[i], iqr[i], ok ? "meets the bar for a claim" : "does not meet the bar for a claim"
+		}
+	}' "$tmp/stats.host_s" "$tmp/stats.sim_accesses_per_host_s" "$tmp/stats.setup_s" "$tmp/stats.host_heap_mib"

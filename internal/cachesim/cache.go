@@ -7,43 +7,49 @@ import (
 	"cachepart/internal/cat"
 )
 
-// entry is one cache line slot. The tag word carries the line number
-// plus the two small per-line attributes:
+// entry is one cache line slot, two words and 16 bytes:
 //
-//	bits  0..55  line number + 1; 0 means invalid
-//	bits 56..62  CLOS of the filling core (LLC only, CMT attribution)
-//	bit  63      dirty
+//	tag   bits  0..31  line number + 1; 0 means invalid
+//	      bits 32..63  owners (LLC only): the cores that pulled the line
+//	                   into their private caches since the fill
+//	meta  bits  0..47  ready: the tick at which the fill completes
+//	                   (a prefetch in flight)
+//	      bits 48..54  CLOS of the filling core (LLC only, CMT attribution)
+//	      bit  63      dirty
 //
-// 56 bits of line number cover 2^62 bytes of address space, far beyond
-// what the bump allocator can hand out.
+// Config.validate caps Cores at 32, one owner bit each. place panics
+// on a line at or above 256 GiB and on a tick outside [0, 2^48), some
+// 8,000 simulated seconds at 2.2 GHz.
 type entry struct {
-	tag   uint64
-	ready int64 // tick at which the fill completes (prefetch in flight)
-	// owners is used only in the shared LLC: a bitmask of cores that
-	// pulled the line into their private caches since the fill, so an
-	// inclusive back-invalidation only has to visit those cores.
-	owners uint32
+	tag  uint64
+	meta uint64
 }
 
 const (
-	tagLineBits  = 56
-	tagLineMask  = uint64(1)<<tagLineBits - 1
-	tagCLOSShift = tagLineBits
-	tagCLOSMask  = uint64(0x7f) << tagCLOSShift
-	tagDirtyBit  = uint64(1) << 63
+	tagLineBits   = 32
+	tagLineMask   = uint64(1)<<tagLineBits - 1
+	metaReadyBits = 48
+	metaReadyMask = uint64(1)<<metaReadyBits - 1
+	metaCLOSShift = metaReadyBits
+	metaCLOSMask  = uint64(0x7f) << metaCLOSShift
+	metaDirtyBit  = uint64(1) << 63
 
-	// MaxCLOS is the widest class-of-service id the packed entry tag
+	// MaxCLOS is the widest class-of-service id the packed entry
 	// can attribute occupancy to.
 	MaxCLOS = 128
 )
 
-func (e entry) valid() bool  { return e.tag&tagLineMask != 0 }
-func (e entry) line() uint64 { return e.tag&tagLineMask - 1 }
-func (e entry) dirty() bool  { return e.tag&tagDirtyBit != 0 }
-func (e entry) clos() uint8  { return uint8(e.tag >> tagCLOSShift & 0x7f) }
+func (e entry) valid() bool    { return e.tag&tagLineMask != 0 }
+func (e entry) line() uint64   { return e.tag&tagLineMask - 1 }
+func (e entry) owners() uint32 { return uint32(e.tag >> tagLineBits) }
+func (e entry) ready() int64   { return int64(e.meta & metaReadyMask) }
+func (e entry) dirty() bool    { return e.meta&metaDirtyBit != 0 }
+func (e entry) clos() uint8    { return uint8(e.meta >> metaCLOSShift & 0x7f) }
 
-func (e *entry) setDirty()       { e.tag |= tagDirtyBit }
-func (e *entry) setCLOS(c uint8) { e.tag = e.tag&^tagCLOSMask | uint64(c)<<tagCLOSShift }
+func (e *entry) addOwner(core int)  { e.tag |= 1 << (tagLineBits + uint(core)) }
+func (e *entry) setOwners(o uint32) { e.tag = e.tag&tagLineMask | uint64(o)<<tagLineBits }
+func (e *entry) setDirty()          { e.meta |= metaDirtyBit }
+func (e *entry) setCLOS(c uint8)    { e.meta = e.meta&^metaCLOSMask | uint64(c)<<metaCLOSShift }
 
 // A set is examined a word at a time, not a way at a time: beside its
 // entries every set keeps one byte per way in each of two arrays,
@@ -152,7 +158,7 @@ func (c *cache) setIndex(line uint64) int {
 }
 
 // find returns the line's set and the way that holds it, or -1. The tag
-// convention stores line+1 so a zero entry is invalid; flag bits are
+// convention stores line+1 so a zero entry is invalid; owner bits are
 // masked off before comparing.
 func (c *cache) find(line uint64) (set, way int) {
 	set = c.setIndex(line)
@@ -284,15 +290,28 @@ func (c *cache) probe(line uint64, mask cat.WayMask) (set int, present bool, way
 // (invalid if the way was empty) so the caller can handle writebacks
 // and inclusive invalidations.
 func (c *cache) place(set, way int, line uint64, ready int64) (victim entry, slot *entry) {
+	tag := line + 1
+	if tag>>tagLineBits|uint64(ready)>>metaReadyBits != 0 {
+		panic(rangeError{line, uint64(ready)})
+	}
 	slot = &c.entries[set*c.ways+way]
 	victim = *slot
-	tag := line + 1
-	*slot = entry{tag: tag, ready: ready}
+	*slot = entry{tag: tag, meta: uint64(ready)}
 	fp := &c.fps[set*c.words+way/lanes]
 	shift := uint(way%lanes) * 8
 	*fp = *fp&^(0xff<<shift) | fingerprint(tag)<<shift
 	c.touch(set, way)
 	return victim, slot
+}
+
+// rangeError is place's panic value: a line or a tick an entry cannot hold.
+type rangeError struct{ line, ready uint64 }
+
+func (e rangeError) Error() string {
+	if e.line+1 > tagLineMask {
+		return fmt.Sprintf("cachesim: line %#x starts at or above 256 GiB of simulated addresses, beyond what an entry holds", e.line)
+	}
+	return fmt.Sprintf("cachesim: ready tick %d is outside the [0, 2^48) an entry holds", int64(e.ready))
 }
 
 // fill inserts the line, evicting the least recently used way.
@@ -347,6 +366,13 @@ func (c *cache) flush() {
 	last := uint64(rankPad*laneLo) | (1<<real - 1)
 	for w := c.words - 1; w < len(c.ranks); w += c.words {
 		c.ranks[w] = last
+	}
+}
+
+// clearReady marks every line's fill as arrived.
+func (c *cache) clearReady() {
+	for i := range c.entries {
+		c.entries[i].meta &^= metaReadyMask
 	}
 }
 

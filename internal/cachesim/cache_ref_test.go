@@ -22,8 +22,12 @@ type refEntry struct {
 	owners uint32
 }
 
+// refDirtyBit is the dirty flag of a refEntry's tag; the oracle keeps
+// its own encoding (packed converts it to an entry).
+const refDirtyBit = uint64(1) << 63
+
 func (e refEntry) valid() bool { return e.tag&tagLineMask != 0 }
-func (e refEntry) dirty() bool { return e.tag&tagDirtyBit != 0 }
+func (e refEntry) dirty() bool { return e.tag&refDirtyBit != 0 }
 
 // refCache is one set-associative cache. It stores no data, only tags and
 // replacement state; the caller interprets hits and misses.

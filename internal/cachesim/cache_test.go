@@ -11,6 +11,17 @@ import (
 	"cachepart/internal/memory"
 )
 
+// packed is the entry that holds the reference entry's line, ready
+// tick, owners and dirty bit.
+func (re refEntry) packed() entry {
+	e := entry{tag: re.tag & tagLineMask, meta: uint64(re.ready)}
+	e.setOwners(re.owners)
+	if re.dirty() {
+		e.setDirty()
+	}
+	return e
+}
+
 // twin drives a cache and the stamp reference (cache_ref_test.go) with
 // the same operations and reports the first thing they disagree on.
 type twin struct {
@@ -53,17 +64,17 @@ func (tw *twin) apply(op int, line uint64, mask cat.WayMask, ready int64, mark b
 		if e == nil {
 			return nil
 		}
-		if e.tag != re.tag || e.ready != re.ready {
+		if *e != re.packed() {
 			return fmt.Errorf("%s(%d): entry %+v, reference %+v", what, line, *e, *re)
 		}
 		if mark {
 			e.setDirty()
-			re.tag |= tagDirtyBit
+			re.tag |= refDirtyBit
 		}
 		return nil
 	}
 	sameVictim := func(what string, v entry, rv refEntry) error {
-		if v.tag != rv.tag || v.ready != rv.ready {
+		if v != rv.packed() {
 			return fmt.Errorf("%s(%d) under mask %#x: evicted %+v, reference evicted %+v", what, line, uint32(mask), v, rv)
 		}
 		return nil
@@ -131,7 +142,7 @@ func (tw *twin) apply(op int, line uint64, mask cat.WayMask, ready int64, mark b
 // sameTags compares every way of the two caches.
 func (tw *twin) sameTags() error {
 	for i, e := range tw.c.entries {
-		if re := tw.r.entries[i]; e.tag != re.tag || e.ready != re.ready {
+		if re := tw.r.entries[i]; e != re.packed() {
 			return fmt.Errorf("set %d way %d holds %+v, reference %+v", i/tw.c.ways, i%tw.c.ways, e, re)
 		}
 	}
@@ -352,7 +363,7 @@ func TestPrefetchChoosesL2VictimAfterBackInvalidation(t *testing.T) {
 	// LLC set: full, line(0) the oldest and held by this core.
 	for i := 0; i < m.llc.ways; i++ {
 		_, slot := m.llc.fillMasked(line(i), 0, cat.FullMask(m.llc.ways))
-		slot.owners = 1 << core
+		slot.setOwners(1 << core)
 		m.llcOccupancy[0]++
 	}
 	// L2 set: full, line(1) the oldest, line(0) the most recent.

@@ -292,16 +292,10 @@ func (m *Machine) ZeroClocksAndStats() {
 	clear(m.memTraffic)
 	// Any in-flight prefetch readiness stamps would lie in the future
 	// of the rewound clocks; clamp them to "arrived".
-	for i := range m.llc.entries {
-		m.llc.entries[i].ready = 0
-	}
+	m.llc.clearReady()
 	for c := range m.l1 {
-		for i := range m.l1[c].entries {
-			m.l1[c].entries[i].ready = 0
-		}
-		for i := range m.l2[c].entries {
-			m.l2[c].entries[i].ready = 0
-		}
+		m.l1[c].clearReady()
+		m.l2[c].clearReady()
 		m.pf[c] = prefetcher{}
 	}
 }
@@ -346,9 +340,9 @@ func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 	// L2.
 	if e := m.l2[core].lookup(line); e != nil {
 		lat := m.l2Lat
-		if e.ready > start {
+		if ready := e.ready(); ready > start {
 			// A prefetch for this line is still in flight.
-			lat = e.ready - start + m.l2Lat
+			lat = ready - start + m.l2Lat
 			st.PrefetchLate++
 		}
 		m.fillL1(core, line, write)
@@ -361,11 +355,11 @@ func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 	// LLC.
 	if e := m.llc.lookup(line); e != nil {
 		lat := m.llcLat
-		if e.ready > start {
-			lat = e.ready - start + m.llcLat
+		if ready := e.ready(); ready > start {
+			lat = ready - start + m.llcLat
 			st.PrefetchLate++
 		}
-		e.owners |= 1 << uint(core)
+		e.addOwner(core)
 		m.fillL2(core, line)
 		m.fillL1(core, line, write)
 		st.LLCHits++
@@ -472,7 +466,7 @@ func (m *Machine) fillLLC(core int, line uint64, ready int64) {
 // a line out of the filling core's own L2.
 func (m *Machine) filledLLC(core int, victim entry, slot *entry) (ownL2 bool) {
 	clos := m.regs.CLOSOf(core)
-	slot.owners = 1 << uint(core)
+	slot.setOwners(1 << uint(core))
 	slot.setCLOS(uint8(clos))
 	m.llcOccupancy[clos]++
 	m.memTraffic[clos]++
@@ -481,14 +475,14 @@ func (m *Machine) filledLLC(core int, victim entry, slot *entry) (ownL2 bool) {
 	}
 	m.llcOccupancy[victim.clos()]--
 	dirty := victim.dirty()
-	if m.cfg.InclusiveLLC && victim.owners != 0 {
+	if owners := victim.owners(); m.cfg.InclusiveLLC && owners != 0 {
 		vline := victim.line()
-		for c := 0; victim.owners != 0; c++ {
+		for c := 0; owners != 0; c++ {
 			bit := uint32(1) << uint(c)
-			if victim.owners&bit == 0 {
+			if owners&bit == 0 {
 				continue
 			}
-			victim.owners &^= bit
+			owners &^= bit
 			if _, d := m.l1[c].invalidate(vline); d {
 				dirty = true
 			}

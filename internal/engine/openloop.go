@@ -30,7 +30,9 @@ type Submission struct {
 	Query Query
 	// Rng drives the execution's per-query parameters (the "?" of the
 	// scan predicate, the OLTP document id). The feed derives it from
-	// seeded streams so replays are bit-identical.
+	// seeded streams so replays are bit-identical. The engine reads it
+	// only in the query's Plan at dispatch; it is valid until the
+	// group's next Next, so a feed may reseed one per group.
 	Rng *rand.Rand
 	// Release is the earliest virtual tick the query may start — its
 	// arrival (or admission) time. The execution starts at

@@ -28,7 +28,10 @@ const agingBound = 250e-6
 // feed implements engine.Feed (and engine.CompletionObserver) over
 // bounded per-tenant FIFOs with SLO-aware overload control.
 type feed struct {
-	seed     int64
+	seed int64
+	// rngs[g] is group g's query stream, reseeded at each dispatch:
+	// Seed rebuilds the whole state, as a fresh rand.Rand would.
+	rngs     []*rand.Rand
 	tenants  []Tenant
 	arrivals []Arrival
 	cursor   int
@@ -92,11 +95,14 @@ func newFeed(cfg *Config, m *cachesim.Machine, arrivals []Arrival, groupCores []
 	n := len(cfg.Tenants)
 	ticksPerSec := float64(m.Ticks(1))
 	last := make([]int, len(groupCores))
+	rngs := make([]*rand.Rand, len(groupCores))
 	for i := range last {
 		last[i] = -1
+		rngs[i] = rand.New(rand.NewSource(0))
 	}
 	f := &feed{
 		seed:       cfg.Seed,
+		rngs:       rngs,
 		tenants:    cfg.Tenants,
 		arrivals:   arrivals,
 		lastClass:  last,
@@ -364,9 +370,11 @@ func (f *feed) Next(group int, now int64) (engine.Submission, bool, int64) {
 	f.popHead(t)
 	w := &f.tenants[a.Tenant].Mix[a.Kind]
 	f.lastClass[group] = w.Class
+	rng := f.rngs[group]
+	rng.Seed(querySeed(f.seed, a))
 	return engine.Submission{
 		Query:   w.Instances[group],
-		Rng:     queryRng(f.seed, a),
+		Rng:     rng,
 		Release: a.Tick,
 		Tag:     a.Seq,
 	}, true, 0

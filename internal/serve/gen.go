@@ -218,9 +218,9 @@ func pickKind(rng *rand.Rand, cum []int, total int) int {
 	return len(cum) - 1
 }
 
-// queryRng derives the per-execution parameter stream of one arrival.
+// querySeed seeds the per-execution parameter stream of one arrival.
 // Mixing the global sequence number keeps every query's parameters
 // independent while remaining a pure function of (seed, trace).
-func queryRng(seed int64, a Arrival) *rand.Rand {
-	return rand.New(rand.NewSource(seed ^ (a.Seq+1)*0x5851F42D4C957F2D))
+func querySeed(seed int64, a Arrival) int64 {
+	return seed ^ (a.Seq+1)*0x5851F42D4C957F2D
 }

@@ -279,3 +279,34 @@ func TestPickCLOSAffinity(t *testing.T) {
 		t.Errorf("empty queues: picked tenant %d, want -1", got)
 	}
 }
+
+// TestGroupRngReseedMatchesFresh: every dispatch to a group hands out
+// the group's one rand.Rand, reseeded with the arrival's querySeed.
+// After a varying number of draws from the previous dispatch it must
+// draw what a rand.Rand built fresh from that seed draws.
+func TestGroupRngReseedMatchesFresh(t *testing.T) {
+	e := testEngine(t)
+	cfg := overloadConfig(e, 7, 1, 1.0)
+	arrivals := make([]Arrival, 6)
+	for i := range arrivals {
+		arrivals[i] = Arrival{Seq: int64(i), Tick: int64(i)}
+	}
+	f := newFeed(&cfg, e.Machine(), arrivals, []int{2})
+	var group *rand.Rand
+	for i, a := range arrivals {
+		sub, ok, _ := f.Next(0, a.Tick)
+		if !ok || sub.Tag != a.Seq {
+			t.Fatalf("dispatch %d: ok %v tag %d, want arrival %d", i, ok, sub.Tag, a.Seq)
+		}
+		if group != nil && sub.Rng != group {
+			t.Fatalf("dispatch %d built a new rand.Rand", i)
+		}
+		group = sub.Rng
+		fresh := rand.New(rand.NewSource(querySeed(cfg.Seed, a)))
+		for k := 0; k <= i; k++ {
+			if got, want := sub.Rng.Int63(), fresh.Int63(); got != want {
+				t.Fatalf("dispatch %d, draw %d: %d, a fresh rand.Rand draws %d", i, k, got, want)
+			}
+		}
+	}
+}

@@ -12,7 +12,11 @@
 #   seconds     host seconds per run (default: the benchmark's own)
 #
 # Prints, per end-to-end metric, q1/median/q3 of either side and the
-# pairs the change won (ties count for neither), and whether
+# pairs the change won (ties count for neither), then on a line of its
+# own the q1/median/q3 of the per-pair ratio change / parent: each pair
+# ran back to back, so the ratio cancels the drift between pairs that
+# widens either side's spread. The ratios are informational; the bar
+# below is judged on the two sides' quartiles. Last, whether
 # sim_throughput, sim_p99_cycles and sim_digest were equal in every
 # run. A claim needs the change ahead in nine pairs of ten and medians
 # further apart than the parent's q3-q1, in the metric's better
@@ -32,7 +36,7 @@
 set -eu
 
 if [ $# -lt 2 ]; then
-	sed -n '2,31p' "$0" >&2
+	sed -n '2,35p' "$0" >&2
 	exit 2
 fi
 ref=$1 workload=$2 seed=${3:-1} pairs=${4:-10} seconds=${5:-}
@@ -91,10 +95,15 @@ for metric in host_s sim_accesses_per_host_s setup_s host_heap_mib; do
 				d = at["change", i] - at["parent", i]
 				if (higher) d = -d
 				if (d < 0) won++
+				# the per-pair ratios, insertion-sorted as a third side
+				x = at["parent", i] ? at["change", i] / at["parent", i] : 1
+				for (j = n["ratio"]++; j >= 1 && v["ratio", j] > x; j--) v["ratio", j + 1] = v["ratio", j]
+				v["ratio", j + 1] = x
 			}
 			apart = q("change", .5) - q("parent", .5); iqr = q("parent", .75) - q("parent", .25)
 			printf "%-26s %-38s %-38s %d of %d  (medians x%.3f, apart %.4g, parent q3-q1 %.4g)\n", m, three("parent"), three("change"), won, pairs,
 				q("change", .5) / q("parent", .5), apart, iqr
+			printf "%-26s per-pair change/parent q1/median/q3 x%.3f/x%.3f/x%.3f\n", "", q("ratio", .25), q("ratio", .5), q("ratio", .75)
 			print m, won + 0, pairs, higher ? apart : -apart, iqr >stats
 		}'
 done

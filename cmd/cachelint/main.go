@@ -1,10 +1,8 @@
 // Command cachelint runs the repository's domain static analyses over
 // the module: determinism (no wall clock, no global math/rand, no
-// order-sensitive map iteration, no nondeterministic value reaching
-// simulator state), CAT-mask validity (constant masks must be
-// non-empty and contiguous), explicit cache-usage identifiers on job
-// phases, no discarded resctrl/os errors, no mixing of cycle and
-// wall-clock units, and no heap allocation on the //perf:hot path.
+// order-sensitive map iteration), explicit cache-usage identifiers on
+// job phases, no discarded resctrl/os errors, and no heap allocation
+// on the //perf:hot path.
 //
 // Usage:
 //
@@ -15,7 +13,8 @@
 // reported, and 2 on usage or load errors. Diagnostics print as
 // "file:line:col: [check] message"; intentional exceptions are
 // annotated in the source with "//lint:allow <check> <reason>", the
-// one escape hatch.
+// one escape hatch; a nondet exception is honoured only in a main
+// package.
 //
 // With -json each diagnostic prints as one JSON object per line
 // (file, line, col, check, message, allowed). This mode

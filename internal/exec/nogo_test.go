@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -16,12 +17,21 @@ import (
 // Nor do they import "sync": one serial loop drives each System, so a
 // lock inside the simulator would guard nothing. (sync/atomic is a
 // different path; exec's bit vector keeps it.)
+//
+// No simulator package imports "time" either, column and the
+// tick-carrying packages included: simulated time is a tick count, so
+// a time.Duration in tick arithmetic or a wall-clock read has no
+// legitimate way in. Host timing belongs to main packages, the only
+// place //lint:allow nondet is honoured.
 func TestSimulatorStartsNoGoroutines(t *testing.T) {
-	for _, pkg := range []string{"exec", "engine", "cachesim", "serve", "adapt", "harness", "memory", "resctrl", "fault"} {
+	noGo := []string{"exec", "engine", "cachesim", "serve", "adapt", "harness", "memory", "resctrl", "fault"}
+	noTime := append([]string{"column", "cat", "core", "workload", "workload/s4", "workload/tpch"}, noGo...)
+	for _, pkg := range noTime {
 		files, err := filepath.Glob(filepath.Join("..", pkg, "*.go"))
 		if err != nil || len(files) == 0 {
 			t.Fatalf("internal/%s: no files (%v)", pkg, err)
 		}
+		banGo := slices.Contains(noGo, pkg)
 		fset := token.NewFileSet()
 		for _, name := range files {
 			if strings.HasSuffix(name, "_test.go") {
@@ -32,9 +42,15 @@ func TestSimulatorStartsNoGoroutines(t *testing.T) {
 				t.Fatal(err)
 			}
 			for _, imp := range f.Imports {
-				if imp.Path.Value == `"sync"` {
+				switch {
+				case imp.Path.Value == `"time"`:
+					t.Errorf("%s: imports time; simulated time is ticks, and host timing belongs to a main package", fset.Position(imp.Pos()))
+				case banGo && imp.Path.Value == `"sync"`:
 					t.Errorf("%s: imports sync; a System is driven by one loop and needs no lock", fset.Position(imp.Pos()))
 				}
+			}
+			if !banGo {
+				continue
 			}
 			ast.Inspect(f, func(n ast.Node) bool {
 				if g, ok := n.(*ast.GoStmt); ok {

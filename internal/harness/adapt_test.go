@@ -19,6 +19,7 @@ import (
 //  3. the controller never makes either co-runner meaningfully slower
 //     than the unpartitioned run.
 func TestFigAdaptAcceptance(t *testing.T) {
+	t.Parallel()
 	r, err := FigAdapt(Fast())
 	if err != nil {
 		t.Fatal(err)
@@ -83,6 +84,7 @@ func TestFigAdaptAcceptance(t *testing.T) {
 // alone, unpartitioned versus controller-enabled: the controller must
 // never make an isolated query slower (beyond run-to-run noise).
 func TestAdaptiveIsolatedNoRegression(t *testing.T) {
+	t.Parallel()
 	sys, err := NewSystem(Fast())
 	if err != nil {
 		t.Fatal(err)

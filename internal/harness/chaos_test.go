@@ -12,6 +12,7 @@ import (
 // point must complete without error — the robustness contract — while
 // reporting the injection accounting that proves faults actually flew.
 func TestFigChaosFunction(t *testing.T) {
+	t.Parallel()
 	p := Fast()
 	r, err := figChaosAt(p, []float64{0.05, 1.0})
 	if err != nil {
@@ -45,6 +46,7 @@ func TestFigChaosFunction(t *testing.T) {
 // harness: two sweeps with identical params (run seed and fault seed
 // alike) must produce identical results, faults and all.
 func TestChaosSameSeedIdentical(t *testing.T) {
+	t.Parallel()
 	run := func() ChaosResult {
 		t.Helper()
 		r, err := figChaosAt(Fast(), []float64{0.1})
@@ -63,6 +65,7 @@ func TestChaosSameSeedIdentical(t *testing.T) {
 // round-trip: after disabling, the engine's control plane is the
 // original mount and a clean run matches the pre-chaos baseline.
 func TestChaosDisableRestoresPlane(t *testing.T) {
+	t.Parallel()
 	sys, err := NewSystem(Fast())
 	if err != nil {
 		t.Fatal(err)

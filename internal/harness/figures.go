@@ -3,7 +3,7 @@ package harness
 import "io"
 
 // Figure is one entry of the figure table: the name cmd/cachepart and
-// the golden digests know it by, and a run that prints it as the CLI
+// the golden files know it by, and a run that prints it as the CLI
 // does.
 type Figure struct {
 	Name   string

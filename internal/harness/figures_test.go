@@ -17,6 +17,7 @@ func figureParams() Params {
 }
 
 func TestFig5Function(t *testing.T) {
+	t.Parallel()
 	sets, err := Fig5(figureParams())
 	if err != nil {
 		t.Fatal(err)
@@ -40,6 +41,7 @@ func TestFig5Function(t *testing.T) {
 }
 
 func TestFig6Function(t *testing.T) {
+	t.Parallel()
 	series, err := Fig6(figureParams())
 	if err != nil {
 		t.Fatal(err)
@@ -57,6 +59,7 @@ func TestFig6Function(t *testing.T) {
 }
 
 func TestFig9Function(t *testing.T) {
+	t.Parallel()
 	panels, err := Fig9(figureParams())
 	if err != nil {
 		t.Fatal(err)
@@ -79,6 +82,7 @@ func TestFig9Function(t *testing.T) {
 }
 
 func TestFig10Function(t *testing.T) {
+	t.Parallel()
 	rows, err := Fig10(figureParams())
 	if err != nil {
 		t.Fatal(err)
@@ -101,6 +105,7 @@ func TestFig10Function(t *testing.T) {
 }
 
 func TestFig11QueryFunction(t *testing.T) {
+	t.Parallel()
 	p := figureParams()
 	p.RowsAgg = 1 << 17
 	row, err := Fig11Query(p, 1)
@@ -122,6 +127,7 @@ func TestFig11QueryFunction(t *testing.T) {
 }
 
 func TestFig12Function(t *testing.T) {
+	t.Parallel()
 	p := figureParams()
 	rows, err := Fig12(p)
 	if err != nil {
@@ -143,6 +149,7 @@ func TestFig12Function(t *testing.T) {
 }
 
 func TestFigProjSweepFunction(t *testing.T) {
+	t.Parallel()
 	p := figureParams()
 	rows, err := FigProjSweep(p)
 	if err != nil {
@@ -168,6 +175,7 @@ func TestFigProjSweepFunction(t *testing.T) {
 }
 
 func TestFig1Function(t *testing.T) {
+	t.Parallel()
 	r, err := Fig1(figureParams())
 	if err != nil {
 		t.Fatal(err)

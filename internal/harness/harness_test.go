@@ -49,6 +49,7 @@ func TestScaleN(t *testing.T) {
 }
 
 func TestNewSystemAndCores(t *testing.T) {
+	t.Parallel()
 	sys, err := NewSystem(tinyParams())
 	if err != nil {
 		t.Fatal(err)
@@ -95,6 +96,7 @@ func TestSpecHelpers(t *testing.T) {
 // TestFig4Flat asserts the paper's headline for the scan: hardly
 // sensitive to cache size.
 func TestFig4Flat(t *testing.T) {
+	t.Parallel()
 	pts, err := Fig4(tinyParams())
 	if err != nil {
 		t.Fatal(err)
@@ -131,6 +133,7 @@ func TestFig4Flat(t *testing.T) {
 // TestAggregationSensitive asserts Figure 5's headline: aggregation
 // over the 40 MiB dictionary degrades markedly with a small cache.
 func TestAggregationSensitive(t *testing.T) {
+	t.Parallel()
 	sys, err := NewSystem(tinyParams())
 	if err != nil {
 		t.Fatal(err)
@@ -157,6 +160,7 @@ func TestAggregationSensitive(t *testing.T) {
 // TestJoinSensitivityByKeyCount asserts Figure 6's headline: the join
 // is sensitive around 10^8 keys and much less at 10^7.
 func TestJoinSensitivityByKeyCount(t *testing.T) {
+	t.Parallel()
 	p := tinyParams()
 	sys, err := NewSystem(p)
 	if err != nil {
@@ -187,6 +191,7 @@ func TestJoinSensitivityByKeyCount(t *testing.T) {
 // 9): restricting the scan to 10% improves the sensitive aggregation
 // and does not hurt the scan.
 func TestPartitioningHelpsCoRun(t *testing.T) {
+	t.Parallel()
 	p := tinyParams()
 	p.Duration = 0.003
 	sys, err := NewSystem(p)
@@ -227,6 +232,7 @@ func TestPartitioningHelpsCoRun(t *testing.T) {
 // query's end-to-end response time (the quantity the paper actually
 // measures) as well as raising its throughput.
 func TestOLTPLatencyUnderPollution(t *testing.T) {
+	t.Parallel()
 	p := tinyParams()
 	p.Duration = 0.003
 	sys, err := NewSystem(p)
@@ -273,6 +279,7 @@ func TestOLTPLatencyUnderPollution(t *testing.T) {
 // TestFig10SchemeContrast asserts Figure 10b's lesson: restricting a
 // cache-sensitive join (P=1e8) to 10% hurts it, while 60% is safe.
 func TestFig10SchemeContrast(t *testing.T) {
+	t.Parallel()
 	p := tinyParams()
 	p.Duration = 0.003
 	sys, err := NewSystem(p)
@@ -308,6 +315,7 @@ func TestFig10SchemeContrast(t *testing.T) {
 // the 60% mask for the comparable bit vector and 10% otherwise, via
 // the live engine.
 func TestPolicyAutoMatchesHeuristic(t *testing.T) {
+	t.Parallel()
 	sys, err := NewSystem(tinyParams())
 	if err != nil {
 		t.Fatal(err)
@@ -348,6 +356,7 @@ func TestPrintersProduceOutput(t *testing.T) {
 // schedule (with partitioning) should not be worse than the naive
 // mixed schedule without it.
 func TestFigCoSchedule(t *testing.T) {
+	t.Parallel()
 	p := tinyParams()
 	row, err := FigCoSchedule(p)
 	if err != nil {

@@ -22,6 +22,7 @@ func overloadTestOpts() Params {
 // TestFigOverloadSmoke prints a reduced sweep at test scale (visual
 // check with -v; the assertions below pin the contract).
 func TestFigOverloadSmoke(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full sweep in short mode")
 	}
@@ -39,6 +40,7 @@ func TestFigOverloadSmoke(t *testing.T) {
 // victim tenant — lower p99 AND higher SLO attainment than no-shed —
 // on every cache arm.
 func TestFigOverloadAcceptance(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("overload sweep in short mode")
 	}
@@ -95,6 +97,7 @@ func overloadChaosOpts() Params {
 // bit-identically per (seed, fault-seed), and a different fault seed
 // actually changes the outcome.
 func TestFigOverloadChaosReplay(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("overload sweep in short mode")
 	}

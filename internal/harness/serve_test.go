@@ -21,6 +21,7 @@ func serveTestOpts() Params {
 // TestFigServeSmoke prints a full sweep at test scale (visual check
 // with -v; the assertions below pin the contract).
 func TestFigServeSmoke(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full sweep in short mode")
 	}
@@ -37,6 +38,7 @@ func TestFigServeSmoke(t *testing.T) {
 // fairness than the shared-cache baseline (the committed table in
 // EXPERIMENTS.md).
 func TestFigServeAcceptance(t *testing.T) {
+	t.Parallel()
 	if testing.Short() {
 		t.Skip("full sweep in short mode")
 	}
@@ -66,8 +68,9 @@ func TestFigServeAcceptance(t *testing.T) {
 }
 
 // TestFigServeDeterminism pins bit-identical reports per seed, and
-// the serve digest on the first run.
+// the serve golden file on the first run.
 func TestFigServeDeterminism(t *testing.T) {
+	t.Parallel()
 	a, err := FigServe(serveTestOpts())
 	if err != nil {
 		t.Fatal(err)
@@ -88,6 +91,7 @@ func TestFigServeDeterminism(t *testing.T) {
 // fault injection is bit-identical per (run-seed, fault-seed), and
 // degraded runs still report complete latency accounting.
 func TestFigServeChaos(t *testing.T) {
+	t.Parallel()
 	p := serveTestOpts()
 	cfg := fault.Uniform(0.2, 7)
 	p.Serve.Faults = &cfg

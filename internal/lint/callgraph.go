@@ -8,13 +8,12 @@ import (
 	"strings"
 )
 
-// This file builds the shared interprocedural infrastructure the
-// analyzers taintflow, timeunits and hotalloc run on: a static call
-// graph over the analyzed packages plus every module-internal package
-// they transitively import, and its strongly connected components in
-// bottom-up (callee-before-caller) order, so per-function summaries
-// can be computed to fixpoint one SCC at a time, as in compositional
-// analyzers like Infer.
+// This file builds the interprocedural infrastructure hotalloc runs
+// on: a static call graph over the analyzed packages plus every
+// module-internal package they transitively import, and its strongly
+// connected components in bottom-up (callee-before-caller) order, so
+// per-function alloc summaries can be computed to fixpoint one SCC at
+// a time, as in compositional analyzers like Infer.
 //
 // Resolution is purely static: an edge exists when a call expression's
 // callee resolves (through go/types) to a function or method declared
@@ -43,33 +42,10 @@ type Call struct {
 	Callee *FuncNode
 }
 
-// funcQualified renders a function object as "pkgpath.Name", with the
-// receiver's base type name spliced in for methods.
-func funcQualified(fn *types.Func) string {
-	name := fn.Name()
-	if recv := fn.Type().(*types.Signature).Recv(); recv != nil {
-		t := recv.Type()
-		if ptr, ok := t.(*types.Pointer); ok {
-			t = ptr.Elem()
-		}
-		if named, ok := t.(*types.Named); ok {
-			name = named.Obj().Name() + "." + name
-		}
-	}
-	if fn.Pkg() == nil {
-		return name
-	}
-	return fn.Pkg().Path() + "." + name
-}
-
-// Program is the interprocedural view shared by the analyzers.
+// Program is the interprocedural view hotalloc runs on.
 type Program struct {
-	// Pkgs is the closure of the analyzed packages over module-internal
-	// imports, sorted by import path.
-	Pkgs []*Package
 	// Funcs lists every declared function with a body, in (package
-	// path, file, position) order — the deterministic iteration order
-	// every analyzer uses.
+	// path, file, position) order — a deterministic iteration order.
 	Funcs []*FuncNode
 	// SCCs partitions Funcs into strongly connected components of the
 	// call graph, bottom-up: each component appears after every
@@ -127,14 +103,12 @@ func buildProgram(loader *Loader, pkgs []*Package) *Program {
 		paths = append(paths, path)
 	}
 	sort.Strings(paths)
-	for _, path := range paths {
-		prog.Pkgs = append(prog.Pkgs, closure[path])
-	}
 
-	// Pass 1: nodes. Files come from parseDir in directory order, and
-	// declarations are visited in source order, so Funcs is
-	// deterministic without further sorting.
-	for _, pkg := range prog.Pkgs {
+	// Pass 1: nodes, over the closure sorted by import path. Files come
+	// from parseDir in directory order, and declarations are visited in
+	// source order, so Funcs is deterministic without further sorting.
+	for _, path := range paths {
+		pkg := closure[path]
 		for _, f := range pkg.Files {
 			for _, decl := range f.Decls {
 				fd, ok := decl.(*ast.FuncDecl)

@@ -18,10 +18,13 @@ var ErrCheck = &Analyzer{
 	Run:  runErrCheck,
 }
 
-// faultPkg is the fault injector, relative to the module path. Its
-// error returns, resctrl's (resctrlPkg) and those of package os must
-// not be discarded.
-const faultPkg = "/internal/fault"
+// The resctrl layer and the fault injector, relative to the module
+// path. Their error returns and those of package os must not be
+// discarded.
+const (
+	resctrlPkg = "/internal/resctrl"
+	faultPkg   = "/internal/fault"
+)
 
 func runErrCheck(p *Pass) {
 	for _, pkg := range p.Pkgs {

@@ -4,6 +4,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 // hotalloc rejects heap allocation on the hot path. The simulator's
@@ -120,7 +121,7 @@ func collectAllocFacts(prog *Program, fn *FuncNode) *allocFacts {
 		}
 		switch n := n.(type) {
 		case *ast.CallExpr:
-			if _, ok := isConversion(info, n); ok {
+			if isConversion(info, n) {
 				return
 			}
 			switch obj := calleeObj(info, n).(type) {
@@ -268,4 +269,56 @@ func appendGrowth(info *types.Info, assign *ast.AssignStmt) []token.Pos {
 		out = append(out, call.Pos())
 	}
 	return out
+}
+
+// fixpointCap bounds the rounds spent on one SCC. The alloc summary is
+// set once and never changes, so real convergence takes a round or
+// two; hitting the cap would mean a non-monotone transfer function,
+// and stopping early is still sound for reporting (summaries computed
+// so far remain true).
+const fixpointCap = 64
+
+// fixpoint drives transfer over every function bottom-up. transfer
+// returns whether the function's summary changed; each SCC is
+// re-iterated until a full round reports no change.
+func (prog *Program) fixpoint(transfer func(*FuncNode) bool) {
+	for _, scc := range prog.SCCs {
+		for round := 0; round < fixpointCap; round++ {
+			changed := false
+			for _, fn := range scc {
+				if transfer(fn) {
+					changed = true
+				}
+			}
+			if !changed {
+				break
+			}
+		}
+	}
+}
+
+// isConversion reports whether the call expression is a type
+// conversion.
+func isConversion(info *types.Info, call *ast.CallExpr) bool {
+	switch fun := ast.Unparen(call.Fun).(type) {
+	case *ast.Ident:
+		_, ok := info.Uses[fun].(*types.TypeName)
+		return ok
+	case *ast.SelectorExpr:
+		_, ok := info.Uses[fun.Sel].(*types.TypeName)
+		return ok
+	case *ast.ArrayType, *ast.MapType, *ast.ChanType, *ast.FuncType, *ast.InterfaceType, *ast.StructType, *ast.StarExpr:
+		return true
+	}
+	return false
+}
+
+// viaChain annotates an allocation reason with the helper it was
+// reached through, keeping only the first hop so messages stay short:
+// "make allocates ... (via grow)".
+func viaChain(reason, helper string) string {
+	if strings.Contains(reason, " (via ") {
+		return reason
+	}
+	return reason + " (via " + helper + ")"
 }

@@ -28,8 +28,8 @@ import (
 // //perf:hot annotations.
 
 // hotDirective marks a hot root in a function's doc comment. Text
-// after the marker is the reason, for humans; the analyzers only need
-// the marker.
+// after the marker is the reason, for humans; hotalloc only needs the
+// marker.
 const hotDirective = "//perf:hot"
 
 // hotInfo records how a function became hot.
@@ -264,6 +264,14 @@ func hotFuncName(fn *FuncNode) string {
 		}
 	}
 	return name
+}
+
+// derefNamed strips one pointer level from a receiver type.
+func derefNamed(t types.Type) types.Type {
+	if ptr, ok := t.(*types.Pointer); ok {
+		return ptr.Elem()
+	}
+	return t
 }
 
 // reportHot is the shared reporting shim: every perf diagnostic names

@@ -4,22 +4,23 @@
 // module dependencies.
 //
 // The simulator's correctness rests on invariants the compiler cannot
-// see: runs must be bit-for-bit deterministic under a fixed seed, CAT
-// capacity masks must be non-empty and contiguous as the hardware
-// requires (PAPER.md Section V), every scheduler job must carry an
-// explicit cache-usage identifier, errors from resctrl writes must not
-// be dropped, and cycle and wall-clock values must not mix. One more
-// check keeps heap allocation off the //perf:hot path. Each is one
-// Analyzer; Run applies them in turn, on one goroutine, and
-// cmd/cachelint runs them all over the module. Lock copies are go vet's copylocks; lock order needs no
-// check, because the simulator's packages hold no lock and start no
-// goroutine (exec's TestSimulatorStartsNoGoroutines).
+// see: runs must be bit-for-bit deterministic under a fixed seed,
+// every scheduler job must carry an explicit cache-usage identifier,
+// and errors from resctrl writes must not be dropped. One more check
+// keeps heap allocation off the //perf:hot path. Each is one Analyzer;
+// Run applies them in turn, on one goroutine, and cmd/cachelint runs
+// them all over the module. The rest of the gate lives in the runtime
+// and the tests: cat rejects a non-contiguous or empty mask at every
+// write, and exec's TestSimulatorStartsNoGoroutines bans go
+// statements and the "sync" and "time" imports from the simulator's
+// packages, so no lock, goroutine or wall-clock duration reaches a run.
 //
 // Intentional exceptions are annotated in the source with
 //
 //	//lint:allow <check> <reason>
 //
-// on the flagged line or the line directly above it.
+// on the flagged line or the line directly above it. A nondet
+// exception is honoured only in a main package.
 package lint
 
 import (
@@ -31,9 +32,8 @@ import (
 )
 
 // Analyzer is one named check. Run sees the whole analyzed package
-// set at once, through the shared interprocedural Program (call graph
-// plus per-function summaries); the per-package checks loop over
-// Pass.Pkgs themselves.
+// set at once: the per-package checks loop over Pass.Pkgs, and
+// hotalloc walks the call graph in Pass.Prog.
 type Analyzer struct {
 	// Name is the check identifier used in diagnostics and in
 	// //lint:allow directives.
@@ -63,17 +63,26 @@ type Pass struct {
 
 // Reportf records a diagnostic at pos when it falls inside an analyzed
 // package, marked Allowed when a //lint:allow directive suppresses it.
+// A nondet finding can be allowed only in a main package: a library
+// helper that reads the wall clock or the global rand under an allow
+// would hand that value to every caller, which no check follows.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	position := p.Fset.Position(pos)
 	pkg := p.byFile[position.Filename]
 	if pkg == nil {
 		return
 	}
+	msg := fmt.Sprintf(format, args...)
+	allowed := pkg.allowed(position, p.Analyzer.Name)
+	if allowed && p.Analyzer.Name == "nondet" && pkg.Types.Name() != "main" {
+		allowed = false
+		msg += "; //lint:allow nondet is honoured only in main packages"
+	}
 	p.diags = append(p.diags, Diagnostic{
 		Pos:     position,
 		Check:   p.Analyzer.Name,
-		Message: fmt.Sprintf(format, args...),
-		Allowed: pkg.allowed(position, p.Analyzer.Name),
+		Message: msg,
+		Allowed: allowed,
 	})
 }
 

@@ -3,16 +3,13 @@ package lint
 import "sort"
 
 // Analyzers returns every domain analyzer in stable order: the
-// per-package checks, the interprocedural ones over the call graph,
-// then the hot-path check over the //perf:hot reachability set.
+// per-package checks, then the hot-path check over the //perf:hot
+// reachability set of the call graph.
 func Analyzers() []*Analyzer {
 	return []*Analyzer{
 		Nondeterminism,
-		MaskCheck,
 		CUIDCheck,
 		ErrCheck,
-		TaintFlow,
-		TimeUnits,
 		HotAlloc,
 	}
 }
@@ -58,18 +55,5 @@ func Run(loader *Loader, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 	}
 
 	sort.Slice(diags, func(i, j int) bool { return diags[i].less(diags[j]) })
-	return dedup(diags)
-}
-
-// dedup drops exact duplicate diagnostics (a body the interprocedural
-// walks revisit until it converges, or the same node reported through
-// two paths).
-func dedup(diags []Diagnostic) []Diagnostic {
-	out := diags[:0]
-	for i, d := range diags {
-		if i == 0 || d != diags[i-1] {
-			out = append(out, d)
-		}
-	}
-	return out
+	return diags
 }

@@ -3,7 +3,7 @@
 package directivefix
 
 func wellFormed() int {
-	x := 1 //lint:allow nondet a well-formed directive is never reported
+	x := 1 //lint:allow errcheck a well-formed directive is never reported
 	return x
 }
 

@@ -24,8 +24,24 @@ func wallClock() time.Time {
 	return time.Now()            // want "time.Now reads the wall clock"
 }
 
+// An allow outside a main package is not honoured: a helper like this
+// would launder the wall clock into every caller.
 func allowedClock() time.Duration {
 	return time.Since(time.Time{}) //lint:allow nondet fixture exercises the escape hatch
+	// want "time.Since reads the wall clock; simulation state and reports must derive timing from the machine's virtual clock; //lint:allow nondet is honoured only in main packages"
+}
+
+// Nor is one on a package-level initializer.
+var runSalt = rand.Int63n(2) //lint:allow nondet fixture exercises the escape hatch
+// want "global math/rand.Int63n draws from a runtime-seeded source; thread a seeded *rand.Rand instead (cf. engine.RunOptions.Seed); //lint:allow nondet is honoured only in main packages"
+
+type config struct {
+	Seed int64
+	Rate float64
+}
+
+func globalConfig() config {
+	return config{Seed: rand.Int63() + runSalt, Rate: rand.Float64()} // want "global math/rand.Int63" "global math/rand.Float64"
 }
 
 func orderSensitiveAppend(m map[string]int) []int {

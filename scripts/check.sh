@@ -81,7 +81,9 @@ if [ "$mode" = test ] || [ "$mode" = all ]; then
 
 	# The harness is too slow to run whole under the race detector;
 	# its fault-injection, degraded-mode and telemetry-gap tests are the
-	# slice that drives the control planes end to end.
+	# slice that drives the control planes end to end. Each of them
+	# builds its own System and is t.Parallel, so the slice also runs
+	# those Systems concurrently, up to GOMAXPROCS at a time.
 	echo '== go test -race (harness: fault injection, degraded mode, telemetry gaps)'
 	go test -race -run 'Fault|Chaos|Gap|Degrad|ErrorPath|Retry' ./internal/harness/...
 

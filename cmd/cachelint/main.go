@@ -1,8 +1,6 @@
-// Command cachelint runs the repository's domain static analyses over
-// the module: determinism (no wall clock, no global math/rand, no
-// order-sensitive map iteration), explicit cache-usage identifiers on
-// job phases, no discarded resctrl/os errors, and no heap allocation
-// on the //perf:hot path.
+// Command cachelint runs the repository's two domain static analyses
+// over the module: determinism (no wall clock, no global math/rand, no
+// order-sensitive map iteration) and no discarded resctrl/os errors.
 //
 // Usage:
 //
@@ -23,10 +21,6 @@
 // findings set the exit status. CI feeds this stream to a GitHub
 // problem matcher (.github/cachelint-matcher.json) to surface findings
 // as annotations.
-//
-// The tool builds from the standard library alone (go/parser, go/ast,
-// go/types with the source importer), so it needs no module
-// dependencies and runs offline.
 package main
 
 import (
@@ -118,14 +112,7 @@ func printDiagnostics(w io.Writer, diags []lint.Diagnostic, cwd string, jsonMode
 			failing++
 		}
 		if jsonMode {
-			line, err := json.Marshal(jsonDiagnostic{
-				File:    pos.Filename,
-				Line:    pos.Line,
-				Col:     pos.Column,
-				Check:   d.Check,
-				Message: d.Message,
-				Allowed: d.Allowed,
-			})
+			line, err := json.Marshal(jsonDiagnostic{pos.Filename, pos.Line, pos.Column, d.Check, d.Message, d.Allowed})
 			if err != nil {
 				return 0, err
 			}

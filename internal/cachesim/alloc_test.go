@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"cachepart/internal/allocs"
 	"cachepart/internal/cat"
 	"cachepart/internal/memory"
 )
@@ -24,14 +25,12 @@ func TestAccessZeroAllocs(t *testing.T) {
 		m.Access(0, ops[i].Addr, ops[i].Write)
 	}
 	i := 0
-	allocs := testing.AllocsPerRun(200, func() {
+	access := func() {
 		op := &ops[i%len(ops)]
 		m.Access(0, op.Addr, op.Write)
 		i++
-	})
-	if allocs != 0 {
-		t.Errorf("Machine.Access allocates %.1f per op in steady state, want 0", allocs)
 	}
+	allocs.Check(t, "Machine.Access per op", testing.AllocsPerRun(200, access), 0, access)
 }
 
 func TestAccessBatchZeroAllocs(t *testing.T) {
@@ -41,12 +40,8 @@ func TestAccessBatchZeroAllocs(t *testing.T) {
 	}
 	ops := batchPattern(rand.New(rand.NewSource(2)), 512)
 	m.AccessBatch(0, ops)
-	allocs := testing.AllocsPerRun(20, func() {
-		m.AccessBatch(0, ops)
-	})
-	if allocs != 0 {
-		t.Errorf("Machine.AccessBatch allocates %.1f per batch in steady state, want 0", allocs)
-	}
+	batch := func() { m.AccessBatch(0, ops) }
+	allocs.Check(t, "Machine.AccessBatch per batch", testing.AllocsPerRun(20, batch), 0, batch)
 }
 
 // TestStreamZeroAllocs: an armed stream — prefetch, probe and place in
@@ -65,13 +60,11 @@ func TestStreamZeroAllocs(t *testing.T) {
 		next()
 	}
 	before := m.Stats(0)
-	allocs := testing.AllocsPerRun(2000, next)
+	got := testing.AllocsPerRun(2000, next)
 	if d := m.Stats(0).Sub(before); d.PrefetchIssued < 2000 || d.L2Hits < 2000 {
 		t.Fatalf("the stream is not armed: %+v", d)
 	}
-	if allocs != 0 {
-		t.Errorf("a streamed access allocates %.1f per op, want 0", allocs)
-	}
+	allocs.Check(t, "a streamed access", got, 0, next)
 }
 
 // TestMaskedFillZeroAllocs: demand misses filling the LLC under a
@@ -97,11 +90,9 @@ func TestMaskedFillZeroAllocs(t *testing.T) {
 		next()
 	}
 	before := m.Stats(0)
-	allocs := testing.AllocsPerRun(2000, next)
+	got := testing.AllocsPerRun(2000, next)
 	if d := m.Stats(0).Sub(before); d.LLCMisses < 1900 {
 		t.Fatalf("the accesses do not miss the LLC: %+v", d)
 	}
-	if allocs != 0 {
-		t.Errorf("a masked LLC fill allocates %.1f per op, want 0", allocs)
-	}
+	allocs.Check(t, "a masked LLC fill", got, 0, next)
 }

@@ -312,8 +312,6 @@ func (m *Machine) Compute(core int, cycles int64, instrs uint64) {
 // Access simulates one memory reference by the core and advances its
 // clock by the access cost. It returns the level that satisfied the
 // access. Each access retires one instruction.
-//
-//perf:hot executed once per simulated memory reference
 func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 	line := addr.Line()
 	st := &m.stats[core]
@@ -407,8 +405,6 @@ type BatchOp struct {
 // AccessBatch simulates a run of accesses on one core. It is exactly
 // equivalent to calling Access (and Compute, for elements with a cost)
 // once per element.
-//
-//perf:hot the batched form of the per-access path
 func (m *Machine) AccessBatch(core int, ops []BatchOp) {
 	for i := range ops {
 		op := &ops[i]

@@ -148,7 +148,8 @@ func (v *PackedVector) LineOfRow(i int) uint64 {
 // memory, so the goroutine can hold the immutable vector and its four
 // arguments and cannot reach a clock, a cache or an access stream.
 func (v *PackedVector) StartCountInRange(from, to int, lo, hi uint32) <-chan int64 {
-	//lint:allow hotalloc one channel, closure and goroutine per scan-kernel execution, not per slice; exec's TestColumnScanStepZeroAllocs pins the steady state
+	// One channel, closure and goroutine per scan-kernel execution, not
+	// per slice; exec's TestColumnScanStepZeroAllocs pins the steady state.
 	result := make(chan int64, 1)
 	go func() { result <- v.CountInRange(from, to, lo, hi) }()
 	return result

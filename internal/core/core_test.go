@@ -19,7 +19,7 @@ func paperPolicy(enabled bool) Policy {
 
 func TestCUIDString(t *testing.T) {
 	for c, want := range map[CUID]string{
-		Sensitive: "sensitive", Polluting: "polluting", Depends: "depends",
+		Unset: "unset", Sensitive: "sensitive", Polluting: "polluting", Depends: "depends",
 	} {
 		if got := c.String(); got != want {
 			t.Errorf("%d.String() = %q, want %q", c, got, want)

@@ -23,10 +23,14 @@ import (
 type CUID int
 
 const (
+	// Unset is the zero value: a job that was never classified. The
+	// engine rejects a phase that carries it, so an omitted CUID fails
+	// the run instead of passing for a sensitive one.
+	Unset CUID = iota
 	// Sensitive marks jobs which are cache-sensitive and profit from
-	// the entire cache, category (ii). It is the default, so that an
-	// unannotated job can never regress.
-	Sensitive CUID = iota
+	// the entire cache, category (ii). A job that is deliberately left
+	// unclassified names it, so that it can never regress.
+	Sensitive
 	// Polluting marks jobs which are not cache-sensitive and pollute
 	// the cache, category (i), such as the column scan.
 	Polluting
@@ -38,6 +42,8 @@ const (
 // String names the identifier.
 func (c CUID) String() string {
 	switch c {
+	case Unset:
+		return "unset"
 	case Sensitive:
 		return "sensitive"
 	case Polluting:

@@ -27,6 +27,8 @@ func ProfileOf(q Query, cores int, rng *rand.Rand) (core.CUID, error) {
 	var sawPolluting, sawDepends bool
 	for _, ph := range phases {
 		switch ph.CUID {
+		case core.Unset:
+			return core.Unset, unsetCUID(q, ph)
 		case core.Sensitive:
 			return core.Sensitive, nil
 		case core.Polluting:

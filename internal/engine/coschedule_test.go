@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"cachepart/internal/core"
@@ -56,6 +57,23 @@ func TestProfileOf(t *testing.T) {
 	}
 }
 
+// TestUnsetCUIDRejected: a phase that never named its CUID fails the
+// closed loop, the open loop and profiling, and the error names the
+// query and the phase.
+func TestUnsetCUIDRejected(t *testing.T) {
+	q := &phaseQuery{name: "unclassified", cuids: []core.CUID{core.Polluting, core.Unset}}
+	want := `phase "p" of query "unclassified" has no CUID`
+	_, errRun := testEngine(t, true).Run([]StreamSpec{{Query: q, Cores: []int{0}}}, RunOptions{Duration: 1e-4})
+	feed := &sliceFeed{subs: []Submission{{Query: q, Rng: rand.New(rand.NewSource(1))}}}
+	_, errOpen := testEngine(t, true).RunOpenLoop([][]int{{0}}, feed, OpenLoopOptions{})
+	_, errProfile := ProfileOf(q, 1, rand.New(rand.NewSource(1)))
+	for name, err := range map[string]error{"Run": errRun, "RunOpenLoop": errOpen, "ProfileOf": errProfile} {
+		if err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one containing %q", name, err, want)
+		}
+	}
+}
+
 func TestPlanRounds(t *testing.T) {
 	qs := []Query{
 		&phaseQuery{name: "scan1"},
@@ -95,8 +113,8 @@ func TestPlanRounds(t *testing.T) {
 func TestRunRounds(t *testing.T) {
 	e := testEngine(t, false)
 	rounds := []Round{
-		{&countQuery{name: "a", rowsPerExec: 500}, &countQuery{name: "b", rowsPerExec: 500}},
-		{&countQuery{name: "c", rowsPerExec: 500}},
+		{&countQuery{name: "a", rowsPerExec: 500, cuid: core.Sensitive}, &countQuery{name: "b", rowsPerExec: 500, cuid: core.Sensitive}},
+		{&countQuery{name: "c", rowsPerExec: 500, cuid: core.Sensitive}},
 	}
 	res, err := e.RunRounds(rounds, RunOptions{Duration: 5e-5, Seed: 1})
 	if err != nil {

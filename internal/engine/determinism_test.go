@@ -1,7 +1,12 @@
 package engine
 
 import (
+	"fmt"
+	"hash/fnv"
+	"os"
+	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"testing"
 
@@ -9,6 +14,31 @@ import (
 	"cachepart/internal/core"
 	"cachepart/internal/fault"
 )
+
+// checkGolden compares got with testdata/golden/<name>.txt, a result
+// recorded in an earlier process: it fails on what every run of one
+// process shares, which a rerun in the same process cannot see, such
+// as a seed derivation shifted by one. A deliberate change of the
+// result rewrites the file from the text the failure prints.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	path := filepath.Join("testdata", "golden", name+".txt")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from %s\n want:\n%s  got:\n%s", name, path, want, got)
+	}
+}
+
+// goldenText renders per-stream counts and an FNV-1a digest of the
+// whole result in %+v form, which covers every field.
+func goldenText(streams []string, whole any) string {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", whole)
+	return strings.Join(streams, "\n") + fmt.Sprintf("\ndigest %016x\n", h.Sum64())
+}
 
 // TestRunBitIdentical pins the reproducibility contract the nondet
 // lint check guards statically: two runs with the same seed must
@@ -18,7 +48,9 @@ import (
 // TestRunDeterministic covers only the row counters of one stream.)
 // Nor may the host's parallelism show: the column scan counts on a
 // goroutine beside the simulation, so the same seed is also run with
-// the scheduler held to one P.
+// the scheduler held to one P. Stream B draws each execution's rows
+// from its rng, so the seed must move the result, and seed 42's result
+// is pinned in a golden file.
 func TestRunBitIdentical(t *testing.T) {
 	type outcome struct {
 		res   []StreamResult
@@ -30,7 +62,7 @@ func TestRunBitIdentical(t *testing.T) {
 		e := testEngine(t, true)
 		specs := []StreamSpec{
 			{Query: scan, Cores: []int{0, 1, 2, 3}},
-			{Query: &countQuery{name: "B", rowsPerExec: 400, cuid: core.Sensitive}, Cores: []int{4, 5, 6, 7}},
+			{Query: &countQuery{name: "B", rowsPerExec: 400, jitter: 400, cuid: core.Sensitive}, Cores: []int{4, 5, 6, 7}},
 		}
 		res, err := e.Run(specs, RunOptions{Duration: 1e-4, Seed: seed})
 		if err != nil {
@@ -53,14 +85,14 @@ func TestRunBitIdentical(t *testing.T) {
 		}
 	})
 
-	// The seed must actually steer the run: a different seed on the
-	// same workload should not be an accidental no-op. (Identical
-	// aggregates are conceivable but would defeat the point of
-	// seeding; the count query derives its row interleaving from the
-	// stream RNG.)
 	if other := run(43); reflect.DeepEqual(first, other) {
-		t.Logf("seed 42 and 43 produced identical results; seed may be unused by this workload")
+		t.Error("seed 42 and 43 produced identical results; the stream seed does not reach the plan")
 	}
+	var streams []string
+	for _, r := range first.res {
+		streams = append(streams, fmt.Sprintf("%s executions=%d rows=%d queries=%d", r.Name, r.Executions, r.Rows, len(r.Queries)))
+	}
+	checkGolden(t, "run_bit_identical", goldenText(streams, first))
 }
 
 // TestIndependentSystemsShareNothing is the contract that lets the

@@ -195,7 +195,7 @@ func TestPartitionRows(t *testing.T) {
 
 func TestRunValidation(t *testing.T) {
 	e := testEngine(t, false)
-	q := &countQuery{name: "q", rowsPerExec: 100}
+	q := &countQuery{name: "q", rowsPerExec: 100, cuid: core.Sensitive}
 	if _, err := e.Run(nil, RunOptions{Duration: 1e-3}); err == nil {
 		t.Error("no streams accepted")
 	}
@@ -219,7 +219,7 @@ func TestRunValidation(t *testing.T) {
 
 func TestRunCountsExecutions(t *testing.T) {
 	e := testEngine(t, false)
-	q := &countQuery{name: "q", rowsPerExec: 1000}
+	q := &countQuery{name: "q", rowsPerExec: 1000, cuid: core.Sensitive}
 	res, err := e.Run([]StreamSpec{{Query: q, Cores: []int{0, 1}}},
 		RunOptions{Duration: 1e-4, Seed: 1})
 	if err != nil {
@@ -243,7 +243,7 @@ func TestRunCountsExecutions(t *testing.T) {
 func TestRunDeterministic(t *testing.T) {
 	run := func() StreamResult {
 		e := testEngine(t, false)
-		q := &countQuery{name: "q", rowsPerExec: 777}
+		q := &countQuery{name: "q", rowsPerExec: 777, cuid: core.Sensitive}
 		res, err := e.Run([]StreamSpec{{Query: q, Cores: []int{0, 1, 2}}},
 			RunOptions{Duration: 1e-4, Seed: 42})
 		if err != nil {
@@ -259,8 +259,8 @@ func TestRunDeterministic(t *testing.T) {
 
 func TestRunTwoStreamsShareTime(t *testing.T) {
 	e := testEngine(t, false)
-	qa := &countQuery{name: "a", rowsPerExec: 500}
-	qb := &countQuery{name: "b", rowsPerExec: 500}
+	qa := &countQuery{name: "a", rowsPerExec: 500, cuid: core.Sensitive}
+	qb := &countQuery{name: "b", rowsPerExec: 500, cuid: core.Sensitive}
 	res, err := e.Run([]StreamSpec{
 		{Query: qa, Cores: []int{0, 1}},
 		{Query: qb, Cores: []int{2, 3}},

@@ -35,17 +35,24 @@ func (k *countKernel) Step(ctx *exec.Ctx, budget int) (int, bool) {
 }
 
 // countQuery plans a single-phase execution of rowsPerExec rows split
-// across the cores.
+// across the cores, plus a draw in [0, jitter) from the stream rng when
+// jitter is set — the way OLTP lookups and serve dispatch make a run's
+// timing follow its seed.
 type countQuery struct {
 	name        string
 	rowsPerExec int
+	jitter      int
 	cuid        core.CUID
 }
 
 func (q *countQuery) Name() string { return q.name }
 
 func (q *countQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
-	parts := PartitionRows(q.rowsPerExec, cores)
+	rows := q.rowsPerExec
+	if q.jitter > 0 {
+		rows += rng.Intn(q.jitter)
+	}
+	parts := PartitionRows(rows, cores)
 	ks := make([]exec.Kernel, 0, len(parts))
 	for _, p := range parts {
 		ks = append(ks, &countKernel{remaining: p[1] - p[0]})

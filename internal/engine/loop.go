@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"cachepart/internal/cachesim"
+	"cachepart/internal/core"
 	"cachepart/internal/exec"
 	"cachepart/internal/memory"
 )
@@ -415,9 +416,13 @@ func (e *Engine) plan(st *stream) error {
 }
 
 // armPhase binds the current phase's kernels to the stream's slots and
-// applies the phase's CUID to each participating worker.
+// applies the phase's CUID to each participating worker. A phase that
+// never named its CUID is rejected here, once per phase start.
 func (e *Engine) armPhase(st *stream) error {
 	ph := st.phases[st.phaseIdx]
+	if ph.CUID == core.Unset {
+		return unsetCUID(st.spec.Query, ph)
+	}
 	st.slots = make([]kernelSlot, len(st.spec.Cores))
 	for i := range ph.Kernels {
 		st.slots[i] = kernelSlot{kernel: ph.Kernels[i]}

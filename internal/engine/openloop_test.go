@@ -1,11 +1,14 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	"cachepart/internal/allocs"
 	"cachepart/internal/cachesim"
+	"cachepart/internal/core"
 	"cachepart/internal/exec"
 )
 
@@ -32,7 +35,7 @@ func testSubs(n int, gap int64, rows int) []Submission {
 	subs := make([]Submission, n)
 	for i := range subs {
 		subs[i] = Submission{
-			Query:   &countQuery{name: "ol-count", rowsPerExec: rows},
+			Query:   &countQuery{name: "ol-count", rowsPerExec: rows, cuid: core.Sensitive},
 			Rng:     rand.New(rand.NewSource(int64(i + 1))),
 			Release: int64(i) * gap,
 			Tag:     int64(i),
@@ -45,8 +48,8 @@ func testSubs(n int, gap int64, rows int) []Submission {
 // carries a positive (Start, Done) stamp on the run's virtual clock,
 // and back-to-back executions tile the stream's timeline.
 func TestStreamQueryStamps(t *testing.T) {
-	a := &countQuery{name: "a", rowsPerExec: 2000}
-	b := &countQuery{name: "b", rowsPerExec: 500}
+	a := &countQuery{name: "a", rowsPerExec: 2000, cuid: core.Sensitive}
+	b := &countQuery{name: "b", rowsPerExec: 500, cuid: core.Sensitive}
 	opts := RunOptions{Duration: 0.0005, Seed: 1}
 	res, err := testEngine(t, true).Run([]StreamSpec{
 		{Query: a, Cores: []int{0, 1}},
@@ -119,18 +122,24 @@ func TestRunOpenLoopBasic(t *testing.T) {
 // counterpart: identical feeds give identical results and machine
 // counters, run to run and with the scheduler held to one P. Every
 // other submission is a column scan, whose count runs on a goroutine
-// beside the simulation.
+// beside the simulation; the rest draw their rows from a submission
+// rng seeded from the feed's seed, so seed 43 must differ from seed 42,
+// whose result is pinned in a golden file.
 func TestRunOpenLoopDeterminism(t *testing.T) {
 	type outcome struct {
-		res   *OpenLoopResult
+		res   OpenLoopResult
 		total cachesim.CoreStats
 	}
 	scan := newScanQuery(t, 20_000)
-	run := func() outcome {
+	run := func(seed int64) outcome {
 		e := testEngine(t, true)
 		subs := testSubs(16, 3000, 600)
-		for i := 0; i < len(subs); i += 2 {
-			subs[i].Query = scan
+		for i := range subs {
+			subs[i].Rng = rand.New(rand.NewSource(seed + int64(i)))
+			subs[i].Query = &countQuery{name: "ol-count", rowsPerExec: 600, jitter: 600, cuid: core.Sensitive}
+			if i%2 == 0 {
+				subs[i].Query = scan
+			}
 		}
 		res, err := e.RunOpenLoop([][]int{{0, 1}, {2, 3}}, &sliceFeed{subs: subs}, OpenLoopOptions{})
 		if err != nil {
@@ -139,17 +148,25 @@ func TestRunOpenLoopDeterminism(t *testing.T) {
 		if len(res.Completions) != len(subs) {
 			t.Fatalf("completed %d of %d submissions", len(res.Completions), len(subs))
 		}
-		return outcome{res, e.Machine().TotalStats()}
+		return outcome{*res, e.Machine().TotalStats()}
 	}
-	first := run()
-	if second := run(); !reflect.DeepEqual(first, second) {
+	first := run(42)
+	if second := run(42); !reflect.DeepEqual(first, second) {
 		t.Error("open-loop runs with identical feeds differ")
 	}
 	onOneP(func() {
-		if oneP := run(); !reflect.DeepEqual(first, oneP) {
+		if oneP := run(42); !reflect.DeepEqual(first, oneP) {
 			t.Error("open-loop runs with identical feeds differ between the default scheduler and one P")
 		}
 	})
+	if other := run(43); reflect.DeepEqual(first, other) {
+		t.Error("seed 42 and 43 produced identical results; the submission rng does not reach the plan")
+	}
+	var groups []string
+	for i, g := range first.res.Groups {
+		groups = append(groups, fmt.Sprintf("group %d completed=%d busy=%d end=%d", i, g.Completed, g.BusyTicks, g.EndTick))
+	}
+	checkGolden(t, "run_open_loop_determinism", goldenText(groups, first))
 }
 
 func TestRunOpenLoopValidates(t *testing.T) {
@@ -189,7 +206,7 @@ func (q *coreLogQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
 	for _, p := range PartitionRows(q.rows, cores) {
 		ks = append(ks, &coreLogKernel{countKernel{remaining: p[1] - p[0]}, q.log})
 	}
-	return []Phase{{Name: "count", Kernels: ks, CountRows: true}}, nil
+	return []Phase{{Name: "count", CUID: core.Sensitive, Kernels: ks, CountRows: true}}, nil
 }
 
 // groupLogFeed is a sliceFeed that records which group each call to
@@ -311,7 +328,7 @@ func (q *fixedPhasesQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
 			q.kernels[i] = &countKernel{}
 			ks[i] = q.kernels[i]
 		}
-		q.phases = []Phase{{Name: "count", Kernels: ks, CountRows: true}}
+		q.phases = []Phase{{Name: "count", CUID: core.Sensitive, Kernels: ks, CountRows: true}}
 	}
 	for _, k := range q.kernels {
 		k.remaining = q.rows
@@ -343,7 +360,6 @@ func TestOpenLoopCycleAllocBudget(t *testing.T) {
 		})
 	}
 	const n = 512
-	if perCycle := (allocsFor(2*n) - allocsFor(n)) / n; perCycle > 1.1 {
-		t.Errorf("a dispatch → completion cycle allocates %.2f times, want the slot list only", perCycle)
-	}
+	perCycle := (allocsFor(2*n) - allocsFor(n)) / n
+	allocs.Check(t, "a dispatch → completion cycle (the slot list only)", perCycle, 1.1, func() { allocsFor(2 * n) })
 }

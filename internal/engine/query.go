@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math/rand"
 
 	"cachepart/internal/core"
@@ -11,7 +12,8 @@ import (
 // parallel, one per worker core, separated from the next phase by a
 // barrier (e.g. local aggregation before the merge). The whole phase
 // runs under one cache usage identifier — a job represents at most one
-// operator (Section V-C).
+// operator (Section V-C). CUID must be named: the zero value,
+// core.Unset, fails the run when the phase starts.
 type Phase struct {
 	Name      string
 	CUID      core.CUID
@@ -23,6 +25,12 @@ type Phase struct {
 	// CountRows marks phases whose processed rows count toward the
 	// query's throughput (payload phases, not auxiliary merges).
 	CountRows bool
+}
+
+// unsetCUID is the error for a phase planned without a cache usage
+// identifier.
+func unsetCUID(q Query, ph Phase) error {
+	return fmt.Errorf("engine: phase %q of query %q has no CUID; name Sensitive, Polluting or Depends", ph.Name, q.Name())
 }
 
 // Query plans executions of one statement. Implementations live in the

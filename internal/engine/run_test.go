@@ -22,7 +22,7 @@ type stuckQuery struct{}
 
 func (stuckQuery) Name() string { return "stuck" }
 func (stuckQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
-	return []Phase{{Name: "stuck", Kernels: []exec.Kernel{stuckKernel{}}}}, nil
+	return []Phase{{Name: "stuck", CUID: core.Sensitive, Kernels: []exec.Kernel{stuckKernel{}}}}, nil
 }
 
 func TestRunDetectsStuckKernel(t *testing.T) {
@@ -48,6 +48,7 @@ func (q *failingQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
 	q.ok--
 	return []Phase{{
 		Name:      "work",
+		CUID:      core.Sensitive,
 		Kernels:   []exec.Kernel{&countKernel{remaining: 50}},
 		CountRows: true,
 	}}, nil
@@ -71,7 +72,7 @@ func (badPhaseQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
 	for i := range ks {
 		ks[i] = &countKernel{remaining: 1}
 	}
-	return []Phase{{Name: "oversubscribed", Kernels: ks}}, nil
+	return []Phase{{Name: "oversubscribed", CUID: core.Sensitive, Kernels: ks}}, nil
 }
 
 func TestRunRejectsOversubscribedPhase(t *testing.T) {
@@ -94,7 +95,7 @@ type emptyPhaseQuery struct{}
 
 func (emptyPhaseQuery) Name() string { return "emptyphase" }
 func (emptyPhaseQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
-	return []Phase{{Name: "none"}}, nil
+	return []Phase{{Name: "none", CUID: core.Sensitive}}, nil
 }
 
 func TestRunRejectsDegeneratePlans(t *testing.T) {
@@ -165,7 +166,7 @@ func (q *prewarmQuery) PrewarmRegions(cores int) []memory.Region {
 }
 func (q *prewarmQuery) Plan(cores int, rng *rand.Rand) ([]Phase, error) {
 	q.kernel = &regionReader{region: q.region, misses: new(uint64)}
-	return []Phase{{Name: "read", Kernels: []exec.Kernel{q.kernel}, CountRows: true}}, nil
+	return []Phase{{Name: "read", CUID: core.Sensitive, Kernels: []exec.Kernel{q.kernel}, CountRows: true}}, nil
 }
 
 func TestPrewarmMakesRegionResident(t *testing.T) {
@@ -207,7 +208,7 @@ func TestMaskWritesAcrossPhases(t *testing.T) {
 
 func TestExecTicksAndPercentiles(t *testing.T) {
 	e := testEngine(t, false)
-	q := &countQuery{name: "q", rowsPerExec: 300}
+	q := &countQuery{name: "q", rowsPerExec: 300, cuid: core.Sensitive}
 	res, err := e.Run([]StreamSpec{{Query: q, Cores: []int{0, 1}}},
 		RunOptions{Duration: 2e-4, Seed: 1})
 	if err != nil {

@@ -43,8 +43,6 @@ func NewAggLocal(group, value *column.Column, from, to int, table *AggTable) (*A
 // line, value line, dictionary entry) are submitted as one small batch;
 // the table probe keeps its own interleaved accesses, so the simulated
 // sequence is unchanged.
-//
-//perf:hot per-core aggregation kernel inner loop
 func (a *AggLocal) Step(ctx *Ctx, budget int) (int, bool) {
 	g, v := a.GroupCol.Codes, a.ValueCol.Codes
 	gRegion, vRegion := g.Region(), v.Region()
@@ -108,8 +106,6 @@ func NewAggMergeKind(locals []*AggTable, global *AggTable, kind AggKind) *AggMer
 }
 
 // Step scans up to budget local slots, merging occupied ones.
-//
-//perf:hot aggregation merge kernel inner loop
 func (m *AggMerge) Step(ctx *Ctx, budget int) (int, bool) {
 	processed := 0
 	for processed < budget {

@@ -179,9 +179,10 @@ func (t *AggTable) grow(ctx *Ctx) {
 	oldRegion := t.region
 	t.grows++
 	newCap := len(old) * 2
-	//lint:allow hotalloc amortized doubling rehash, O(log n) occurrences; expected-group sizing normally prevents it
+	// An amortized doubling rehash, O(log n) occurrences; expected-group
+	// sizing normally prevents it, so the allocations here and in the
+	// region's name stay out of the alloc budgets' steady state.
 	t.slots = make([]aggSlot, newCap)
-	//lint:allow hotalloc region naming happens only on the amortized grow path
 	t.region = t.space.Alloc(fmt.Sprintf("%s.g%d", t.name, t.grows), uint64(newCap)*slotBytes)
 	t.count = 0
 	for i := range old {

@@ -127,8 +127,6 @@ func NewJoinBuild(keys *column.Column, from, to int, bv *BitVector) (*JoinBuild,
 // key-line read and the bit-vector write carrying the row's compute
 // cost — are accumulated and submitted as one batch, preserving the
 // exact per-row Access/Compute sequence.
-//
-//perf:hot join build kernel inner loop
 func (j *JoinBuild) Step(ctx *Ctx, budget int) (int, bool) {
 	codes := j.KeyCol.Codes
 	region := codes.Region()
@@ -187,8 +185,6 @@ func NewJoinProbe(fks *column.Column, from, to int, bv *BitVector) (*JoinProbe, 
 // Step processes up to budget rows. As in the build phase, the per-row
 // accesses are accumulated and submitted as one batch; the match count
 // is real data and stays inline.
-//
-//perf:hot join probe kernel inner loop
 func (j *JoinProbe) Step(ctx *Ctx, budget int) (int, bool) {
 	codes := j.FKCol.Codes
 	region := codes.Region()

@@ -70,8 +70,6 @@ func (p *PKLookupProject) Rows() []uint32 { return p.rows }
 
 // Step advances the operator; row-units are candidate verifications
 // and column projections.
-//
-//perf:hot primary-key lookup kernel inner loop
 func (p *PKLookupProject) Step(ctx *Ctx, budget int) (int, bool) {
 	processed := 0
 	for processed < budget {

@@ -48,8 +48,6 @@ func (p *IndexLookupProject) Rows() []uint32 { return p.rows }
 // Step advances the operator. Row-units are index postings scanned or
 // column values projected, so budget bounds memory traffic as for the
 // other kernels.
-//
-//perf:hot index-lookup projection kernel inner loop
 func (p *IndexLookupProject) Step(ctx *Ctx, budget int) (int, bool) {
 	processed := 0
 	for processed < budget {

@@ -107,8 +107,6 @@ func firstRowOfLine(v *column.PackedVector, line uint64) int {
 // per-reference simulator call overhead. The first slice of an
 // execution starts the count beside the simulation and the last one
 // waits for it.
-//
-//perf:hot column-scan kernel inner loop
 func (s *ColumnScan) Step(ctx *Ctx, budget int) (int, bool) {
 	if s.pending == nil && s.cur < s.To {
 		s.pending = s.Col.Codes.StartCountInRange(s.From, s.To, s.LoCode, s.HiCode)

@@ -110,8 +110,6 @@ func (a *SortAggLocal) bucketOf(g uint32) int {
 
 // Step advances the kernel; row-units are scattered rows (stage 0) or
 // aggregated pairs (stage 1).
-//
-//perf:hot sort-aggregation kernel inner loop
 func (a *SortAggLocal) Step(ctx *Ctx, budget int) (int, bool) {
 	processed := 0
 	for processed < budget {

@@ -65,8 +65,6 @@ func NewWideAggLocal(group *column.Column, values []*column.Column, from, to int
 // value-column lines, dictionary entries — are submitted as one small
 // batch before the table update, whose probe keeps its own interleaved
 // accesses; the simulated sequence is unchanged.
-//
-//perf:hot wide-aggregation kernel inner loop
 func (a *WideAggLocal) Step(ctx *Ctx, budget int) (int, bool) {
 	g := a.GroupCol.Codes
 	gRegion := g.Region()

@@ -25,7 +25,7 @@ func (s *System) EnableAdaptive(adapt.Config) (*adapt.Controller, error) {
 func (s *System) DisableAdaptive() { s.Engine.DetachController() }
 
 // unannotated erases a query's cache-usage annotations: every phase
-// reports the default Sensitive CUID and an empty footprint, the
+// reports the Sensitive CUID and an empty footprint, the
 // shape of a workload whose operators were never classified. It is the
 // one way to run the controller blind. Prewarm regions are forwarded
 // so measurement windows stay comparable.

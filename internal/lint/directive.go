@@ -79,20 +79,16 @@ func (p *Package) allowed(pos token.Position, check string) bool {
 func (p *Package) directiveProblems(known map[string]bool) []Diagnostic {
 	var out []Diagnostic
 	for _, d := range p.allDirectives {
+		var msg string
 		switch {
 		case d.check == "" || d.reason == "":
-			out = append(out, Diagnostic{
-				Pos:     d.pos,
-				Check:   "directive",
-				Message: "malformed directive: want //lint:allow <check> <reason>",
-			})
+			msg = "malformed directive: want //lint:allow <check> <reason>"
 		case d.check != "all" && !known[d.check]:
-			out = append(out, Diagnostic{
-				Pos:     d.pos,
-				Check:   "directive",
-				Message: "directive allows unknown check \"" + d.check + "\"",
-			})
+			msg = "directive allows unknown check \"" + d.check + "\""
+		default:
+			continue
 		}
+		out = append(out, Diagnostic{Pos: d.pos, Check: "directive", Message: msg})
 	}
 	return out
 }

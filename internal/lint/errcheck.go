@@ -49,7 +49,7 @@ func runErrCheck(p *Pass) {
 				if !ok || !returnsError(fn) {
 					return true
 				}
-				if path := pkgPathOf(fn); !underAny(path, "os") && !underModule(p.Module, path, resctrlPkg, faultPkg) {
+				if !under(pkgPathOf(fn), "os", p.Module+resctrlPkg, p.Module+faultPkg) {
 					return true
 				}
 				p.Reportf(call.Pos(), "%scall discards the error from %s.%s; handle it or assign it explicitly",

@@ -3,17 +3,18 @@
 // go/types with the source importer) so it runs offline with zero
 // module dependencies.
 //
-// The simulator's correctness rests on invariants the compiler cannot
-// see: runs must be bit-for-bit deterministic under a fixed seed,
-// every scheduler job must carry an explicit cache-usage identifier,
-// and errors from resctrl writes must not be dropped. One more check
-// keeps heap allocation off the //perf:hot path. Each is one Analyzer;
-// Run applies them in turn, on one goroutine, and cmd/cachelint runs
-// them all over the module. The rest of the gate lives in the runtime
-// and the tests: cat rejects a non-contiguous or empty mask at every
-// write, and exec's TestSimulatorStartsNoGoroutines bans go
-// statements and the "sync" and "time" imports from the simulator's
-// packages, so no lock, goroutine or wall-clock duration reaches a run.
+// The simulator's correctness rests on two invariants the compiler
+// cannot see and no test trips over: runs must be bit-for-bit
+// deterministic under a fixed seed, and errors from resctrl writes
+// must not be dropped. Each is one Analyzer; Run applies them in turn,
+// on one goroutine, and cmd/cachelint runs them over the module. The
+// rest of the gate lives in the runtime and the tests: the engine
+// rejects a phase without a cache-usage identifier when it starts, cat
+// rejects a non-contiguous or empty mask at every write, the alloc
+// budgets name the line that allocates on a hot path, and exec's
+// TestSimulatorStartsNoGoroutines bans go statements and the "sync"
+// and "time" imports from the simulator's packages, so no lock,
+// goroutine or wall-clock duration reaches a run.
 //
 // Intentional exceptions are annotated in the source with
 //
@@ -24,6 +25,7 @@
 package lint
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
@@ -32,8 +34,7 @@ import (
 )
 
 // Analyzer is one named check. Run sees the whole analyzed package
-// set at once: the per-package checks loop over Pass.Pkgs, and
-// hotalloc walks the call graph in Pass.Prog.
+// set at once and loops over Pass.Pkgs.
 type Analyzer struct {
 	// Name is the check identifier used in diagnostics and in
 	// //lint:allow directives.
@@ -52,7 +53,6 @@ type Pass struct {
 	// packages they check relative to it.
 	Module string
 	Pkgs   []*Package
-	Prog   *Program
 
 	// byFile maps source filenames to their analyzed package, the
 	// reporting set — positions in packages loaded only as
@@ -86,12 +86,6 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	})
 }
 
-// analyzed reports whether the function is part of the reporting set
-// (as opposed to a dependency loaded only for its summaries).
-func (p *Pass) analyzed(fn *FuncNode) bool {
-	return p.byFile[p.Fset.Position(fn.Decl.Pos()).Filename] != nil
-}
-
 // Diagnostic is one finding, rendered as "file:line:col: [check] msg".
 type Diagnostic struct {
 	Pos     token.Position
@@ -110,42 +104,27 @@ func (d Diagnostic) String() string {
 	return s
 }
 
-// less orders diagnostics for stable output.
-func (d Diagnostic) less(o Diagnostic) bool {
-	if d.Pos.Filename != o.Pos.Filename {
-		return d.Pos.Filename < o.Pos.Filename
-	}
-	if d.Pos.Line != o.Pos.Line {
-		return d.Pos.Line < o.Pos.Line
-	}
-	if d.Pos.Column != o.Pos.Column {
-		return d.Pos.Column < o.Pos.Column
-	}
-	if d.Check != o.Check {
-		return d.Check < o.Check
-	}
-	if d.Message != o.Message {
-		return d.Message < o.Message
-	}
-	return !d.Allowed && o.Allowed
+// compare orders diagnostics for stable output. Whether a finding is
+// allowed follows from its place and check, so no two differ in that
+// alone.
+func (d Diagnostic) compare(o Diagnostic) int {
+	return cmp.Or(
+		strings.Compare(d.Pos.Filename, o.Pos.Filename),
+		cmp.Compare(d.Pos.Line, o.Pos.Line),
+		cmp.Compare(d.Pos.Column, o.Pos.Column),
+		strings.Compare(d.Check, o.Check),
+		strings.Compare(d.Message, o.Message),
+	)
 }
 
-// underAny reports whether path equals or is nested below any prefix.
-func underAny(path string, prefixes ...string) bool {
+// under reports whether path equals or is nested below any prefix.
+func under(path string, prefixes ...string) bool {
 	for _, pre := range prefixes {
 		if path == pre || strings.HasPrefix(path, pre+"/") {
 			return true
 		}
 	}
 	return false
-}
-
-// underModule reports whether path equals or is nested below
-// module+rel for any of the module-relative package paths rels
-// ("/internal/cat").
-func underModule(module, path string, rels ...string) bool {
-	rest, ok := strings.CutPrefix(path, module)
-	return ok && underAny(rest, rels...)
 }
 
 // calleeObj resolves the object a call expression invokes: a function,
@@ -159,20 +138,6 @@ func calleeObj(info *types.Info, call *ast.CallExpr) types.Object {
 		return info.Uses[fun.Sel]
 	}
 	return nil
-}
-
-// qualifiedName renders a named type as "pkgpath.Name", or "" for
-// unnamed types.
-func qualifiedName(t types.Type) string {
-	named, ok := t.(*types.Named)
-	if !ok {
-		return ""
-	}
-	obj := named.Obj()
-	if obj.Pkg() == nil {
-		return obj.Name()
-	}
-	return obj.Pkg().Path() + "." + obj.Name()
 }
 
 // pkgPathOf returns the import path of the package defining obj, or ""

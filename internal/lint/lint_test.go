@@ -136,10 +136,6 @@ func TestNondeterminismGolden(t *testing.T) {
 	}
 }
 
-func TestCUIDGolden(t *testing.T) {
-	runGolden(t, "cuidfix", []*Analyzer{CUIDCheck})
-}
-
 // TestErrCheckGolden also pins the allowed-findings contract: the
 // fixture's one //lint:allow line comes back from Run, marked Allowed.
 func TestErrCheckGolden(t *testing.T) {
@@ -149,18 +145,10 @@ func TestErrCheckGolden(t *testing.T) {
 	}
 }
 
-// TestPerfFixGolden pins the hot-path check on one fixture: hotness
-// roots and propagation and every hotalloc shape (including the
-// cross-package summary surfaced at the call site), alongside the
-// //lint:allow-suppressed and fixed variants, which must stay silent.
-func TestPerfFixGolden(t *testing.T) {
-	runGolden(t, "perffix", []*Analyzer{HotAlloc})
-}
-
-// TestAnalyzersList pins the suite: the four checks cmd/cachelint
+// TestAnalyzersList pins the suite: the two checks cmd/cachelint
 // runs, in order, each with a doc line and an entry point.
 func TestAnalyzersList(t *testing.T) {
-	want := []string{"nondet", "cuid", "errcheck", "hotalloc"}
+	want := []string{"nondet", "errcheck"}
 	all := Analyzers()
 	if len(all) != len(want) {
 		t.Fatalf("%d analyzers, want %d", len(all), len(want))

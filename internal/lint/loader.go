@@ -17,8 +17,6 @@ import (
 // Package is one loaded, parsed, and type-checked package.
 type Package struct {
 	Path  string // import path
-	Dir   string // absolute directory
-	Name  string
 	Files []*ast.File
 
 	Types *types.Package
@@ -131,16 +129,11 @@ func (l *Loader) load(path string) (*Package, error) {
 
 	pkg := &Package{
 		Path:  path,
-		Dir:   dir,
-		Name:  files[0].Name.Name,
 		Files: files,
 		Info: &types.Info{
-			Types:      make(map[ast.Expr]types.TypeAndValue),
-			Defs:       make(map[*ast.Ident]types.Object),
-			Uses:       make(map[*ast.Ident]types.Object),
-			Selections: make(map[*ast.SelectorExpr]*types.Selection),
-			Implicits:  make(map[ast.Node]types.Object),
-			Scopes:     make(map[ast.Node]*types.Scope),
+			Types: make(map[ast.Expr]types.TypeAndValue),
+			Defs:  make(map[*ast.Ident]types.Object),
+			Uses:  make(map[*ast.Ident]types.Object),
 		},
 	}
 	conf := types.Config{

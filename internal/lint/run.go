@@ -1,17 +1,10 @@
 package lint
 
-import "sort"
+import "slices"
 
-// Analyzers returns every domain analyzer in stable order: the
-// per-package checks, then the hot-path check over the //perf:hot
-// reachability set of the call graph.
+// Analyzers returns every domain analyzer in stable order.
 func Analyzers() []*Analyzer {
-	return []*Analyzer{
-		Nondeterminism,
-		CUIDCheck,
-		ErrCheck,
-		HotAlloc,
-	}
+	return []*Analyzer{Nondeterminism, ErrCheck}
 }
 
 // Run executes the analyzers over the packages and returns their
@@ -40,20 +33,18 @@ func Run(loader *Loader, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 		}
 	}
 
-	prog := buildProgram(loader, pkgs)
 	for _, a := range analyzers {
 		pass := &Pass{
 			Analyzer: a,
 			Fset:     loader.Fset,
 			Module:   loader.Module,
 			Pkgs:     pkgs,
-			Prog:     prog,
 			byFile:   byFile,
 		}
 		a.Run(pass)
 		diags = append(diags, pass.diags...)
 	}
 
-	sort.Slice(diags, func(i, j int) bool { return diags[i].less(diags[j]) })
+	slices.SortFunc(diags, Diagnostic.compare)
 	return diags
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -380,8 +381,9 @@ func fullOverloadConfig(e *engine.Engine, seed int64, groups int, shed Shed) Con
 }
 
 // TestOverloadBitIdentity runs every shed policy under the full
-// overload-control stack: equal configs give equal reports, and a
-// different seed gives a different one.
+// overload-control stack: equal configs give equal reports, a
+// different seed gives a different one, and seed 2's report is the
+// recorded one.
 func TestOverloadBitIdentity(t *testing.T) {
 	groups := [][]int{{0, 1}, {2, 3}}
 	for _, shed := range []Shed{ShedNone, ShedFair, ShedPolluter} {
@@ -409,6 +411,7 @@ func TestOverloadBitIdentity(t *testing.T) {
 		if reflect.DeepEqual(a, b) {
 			t.Errorf("%v: different seeds produced identical overload reports", shed)
 		}
+		checkGolden(t, fmt.Sprintf("overload_%v_seed2", shed), a)
 	}
 }
 

@@ -1,8 +1,12 @@
 package serve
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"reflect"
 	"testing"
 
@@ -133,9 +137,31 @@ func TestGenArrivalsBitIdentity(t *testing.T) {
 	}
 }
 
+// checkGolden compares a report with testdata/golden/<name>.txt, a
+// result recorded in an earlier process: it fails on what every run of
+// one process shares, which a rerun cannot see, such as a seed
+// derivation shifted by one. The file holds a few counts and an FNV-1a
+// digest of the whole report in %+v form; a deliberate change rewrites
+// it from the text the failure prints.
+func checkGolden(t *testing.T, name string, r *Report) {
+	t.Helper()
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%+v", *r)
+	got := fmt.Sprintf("arrivals=%d admitted=%d completed=%d retries=%d p99=%d\ndigest %016x\n",
+		r.Arrivals, r.Admitted, r.Completed, r.Retries, r.P99, h.Sum64())
+	path := filepath.Join("testdata", "golden", name+".txt")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != string(want) {
+		t.Errorf("%s differs from %s\n want:\n%s  got:\n%s", name, path, want, got)
+	}
+}
+
 // TestRunBitIdentity pins the subsystem contract: same seed ⇒ identical
 // arrival trace, admission decisions and percentile report; different
-// seeds differ.
+// seeds differ; and seed 3's report is the recorded one.
 func TestRunBitIdentity(t *testing.T) {
 	run := func(seed int64) *Report {
 		e := testEngine(t)
@@ -163,6 +189,7 @@ func TestRunBitIdentity(t *testing.T) {
 	if reflect.DeepEqual(run(3), run(11)) {
 		t.Error("different seeds produced identical reports")
 	}
+	checkGolden(t, "run_seed3", run(3))
 }
 
 // TestMM1MeanWait checks the Poisson generator against queueing

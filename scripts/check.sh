@@ -61,7 +61,10 @@ if [ "$mode" = lint ] || [ "$mode" = all ]; then
 	echo '== go vet ./...'
 	go vet ./...
 
-	# Every check; //lint:allow is the one escape hatch.
+	# Both checks, nondet and errcheck; //lint:allow is the one escape
+	# hatch. Hot-path allocation is gated in `test` instead, by the alloc
+	# budgets (exec, cachesim and engine alloc_test.go), which name the
+	# allocating line when they fail.
 	echo '== go run ./cmd/cachelint ./...'
 	go run ./cmd/cachelint ./...
 fi

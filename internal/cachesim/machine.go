@@ -393,8 +393,7 @@ func (m *Machine) Access(core int, addr memory.Addr, write bool) Level {
 // BatchOp is one element of a batched access run: a memory reference
 // optionally followed by a compute step. Batching preserves the exact
 // Access/Compute call sequence, so results are bit-identical to the
-// unbatched loop; kernels build one slice of ops per step instead of
-// interleaving calls.
+// unbatched loop. No kernel batches; the benchmark's access probe does.
 type BatchOp struct {
 	Addr   memory.Addr
 	Write  bool

@@ -117,7 +117,7 @@ func closedLoopBudget(t *testing.T, what string, budget float64, specs []StreamS
 }
 
 func TestScanLoopAllocBudget(t *testing.T) {
-	closedLoopBudget(t, "a scan's extra window", 786, []StreamSpec{
+	closedLoopBudget(t, "a scan's extra window", 449, []StreamSpec{
 		{Query: newScanQuery(t, 60_000), Cores: []int{0, 1, 2, 3}},
 	})
 }
@@ -129,7 +129,7 @@ func TestAggLoopAllocBudget(t *testing.T) {
 }
 
 func TestCoRunLoopAllocBudget(t *testing.T) {
-	closedLoopBudget(t, "a co-run's extra window", 704, []StreamSpec{
+	closedLoopBudget(t, "a co-run's extra window", 512, []StreamSpec{
 		{Query: newScanQuery(t, 60_000), Cores: []int{0, 1, 2, 3}},
 		{Query: newAggQuery(t, 2_000, 400), Cores: []int{4, 5, 6, 7}},
 	})
@@ -147,7 +147,7 @@ func TestServeLoopAllocBudget(t *testing.T) {
 		subs[i] = Submission{Query: scan, Rng: rng, Release: int64(i) * 20_000, Tag: int64(i)}
 	}
 	feed := &sliceFeed{}
-	loopBudget(t, "a serving point's extra submissions", 898, func(scale int) {
+	loopBudget(t, "a serving point's extra submissions", 644, func(scale int) {
 		feed.subs, feed.next = subs[:64*scale], 0
 		if _, err := e.RunOpenLoop([][]int{{0, 1}, {2, 3}}, feed, OpenLoopOptions{}); err != nil {
 			t.Fatal(err)

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"cachepart/internal/cachesim"
 	"cachepart/internal/column"
 	"cachepart/internal/memory"
 )
@@ -39,34 +38,27 @@ func NewAggLocal(group, value *column.Column, from, to int, table *AggTable) (*A
 	return &AggLocal{GroupCol: group, ValueCol: value, From: from, To: to, Table: table, cur: from}, nil
 }
 
-// Step processes up to budget rows. The leading per-row reads (group
-// line, value line, dictionary entry) are submitted as one small batch;
-// the table probe keeps its own interleaved accesses, so the simulated
-// sequence is unchanged.
+// Step processes up to budget rows. Per row it reads the group line
+// and the value line when the row enters a new one, then the value's
+// dictionary entry, then probes the table.
 func (a *AggLocal) Step(ctx *Ctx, budget int) (int, bool) {
 	g, v := a.GroupCol.Codes, a.ValueCol.Codes
 	gRegion, vRegion := g.Region(), v.Region()
 	processed := 0
-	var ops [3]cachesim.BatchOp
 	for processed < budget && a.cur < a.To {
-		n := 0
 		if gl := g.LineOfRow(a.cur); !a.started || gl != a.lastGLine {
-			ops[n] = cachesim.BatchOp{Addr: gRegion.Addr(gl * memory.LineSize)}
-			n++
+			ctx.Read(gRegion.Addr(gl * memory.LineSize))
 			a.lastGLine = gl
 		}
 		if vl := v.LineOfRow(a.cur); !a.started || vl != a.lastVLine {
-			ops[n] = cachesim.BatchOp{Addr: vRegion.Addr(vl * memory.LineSize)}
-			n++
+			ctx.Read(vRegion.Addr(vl * memory.LineSize))
 			a.lastVLine = vl
 		}
 		a.started = true
 		gcode := g.Get(a.cur)
 		vcode := v.Get(a.cur)
 		// Decompress the value: random dictionary access.
-		ops[n] = cachesim.BatchOp{Addr: a.ValueCol.Dict.Addr(vcode)}
-		n++
-		ctx.ReadBatch(ops[:n])
+		ctx.Read(a.ValueCol.Dict.Addr(vcode))
 		val := a.ValueCol.Dict.Value(vcode)
 		a.Table.Update(ctx, AggMax, gcode, val)
 		ctx.Compute(AggCyclesPerRow, AggInstrsPerRow)
@@ -74,13 +66,6 @@ func (a *AggLocal) Step(ctx *Ctx, budget int) (int, bool) {
 		processed++
 	}
 	return processed, a.cur >= a.To
-}
-
-// Reset rewinds for a fresh execution, clearing the local table.
-func (a *AggLocal) Reset() {
-	a.cur = a.From
-	a.started = false
-	a.Table.Clear()
 }
 
 // AggMerge is the second phase: it folds the worker-local tables into
@@ -132,10 +117,4 @@ func (m *AggMerge) Step(ctx *Ctx, budget int) (int, bool) {
 		processed++
 	}
 	return processed, m.li >= len(m.Locals)
-}
-
-// Reset rewinds the merge and clears the global table.
-func (m *AggMerge) Reset() {
-	m.li, m.si = 0, 0
-	m.Global.Clear()
 }

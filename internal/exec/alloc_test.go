@@ -9,12 +9,12 @@ import (
 
 // These tests are the kernels' share of the alloc budget (DESIGN.md
 // §12, beside internal/cachesim/alloc_test.go and the engine loop's
-// budgets): once a warm-up Step has started the scan's helper and
-// sized each kernel's scratch, a Step allocates nothing. Aggregation
-// tables are pre-sized, so the amortised AggTable.grow stays out of
-// the measurement. SortAggLocal is the one kernel that does not hold
-// 0; its ceilings are its own counts. A failure names the lines that
-// allocated (internal/allocs).
+// budgets): once a warm-up Step has started the scan's helper, a Step
+// allocates nothing. Aggregation tables are pre-sized, so the
+// amortised AggTable.grow stays out of the measurement. SortAggLocal
+// is the one streaming kernel that does not hold 0; its ceilings are
+// its own counts, as are those of a whole OLTP lookup execution. A
+// failure names the lines that allocated (internal/allocs).
 
 // stepsWithin fails when a Step of budget rows allocates more than
 // ceiling times in steady state, and names the lines that allocated.
@@ -37,8 +37,9 @@ func stepsWithin(t *testing.T, name string, ctx *Ctx, k Kernel, budget int, ceil
 }
 
 // TestColumnScanStepZeroAllocs: the channel, closure and goroutine of
-// the functional half are paid once per execution in start; every
-// slice after the first allocates nothing.
+// the functional half are paid once per execution, in the first
+// slice's PackedVector.StartCountInRange; every slice after it
+// allocates nothing.
 func TestColumnScanStepZeroAllocs(t *testing.T) {
 	ctx, space := testCtx(t)
 	col := uniformCol(t, space, "x", 100_000, 1, 1_000_000, 5)
@@ -141,11 +142,14 @@ func TestJoinStepZeroAllocs(t *testing.T) {
 	stepsWithin(t, "JoinProbe", ctx, probe, 512, 0)
 }
 
-// TestLookupExecutionZeroAllocs: the OLTP operators run one short
-// execution per query, so their steady state is a repeated execution —
-// Reset, then Steps to done — once the first has sized the candidate,
-// row and batch scratch.
-func TestLookupExecutionZeroAllocs(t *testing.T) {
+// TestLookupExecutionAllocs: the OLTP operators run one short
+// execution per query, so what a query costs is building the kernel
+// and Driving it to done. The ceilings are the counts this test
+// measured when it was written: the kernel itself, and the candidate
+// and row slices its probe and verification fill (2 and 8 allocations
+// for 50 matching rows). One allocation per posting or projected value
+// takes either at least 50 over.
+func TestLookupExecutionAllocs(t *testing.T) {
 	ctx, space := testCtx(t)
 	const n = 5000
 	k1, k2, pay := make([]int64, n), make([]int64, n), make([]int64, n)
@@ -158,27 +162,34 @@ func TestLookupExecutionZeroAllocs(t *testing.T) {
 	ix1, _ := column.BuildInvertedIndex(space, c1)
 	ix2, _ := column.BuildInvertedIndex(space, c2)
 
-	project, err := NewIndexLookupProject([]*column.InvertedIndex{ix1, ix2}, []int64{3, 7}, []*column.Column{pc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	projectKeys := []int64{3, 7}
-	pk, err := NewPKLookupProject(ix1, 3, []*column.Column{c2}, []int64{7}, []*column.Column{pc})
-	if err != nil {
-		t.Fatal(err)
-	}
-	residual := []int64{7}
+	indexes, keys, project := []*column.InvertedIndex{ix1, ix2}, []int64{3, 7}, []*column.Column{pc}
+	residualCols, residual := []*column.Column{c2}, []int64{7}
 	for _, c := range []struct {
-		name string
-		run  func()
+		name    string
+		ceiling float64
+		run     func() int
 	}{
-		{"IndexLookupProject", func() { project.Reset(projectKeys); Drive(ctx, project, 64) }},
-		{"PKLookupProject", func() { pk.Reset(3, residual); Drive(ctx, pk, 64) }},
+		{"IndexLookupProject", 2, func() int {
+			op, err := NewIndexLookupProject(indexes, keys, project)
+			if err != nil {
+				t.Fatal(err)
+			}
+			Drive(ctx, op, 64)
+			return len(op.Rows())
+		}},
+		{"PKLookupProject", 8, func() int {
+			op, err := NewPKLookupProject(ix1, 3, residualCols, residual, project)
+			if err != nil {
+				t.Fatal(err)
+			}
+			Drive(ctx, op, 64)
+			return len(op.Rows())
+		}},
 	} {
-		c.run()
-		allocs.Check(t, c.name+" per execution", testing.AllocsPerRun(100, c.run), 0, c.run)
-	}
-	if len(project.Rows()) == 0 || len(pk.Rows()) == 0 {
-		t.Fatalf("the lookups matched %d and %d rows; the measurement needs matches", len(project.Rows()), len(pk.Rows()))
+		if c.run() == 0 {
+			t.Fatalf("%s matched no rows; the measurement needs matches", c.name)
+		}
+		run := func() { c.run() }
+		allocs.Check(t, c.name+" per execution", testing.AllocsPerRun(100, run), c.ceiling, run)
 	}
 }

@@ -42,34 +42,36 @@ func benchColumn(b *testing.B, space *memory.Space, name string, n int, distinct
 	return &column.Column{Name: name, Dict: dict, Codes: codes}
 }
 
-// BenchmarkColumnScanKernel measures simulated scan speed in rows/op.
+// BenchmarkColumnScanKernel measures one scan execution over a 2^20-row
+// column per op.
 func BenchmarkColumnScanKernel(b *testing.B) {
 	ctx, space := benchCtx(b)
 	col := benchColumn(b, space, "scan", 1<<20, 1<<20)
-	scan, _ := NewColumnScan(col, 0, col.Rows(), 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, done := scan.Step(ctx, 4096)
-		if done {
-			scan.Reset(scan.LoCode, scan.HiCode)
+		scan, err := NewColumnScan(col, 0, col.Rows(), 1)
+		if err != nil {
+			b.Fatal(err)
 		}
-		_ = rows
+		Drive(ctx, scan, 4096)
 	}
 }
 
-// BenchmarkAggLocalKernel measures the full per-row aggregation path:
-// two sequential column reads, one dictionary read, one table probe.
+// BenchmarkAggLocalKernel measures one local aggregation over 2^18 rows
+// per op, the full per-row path: two sequential column reads, one
+// dictionary read, one table probe.
 func BenchmarkAggLocalKernel(b *testing.B) {
 	ctx, space := benchCtx(b)
 	groups := benchColumn(b, space, "g", 1<<18, 1<<12)
 	values := benchColumn(b, space, "v", 1<<18, 1<<18)
 	tab := NewAggTable(space, "t", 1<<12)
-	agg, _ := NewAggLocal(groups, values, 0, groups.Rows(), tab)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, done := agg.Step(ctx, 1024); done {
-			agg.Reset()
+		agg, err := NewAggLocal(groups, values, 0, groups.Rows(), tab)
+		if err != nil {
+			b.Fatal(err)
 		}
+		Drive(ctx, agg, 1024)
 	}
 }
 
@@ -87,16 +89,19 @@ func BenchmarkAggTableUpdate(b *testing.B) {
 	}
 }
 
+// BenchmarkJoinProbeKernel measures one probe of 2^20 foreign keys into
+// a 2^22-key bit vector per op.
 func BenchmarkJoinProbeKernel(b *testing.B) {
 	ctx, space := benchCtx(b)
 	fk := benchColumn(b, space, "fk", 1<<20, 1<<22)
 	bv, _ := NewBitVector(space, "bv", 1, 1<<22)
 	bv.SetAll()
-	probe, _ := NewJoinProbe(fk, 0, fk.Rows(), bv)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, done := probe.Step(ctx, 4096); done {
-			probe.Reset()
+		probe, err := NewJoinProbe(fk, 0, fk.Rows(), bv)
+		if err != nil {
+			b.Fatal(err)
 		}
+		Drive(ctx, probe, 4096)
 	}
 }

@@ -27,12 +27,6 @@ func (c *Ctx) Read(a memory.Addr) { c.M.Access(c.Core, a, false) }
 // Write reports a store (write-allocate).
 func (c *Ctx) Write(a memory.Addr) { c.M.Access(c.Core, a, true) }
 
-// ReadBatch reports a run of accesses (loads, plus stores via the
-// Write flag), each optionally followed by a compute step. Semantics
-// are exactly the per-element Read/Write + Compute sequence; batching
-// amortizes the per-reference call overhead on scan-style kernels.
-func (c *Ctx) ReadBatch(ops []cachesim.BatchOp) { c.M.AccessBatch(c.Core, ops) }
-
 // Compute reports pure computation: cycles of work retiring instrs
 // instructions.
 func (c *Ctx) Compute(cycles int64, instrs uint64) { c.M.Compute(c.Core, cycles, instrs) }

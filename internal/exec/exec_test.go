@@ -9,9 +9,9 @@ import (
 	"cachepart/internal/memory"
 )
 
-func testCtx(t *testing.T) (*Ctx, *memory.Space) {
-	t.Helper()
-	cfg := cachesim.Config{
+// testConfig is a two-core machine with a 64 KiB LLC.
+func testConfig() cachesim.Config {
+	return cachesim.Config{
 		Cores:         2,
 		FreqHz:        2e9,
 		L1:            cachesim.Geometry{Size: 1 << 10, Ways: 2},
@@ -26,6 +26,15 @@ func testCtx(t *testing.T) (*Ctx, *memory.Space) {
 		InclusiveLLC:  true,
 		NumCLOS:       4,
 	}
+}
+
+func testCtx(t *testing.T) (*Ctx, *memory.Space) {
+	t.Helper()
+	return ctxOn(t, testConfig())
+}
+
+func ctxOn(t *testing.T, cfg cachesim.Config) (*Ctx, *memory.Space) {
+	t.Helper()
 	m, err := cachesim.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -101,29 +110,20 @@ func TestColumnScanTouchesEachLineOnce(t *testing.T) {
 	}
 }
 
-func TestColumnScanReset(t *testing.T) {
-	ctx, space := testCtx(t)
-	col := uniformCol(t, space, "x", 1000, 1, 10, 3)
-	scan, _ := NewColumnScan(col, 0, col.Rows(), 5)
-	Drive(ctx, scan, 100)
-	first := scan.Count
-	scan.Reset(scan.LoCode, scan.HiCode)
-	Drive(ctx, scan, 100)
-	if scan.Count != first {
-		t.Errorf("after Reset count %d != %d", scan.Count, first)
-	}
-}
-
 // TestColumnScanAccessSequence checks Step's incremental line cursor
 // against a per-row reference that asks LineOfRow about every row: the
-// batch's address sequence, the rows each Step reports and the final
-// Count must agree for code widths that do and do not divide a line, a
-// From that is not line-aligned, and budgets that never line up with
-// anything.
+// lines each Step reads, the cost it charges, the rows it reports and
+// the final Count must agree for code widths that do and do not divide
+// a line, a From that is not line-aligned, and budgets that never line
+// up with anything. The lines read are seen through the machine: with
+// the prefetcher off and the column well inside the LLC, a line is
+// LLC-resident exactly when the scan has read it.
 func TestColumnScanAccessSequence(t *testing.T) {
+	cfg := testConfig()
+	cfg.PrefetchDepth = 0
 	for _, bits := range []uint{15, 20, 27, 32} {
 		for _, budget := range []int{1, 7, 33, 101, 4096} {
-			ctx, space := testCtx(t)
+			ctx, space := ctxOn(t, cfg)
 			const n = 5000
 			col := uniformCol(t, space, "x", n, 1, int64(1)<<bits-1, int64(bits))
 			codes := col.Codes
@@ -139,8 +139,11 @@ func TestColumnScanAccessSequence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			region := codes.Region()
+			regionEnd := region.Base + memory.Addr(region.Size)
 			cur, done := from, false
 			var wantCount int64
+			resident := 0
 			for step := 0; !done; step++ {
 				// Reference: whole lines until the budget is spent.
 				var wantAddrs []memory.Addr
@@ -155,27 +158,34 @@ func TestColumnScanAccessSequence(t *testing.T) {
 						wantRows++
 					}
 				}
+				before := ctx.M.Stats(0)
 				var rows int
 				rows, done = scan.Step(ctx, budget)
 				if rows != wantRows || done != (cur >= to) {
 					t.Fatalf("bits=%d budget=%d step %d: Step = (%d, %v), want (%d, %v)", bits, budget, step, rows, done, wantRows, cur >= to)
 				}
-				if len(scan.ops) != len(wantAddrs) {
-					t.Fatalf("bits=%d budget=%d step %d: %d accesses, want %d", bits, budget, step, len(scan.ops), len(wantAddrs))
+				// One read and one line's compute cost per wanted line;
+				// each access retires an instruction of its own.
+				lines := uint64(len(wantAddrs))
+				d := ctx.M.Stats(0).Sub(before)
+				if d.Reads != lines || d.Writes != 0 ||
+					d.ComputeTicks != int64(lines)*ScanCyclesPerLine*cachesim.TicksPerCycle ||
+					d.Instructions != lines*(ScanInstrsPerLine+1) {
+					t.Fatalf("bits=%d budget=%d step %d: %d reads, %d writes, %d compute ticks, %d instructions for %d lines",
+						bits, budget, step, d.Reads, d.Writes, d.ComputeTicks, d.Instructions, lines)
 				}
-				for i, op := range scan.ops {
-					if op.Addr != wantAddrs[i] || op.Write || op.Cycles != ScanCyclesPerLine || op.Instrs != ScanInstrsPerLine {
-						t.Fatalf("bits=%d budget=%d step %d: access %d = %+v, want a read of %#x", bits, budget, step, i, op, wantAddrs[i])
+				for _, a := range wantAddrs {
+					if ctx.M.LLCOccupancy(a, a+memory.LineSize) != 1 {
+						t.Fatalf("bits=%d budget=%d step %d: line %#x was not read", bits, budget, step, a)
 					}
+				}
+				resident += len(wantAddrs)
+				if got := ctx.M.LLCOccupancy(region.Base, regionEnd); got != resident {
+					t.Fatalf("bits=%d budget=%d step %d: %d lines of the column in the LLC, want the %d read so far", bits, budget, step, got, resident)
 				}
 			}
 			if scan.Count != wantCount {
 				t.Errorf("bits=%d budget=%d: Count = %d, want %d", bits, budget, scan.Count, wantCount)
-			}
-			// A second execution starts from the same cursor.
-			scan.Reset(scan.LoCode, scan.HiCode)
-			if Drive(ctx, scan, budget); scan.Count != wantCount {
-				t.Errorf("bits=%d budget=%d: Count after Reset = %d, want %d", bits, budget, scan.Count, wantCount)
 			}
 		}
 	}
@@ -343,10 +353,6 @@ func TestAggMergeCombinesLocals(t *testing.T) {
 			t.Errorf("global[%d] = %d, want %d", k, v, wv)
 		}
 	}
-	merge.Reset()
-	if global.Len() != 0 {
-		t.Error("Reset did not clear global")
-	}
 }
 
 func TestAggregationEndToEnd(t *testing.T) {
@@ -468,9 +474,11 @@ func TestFKJoinEndToEnd(t *testing.T) {
 
 	// Partial build: only even keys -> matches drop accordingly.
 	bv.Clear()
-	probe.Reset()
 	for k := int64(2); k <= nKeys; k += 2 {
 		bv.Set(k)
+	}
+	if probe, err = NewJoinProbe(fkCol, 0, fkCol.Rows(), bv); err != nil {
+		t.Fatal(err)
 	}
 	Drive(ctx, probe, 300)
 	var want int64
@@ -541,8 +549,11 @@ func TestIndexLookupProject(t *testing.T) {
 		t.Errorf("Projected = %d, want %d", op.Projected, len(wantRows))
 	}
 
-	// Reset with a missing key yields no rows.
-	op.Reset([]int64{3, 99})
+	// A missing key yields no rows.
+	if op, err = NewIndexLookupProject(
+		[]*column.InvertedIndex{ix1, ix2}, []int64{3, 99}, []*column.Column{pc}); err != nil {
+		t.Fatal(err)
+	}
 	Drive(ctx, op, 64)
 	if len(op.Rows()) != 0 || op.Projected != 0 {
 		t.Errorf("missing key: rows=%d projected=%d", len(op.Rows()), op.Projected)

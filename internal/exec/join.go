@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sync/atomic"
 
-	"cachepart/internal/cachesim"
 	"cachepart/internal/column"
 	"cachepart/internal/memory"
 )
@@ -112,7 +111,6 @@ type JoinBuild struct {
 	cur      int
 	lastLine uint64
 	started  bool
-	ops      []cachesim.BatchOp
 }
 
 // NewJoinBuild constructs the build phase over [from, to).
@@ -123,40 +121,27 @@ func NewJoinBuild(keys *column.Column, from, to int, bv *BitVector) (*JoinBuild,
 	return &JoinBuild{KeyCol: keys, From: from, To: to, BV: bv, cur: from}, nil
 }
 
-// Step processes up to budget rows. The per-row accesses — an optional
-// key-line read and the bit-vector write carrying the row's compute
-// cost — are accumulated and submitted as one batch, preserving the
-// exact per-row Access/Compute sequence.
+// Step processes up to budget rows. Per row it reads the key line when
+// the row enters a new one, then writes the key's bit and charges the
+// row's compute cost.
 func (j *JoinBuild) Step(ctx *Ctx, budget int) (int, bool) {
 	codes := j.KeyCol.Codes
 	region := codes.Region()
 	processed := 0
-	j.ops = j.ops[:0]
 	for processed < budget && j.cur < j.To {
 		if l := codes.LineOfRow(j.cur); !j.started || l != j.lastLine {
-			j.ops = append(j.ops, cachesim.BatchOp{Addr: region.Addr(l * memory.LineSize)})
+			ctx.Read(region.Addr(l * memory.LineSize))
 			j.lastLine = l
 			j.started = true
 		}
 		key := j.KeyCol.Dict.Value(codes.Get(j.cur))
-		j.ops = append(j.ops, cachesim.BatchOp{
-			Addr: j.BV.Addr(key), Write: true,
-			Cycles: JoinCyclesPerRow, Instrs: JoinInstrsPerRow,
-		})
+		ctx.Write(j.BV.Addr(key))
+		ctx.Compute(JoinCyclesPerRow, JoinInstrsPerRow)
 		j.BV.Set(key)
 		j.cur++
 		processed++
 	}
-	ctx.ReadBatch(j.ops)
 	return processed, j.cur >= j.To
-}
-
-// Reset rewinds the build for a fresh execution. The bit vector is not
-// cleared: repeated executions of the paper's Query 3 rebuild the same
-// key set.
-func (j *JoinBuild) Reset() {
-	j.cur = j.From
-	j.started = false
 }
 
 // JoinProbe is the second phase: scan the foreign-key column, test each
@@ -171,7 +156,6 @@ type JoinProbe struct {
 	lastLine uint64
 	started  bool
 	Matches  int64
-	ops      []cachesim.BatchOp
 }
 
 // NewJoinProbe constructs the probe phase over [from, to).
@@ -182,38 +166,27 @@ func NewJoinProbe(fks *column.Column, from, to int, bv *BitVector) (*JoinProbe, 
 	return &JoinProbe{FKCol: fks, From: from, To: to, BV: bv, cur: from}, nil
 }
 
-// Step processes up to budget rows. As in the build phase, the per-row
-// accesses are accumulated and submitted as one batch; the match count
-// is real data and stays inline.
+// Step processes up to budget rows. As in the build phase, per row it
+// reads the foreign-key line when the row enters a new one, then reads
+// the key's bit and charges the row's compute cost.
 func (j *JoinProbe) Step(ctx *Ctx, budget int) (int, bool) {
 	codes := j.FKCol.Codes
 	region := codes.Region()
 	processed := 0
-	j.ops = j.ops[:0]
 	for processed < budget && j.cur < j.To {
 		if l := codes.LineOfRow(j.cur); !j.started || l != j.lastLine {
-			j.ops = append(j.ops, cachesim.BatchOp{Addr: region.Addr(l * memory.LineSize)})
+			ctx.Read(region.Addr(l * memory.LineSize))
 			j.lastLine = l
 			j.started = true
 		}
 		key := j.FKCol.Dict.Value(codes.Get(j.cur))
-		j.ops = append(j.ops, cachesim.BatchOp{
-			Addr:   j.BV.Addr(key),
-			Cycles: JoinCyclesPerRow, Instrs: JoinInstrsPerRow,
-		})
+		ctx.Read(j.BV.Addr(key))
+		ctx.Compute(JoinCyclesPerRow, JoinInstrsPerRow)
 		if j.BV.Test(key) {
 			j.Matches++
 		}
 		j.cur++
 		processed++
 	}
-	ctx.ReadBatch(j.ops)
 	return processed, j.cur >= j.To
-}
-
-// Reset rewinds the probe for a fresh execution.
-func (j *JoinProbe) Reset() {
-	j.cur = j.From
-	j.started = false
-	j.Matches = 0
 }

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"cachepart/internal/cachesim"
 	"cachepart/internal/column"
 	"cachepart/internal/memory"
 )
@@ -38,7 +37,6 @@ type PKLookupProject struct {
 	projRow   int
 	projCol   int
 	Projected int64
-	ops       []cachesim.BatchOp
 }
 
 // NewPKLookupProject constructs the operator.
@@ -115,11 +113,9 @@ func (p *PKLookupProject) probe(ctx *Ctx) int {
 	}
 	ctx.Read(p.Index.HeaderAddr(code))
 	postings := p.Index.PostingsOf(code)
-	p.ops = p.ops[:0]
 	for k := 0; k < len(postings); k += 16 {
-		p.ops = append(p.ops, cachesim.BatchOp{Addr: p.Index.PostingAddr(code, k)})
+		ctx.Read(p.Index.PostingAddr(code, k))
 	}
-	ctx.ReadBatch(p.ops)
 	ctx.Compute(int64(len(postings)/8+1), uint64(len(postings)/4+2))
 	p.cands = append(p.cands[:0], postings...)
 	if len(postings) > 0 {
@@ -134,15 +130,13 @@ func (p *PKLookupProject) verifyOne(ctx *Ctx) {
 	row := int(p.cands[p.verifyIdx])
 	p.verifyIdx++
 	match := true
-	p.ops = p.ops[:0]
 	for i, col := range p.ResidualCols {
-		p.ops = append(p.ops, cachesim.BatchOp{Addr: col.Codes.Addr(row)})
+		ctx.Read(col.Codes.Addr(row))
 		if col.Value(row) != p.ResidualKeys[i] {
 			match = false
 			break // short-circuit like a real residual filter
 		}
 	}
-	ctx.ReadBatch(p.ops)
 	ctx.Compute(LookupCyclesPerRow, LookupInstrsPerRow)
 	if match {
 		p.rows = append(p.rows, uint32(row))
@@ -154,13 +148,12 @@ func (p *PKLookupProject) verifyOne(ctx *Ctx) {
 func (p *PKLookupProject) projectOne(ctx *Ctx) {
 	row := int(p.rows[p.projRow])
 	col := p.Project[p.projCol]
-	p.ops = append(p.ops[:0], cachesim.BatchOp{Addr: col.Codes.Addr(row)})
+	ctx.Read(col.Codes.Addr(row))
 	code := col.Codes.Get(row)
 	base := uint64(code) * col.Dict.EntrySize()
 	for off := uint64(0); off < col.Dict.EntrySize(); off += memory.LineSize {
-		p.ops = append(p.ops, cachesim.BatchOp{Addr: col.Dict.Region().Addr(base + off)})
+		ctx.Read(col.Dict.Region().Addr(base + off))
 	}
-	ctx.ReadBatch(p.ops)
 	_ = col.Dict.Value(code)
 	ctx.Compute(LookupCyclesPerRow, LookupInstrsPerRow)
 	p.Projected++
@@ -169,15 +162,4 @@ func (p *PKLookupProject) projectOne(ctx *Ctx) {
 		p.projCol = 0
 		p.projRow++
 	}
-}
-
-// Reset rewinds the operator for the next execution with new keys.
-func (p *PKLookupProject) Reset(indexKey int64, residualKeys []int64) {
-	p.IndexKey = indexKey
-	copy(p.ResidualKeys, residualKeys)
-	p.stage = 0
-	p.cands = p.cands[:0]
-	p.rows = p.rows[:0]
-	p.verifyIdx, p.projRow, p.projCol = 0, 0, 0
-	p.Projected = 0
 }

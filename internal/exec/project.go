@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"cachepart/internal/cachesim"
 	"cachepart/internal/column"
 	"cachepart/internal/memory"
 )
@@ -25,8 +24,6 @@ type IndexLookupProject struct {
 	projRow   int
 	projCol   int
 	Projected int64
-
-	ops []cachesim.BatchOp // scratch for the step's access batch
 }
 
 // NewIndexLookupProject constructs the operator. keys[i] is probed in
@@ -62,17 +59,14 @@ func (p *IndexLookupProject) Step(ctx *Ctx, budget int) (int, bool) {
 		col := p.Project[p.projCol]
 		// Point access into the code vector, then the dictionary
 		// entry; wide (NVARCHAR-like) entries span several lines. The
-		// whole run is one batch, the trailing element carrying the
-		// projection's compute cost.
-		p.ops = append(p.ops[:0], cachesim.BatchOp{Addr: col.Codes.Addr(row)})
+		// projection's compute cost follows the last read.
+		ctx.Read(col.Codes.Addr(row))
 		code := col.Codes.Get(row)
 		base := uint64(code) * col.Dict.EntrySize()
 		for off := uint64(0); off < col.Dict.EntrySize(); off += memory.LineSize {
-			p.ops = append(p.ops, cachesim.BatchOp{Addr: col.Dict.Region().Addr(base + off)})
+			ctx.Read(col.Dict.Region().Addr(base + off))
 		}
-		p.ops[len(p.ops)-1].Cycles = LookupCyclesPerRow
-		p.ops[len(p.ops)-1].Instrs = LookupInstrsPerRow
-		ctx.ReadBatch(p.ops)
+		ctx.Compute(LookupCyclesPerRow, LookupInstrsPerRow)
 		_ = col.Dict.Value(code)
 		p.Projected++
 		processed++
@@ -113,12 +107,10 @@ func (p *IndexLookupProject) probeOne(ctx *Ctx) int {
 	ctx.Read(ix.HeaderAddr(code))
 	postings := ix.PostingsOf(code)
 	// Read the posting list, one access per touched line (16 row ids
-	// per 64-byte line), submitted as one batch.
-	p.ops = p.ops[:0]
+	// per 64-byte line).
 	for k := 0; k < len(postings); k += 16 {
-		p.ops = append(p.ops, cachesim.BatchOp{Addr: ix.PostingAddr(code, k)})
+		ctx.Read(ix.PostingAddr(code, k))
 	}
-	ctx.ReadBatch(p.ops)
 	ctx.Compute(int64(len(postings)/8+1), uint64(len(postings)/4+2))
 
 	if p.phase == 1 {
@@ -149,14 +141,4 @@ func intersectSorted(a, b []uint32) []uint32 {
 		}
 	}
 	return out
-}
-
-// Reset rewinds the operator with new key values for the next
-// execution.
-func (p *IndexLookupProject) Reset(keys []int64) {
-	copy(p.Keys, keys)
-	p.phase = 0
-	p.rows = p.rows[:0]
-	p.projRow, p.projCol = 0, 0
-	p.Projected = 0
 }

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"cachepart/internal/cachesim"
 	"cachepart/internal/column"
 	"cachepart/internal/memory"
 )
@@ -27,8 +26,8 @@ import (
 // (PackedVector.StartCountInRange — the go statement lives in package
 // column, which cannot name a Ctx, a Machine or a kernel) and the Step
 // that completes the kernel collects it. The range and the
-// predicate are read when an execution's first Step starts the count;
-// set them before it, or through Reset.
+// predicate are read when the first Step starts the count; set them
+// before it. A kernel runs once: a plan builds a new one per execution.
 type ColumnScan struct {
 	Col    *column.Column
 	From   int
@@ -39,28 +38,24 @@ type ColumnScan struct {
 	cur int
 
 	// Count is the number of qualifying rows in [From, To). It is valid
-	// once Step has returned done and until the next Reset; before that
-	// it is 0.
+	// once Step has returned done; before that it is 0.
 	Count int64
-	// pending carries the running execution's count from its helper
-	// goroutine; nil before the first Step with rows to process and
-	// after the count has been received. It holds one value, so a
-	// kernel the run abandons at its horizon, or one Reset mid-flight,
-	// leaves a helper that finishes into the buffer, exits and is
-	// collected with it.
+	// pending carries the count from its helper goroutine; nil before
+	// the first Step with rows to process and after the count has been
+	// received. It holds one value, so a kernel the run abandons at its
+	// horizon leaves a helper that finishes into the buffer, exits and
+	// is collected with it.
 	pending <-chan int64
 
 	// Line cursor: lineEnd is the first row starting in the line after
 	// cur's, lineEndBit where in that line its first bit lies, in
 	// [0, code width). A line holds perLine rows and extraBits bits of
 	// one more, so Step moves from one boundary to the next by
-	// addition; the divisions are rewind's.
+	// addition; the divisions are NewColumnScan's.
 	lineEnd    int
 	lineEndBit uint
 	perLine    int
 	extraBits  uint
-
-	ops []cachesim.BatchOp // scratch for the step's access batch
 }
 
 // NewColumnScan builds a scan counting rows with value > bound, the
@@ -69,26 +64,22 @@ func NewColumnScan(col *column.Column, from, to int, bound int64) (*ColumnScan, 
 	if from < 0 || to > col.Rows() || from > to {
 		return nil, fmt.Errorf("exec: scan range [%d,%d) out of %d rows", from, to, col.Rows())
 	}
-	s := &ColumnScan{
-		Col:    col,
-		From:   from,
-		To:     to,
-		LoCode: col.Dict.LowerBound(bound + 1),
-		HiCode: uint32(col.Dict.Len()),
-	}
-	s.rewind()
-	return s, nil
-}
-
-// rewind puts the cursor on row From.
-func (s *ColumnScan) rewind() {
-	codes := s.Col.Codes
+	codes := col.Codes
 	bits := codes.Bits()
-	nextLine := codes.LineOfRow(s.From) + 1
-	s.cur = s.From
-	s.lineEnd = firstRowOfLine(codes, nextLine)
-	s.lineEndBit = uint(uint64(s.lineEnd)*uint64(bits) - nextLine*lineBits)
-	s.perLine, s.extraBits = int(lineBits/bits), lineBits%bits
+	nextLine := codes.LineOfRow(from) + 1
+	lineEnd := firstRowOfLine(codes, nextLine)
+	return &ColumnScan{
+		Col:        col,
+		From:       from,
+		To:         to,
+		LoCode:     col.Dict.LowerBound(bound + 1),
+		HiCode:     uint32(col.Dict.Len()),
+		cur:        from,
+		lineEnd:    lineEnd,
+		lineEndBit: uint(uint64(lineEnd)*uint64(bits) - nextLine*lineBits),
+		perLine:    int(lineBits / bits),
+		extraBits:  lineBits % bits,
+	}, nil
 }
 
 const lineBits = memory.LineSize * 8
@@ -101,12 +92,10 @@ func firstRowOfLine(v *column.PackedVector, line uint64) int {
 	return int((startBit + bits - 1) / bits)
 }
 
-// Step processes up to budget rows, one cache line of codes at a time.
-// The per-line [read, compute] pairs of a slice are submitted as one
-// batch, preserving the exact access sequence while amortizing the
-// per-reference simulator call overhead. The first slice of an
-// execution starts the count beside the simulation and the last one
-// waits for it.
+// Step processes up to budget rows, one cache line of codes at a time:
+// a read of the line, then its predicate-evaluation cost. The first
+// slice starts the count beside the simulation and the last one waits
+// for it.
 func (s *ColumnScan) Step(ctx *Ctx, budget int) (int, bool) {
 	if s.pending == nil && s.cur < s.To {
 		s.pending = s.Col.Codes.StartCountInRange(s.From, s.To, s.LoCode, s.HiCode)
@@ -115,17 +104,13 @@ func (s *ColumnScan) Step(ctx *Ctx, budget int) (int, bool) {
 	codes := s.Col.Codes
 	region := codes.Region()
 	line := codes.LineOfRow(s.cur)
-	s.ops = s.ops[:0]
 	for processed < budget && s.cur < s.To {
 		end := s.lineEnd
 		if end > s.To {
 			end = s.To
 		}
-		s.ops = append(s.ops, cachesim.BatchOp{
-			Addr:   region.Addr(line * memory.LineSize),
-			Cycles: ScanCyclesPerLine,
-			Instrs: ScanInstrsPerLine,
-		})
+		ctx.Read(region.Addr(line * memory.LineSize))
+		ctx.Compute(ScanCyclesPerLine, ScanInstrsPerLine)
 		processed += end - s.cur
 		s.cur = end
 		// The next line's extra row starts in it when its first row
@@ -138,20 +123,10 @@ func (s *ColumnScan) Step(ctx *Ctx, budget int) (int, bool) {
 		}
 		s.lineEndBit -= s.extraBits
 	}
-	ctx.ReadBatch(s.ops)
 	done := s.cur >= s.To
 	if done && s.pending != nil {
 		s.Count = <-s.pending
 		s.pending = nil
 	}
 	return processed, done
-}
-
-// Reset rewinds the kernel for a fresh execution with a new predicate
-// code range. A count still in flight for the previous execution is
-// forgotten, not awaited.
-func (s *ColumnScan) Reset(loCode, hiCode uint32) {
-	s.rewind()
-	s.Count, s.pending = 0, nil
-	s.LoCode, s.HiCode = loCode, hiCode
 }

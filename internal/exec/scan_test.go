@@ -63,35 +63,6 @@ func TestColumnScanCountArrivesWithDone(t *testing.T) {
 			}
 		}
 	}
-
-	// Reset with another predicate one slice into an execution — the
-	// column is long enough that its helper has barely begun, or with
-	// one P not begun at all — then a full second run: the count
-	// delivered is the second predicate's.
-	ctx, space := testCtx(t)
-	col := uniformCol(t, space, "x", 400_000, 1, 1_000_000, 6)
-	scan, err := NewColumnScan(col, 37, col.Rows()-11, 500_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	lo1, hi1 := scan.LoCode, scan.HiCode
-	lo2, hi2 := lo1/2, lo1
-	first := countByGet(col.Codes, scan.From, scan.To, lo1, hi1)
-	want := countByGet(col.Codes, scan.From, scan.To, lo2, hi2)
-	if want == 0 || want == first {
-		t.Fatalf("the second predicate selects %d rows, the first %d", want, first)
-	}
-	for _, budget := range []int{1, 33, 4096} {
-		scan.Reset(lo1, hi1)
-		scan.Step(ctx, budget)
-		scan.Reset(lo2, hi2)
-		if scan.Count != 0 {
-			t.Errorf("budget=%d: Count = %d after Reset, want 0", budget, scan.Count)
-		}
-		if rows := Drive(ctx, scan, 4096); rows != int64(scan.To-scan.From) || scan.Count != want {
-			t.Errorf("budget=%d: after a mid-flight Reset %d rows, Count = %d; want %d, %d", budget, rows, scan.Count, scan.To-scan.From, want)
-		}
-	}
 }
 
 func TestColumnScanEmptyRangeStartsNothing(t *testing.T) {

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 
-	"cachepart/internal/cachesim"
 	"cachepart/internal/column"
 	"cachepart/internal/memory"
 )
@@ -33,7 +32,6 @@ type WideAggLocal struct {
 	started   bool
 	lastGLine uint64
 	lastVLine []uint64
-	ops       []cachesim.BatchOp // scratch for the per-row batched reads
 }
 
 // NewWideAggLocal constructs the kernel over [from, to).
@@ -62,9 +60,8 @@ func NewWideAggLocal(group *column.Column, values []*column.Column, from, to int
 }
 
 // Step processes up to budget rows. Each row's reads — group line,
-// value-column lines, dictionary entries — are submitted as one small
-// batch before the table update, whose probe keeps its own interleaved
-// accesses; the simulated sequence is unchanged.
+// value-column lines, dictionary entries — come before the table
+// update and its probe.
 func (a *WideAggLocal) Step(ctx *Ctx, budget int) (int, bool) {
 	g := a.GroupCol.Codes
 	gRegion := g.Region()
@@ -74,9 +71,8 @@ func (a *WideAggLocal) Step(ctx *Ctx, budget int) (int, bool) {
 	}
 	processed := 0
 	for processed < budget && a.cur < a.To {
-		a.ops = a.ops[:0]
 		if gl := g.LineOfRow(a.cur); !a.started || gl != a.lastGLine {
-			a.ops = append(a.ops, cachesim.BatchOp{Addr: gRegion.Addr(gl * memory.LineSize)})
+			ctx.Read(gRegion.Addr(gl * memory.LineSize))
 			a.lastGLine = gl
 		}
 		selected := a.cur%every == 0
@@ -88,18 +84,17 @@ func (a *WideAggLocal) Step(ctx *Ctx, budget int) (int, bool) {
 		for i, vc := range a.ValueCols {
 			codes := vc.Codes
 			if vl := codes.LineOfRow(a.cur); !a.started || vl != a.lastVLine[i] {
-				a.ops = append(a.ops, cachesim.BatchOp{Addr: codes.Region().Addr(vl * memory.LineSize)})
+				ctx.Read(codes.Region().Addr(vl * memory.LineSize))
 				a.lastVLine[i] = vl
 			}
 			if !selected {
 				continue
 			}
 			vcode := codes.Get(a.cur)
-			a.ops = append(a.ops, cachesim.BatchOp{Addr: vc.Dict.Addr(vcode)})
+			ctx.Read(vc.Dict.Addr(vcode))
 			sum += vc.Dict.Value(vcode)
 		}
 		a.started = true
-		ctx.ReadBatch(a.ops)
 		if selected {
 			a.Table.UpdateSum(ctx, gcode, sum)
 			ctx.Compute(AggCyclesPerRow+int64(len(a.ValueCols)), AggInstrsPerRow+2*uint64(len(a.ValueCols)))

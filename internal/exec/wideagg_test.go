@@ -138,14 +138,18 @@ func TestPKLookupProject(t *testing.T) {
 	}
 
 	// Residual mismatch filters everything out.
-	op.Reset(42, []int64{(42 % 4) + 1})
+	if op, err = NewPKLookupProject(ix, 42, []*column.Column{attrCol}, []int64{(42 % 4) + 1}, []*column.Column{payCol}); err != nil {
+		t.Fatal(err)
+	}
 	Drive(ctx, op, 64)
 	if len(op.Rows()) != 0 {
 		t.Errorf("mismatched residual still returned %d rows", len(op.Rows()))
 	}
 
 	// Missing index key.
-	op.Reset(999, []int64{0})
+	if op, err = NewPKLookupProject(ix, 999, []*column.Column{attrCol}, []int64{0}, []*column.Column{payCol}); err != nil {
+		t.Fatal(err)
+	}
 	Drive(ctx, op, 64)
 	if len(op.Rows()) != 0 || op.Projected != 0 {
 		t.Error("missing key should produce nothing")

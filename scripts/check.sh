@@ -14,8 +14,8 @@
 #            CI lint job); fails when gofmt -l names any file
 #   test     build + unit tests; the race detector over the packages
 #            below, and over the harness's fault-injection and
-#            degraded-mode tests; exec and engine at -cpu 1,2 (the CI
-#            test job)
+#            degraded-mode tests; exec and engine at -cpu 1,2; every Go
+#            benchmark of the module run once (the CI test job)
 #   bench    the repo benchmark's own gate (bench/ is a module of its
 #            own, outside `go test ./...`): vet, its tests, and a
 #            -quick run whose self-checks compare CountInRange with the
@@ -94,6 +94,12 @@ if [ "$mode" = test ] || [ "$mode" = all ]; then
 	# P, and beside it on two.
 	echo '== go test -cpu 1,2 (exec, engine)'
 	go test -cpu 1,2 ./internal/exec/... ./internal/engine/...
+
+	# `go test ./...` compiles the Benchmark functions but runs none;
+	# one iteration each keeps them running. Their timings are not
+	# checked.
+	echo '== go test -bench . -benchtime 1x ./...'
+	go test -run '^$' -bench . -benchtime 1x ./...
 fi
 
 if [ "$mode" = bench ] || [ "$mode" = all ]; then

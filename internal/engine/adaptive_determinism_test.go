@@ -5,7 +5,6 @@
 package engine_test
 
 import (
-	"math/rand"
 	"reflect"
 	"testing"
 
@@ -34,7 +33,7 @@ func adaptiveFixture(t *testing.T) (*engine.Engine, *adapt.Controller, []engine.
 	}
 	ctrl := adapt.Attach(e)
 	space := memory.NewSpace()
-	rng := rand.New(rand.NewSource(7))
+	rng := workload.NewRand(7)
 	q1, err := workload.NewQ1(space, rng, workload.Q1Spec{Rows: 1 << 20, Distinct: 1 << 14})
 	if err != nil {
 		t.Fatal(err)

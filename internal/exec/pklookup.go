@@ -118,6 +118,7 @@ func (p *PKLookupProject) probe(ctx *Ctx) int {
 	}
 	ctx.Compute(int64(len(postings)/8+1), uint64(len(postings)/4+2))
 	p.cands = append(p.cands[:0], postings...)
+	p.rows = make([]uint32, 0, len(postings)) // every candidate may match
 	if len(postings) > 0 {
 		return len(postings)
 	}

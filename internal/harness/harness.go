@@ -13,7 +13,6 @@ package harness
 
 import (
 	"fmt"
-	"math/rand"
 
 	"cachepart/internal/cachesim"
 	"cachepart/internal/core"
@@ -156,7 +155,7 @@ type System struct {
 	Space   *memory.Space
 	Machine *cachesim.Machine
 	Engine  *engine.Engine
-	Rng     *rand.Rand
+	Rng     *workload.Rand
 }
 
 // NewSystem builds a machine at the requested scale with partitioning
@@ -181,7 +180,7 @@ func NewSystem(p Params) (*System, error) {
 		Space:   memory.NewSpace(),
 		Machine: m,
 		Engine:  e,
-		Rng:     rand.New(rand.NewSource(p.Seed)),
+		Rng:     workload.NewRand(p.Seed),
 	}, nil
 }
 

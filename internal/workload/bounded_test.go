@@ -15,10 +15,10 @@ var boundedNs = []int64{1, 2, 3, 1024, 21845, 31250, 312500, 1<<31 - 1, 1<<62 + 
 
 func TestBoundedMatchesInt63n(t *testing.T) {
 	for _, n := range boundedNs {
-		want, got := rand.New(rand.NewSource(n)), rand.New(rand.NewSource(n))
+		want, got := rand.New(rand.NewSource(n)), NewRand(n)
 		d := newBounded(n)
 		for i := 0; i < 100_000; i++ {
-			if w, g := want.Int63n(n), d.draw(got); w != g {
+			if w, g := want.Int63n(n), d.draw(got.src); w != g {
 				t.Fatalf("n=%d draw %d: prepared draw %d, Int63n %d", n, i, g, w)
 			}
 		}

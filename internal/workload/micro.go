@@ -23,7 +23,7 @@ import (
 // entry, without materialising an intermediate value slice, so
 // multi-million-row samples stay cheap to load. Row i holds the i-th
 // draw of rng.Int63n(hi-lo+1).
-func EncodeUniformDense(space *memory.Space, name string, rng *rand.Rand, n int, lo, hi int64, entrySize uint64) (*column.Column, error) {
+func EncodeUniformDense(space *memory.Space, name string, rng *Rand, n int, lo, hi int64, entrySize uint64) (*column.Column, error) {
 	dict, err := column.NewDenseDictionary(space, name, lo, hi, entrySize)
 	if err != nil {
 		return nil, err
@@ -36,9 +36,7 @@ func EncodeUniformDense(space *memory.Space, name string, rng *rand.Rand, n int,
 	var run [256]uint32
 	for from := 0; from < n; from += len(run) {
 		r := run[:min(len(run), n-from)]
-		for j := range r {
-			r[j] = uint32(d.draw(rng))
-		}
+		d.fill(rng.src, r)
 		codes.PackRun(from, r)
 	}
 	return &column.Column{Name: name, Dict: dict, Codes: codes}, nil
@@ -47,7 +45,7 @@ func EncodeUniformDense(space *memory.Space, name string, rng *rand.Rand, n int,
 // DistinctInts samples n distinct integers from [lo, hi] in random
 // order; n must not exceed the domain size. For small domains it
 // shuffles; for large ones it uses rejection sampling.
-func DistinctInts(rng *rand.Rand, n int, lo, hi int64) ([]int64, error) {
+func DistinctInts(rng *Rand, n int, lo, hi int64) ([]int64, error) {
 	span := hi - lo + 1
 	if int64(n) > span {
 		return nil, fmt.Errorf("workload: %d distinct values from domain of %d", n, span)
@@ -64,7 +62,7 @@ func DistinctInts(rng *rand.Rand, n int, lo, hi int64) ([]int64, error) {
 	seen := make(map[int64]struct{}, n)
 	out := make([]int64, 0, n)
 	for len(out) < n {
-		v := lo + d.draw(rng)
+		v := lo + d.draw(rng.src)
 		if _, ok := seen[v]; ok {
 			continue
 		}
@@ -100,13 +98,34 @@ func newBounded(n int64) bounded {
 	return bounded{n: d, max: int64(math.MaxInt64 - (1<<63)%d), chi: qhi + carry, clo: clo}
 }
 
-// draw returns the next value Int63n(n) would return from r.
-func (b *bounded) draw(r *rand.Rand) int64 {
-	v := r.Int63()
+// draw returns the next value Int63n(n) would return from s.
+func (b *bounded) draw(s *source) int64 {
+	v := s.Int63()
 	for v > b.max {
-		v = r.Int63()
+		v = s.Int63()
 	}
 	return b.mod(uint64(v))
+}
+
+// fill sets each code of dst to the next value Int63n(n) would return
+// from s, n < 2^32, reading the raw draws straight from s's buffer.
+func (b *bounded) fill(s *source, dst []uint32) {
+	pos := s.pos
+	for j := range dst {
+		for {
+			if pos == len(s.buf) {
+				s.refill()
+				pos = s.pos
+			}
+			v := int64(s.buf[pos] &^ (1 << 63))
+			pos++
+			if v <= b.max {
+				dst[j] = uint32(b.mod(uint64(v)))
+				break
+			}
+		}
+	}
+	s.pos = pos
 }
 
 // mod returns v mod n for v < 2^63: the low 128 bits of c·v, times n,
@@ -138,7 +157,7 @@ type ScanQuery struct {
 }
 
 // NewQ1 generates the data set and returns the query.
-func NewQ1(space *memory.Space, rng *rand.Rand, spec Q1Spec) (*ScanQuery, error) {
+func NewQ1(space *memory.Space, rng *Rand, spec Q1Spec) (*ScanQuery, error) {
 	if spec.Rows <= 0 || spec.Distinct <= 0 {
 		return nil, fmt.Errorf("workload: bad Q1 spec %+v", spec)
 	}
@@ -201,7 +220,7 @@ type AggQuery struct {
 }
 
 // NewQ2 generates the data set and returns the query.
-func NewQ2(space *memory.Space, rng *rand.Rand, spec Q2Spec) (*AggQuery, error) {
+func NewQ2(space *memory.Space, rng *Rand, spec Q2Spec) (*AggQuery, error) {
 	if spec.Rows <= 0 || spec.DistinctV <= 0 || spec.Groups <= 0 {
 		return nil, fmt.Errorf("workload: bad Q2 spec %+v", spec)
 	}
@@ -351,7 +370,7 @@ type JoinQuery struct {
 // is fully populated at load time (every key 1..N exists in R); each
 // execution re-builds a ratio-preserving sample of it and probes all
 // foreign keys.
-func NewQ3(space *memory.Space, rng *rand.Rand, spec Q3Spec) (*JoinQuery, error) {
+func NewQ3(space *memory.Space, rng *Rand, spec Q3Spec) (*JoinQuery, error) {
 	if spec.ProbeRows <= 0 || spec.Keys <= 0 {
 		return nil, fmt.Errorf("workload: bad Q3 spec %+v", spec)
 	}

@@ -12,7 +12,10 @@ import (
 	"cachepart/internal/memory"
 )
 
-func testRng() *rand.Rand { return rand.New(rand.NewSource(1)) }
+func testRng() *Rand { return NewRand(1) }
+
+// oracleRng is math/rand's own generator at testRng's seed.
+func oracleRng() *rand.Rand { return rand.New(rand.NewSource(1)) }
 
 func TestDistinctInts(t *testing.T) {
 	vals, err := DistinctInts(testRng(), 100, 1, 1000)
@@ -66,7 +69,7 @@ func TestEncodeUniformDenseMatchesInt63nLoop(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracleSpace, oracle := memory.NewSpace(), testRng()
+		oracleSpace, oracle := memory.NewSpace(), oracleRng()
 		dict, _ := column.NewDenseDictionary(oracleSpace, "c", 1, span, 64)
 		codes, _ := column.NewPackedVector(oracleSpace, "c", n, dict.CodeBits())
 		if col.Dict.Region() != dict.Region() || col.Codes.Region() != codes.Region() {
@@ -86,7 +89,7 @@ func TestEncodeUniformDenseMatchesInt63nLoop(t *testing.T) {
 // TestDistinctIntsMatchesInt63nLoop pins the rejection-sampling path to
 // the rng.Int63n loop it replaced.
 func TestDistinctIntsMatchesInt63nLoop(t *testing.T) {
-	rng, oracle := testRng(), testRng()
+	rng, oracle := testRng(), oracleRng()
 	got, err := DistinctInts(rng, 500, 1, 1_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +116,7 @@ func TestQ1SpecAndPlan(t *testing.T) {
 	if q.Name() == "" || q.Spec().Rows != 10_000 {
 		t.Error("spec lost")
 	}
-	phases, err := q.Plan(4, testRng())
+	phases, err := q.Plan(4, testRng().Rand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +140,7 @@ func TestQ2PlanAndTables(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	phases, err := q.Plan(4, testRng())
+	phases, err := q.Plan(4, testRng().Rand)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +158,7 @@ func TestQ2PlanAndTables(t *testing.T) {
 	}
 	// Replanning with the same core count reuses the tables.
 	allocated := space.Allocated()
-	if _, err := q.Plan(4, testRng()); err != nil {
+	if _, err := q.Plan(4, testRng().Rand); err != nil {
 		t.Fatal(err)
 	}
 	if got := space.Allocated(); got != allocated {
@@ -197,7 +200,7 @@ func TestQ3PlanAndFootprint(t *testing.T) {
 	if q.Footprint().BitVectorBytes != q.BV.Bytes() {
 		t.Error("footprint mismatch")
 	}
-	phases, err := q.Plan(2, testRng())
+	phases, err := q.Plan(2, testRng().Rand)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -86,7 +86,7 @@ func residualOf(doc int64) [4]int64 {
 }
 
 // Load generates the table.
-func Load(space *memory.Space, rng *rand.Rand, spec Spec) (*Table, error) {
+func Load(space *memory.Space, rng *workload.Rand, spec Spec) (*Table, error) {
 	if spec.Rows <= 0 {
 		return nil, fmt.Errorf("s4: rows %d", spec.Rows)
 	}
@@ -115,16 +115,25 @@ func Load(space *memory.Space, rng *rand.Rand, spec Spec) (*Table, error) {
 		residual[d] = residualOf(int64(d) + 1)
 	}
 	names := []string{"acdoca.rclnt", "acdoca.rldnr", "acdoca.rbukrs", "acdoca.gjahr"}
-	vals := make([]int64, spec.Rows)
 	for k, card := range residualCards() {
-		for i := range vals {
-			vals[i] = residual[t.DocKey.Codes.Get(i)][k]
-		}
-		col, err := column.EncodeDense(space, names[k], vals, 1, card, column.DefaultEntrySize)
+		// The dictionary is dense from 1, so value v has code v-1.
+		dict, err := column.NewDenseDictionary(space, names[k], 1, card, column.DefaultEntrySize)
 		if err != nil {
 			return nil, err
 		}
-		t.Residual = append(t.Residual, col)
+		codes, err := column.NewPackedVector(space, names[k], spec.Rows, dict.CodeBits())
+		if err != nil {
+			return nil, err
+		}
+		var run [256]uint32
+		for from := 0; from < spec.Rows; from += len(run) {
+			r := run[:min(len(run), spec.Rows-from)]
+			for j := range r {
+				r[j] = uint32(residual[t.DocKey.Codes.Get(from+j)][k] - 1)
+			}
+			codes.PackRun(from, r)
+		}
+		t.Residual = append(t.Residual, &column.Column{Name: names[k], Dict: dict, Codes: codes})
 	}
 	t.Index, err = column.BuildInvertedIndex(space, t.DocKey)
 	if err != nil {
@@ -142,7 +151,7 @@ func Load(space *memory.Space, rng *rand.Rand, spec Spec) (*Table, error) {
 	return t, nil
 }
 
-func buildDictColumns(space *memory.Space, rng *rand.Rand, prefix string, sizesMiB []float64, spec Spec) ([]*column.Column, error) {
+func buildDictColumns(space *memory.Space, rng *workload.Rand, prefix string, sizesMiB []float64, spec Spec) ([]*column.Column, error) {
 	out := make([]*column.Column, 0, len(sizesMiB))
 	for i, mib := range sizesMiB {
 		distinct := int64(mib*1024*1024/nvarcharEntry) / int64(spec.Scale)

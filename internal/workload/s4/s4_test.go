@@ -10,12 +10,13 @@ import (
 	"cachepart/internal/engine"
 	"cachepart/internal/exec"
 	"cachepart/internal/memory"
+	"cachepart/internal/workload"
 )
 
 func testTable(t *testing.T) *Table {
 	t.Helper()
 	space := memory.NewSpace()
-	tab, err := Load(space, rand.New(rand.NewSource(1)), Spec{Rows: 50_000, Scale: 64, RowsPerDocument: 20})
+	tab, err := Load(space, workload.NewRand(1), Spec{Rows: 50_000, Scale: 64, RowsPerDocument: 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func TestLoadGeometry(t *testing.T) {
 // the same raw draws are consumed.
 func TestLoadMatchesInt63nLoop(t *testing.T) {
 	spec := Spec{Rows: 3000, Scale: 256, RowsPerDocument: 20}
-	rng := rand.New(rand.NewSource(9))
+	rng := workload.NewRand(9)
 	tab, err := Load(memory.NewSpace(), rng, spec)
 	if err != nil {
 		t.Fatal(err)
@@ -93,7 +94,7 @@ func TestLoadMatchesInt63nLoop(t *testing.T) {
 
 func TestLoadValidation(t *testing.T) {
 	space := memory.NewSpace()
-	if _, err := Load(space, rand.New(rand.NewSource(1)), Spec{}); err == nil {
+	if _, err := Load(space, workload.NewRand(1), Spec{}); err == nil {
 		t.Error("zero rows accepted")
 	}
 }

@@ -15,7 +15,6 @@ package tpch
 
 import (
 	"fmt"
-	"math/rand"
 
 	"cachepart/internal/column"
 	"cachepart/internal/memory"
@@ -67,7 +66,7 @@ func (s Spec) scaleN(n int64) int64 {
 }
 
 // Load generates the profile database.
-func Load(space *memory.Space, rng *rand.Rand, spec Spec) (*DB, error) {
+func Load(space *memory.Space, rng *workload.Rand, spec Spec) (*DB, error) {
 	if spec.Scale <= 0 {
 		spec.Scale = 1
 	}
@@ -151,7 +150,7 @@ type colSpec struct {
 	clustered bool
 }
 
-func buildTable(space *memory.Space, rng *rand.Rand, name string, rows int, cols []colSpec) (*column.Table, error) {
+func buildTable(space *memory.Space, rng *workload.Rand, name string, rows int, cols []colSpec) (*column.Table, error) {
 	t := column.NewTable(name)
 	for _, cs := range cols {
 		var c *column.Column

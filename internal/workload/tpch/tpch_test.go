@@ -8,12 +8,13 @@ import (
 	"cachepart/internal/core"
 	"cachepart/internal/engine"
 	"cachepart/internal/memory"
+	"cachepart/internal/workload"
 )
 
 func testDB(t *testing.T) (*DB, *memory.Space) {
 	t.Helper()
 	space := memory.NewSpace()
-	db, err := Load(space, rand.New(rand.NewSource(1)), Spec{Scale: 64, LineitemRows: 40_000})
+	db, err := Load(space, workload.NewRand(1), Spec{Scale: 64, LineitemRows: 40_000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +46,7 @@ func TestLoadGeometry(t *testing.T) {
 
 func TestLoadValidation(t *testing.T) {
 	space := memory.NewSpace()
-	if _, err := Load(space, rand.New(rand.NewSource(1)), Spec{Scale: 1}); err == nil {
+	if _, err := Load(space, workload.NewRand(1), Spec{Scale: 1}); err == nil {
 		t.Error("zero rows accepted")
 	}
 }

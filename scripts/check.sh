@@ -23,9 +23,10 @@
 #            the digests of repeated runs (the CI bench job)
 #   fuzz     a 10 s smoke run of each fuzz target beyond its checked-in
 #            seeds: FuzzCountInRange (packed scan against the Get loop),
-#            FuzzPackRun (the run writer against the per-row Set loop)
-#            and FuzzCacheOps (word-at-a-time sets against the stamp
-#            reference) (the CI fuzz job)
+#            FuzzPackRun (the run writer against the per-row Set loop),
+#            FuzzCacheOps (word-at-a-time sets against the stamp
+#            reference) and FuzzRandMatchesMathRand (the generators'
+#            bulk rng against math/rand's own) (the CI fuzz job)
 #   all      every gate, in order (the default)
 #
 # No mode re-runs, under a -run filter, tests that `go test ./...` in
@@ -123,6 +124,9 @@ if [ "$mode" = fuzz ] || [ "$mode" = all ]; then
 
 	echo '== go test -fuzz FuzzCacheOps -fuzztime 10s ./internal/cachesim'
 	go test -run '^$' -fuzz '^FuzzCacheOps$' -fuzztime 10s ./internal/cachesim
+
+	echo '== go test -fuzz FuzzRandMatchesMathRand -fuzztime 10s ./internal/workload'
+	go test -run '^$' -fuzz '^FuzzRandMatchesMathRand$' -fuzztime 10s ./internal/workload
 fi
 
 echo "check.sh: $mode gate(s) passed"

@@ -145,11 +145,12 @@ func TestJoinStepZeroAllocs(t *testing.T) {
 // TestLookupExecutionAllocs: the OLTP operators run one short
 // execution per query, so what a query costs is building the kernel
 // and Driving it to done. The ceilings are the counts this test
-// measured: the kernel itself, and the candidate and row slices its
-// probe fills or sizes (2 and 3 allocations for 50 matching rows; the
-// row slice is sized from the candidates, so verification appends
-// without growing it). One allocation per posting or projected value
-// takes either at least 50 over.
+// measured, 2 each for 50 matching rows: the kernel itself and the
+// one slice its probe fills or sizes. PKLookupProject reads its
+// candidates straight from the index's postings and sizes its row
+// slice from them, so verification appends without growing it. One
+// allocation per posting or projected value takes either at least 50
+// over.
 func TestLookupExecutionAllocs(t *testing.T) {
 	ctx, space := testCtx(t)
 	const n = 5000
@@ -178,7 +179,7 @@ func TestLookupExecutionAllocs(t *testing.T) {
 			Drive(ctx, op, 64)
 			return len(op.Rows())
 		}},
-		{"PKLookupProject", 3, func() int {
+		{"PKLookupProject", 2, func() int {
 			op, err := NewPKLookupProject(ix1, 3, residualCols, residual, project)
 			if err != nil {
 				t.Fatal(err)

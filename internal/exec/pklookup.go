@@ -117,7 +117,9 @@ func (p *PKLookupProject) probe(ctx *Ctx) int {
 		ctx.Read(p.Index.PostingAddr(code, k))
 	}
 	ctx.Compute(int64(len(postings)/8+1), uint64(len(postings)/4+2))
-	p.cands = append(p.cands[:0], postings...)
+	// The index is never written after it is built, so the candidates
+	// can alias its postings.
+	p.cands = postings
 	p.rows = make([]uint32, 0, len(postings)) // every candidate may match
 	if len(postings) > 0 {
 		return len(postings)

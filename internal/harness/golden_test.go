@@ -13,7 +13,8 @@ import (
 var update = flag.Bool("update", false, "rewrite testdata/golden/<name>.txt for each figure test run")
 
 // goldenDir holds one <name>.txt per figure: exactly the bytes the CLI
-// prints for it.
+// prints for it. Its sweep/ subdirectory pins the wider sweeps the
+// smoke tests run, which are no figure's.
 const goldenDir = "testdata/golden"
 
 // TestGoldenDigests keeps testdata/golden in step with the figure
@@ -59,7 +60,7 @@ func checkGolden(t *testing.T, name string, out []byte) {
 	t.Helper()
 	path := filepath.Join(goldenDir, name+".txt")
 	if *update {
-		if err := os.MkdirAll(goldenDir, 0o755); err != nil {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
 		if err := os.WriteFile(path, out, 0o644); err != nil {

@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"os"
 	"reflect"
 	"testing"
 
@@ -19,8 +18,9 @@ func overloadTestOpts() Params {
 	return p
 }
 
-// TestFigOverloadSmoke prints a reduced sweep at test scale (visual
-// check with -v; the assertions below pin the contract).
+// TestFigOverloadSmoke pins a reduced sweep at test scale, loads 1 and
+// 3 on every arm and shedding policy, to
+// testdata/golden/sweep/overload.txt.
 func TestFigOverloadSmoke(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -32,7 +32,9 @@ func TestFigOverloadSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	PrintOverload(os.Stderr, r)
+	var out bytes.Buffer
+	PrintOverload(&out, r)
+	checkGolden(t, "sweep/overload", out.Bytes())
 }
 
 // TestFigOverloadAcceptance pins the experiment's headline claim: at

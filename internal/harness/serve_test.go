@@ -2,7 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"os"
 	"reflect"
 	"testing"
 
@@ -18,8 +17,8 @@ func serveTestOpts() Params {
 	return p
 }
 
-// TestFigServeSmoke prints a full sweep at test scale (visual check
-// with -v; the assertions below pin the contract).
+// TestFigServeSmoke pins the full sweep at test scale, every load and
+// arm, to testdata/golden/sweep/serve.txt.
 func TestFigServeSmoke(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -29,7 +28,9 @@ func TestFigServeSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	PrintServe(os.Stderr, r)
+	var out bytes.Buffer
+	PrintServe(&out, r)
+	checkGolden(t, "sweep/serve", out.Bytes())
 }
 
 // TestFigServeAcceptance pins the experiment's headline claim: at the

@@ -27,6 +27,7 @@ const (
 	opFill     // a column run: bounded.fill over the buffer
 	opFillHuge // bounded.fill at 3·2^61, so its rejection loop runs
 	opDraw     // DistinctInts' per-value draw
+	opSkip     // bounded.skip, at 31250 or 3·2^61, as a column's second half starts
 	opSeed
 	numOps
 )
@@ -92,6 +93,17 @@ func randOp(r *Rand, o *rand.Rand, op, arg int) (int, error) {
 	case opDraw:
 		d := newBounded(1_000_000 + int64(arg))
 		return 1, eq("draw", d.draw(r.src), o.Int63n(1_000_000+int64(arg)))
+	case opSkip:
+		n := int64(31250)
+		if arg/4%2 == 1 {
+			n = 3 << 61
+		}
+		d, k := newBounded(n), 1+arg*arg
+		d.skip(r.src, k)
+		for range k {
+			o.Int63n(n)
+		}
+		return k, nil
 	case opSeed:
 		seed := int64(arg)*0x5851f42d4c957f2d - 7
 		r.Seed(seed)
@@ -102,9 +114,9 @@ func randOp(r *Rand, o *rand.Rand, op, arg int) (int, error) {
 }
 
 // TestRandMatchesMathRand drives the replica and math/rand's generator
-// through the same calls, over 3 M raw draws per seed: column runs of
-// 1 to 3970 codes, so refills fall at many offsets, between each
-// scalar method, and a reseed every 400 k draws or so.
+// through the same calls, over 3 M raw draws per seed: column runs and
+// skips of 1 to 3970 codes, so refills fall at many offsets, between
+// each scalar method, and a reseed every 400 k draws or so.
 func TestRandMatchesMathRand(t *testing.T) {
 	for _, seed := range randSeeds {
 		r, o := NewRand(seed), rand.New(rand.NewSource(seed))
@@ -138,6 +150,7 @@ func FuzzRandMatchesMathRand(f *testing.F) {
 	f.Add(int64(1), []byte{opFill | 0xf0, opUint64, opInt63nHuge, opFill | 0x70})
 	f.Add(int64(-7), []byte{opSeed | 0x30, opPerm | 0x50, opShuffle | 0x20, opFillHuge | 0xf0, opFloat64})
 	f.Add(int64(1<<40), []byte{opDraw, opIntn | 0x10, opInt63nPow2, opInt63nOdd, opInt63})
+	f.Add(int64(5), []byte{opSkip | 0xf0, opUint64, opSkip | 0x10, opFill | 0x30, opSkip | 0xb0, opInt63})
 	f.Fuzz(func(t *testing.T, seed int64, script []byte) {
 		r, o := NewRand(seed), rand.New(rand.NewSource(seed))
 		for i, b := range script {

@@ -14,8 +14,8 @@
 #            CI lint job); fails when gofmt -l names any file
 #   test     build + unit tests; the race detector over the packages
 #            below, and over the harness's fault-injection and
-#            degraded-mode tests; exec and engine at -cpu 1,2; every Go
-#            benchmark of the module run once (the CI test job)
+#            degraded-mode tests; exec, engine and workload at -cpu 1,2;
+#            every Go benchmark of the module run once (the CI test job)
 #   bench    the repo benchmark's own gate (bench/ is a module of its
 #            own, outside `go test ./...`): vet, its tests, and a
 #            -quick run whose self-checks compare CountInRange with the
@@ -74,8 +74,9 @@ if [ "$mode" = test ] || [ "$mode" = all ]; then
 	echo '== go test ./...'
 	go test ./...
 
-	# The packages that start the scan's count goroutine (column) or run
-	# beside it, the controllers called back from inside the loop (adapt,
+	# The packages that start a goroutine, the scan's count (column) or
+	# the first half of a generated column (workload), or run beside the
+	# count, the controllers called back from inside the loop (adapt,
 	# serve), and the address space and control planes a System owns
 	# (memory, resctrl, fault): engine's TestIndependentSystemsShareNothing
 	# runs two Systems at once. internal/lint holds no sync primitive and
@@ -91,10 +92,11 @@ if [ "$mode" = test ] || [ "$mode" = all ]; then
 	echo '== go test -race (harness: fault injection, degraded mode, telemetry gaps)'
 	go test -race -run 'Fault|Chaos|Gap|Degrad|ErrorPath|Retry' ./internal/harness/...
 
-	# The scan's count goroutine interleaved with the simulation on one
-	# P, and beside it on two.
-	echo '== go test -cpu 1,2 (exec, engine)'
-	go test -cpu 1,2 ./internal/exec/... ./internal/engine/...
+	# The scan's count goroutine interleaved with the simulation, and the
+	# generators' half-column helper with the caller's half, on one P,
+	# and beside them on two.
+	echo '== go test -cpu 1,2 (exec, engine, workload)'
+	go test -cpu 1,2 ./internal/exec/... ./internal/engine/... ./internal/workload/...
 
 	# `go test ./...` compiles the Benchmark functions but runs none;
 	# one iteration each keeps them running. Their timings are not

@@ -11,12 +11,17 @@ import (
 )
 
 // TestSimulatorStartsNoGoroutines holds DESIGN §5 (3) by structure: the
-// packages that can reach a Ctx or a Machine contain no go statement.
-// The one helper the simulator starts (PackedVector.StartCountInRange)
-// lives in internal/column, which imports only memory and so cannot.
-// Nor do they import "sync": one serial loop drives each System, so a
-// lock inside the simulator would guard nothing. (sync/atomic is a
-// different path; exec's bit vector keeps it.)
+// packages listed in noGo, which hold the simulator's run, contain no
+// go statement. The ban covers only those packages, not every package
+// that can reach a Ctx or a Machine. The module starts two helpers.
+// PackedVector.StartCountInRange lives in internal/column, which
+// imports only memory and so cannot reach either. workload's
+// encodeHalves can, but its helper touches only a copy of the
+// generator's source and a disjoint word range of one PackedVector,
+// and it finishes before any System runs. Nor do the noGo packages
+// import "sync": one serial loop drives each System, so a lock inside
+// the simulator would guard nothing. (sync/atomic is a different path;
+// exec's bit vector keeps it.)
 //
 // No simulator package imports "time" either, column and the
 // tick-carrying packages included: simulated time is a tick count, so

@@ -13,8 +13,13 @@
 // rejects a non-contiguous or empty mask at every write, the alloc
 // budgets name the line that allocates on a hot path, and exec's
 // TestSimulatorStartsNoGoroutines bans go statements and the "sync"
-// and "time" imports from the simulator's packages, so no lock,
-// goroutine or wall-clock duration reaches a run.
+// import from the packages that hold a run, and "time" from every
+// simulator package, so no lock, goroutine or wall-clock duration
+// reaches a run. The ban lists packages; it does not cover all that
+// can reach a Machine. The module's two helpers are column's
+// StartCountInRange and workload's encodeHalves, which encodes half a
+// generated column from a copy of its source and finishes before any
+// System runs.
 //
 // Intentional exceptions are annotated in the source with
 //

@@ -131,10 +131,6 @@ const (
 	trialLength      = 2
 	trialBackoff     = 2
 	trialIntervalMax = 128
-
-	// historyLimit bounds the transition log; older entries are
-	// dropped first.
-	historyLimit = 4096
 )
 
 // Config carries no settings: the controller's values are the

@@ -35,8 +35,9 @@ type Controller struct {
 	peakBytesPerSecond float64
 
 	streams []streamState
+	// history is the run's transition log, the one record of its
+	// schemata writes.
 	history []Transition
-	writes  int
 	// gaps counts failed telemetry samples, writeFailures absorbed
 	// schemata-write faults, across the run.
 	gaps          int
@@ -77,7 +78,6 @@ func groupName(stream int) string { return fmt.Sprintf("adapt%d", stream) }
 func (c *Controller) BeginRun(streams []engine.StreamInfo) error {
 	c.streams = make([]streamState, len(streams))
 	c.history = nil
-	c.writes = 0
 	c.gaps = 0
 	c.writeFailures = 0
 	c.win.Reset()
@@ -294,23 +294,16 @@ func (c *Controller) apply(st *streamState, stream, epoch int, from Class, trial
 	return nil
 }
 
-// record logs a transition if it changed anything — a real schemata
-// write or a class change — trimming the history to historyLimit.
+// record logs a transition if it changed anything: a real schemata
+// write or a class change.
 func (c *Controller) record(t Transition) {
-	if t.Written {
-		c.writes++
-	}
-	if !t.Written && t.From == t.To {
-		return
-	}
-	c.history = append(c.history, t)
-	if len(c.history) > historyLimit {
-		c.history = append(c.history[:0], c.history[len(c.history)-historyLimit:]...)
+	if t.Written || t.From != t.To {
+		c.history = append(c.history, t)
 	}
 }
 
 // Transitions returns the recorded mask reprogrammings of the current
-// run, oldest first (bounded by historyLimit).
+// run, oldest first.
 func (c *Controller) Transitions() []Transition {
 	out := make([]Transition, len(c.history))
 	copy(out, c.history)
@@ -319,8 +312,18 @@ func (c *Controller) Transitions() []Transition {
 
 // SchemataWrites reports how many schemata writes the controller has
 // performed since BeginRun — the number elision keeps at zero across
-// quiescent epochs.
-func (c *Controller) SchemataWrites() int { return c.writes }
+// quiescent epochs — by counting the Written transitions. The writes
+// BeginRun makes to reset every group to the full mask are not logged,
+// so not counted.
+func (c *Controller) SchemataWrites() int {
+	n := 0
+	for _, t := range c.history {
+		if t.Written {
+			n++
+		}
+	}
+	return n
+}
 
 // Gaps reports how many telemetry samples failed since BeginRun —
 // epochs the controller rode out by holding its last decision.

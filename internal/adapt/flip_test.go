@@ -135,9 +135,12 @@ func TestPhaseFlipReclassified(t *testing.T) {
 	ways := e.Policy().LLCWays
 	full := cat.FullMask(ways)
 	narrow := cat.PortionMask(ways, adapt.StreamingWaysFraction)
-	var confines, widens, recoveries int
+	var confines, widens, recoveries, written int
 	firstConfine, firstRecovery := -1, -1
 	for _, tr := range ctrl.Transitions() {
+		if tr.Written {
+			written++
+		}
 		switch {
 		case tr.Stream != 0:
 			if tr.Mask != full {
@@ -176,8 +179,11 @@ func TestPhaseFlipReclassified(t *testing.T) {
 		t.Fatalf("controller confined only %d time(s); never re-narrowed after recovery",
 			confines)
 	}
+	if got := ctrl.SchemataWrites(); got != written {
+		t.Fatalf("SchemataWrites = %d, but %d transitions are Written", got, written)
+	}
 	t.Logf("transitions: %d confine, %d widen, %d recover (%d writes)",
-		confines, widens, recoveries, ctrl.SchemataWrites())
+		confines, widens, recoveries, written)
 }
 
 // TestAdaptiveRunBitIdentical runs the same seeded flip workload twice

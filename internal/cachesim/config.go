@@ -92,15 +92,6 @@ type Config struct {
 	// overlap.
 	MissParallelism int
 
-	// PrefetchDropQueue flow-controls the prefetcher: when the DRAM
-	// queue is backed up by more than this many line-transfer slots, a
-	// prefetch is dropped instead of issued, as real prefetchers are
-	// dropped under memory pressure. Demand misses are never dropped —
-	// they self-regulate because the core waits. Zero uses the
-	// default of Cores × PrefetchDepth outstanding lines, roughly the
-	// machine's fill-buffer capacity.
-	PrefetchDropQueue int
-
 	// InclusiveLLC selects the paper machine's inclusive LLC: evicting
 	// an LLC line back-invalidates it from all private caches.
 	InclusiveLLC bool

@@ -195,14 +195,13 @@ func New(cfg Config) (*Machine, error) {
 	if m.dramStall < m.dramService {
 		m.dramStall = m.dramService
 	}
-	dropLines := int64(cfg.PrefetchDropQueue)
-	if dropLines <= 0 {
-		dropLines = int64(cfg.Cores) * int64(cfg.PrefetchDepth)
-		if dropLines < 32 {
-			dropLines = 32
-		}
-	}
-	m.pfDropQueue = dropLines * m.dramService
+	// Prefetch flow control: when the DRAM queue is backed up by more
+	// than Cores × PrefetchDepth line transfers (at least 32), roughly
+	// the machine's fill-buffer capacity, a prefetch is dropped instead
+	// of issued, as real prefetchers are under memory pressure. Demand
+	// misses are never dropped; they self-regulate because the core
+	// waits.
+	m.pfDropQueue = max(int64(cfg.Cores)*int64(cfg.PrefetchDepth), 32) * m.dramService
 	return m, nil
 }
 

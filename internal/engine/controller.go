@@ -55,49 +55,19 @@ func (e *Engine) AttachController(c Controller) { e.ctrl = c }
 // static policy path.
 func (e *Engine) DetachController() { e.ctrl = nil }
 
-// epochState tracks the controller's clock within one run.
-type epochState struct {
-	ticks int64 // epoch length
-	next  int64 // next boundary
-	idx   int
-}
-
-// controllerBegin starts the controller's run, returning nil state
-// when no controller is attached.
-func (e *Engine) controllerBegin(infos []StreamInfo) (*epochState, error) {
-	if e.ctrl == nil {
-		return nil, nil
+// onEpoch runs the attached controller's step for one epoch whose
+// boundary the core's progress crossed. Real schemata writes performed
+// by the controller count as mask writes and charge the modelled
+// kernel-interaction overhead to that core, so an active controller is
+// never free while a quiescent one costs nothing.
+func (e *Engine) onEpoch(epoch, coreID int) error {
+	before := e.fs.Writes()
+	if err := e.ctrl.OnEpoch(epoch); err != nil {
+		return err
 	}
-	if err := e.ctrl.BeginRun(infos); err != nil {
-		return nil, err
-	}
-	t := e.m.Ticks(ControlEpochSeconds)
-	if t < 1 {
-		t = 1
-	}
-	return &epochState{ticks: t, next: t}, nil
-}
-
-// controllerTick fires every control epoch the virtual clock has
-// crossed. Real schemata writes performed by the controller count as
-// mask writes and charge the modelled kernel-interaction overhead to
-// the core whose progress crossed the boundary, so an active
-// controller is never free while a quiescent one costs nothing.
-func (e *Engine) controllerTick(es *epochState, now int64, coreID int) error {
-	if es == nil {
-		return nil
-	}
-	for now >= es.next {
-		before := e.fs.Writes()
-		if err := e.ctrl.OnEpoch(es.idx); err != nil {
-			return err
-		}
-		if w := e.fs.Writes() - before; w > 0 {
-			e.maskWrites += w
-			e.m.Compute(coreID, int64(w)*DefaultMaskOverheadCycles, uint64(w))
-		}
-		es.idx++
-		es.next += es.ticks
+	if w := e.fs.Writes() - before; w > 0 {
+		e.maskWrites += w
+		e.m.Compute(coreID, int64(w)*DefaultMaskOverheadCycles, uint64(w))
 	}
 	return nil
 }

@@ -61,13 +61,11 @@ type stream struct {
 	phaseIdx int
 	slots    []kernelSlot
 
-	execs     int64
 	rows      int64        // counted rows: of the run, or in a fed run of the execution in flight
 	execStart int64        // tick the in-flight execution began
 	queries   []QueryStamp // every recorded execution, in completion order
 
 	// The tally at the warm-up boundary, which the results subtract.
-	execsAtWarm   int64
 	rowsAtWarm    int64
 	queriesAtWarm int // executions recorded before warm-up
 	// statsAt is the stream's counters where its measurement began: the
@@ -95,7 +93,11 @@ type runState struct {
 	// slot, re-sorted by core for a closed run.
 	bindings []runnable
 	ctxs     []*exec.Ctx
-	ces      *epochState // controller clock, nil without a controller
+
+	// The epoch clock: its length and the next boundary. The loop
+	// calls an attached Controller once per boundary crossed.
+	epochTicks int64
+	nextEpoch  int64
 
 	// The loop returns once the least-advanced core reaches durTicks
 	// (MaxInt64: once the feed has retired every group); results cover
@@ -139,17 +141,19 @@ func (e *Engine) checkCores(specs []StreamSpec) error {
 
 // begin is the prologue of every run: reset the machine and the fault
 // accounting so runs are independent and deterministic, start the
-// controller's run, and build one stream per spec. Nothing before it
-// may touch the engine; everything a front end validates, it validates
-// first.
+// controller's run and the epoch clock, and build one stream per spec.
+// Nothing before it may touch the engine; everything a front end
+// validates, it validates first.
 func (e *Engine) begin(rs *runState, specs []StreamSpec, infos []StreamInfo) error {
 	e.m.Reset()
 	e.resetFaultState(len(specs))
-	ces, err := e.controllerBegin(infos)
-	if err != nil {
-		return err
+	if e.ctrl != nil {
+		if err := e.ctrl.BeginRun(infos); err != nil {
+			return err
+		}
 	}
-	rs.ces = ces
+	rs.epochTicks = max(e.m.Ticks(ControlEpochSeconds), 1)
+	rs.nextEpoch = rs.epochTicks
 	rs.streams = make([]*stream, len(specs))
 	for i, spec := range specs {
 		rs.streams[i] = &stream{spec: spec, idx: i}
@@ -233,7 +237,6 @@ func (rs *runState) snapshotWarm(e *Engine) {
 	rs.warmed = true
 	for _, st := range rs.streams {
 		st.rowsAtWarm = st.rows
-		st.execsAtWarm = st.execs
 		st.queriesAtWarm = len(st.queries)
 		st.statsAt = e.coreStats(st.spec.Cores)
 	}
@@ -278,11 +281,11 @@ func (e *Engine) syncTo(cores []int, t int64) int64 {
 // runnable core (in a fed run, an idle group whose wake tick is no later
 // is dispatched instead, and the pick repeated); snapshot the warm-up
 // boundary when the pick crosses it; return when it reaches the
-// horizon; fire the controller epochs it has crossed; run the slice;
-// and if that finished the phase's last kernel, take the stream through
-// its barrier. The front end has planned and prewarmed by now; the loop
-// first rewinds the clocks and counters that cost, so the measured
-// window starts at tick zero in steady state.
+// horizon; call the controller once per epoch boundary it has crossed;
+// run the slice; and if that finished the phase's last kernel, take the
+// stream through its barrier. The front end has planned and prewarmed
+// by now; the loop first rewinds the clocks and counters that cost, so
+// the measured window starts at tick zero in steady state.
 func (e *Engine) loop(rs *runState) error {
 	e.m.ZeroClocksAndStats()
 	run := rs.runnables(nil)
@@ -309,8 +312,12 @@ func (e *Engine) loop(rs *runState) error {
 		if now >= rs.durTicks {
 			return nil
 		}
-		if err := e.controllerTick(rs.ces, now, r.core); err != nil {
-			return err
+		for ; now >= rs.nextEpoch; rs.nextEpoch += rs.epochTicks {
+			if e.ctrl != nil {
+				if err := e.onEpoch(int(rs.nextEpoch/rs.epochTicks)-1, r.core); err != nil {
+					return err
+				}
+			}
 		}
 		done, err := e.stepSlice(rs, r.st, r.slot, r.core)
 		if err != nil {
@@ -380,7 +387,6 @@ func (e *Engine) barrier(rs *runState, st *stream, core int) error {
 	if st.phaseIdx < len(st.phases) {
 		return e.armPhase(st)
 	}
-	st.execs++
 	if rs.feed != nil {
 		e.complete(rs, st, t)
 		return nil

@@ -236,13 +236,15 @@ func (e *Engine) openLoopResults(rs *runState) *OpenLoopResult {
 	out := &OpenLoopResult{Completions: rs.done, Groups: make([]GroupResult, len(rs.streams))}
 	for i, st := range rs.streams {
 		out.Groups[i] = GroupResult{
-			Completed: st.execs,
 			BusyTicks: st.busyTicks,
 			EndTick:   e.clock(st.spec.Cores),
 			Stats:     e.coreStats(st.spec.Cores),
 			Retries:   e.streamFaults[i].retries,
 			Degraded:  e.streamFaults[i].degraded,
 		}
+	}
+	for _, c := range rs.done {
+		out.Groups[c.Group].Completed++
 	}
 	return out
 }

@@ -162,14 +162,15 @@ func (e *Engine) results(rs *runState) []StreamResult {
 	window := e.m.Seconds(rs.durTicks - warmTicks)
 	for i, st := range rs.streams {
 		rows := st.rows - st.rowsAtWarm
+		queries := st.queries[st.queriesAtWarm:]
 		results[i] = StreamResult{
 			Name:          st.spec.Query.Name(),
-			Executions:    st.execs - st.execsAtWarm,
+			Executions:    int64(len(queries)),
 			Rows:          rows,
 			WindowSeconds: window,
 			Throughput:    float64(rows) / window,
 			Stats:         e.coreStats(st.spec.Cores).Sub(st.statsAt),
-			Queries:       st.queries[st.queriesAtWarm:],
+			Queries:       queries,
 			Retries:       e.streamFaults[i].retries,
 			Degraded:      e.streamFaults[i].degraded,
 		}

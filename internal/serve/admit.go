@@ -24,8 +24,6 @@ const (
 	// DropBreaker: the tenant's circuit breaker was open (or half-open
 	// with its probe outstanding).
 	DropBreaker
-
-	numDropReasons
 )
 
 // String names the reason for reports and CLI output.

@@ -69,23 +69,14 @@ type feed struct {
 	// capSum is Σ queue caps, the denominator of the shed-policy load.
 	capSum int
 
-	acct accounting
-}
-
-// accounting tallies the deterministic drop/queue statistics the
-// report folds in after the run. The identity per tenant is
-// attempts == admitted + Σ_reason drops, and admitted == completed
-// after the drain (queues empty). arrivals counts first attempts only.
-type accounting struct {
-	arrivals  []int64
-	attempts  []int64
-	admitted  []int64
-	drops     [numDropReasons][]int64
-	retries   []int64
-	abandoned []int64
-	peakDepth []int
-	// depthSum integrates queue depth over virtual time (Σ depth·dt);
-	// lastTick is the previous integration point.
+	// report is the Report's per-tenant slice, which the feed counts
+	// into as it goes: arrivals (first attempts), attempts, admissions,
+	// drops by reason, retries, abandons and peak depth. Per tenant,
+	// Attempts == Admitted + Dropped, and Admitted == Completed after
+	// the drain (queues empty).
+	report []TenantReport
+	// depthSum integrates each queue's depth over virtual time
+	// (Σ depth·dt); lastTick is the previous integration point.
 	depthSum []float64
 	lastTick int64
 	endTick  int64
@@ -118,22 +109,13 @@ func newFeed(cfg *Config, m *cachesim.Machine, arrivals []Arrival, groupCores []
 		retries:    cfg.Retries,
 		retryBase:  max(m.Ticks(retryBackoffSeconds), 1),
 		olRng:      newOverloadRng(cfg.Seed),
-		acct: accounting{
-			arrivals:  make([]int64, n),
-			attempts:  make([]int64, n),
-			admitted:  make([]int64, n),
-			retries:   make([]int64, n),
-			abandoned: make([]int64, n),
-			peakDepth: make([]int, n),
-			depthSum:  make([]float64, n),
-		},
-	}
-	for r := range f.acct.drops {
-		f.acct.drops[r] = make([]int64, n)
+		report:     make([]TenantReport, n),
+		depthSum:   make([]float64, n),
 	}
 	breakerBase := max(m.Ticks(breakerBackoffSeconds), 1)
 	for ti := range cfg.Tenants {
 		t := &cfg.Tenants[ti]
+		f.report[ti].Name = t.Name
 		f.capSum += t.queueCap()
 		if t.SLO > 0 {
 			f.target[ti] = m.Ticks(t.SLO)
@@ -163,14 +145,14 @@ func (f *feed) jitter() float64 { return 0.5 + f.olRng.Float64() }
 // non-decreasing now and arrivals are absorbed in trace order, so tick
 // never regresses.
 func (f *feed) integrate(tick int64) {
-	if dt := tick - f.acct.lastTick; dt > 0 {
+	if dt := tick - f.lastTick; dt > 0 {
 		for t := range f.queues {
-			f.acct.depthSum[t] += float64(f.depth(t)) * float64(dt)
+			f.depthSum[t] += float64(f.depth(t)) * float64(dt)
 		}
-		f.acct.lastTick = tick
+		f.lastTick = tick
 	}
-	if tick > f.acct.endTick {
-		f.acct.endTick = tick
+	if tick > f.endTick {
+		f.endTick = tick
 	}
 }
 
@@ -180,7 +162,18 @@ func (f *feed) integrate(tick int64) {
 // exponential backoff. A query whose final attempt drops is abandoned.
 func (f *feed) drop(a Arrival, reason DropReason, at int64) {
 	t := a.Tenant
-	f.acct.drops[reason][t]++
+	tr := &f.report[t]
+	tr.Dropped++
+	switch reason {
+	case DropQueueFull:
+		tr.DropQueue++
+	case DropDeadline:
+		tr.DropDeadline++
+	case DropShed:
+		tr.DropShed++
+	case DropBreaker:
+		tr.DropBreaker++
+	}
 	f.breakers[t].probeDropped(a.Seq, at, f.jitter)
 	if a.Attempt < f.retries && f.withinBudget(t) {
 		backoff := float64(f.retryBase<<uint(a.Attempt)) * f.jitter()
@@ -188,16 +181,16 @@ func (f *feed) drop(a Arrival, reason DropReason, at int64) {
 		r.Attempt++
 		r.Tick = at + int64(backoff)
 		f.pending.push(r)
-		f.acct.retries[t]++
+		tr.Retries++
 		return
 	}
-	f.acct.abandoned[t]++
+	tr.Abandoned++
 }
 
 // withinBudget checks the tenant's client retry budget: cumulative
 // retries stay within retryBudget of cumulative first arrivals.
 func (f *feed) withinBudget(t int) bool {
-	return float64(f.acct.retries[t]+1) <= retryBudget*float64(f.acct.arrivals[t])
+	return float64(f.report[t].Retries+1) <= retryBudget*float64(f.report[t].Arrivals)
 }
 
 // nextArrival peeks the earliest unabsorbed arrival across the trace
@@ -237,9 +230,10 @@ func (f *feed) absorb(now int64) {
 		}
 		f.integrate(a.Tick)
 		t := a.Tenant
-		f.acct.attempts[t]++
+		tr := &f.report[t]
+		tr.Attempts++
 		if a.Attempt == 0 {
-			f.acct.arrivals[t]++
+			tr.Arrivals++
 		}
 		admit, probe := f.breakers[t].admit(a)
 		if !admit {
@@ -255,11 +249,9 @@ func (f *feed) absorb(now int64) {
 			f.drop(a, DropQueueFull, a.Tick)
 			continue
 		}
-		f.acct.admitted[t]++
+		tr.Admitted++
 		f.queues[t] = append(f.queues[t], a)
-		if d+1 > f.acct.peakDepth[t] {
-			f.acct.peakDepth[t] = d + 1
-		}
+		tr.PeakDepth = max(tr.PeakDepth, d+1)
 	}
 }
 

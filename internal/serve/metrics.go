@@ -6,8 +6,8 @@ import (
 	"cachepart/internal/engine"
 )
 
-// metrics: post-processes engine Completions plus the feed's admission
-// accounting into the serving report. Everything is in virtual ticks;
+// metrics: folds engine Completions into the per-tenant reports the
+// feed counted its admissions and drops into. Everything is in virtual ticks;
 // rates use the machine's tick rate so "QPS" means queries per
 // simulated second. Latency is client-visible: completion tick minus
 // the query's FIRST arrival tick, so time a client spent backing off
@@ -118,6 +118,20 @@ func percentile(sorted []int64, q float64) int64 {
 	return sorted[i]
 }
 
+// latency sorts client latencies in place and returns their
+// p50/p99/p999 and mean; all zero for none.
+func latency(lat []int64) (p50, p99, p999 int64, mean float64) {
+	if len(lat) == 0 {
+		return 0, 0, 0, 0
+	}
+	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	var sum float64
+	for _, v := range lat {
+		sum += float64(v)
+	}
+	return percentile(lat, 0.50), percentile(lat, 0.99), percentile(lat, 0.999), sum / float64(len(lat))
+}
+
 // jain computes Jain's fairness index (Σx)²/(n·Σx²) over positive
 // entries.
 func jain(xs []float64) float64 {
@@ -137,12 +151,13 @@ func jain(xs []float64) float64 {
 	return sum * sum / (float64(n) * sq)
 }
 
-// buildReport folds completions and feed accounting into the Report.
+// buildReport folds completions into the feed's tenant reports and
+// sums them into the Report.
 func buildReport(cfg *Config, horizonTicks int64, ticksPerSec float64, f *feed, res *engine.OpenLoopResult) *Report {
 	r := &Report{
 		Seed:         cfg.Seed,
 		HorizonTicks: horizonTicks,
-		Tenants:      make([]TenantReport, len(cfg.Tenants)),
+		Tenants:      f.report,
 		Groups:       res.Groups,
 	}
 	horizonSec := float64(horizonTicks) / ticksPerSec
@@ -172,19 +187,7 @@ func buildReport(cfg *Config, horizonTicks int64, ticksPerSec float64, f *feed, 
 	for ti := range cfg.Tenants {
 		t := &cfg.Tenants[ti]
 		lat := perTenant[ti]
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
 		tr := &r.Tenants[ti]
-		tr.Name = t.Name
-		tr.Arrivals = f.acct.arrivals[ti]
-		tr.Attempts = f.acct.attempts[ti]
-		tr.Admitted = f.acct.admitted[ti]
-		tr.DropQueue = f.acct.drops[DropQueueFull][ti]
-		tr.DropDeadline = f.acct.drops[DropDeadline][ti]
-		tr.DropShed = f.acct.drops[DropShed][ti]
-		tr.DropBreaker = f.acct.drops[DropBreaker][ti]
-		tr.Dropped = tr.DropQueue + tr.DropDeadline + tr.DropShed + tr.DropBreaker
-		tr.Retries = f.acct.retries[ti]
-		tr.Abandoned = f.acct.abandoned[ti]
 		tr.BreakerTrips = f.breakers[ti].trips
 		tr.Probes = f.breakers[ti].probes
 		tr.Completed = int64(len(lat))
@@ -199,24 +202,16 @@ func buildReport(cfg *Config, horizonTicks int64, ticksPerSec float64, f *feed, 
 				tr.Polluter = true
 			}
 		}
-		tr.P50 = percentile(lat, 0.50)
-		tr.P99 = percentile(lat, 0.99)
-		tr.P999 = percentile(lat, 0.999)
+		tr.P50, tr.P99, tr.P999, tr.MeanLatency = latency(lat)
 		if n := float64(len(lat)); n > 0 {
-			var sum float64
-			for _, v := range lat {
-				sum += float64(v)
-			}
-			tr.MeanLatency = sum / n
 			tr.MeanWait = sumWait[ti] / n
 			tr.MeanService = sumSvc[ti] / n
 		}
 		if t.BaselineTicks > 0 && tr.MeanLatency > 0 {
 			tr.Slowdown = tr.MeanLatency / t.BaselineTicks
 		}
-		tr.PeakDepth = f.acct.peakDepth[ti]
-		if end := f.acct.endTick; end > 0 {
-			tr.MeanDepth = f.acct.depthSum[ti] / float64(end)
+		if f.endTick > 0 {
+			tr.MeanDepth = f.depthSum[ti] / float64(f.endTick)
 		}
 		r.Arrivals += tr.Arrivals
 		r.Attempts += tr.Attempts
@@ -233,17 +228,7 @@ func buildReport(cfg *Config, horizonTicks int64, ticksPerSec float64, f *feed, 
 		}
 	}
 
-	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
-	r.P50 = percentile(all, 0.50)
-	r.P99 = percentile(all, 0.99)
-	r.P999 = percentile(all, 0.999)
-	if n := float64(len(all)); n > 0 {
-		var sum float64
-		for _, v := range all {
-			sum += float64(v)
-		}
-		r.MeanLatency = sum / n
-	}
+	r.P50, r.P99, r.P999, r.MeanLatency = latency(all)
 	r.QPS = float64(r.Completed) / horizonSec
 	r.GoodQPS = float64(r.Good) / horizonSec
 	if r.Arrivals > 0 {

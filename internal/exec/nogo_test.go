@@ -16,9 +16,9 @@ import (
 // that can reach a Ctx or a Machine. The module starts two helpers.
 // PackedVector.StartCountInRange lives in internal/column, which
 // imports only memory and so cannot reach either. workload's
-// encodeHalves can, but its helper touches only a copy of the
-// generator's source and a disjoint word range of one PackedVector,
-// and it finishes before any System runs. Nor do the noGo packages
+// EncodeUniformColumns can, but its helper touches only a copy of the
+// generator's source and words of the job's PackedVectors that the
+// caller does not write, and it finishes before any System runs. Nor do the noGo packages
 // import "sync": one serial loop drives each System, so a lock inside
 // the simulator would guard nothing. (sync/atomic is a different path;
 // exec's bit vector keeps it.)

@@ -17,9 +17,9 @@
 // simulator package, so no lock, goroutine or wall-clock duration
 // reaches a run. The ban lists packages; it does not cover all that
 // can reach a Machine. The module's two helpers are column's
-// StartCountInRange and workload's encodeHalves, which encodes half a
-// generated column from a copy of its source and finishes before any
-// System runs.
+// StartCountInRange and workload's EncodeUniformColumns, which encodes
+// the first half of a list of generated columns' draws from a copy of
+// its source and finishes before any System runs.
 //
 // Intentional exceptions are annotated in the source with
 //

@@ -33,7 +33,7 @@ type Config struct {
 	Horizon float64
 	Tenants []Tenant
 
-	// Overload control (DESIGN.md §15), off in the zero value. Shed is
+	// Overload control (DESIGN.md §14), off in the zero value. Shed is
 	// the load-shedding policy; Retries is how many times a client
 	// retries a dropped query. Deadlines and circuit breakers follow
 	// each Tenant.SLO.

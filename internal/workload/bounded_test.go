@@ -1,8 +1,9 @@
 package workload
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -82,33 +83,141 @@ func TestBoundedSkip(t *testing.T) {
 	}
 }
 
-// TestEncodeHalvesMatchesSerial checks the split encoder against the
-// serial loop it replaces: the same codes in every row and the same
-// source state after, at lengths around the first split (mid is 0
-// below 512 rows, then 256) and past a few refills, at widths whose
-// runs straddle words (19 bits) or fill them unevenly (7 bits).
-func TestEncodeHalvesMatchesSerial(t *testing.T) {
-	for _, distinct := range []int64{312500, 100} {
-		d, width := newBounded(distinct), uint(bits.Len64(uint64(distinct-1)))
-		for _, n := range []int{255, 256, 511, 512, 513, 1<<16 + 7} {
-			split, serial := NewRand(3), NewRand(3)
-			got, _ := column.NewPackedVector(memory.NewSpace(), "got", n, width)
-			want, _ := column.NewPackedVector(memory.NewSpace(), "want", n, width)
-			d.encodeHalves(split.src, got, n/2&^255)
-			var run [256]uint32
-			for from := 0; from < n; from += len(run) {
-				r := run[:min(len(run), n-from)]
-				d.fill(serial.src, r)
-				want.PackRun(from, r)
-			}
-			for i := range n {
-				if g, w := got.Get(i), want.Get(i); g != w {
-					t.Fatalf("%d bits, n=%d: row %d holds %d, the serial loop %d", width, n, i, g, w)
-				}
-			}
-			if *split.src != *serial.src {
-				t.Errorf("%d bits, n=%d: the sources differ after the column", width, n)
+// encodeSerially is the loop EncodeUniformColumns replaces: each
+// column allocated, then drawn from r 256 codes at a time, in list
+// order.
+func encodeSerially(t *testing.T, space *memory.Space, r *Rand, specs []UniformSpec) []*column.Column {
+	t.Helper()
+	var cols []*column.Column
+	for _, sp := range specs {
+		dict, err := column.NewDenseDictionary(space, sp.Name, sp.Lo, sp.Hi, sp.EntrySize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		codes, err := column.NewPackedVector(space, sp.Name, sp.Rows, dict.CodeBits())
+		if err != nil {
+			t.Fatal(err)
+		}
+		d := newBounded(sp.Hi - sp.Lo + 1)
+		var run [256]uint32
+		for from := 0; from < sp.Rows; from += len(run) {
+			run := run[:min(len(run), sp.Rows-from)]
+			d.fill(r.src, run)
+			codes.PackRun(from, run)
+		}
+		cols = append(cols, &column.Column{Name: sp.Name, Dict: dict, Codes: codes})
+	}
+	return cols
+}
+
+// rejecting returns a Rand at seed whose next 607 raw draws lie just
+// under 2^63, at gaps spread from 0 to 2^32, so that the first column
+// drawn sees rejections: every bound below 2^32 that is not a power of
+// two rejects some of them, and TestEncodeColumnsMatchesSerial's five
+// bounds each a different number. A code column's bound otherwise
+// rejects at most about one draw in 2^31.
+func rejecting(seed int64) *Rand {
+	r := NewRand(seed)
+	for i, u := range r.src.buf[r.src.pos:] {
+		r.src.buf[r.src.pos+i] = math.MaxInt64 - u&(1<<32-1)>>(u>>59)
+	}
+	return r
+}
+
+// checkEncodeColumns compares EncodeUniformColumns with encodeSerially
+// from two copies of r: the same regions, the same code in every row,
+// and the same source state after.
+func checkEncodeColumns(t *testing.T, r *Rand, specs []UniformSpec) {
+	t.Helper()
+	serial := &Rand{src: new(source)}
+	*serial.src = *r.src
+	// The serial columns are built first, so that the comparison starts
+	// the moment the job returns.
+	want := encodeSerially(t, memory.NewSpace(), serial, specs)
+	got, err := EncodeUniformColumns(memory.NewSpace(), r, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for k, w := range want {
+		g := got[k]
+		if g.Dict.Region() != w.Dict.Region() || g.Codes.Region() != w.Codes.Region() || g.Codes.Bits() != w.Codes.Bits() {
+			t.Fatalf("column %d: regions %v %v, %d bits; serially %v %v, %d bits", k,
+				g.Dict.Region(), g.Codes.Region(), g.Codes.Bits(), w.Dict.Region(), w.Codes.Region(), w.Codes.Bits())
+		}
+		for i := range w.Rows() {
+			if gc, wc := g.Codes.Get(i), w.Codes.Get(i); gc != wc {
+				t.Fatalf("column %d (%d bits) row %d holds %d, the serial loop %d", k, w.Codes.Bits(), i, gc, wc)
 			}
 		}
 	}
+	if *r.src != *serial.src {
+		t.Errorf("the sources differ after the columns")
+	}
+}
+
+// TestEncodeColumnsMatchesSerial checks the split job against the
+// serial loop it replaces, with the split inside the first, a middle
+// and the last column, and exactly on a column boundary, at widths of
+// 1, 7, 19, 27 and 32 bits. Each side holds just over minHalf draws.
+// The source rejects draws in the first column, so a skip that used
+// another column's bound would land elsewhere.
+func TestEncodeColumnsMatchesSerial(t *testing.T) {
+	const h = minHalf
+	hi := map[uint]int64{1: 2, 7: 100, 19: 312500, 27: 100_000_000, 32: 3 << 30}
+	cols := func(rows []int, widths ...uint) []UniformSpec {
+		specs := make([]UniformSpec, len(rows))
+		for i, n := range rows {
+			specs[i] = UniformSpec{Name: fmt.Sprintf("c%d", i), Rows: n, Lo: 1, Hi: hi[widths[i]], EntrySize: 8}
+		}
+		return specs
+	}
+	for _, c := range []struct {
+		name  string
+		specs []UniformSpec
+		col   int
+		inner bool // the split falls inside column col, not at its start
+	}{
+		{"first", cols([]int{2*h + 300, 1000, 7}, 19, 7, 32), 0, true},
+		{"middle", cols([]int{h/2 + 5, h + 77, h/2 + 9}, 7, 27, 1), 1, true},
+		{"last", cols([]int{h/2 + 3, h/4 + 1, 5*h/4 + 11}, 27, 1, 32), 2, true},
+		{"boundary", cols([]int{h, h + 300}, 19, 32), 1, false},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			col, mid, ok := split(c.specs)
+			if !ok || col != c.col || mid%256 != 0 || (mid > 0) != c.inner {
+				t.Fatalf("split at row %d of column %d (ok %v), want a multiple of 256 in column %d", mid, col, ok, c.col)
+			}
+			checkEncodeColumns(t, rejecting(3), c.specs)
+		})
+	}
+}
+
+// FuzzEncodeColumns checks EncodeUniformColumns against the serial loop
+// for up to eight columns laid out by layout after its first byte,
+// seven bytes each: three of rows (below 3·minHalf in all, so that a
+// run stays well under a second) and four of the bound, from 2 to
+// 2^32−1. An odd first byte draws from a rejecting source.
+func FuzzEncodeColumns(f *testing.F) {
+	f.Add(int64(1), []byte{1, 0x07, 0x00, 0x40, 0xff, 0xff, 0xff, 0xff})
+	f.Add(int64(5), []byte{0, 0x05, 0x00, 0x18, 0x1f, 0x00, 0x00, 0x00, 0x4d, 0x01, 0x20, 0xa0, 0x86, 0x01, 0x00, 0x00, 0x00, 0x18, 0x63, 0x00, 0x00, 0x00})
+	f.Add(int64(-7), []byte{3, 0x00, 0x00, 0x20, 0x01, 0x00, 0x00, 0x00, 0x00, 0x00, 0x20, 0x00, 0x00, 0x00, 0xc0})
+	f.Add(int64(42), []byte{0, 0xff, 0x10, 0x00, 0x0b, 0x00, 0x00, 0x00})
+	f.Fuzz(func(t *testing.T, seed int64, layout []byte) {
+		if len(layout) == 0 {
+			return
+		}
+		r := NewRand(seed)
+		if layout[0]&1 == 1 {
+			r = rejecting(seed)
+		}
+		var specs []UniformSpec
+		total := 0
+		for b := layout[1:]; len(b) >= 7 && len(specs) < 8; b = b[7:] {
+			rows := min((int(b[0])|int(b[1])<<8|int(b[2])<<16)%(3*minHalf), 3*minHalf-total)
+			hi := max(int64(binary.LittleEndian.Uint32(b[3:])), 2)
+			specs = append(specs, UniformSpec{Name: fmt.Sprintf("c%d", len(specs)), Rows: rows, Lo: 1, Hi: hi, EntrySize: 8})
+			total += rows
+		}
+		checkEncodeColumns(t, r, specs)
+	})
 }

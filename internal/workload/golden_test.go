@@ -56,12 +56,34 @@ func (d *setDigest) index(ix *column.InvertedIndex) {
 	}
 }
 
+// acdocaDigest loads ACDOCA at rows and digests its 24 columns and the
+// index.
+func acdocaDigest(t *testing.T, rows int) func(*memory.Space, *workload.Rand, *setDigest) error {
+	return func(s *memory.Space, rng *workload.Rand, d *setDigest) error {
+		tb, err := s4.Load(s, rng, s4.Spec{Rows: rows, Scale: 32})
+		if err != nil {
+			return err
+		}
+		cols := append([]*column.Column{tb.DocKey}, tb.Residual...)
+		cols = append(append(cols, tb.Big...), tb.Small...)
+		if len(cols) != 24 {
+			t.Errorf("ACDOCA has %d columns, want 24", len(cols))
+		}
+		for _, c := range cols {
+			d.column(c)
+		}
+		d.index(tb.Index)
+		return nil
+	}
+}
+
 // TestGeneratorGoldenDigests pins each generator's output at seed 1, at
-// sizes that run in well under a second, to digests recorded before
-// the generators moved to a bulk replica of math/rand's source ("Q1 in
-// halves": before columns were encoded in two halves). A generator
-// that draws differently fails here rather than only in the harness's
-// figure goldens.
+// sizes that run in about a second, to digests recorded before the
+// generators moved to a bulk replica of math/rand's source ("Q1 in
+// halves": before columns were encoded in two halves; "ACDOCA at 2^19
+// rows": before a list of columns was encoded as one split job). A
+// generator that draws differently fails here rather than only in the
+// harness's figure goldens.
 func TestGeneratorGoldenDigests(t *testing.T) {
 	cases := []struct {
 		name  string
@@ -113,22 +135,10 @@ func TestGeneratorGoldenDigests(t *testing.T) {
 			}
 			return err
 		}, 0x55063637ef0f692a},
-		{"ACDOCA", func(s *memory.Space, rng *workload.Rand, d *setDigest) error {
-			tb, err := s4.Load(s, rng, s4.Spec{Rows: 1 << 15, Scale: 32})
-			if err != nil {
-				return err
-			}
-			cols := append([]*column.Column{tb.DocKey}, tb.Residual...)
-			cols = append(append(cols, tb.Big...), tb.Small...)
-			if len(cols) != 24 {
-				t.Errorf("ACDOCA has %d columns, want 24", len(cols))
-			}
-			for _, c := range cols {
-				d.column(c)
-			}
-			d.index(tb.Index)
-			return nil
-		}, 0xe4b0eac0e11f6b00},
+		// At 2^19 rows, the benchmark's, the 19 projection columns' draws
+		// split on two goroutines, inside the tenth column.
+		{"ACDOCA", acdocaDigest(t, 1<<15), 0xe4b0eac0e11f6b00},
+		{"ACDOCA at 2^19 rows", acdocaDigest(t, 1<<19), 0xacc1b229f7aae155},
 		{"TPC-H", func(s *memory.Space, rng *workload.Rand, d *setDigest) error {
 			db, err := tpch.Load(s, rng, tpch.Spec{Scale: 32, LineitemRows: 1 << 16})
 			if err != nil {

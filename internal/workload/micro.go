@@ -22,56 +22,106 @@ import (
 // drawn uniformly from [lo, hi], with entrySize bytes per dictionary
 // entry, without materialising an intermediate value slice, so
 // multi-million-row samples stay cheap to load. Row i holds the i-th
-// draw of rng.Int63n(hi-lo+1).
-//
-// A column of at least 2·minHalf rows is encoded in two halves, one on
-// a helper goroutine (encodeHalves).
+// draw of rng.Int63n(hi-lo+1). It is EncodeUniformColumns' one-column
+// case.
 func EncodeUniformDense(space *memory.Space, name string, rng *Rand, n int, lo, hi int64, entrySize uint64) (*column.Column, error) {
-	dict, err := column.NewDenseDictionary(space, name, lo, hi, entrySize)
+	cols, err := EncodeUniformColumns(space, rng, []UniformSpec{{name, n, lo, hi, entrySize}})
 	if err != nil {
 		return nil, err
 	}
-	codes, err := column.NewPackedVector(space, name, n, dict.CodeBits())
-	if err != nil {
-		return nil, err
-	}
-	mid := n / 2 &^ 255
-	if mid < minHalf {
-		mid = 0
-	}
-	d := newBounded(hi - lo + 1)
-	d.encodeHalves(rng.src, codes, mid)
-	return &column.Column{Name: name, Dict: dict, Codes: codes}, nil
+	return cols[0], nil
 }
 
-// minHalf is the fewest rows a half must have for EncodeUniformDense
-// to split: the smallest half measured to win. A second core woken
-// from idle starts the helper 1–4 ms late; half of a 2^20-row column
-// takes about 2.5 ms to encode, and splitting it lost, while half of a
-// 2^22-row one takes about 9 ms, and splitting it won.
-const minHalf = 1 << 21
+// UniformSpec describes one column of EncodeUniformColumns: Rows
+// values drawn uniformly from [Lo, Hi], EntrySize bytes per dictionary
+// entry.
+type UniformSpec struct {
+	Name      string
+	Rows      int
+	Lo, Hi    int64
+	EntrySize uint64
+}
 
-// encodeHalves fills every row of codes from s as drawing them in
-// order would. mid, a multiple of 256, splits the rows on a word
-// boundary at every code width: a goroutine encodes [0, mid) from a
-// copy of s while the caller skips mid draws and encodes the rest. The
-// halves write disjoint words, and s ends where the draws in order
-// leave it, whatever the schedule. mid 0 draws every row on the caller.
-func (b *bounded) encodeHalves(s *source, codes *column.PackedVector, mid int) {
-	if mid == 0 {
-		b.encode(s, codes, 0, codes.Len())
-		return
+// EncodeUniformColumns builds one uniform dense-dictionary column per
+// spec, exactly as building them one at a time in list order would:
+// every dictionary and code vector is allocated in that order, and
+// row i of a column holds its i-th draw after the columns before it.
+//
+// The draws are laid end to end and split where their midpoint falls,
+// rounded down to a multiple of 256 rows within that column, a word
+// boundary at every code width, when each side holds at least minHalf
+// draws. A helper goroutine encodes everything before the split from a
+// copy of the source while the caller skips those draws, column by
+// column with each column's own bound, encodes the rest and waits. The
+// two sides write disjoint words, and rng ends where the draws in order
+// leave it, whatever the schedule.
+func EncodeUniformColumns(space *memory.Space, rng *Rand, specs []UniformSpec) ([]*column.Column, error) {
+	cols := make([]*column.Column, len(specs))
+	ds := make([]bounded, len(specs))
+	for i, sp := range specs {
+		dict, err := column.NewDenseDictionary(space, sp.Name, sp.Lo, sp.Hi, sp.EntrySize)
+		if err != nil {
+			return nil, err
+		}
+		codes, err := column.NewPackedVector(space, sp.Name, sp.Rows, dict.CodeBits())
+		if err != nil {
+			return nil, err
+		}
+		cols[i] = &column.Column{Name: sp.Name, Dict: dict, Codes: codes}
+		ds[i] = newBounded(sp.Hi - sp.Lo + 1)
+	}
+	s := rng.src
+	c, mid, ok := split(specs)
+	if !ok {
+		for i, col := range cols {
+			ds[i].encode(s, col.Codes, 0, col.Rows())
+		}
+		return cols, nil
 	}
 	first := *s
 	done := make(chan struct{})
 	go func() {
-		b.encode(&first, codes, 0, mid)
+		for i, col := range cols[:c] {
+			ds[i].encode(&first, col.Codes, 0, col.Rows())
+		}
+		ds[c].encode(&first, cols[c].Codes, 0, mid)
 		close(done)
 	}()
-	b.skip(s, mid)
-	b.encode(s, codes, mid, codes.Len())
+	for i, col := range cols[:c] {
+		ds[i].skip(s, col.Rows())
+	}
+	ds[c].skip(s, mid)
+	ds[c].encode(s, cols[c].Codes, mid, cols[c].Rows())
+	for i := c + 1; i < len(cols); i++ {
+		ds[i].encode(s, cols[i].Codes, 0, cols[i].Rows())
+	}
 	<-done
+	return cols, nil
 }
+
+// split returns where EncodeUniformColumns divides the draws of specs:
+// before row mid of column c, where the draws' midpoint falls, rounded
+// down to a multiple of 256. ok is false when a side would hold fewer
+// than minHalf draws.
+func split(specs []UniformSpec) (c, mid int, ok bool) {
+	total, before := 0, 0
+	for _, sp := range specs {
+		total += sp.Rows
+	}
+	for c < len(specs)-1 && before+specs[c].Rows <= total/2 {
+		before += specs[c].Rows
+		c++
+	}
+	mid = (total/2 - before) &^ 255
+	return c, mid, before+mid >= minHalf && total-before-mid >= minHalf
+}
+
+// minHalf is the fewest draws a side must have for
+// EncodeUniformColumns to split: the smallest half measured to win. A
+// second core woken from idle starts the helper 1–4 ms late; 2^19
+// draws take about 2.5 ms to encode, and splitting a 2^20-draw job
+// lost, while 2^21 take about 9 ms, and splitting a 2^22-draw job won.
+const minHalf = 1 << 21
 
 // encode packs rows [from, to) of codes from the next to−from draws
 // of s, 256 at a time.

@@ -125,46 +125,46 @@ func Load(space *memory.Space, rng *workload.Rand, spec Spec) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		var run [256]uint32
-		for from := 0; from < spec.Rows; from += len(run) {
-			r := run[:min(len(run), spec.Rows-from)]
-			for j := range r {
-				r[j] = uint32(residual[t.DocKey.Codes.Get(from+j)][k] - 1)
-			}
-			codes.PackRun(from, r)
-		}
 		t.Residual = append(t.Residual, &column.Column{Name: names[k], Dict: dict, Codes: codes})
+	}
+	// One pass over the document codes packs all four columns.
+	var runs [4][256]uint32
+	for from := 0; from < spec.Rows; from += 256 {
+		n := min(256, spec.Rows-from)
+		for j := range n {
+			keys := &residual[t.DocKey.Codes.Get(from+j)]
+			for k := range runs {
+				runs[k][j] = uint32(keys[k] - 1)
+			}
+		}
+		for k, c := range t.Residual {
+			c.Codes.PackRun(from, runs[k][:n])
+		}
 	}
 	t.Index, err = column.BuildInvertedIndex(space, t.DocKey)
 	if err != nil {
 		return nil, err
 	}
 
-	t.Big, err = buildDictColumns(space, rng, "acdoca.big", bigDictMiB(), spec)
+	// The 13 big and 6 small projection columns are one job, so their
+	// draws split across two cores.
+	var specs []workload.UniformSpec
+	for _, set := range []struct {
+		prefix string
+		mib    []float64
+	}{{"acdoca.big", bigDictMiB()}, {"acdoca.small", smallDictMiB()}} {
+		for i, mib := range set.mib {
+			distinct := max(int64(mib*1024*1024/nvarcharEntry)/int64(spec.Scale), 2)
+			specs = append(specs, workload.UniformSpec{Name: fmt.Sprintf("%s%d", set.prefix, i), Rows: spec.Rows, Lo: 1, Hi: distinct, EntrySize: nvarcharEntry})
+		}
+	}
+	cols, err := workload.EncodeUniformColumns(space, rng, specs)
 	if err != nil {
 		return nil, err
 	}
-	t.Small, err = buildDictColumns(space, rng, "acdoca.small", smallDictMiB(), spec)
-	if err != nil {
-		return nil, err
-	}
+	nBig := len(bigDictMiB())
+	t.Big, t.Small = cols[:nBig:nBig], cols[nBig:]
 	return t, nil
-}
-
-func buildDictColumns(space *memory.Space, rng *workload.Rand, prefix string, sizesMiB []float64, spec Spec) ([]*column.Column, error) {
-	out := make([]*column.Column, 0, len(sizesMiB))
-	for i, mib := range sizesMiB {
-		distinct := int64(mib*1024*1024/nvarcharEntry) / int64(spec.Scale)
-		if distinct < 2 {
-			distinct = 2
-		}
-		col, err := workload.EncodeUniformDense(space, fmt.Sprintf("%s%d", prefix, i), rng, spec.Rows, 1, distinct, nvarcharEntry)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, col)
-	}
-	return out, nil
 }
 
 // Docs reports the number of distinct documents.

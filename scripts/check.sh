@@ -25,8 +25,10 @@
 #            seeds: FuzzCountInRange (packed scan against the Get loop),
 #            FuzzPackRun (the run writer against the per-row Set loop),
 #            FuzzCacheOps (word-at-a-time sets against the stamp
-#            reference) and FuzzRandMatchesMathRand (the generators'
-#            bulk rng against math/rand's own) (the CI fuzz job)
+#            reference), FuzzRandMatchesMathRand (the generators'
+#            bulk rng against math/rand's own) and FuzzEncodeColumns
+#            (the two-core column job against the serial loop) (the CI
+#            fuzz job)
 #   all      every gate, in order (the default)
 #
 # No mode re-runs, under a -run filter, tests that `go test ./...` in
@@ -75,7 +77,7 @@ if [ "$mode" = test ] || [ "$mode" = all ]; then
 	go test ./...
 
 	# The packages that start a goroutine, the scan's count (column) or
-	# the first half of a generated column (workload), or run beside the
+	# the first half of a generated column job (workload), or run beside the
 	# count, the controllers called back from inside the loop (adapt,
 	# serve), and the address space and control planes a System owns
 	# (memory, resctrl, fault): engine's TestIndependentSystemsShareNothing
@@ -93,7 +95,7 @@ if [ "$mode" = test ] || [ "$mode" = all ]; then
 	go test -race -run 'Fault|Chaos|Gap|Degrad|ErrorPath|Retry' ./internal/harness/...
 
 	# The scan's count goroutine interleaved with the simulation, and the
-	# generators' half-column helper with the caller's half, on one P,
+	# generators' column-job helper with the caller's half, on one P,
 	# and beside them on two.
 	echo '== go test -cpu 1,2 (exec, engine, workload)'
 	go test -cpu 1,2 ./internal/exec/... ./internal/engine/... ./internal/workload/...
@@ -129,6 +131,9 @@ if [ "$mode" = fuzz ] || [ "$mode" = all ]; then
 
 	echo '== go test -fuzz FuzzRandMatchesMathRand -fuzztime 10s ./internal/workload'
 	go test -run '^$' -fuzz '^FuzzRandMatchesMathRand$' -fuzztime 10s ./internal/workload
+
+	echo '== go test -fuzz FuzzEncodeColumns -fuzztime 10s ./internal/workload'
+	go test -run '^$' -fuzz '^FuzzEncodeColumns$' -fuzztime 10s ./internal/workload
 fi
 
 echo "check.sh: $mode gate(s) passed"

@@ -1,10 +1,6 @@
 package cachepart
 
-import (
-	"testing"
-
-	"cachepart/internal/harness"
-)
+import "testing"
 
 func tinyParams() Params {
 	p := FastParams()
@@ -164,21 +160,8 @@ func TestGenerateColumn(t *testing.T) {
 			t.Fatalf("value %d out of range", v)
 		}
 	}
-}
-
-func TestFig1Facade(t *testing.T) {
-	p := tinyParams()
-	r, err := harness.Fig1(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Isolated != 1.0 {
-		t.Errorf("isolated baseline = %v", r.Isolated)
-	}
-	if r.Concurrent <= 0 || r.Concurrent > 1.2 {
-		t.Errorf("concurrent = %v", r.Concurrent)
-	}
-	if r.Partitioned < r.Concurrent {
-		t.Errorf("partitioning regressed the OLTP query: %v -> %v", r.Concurrent, r.Partitioned)
+	// 2^32 values do not fit 32-bit codes: an error, not a panic.
+	if _, err := GenerateColumn(sys, "wide", 1000, 0, 1<<32-1); err == nil {
+		t.Error("a column over [0, 2^32-1] was generated")
 	}
 }

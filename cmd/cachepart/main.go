@@ -44,12 +44,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		ways     = flags.String("ways", "", "comma-separated LLC way limits to sweep (default 2,4,...,20)")
 		seed     = flags.Int64("seed", 1, "random seed")
 
-		// serve-only flags (DESIGN.md §13).
+		// serve-only flags (DESIGN.md §12).
 		loads    = flags.String("loads", "", "serve: comma-separated capacity multiples to sweep (default 0.7,1.0,3.0)")
 		capacity = flags.Int("capacity", 0, "serve: per-tenant queue capacity (default 16)")
 		arrivals = flags.Int("arrivals", 0, "serve: target arrivals per load point (default 240; overload default 320)")
 
-		// overload-only flags (DESIGN.md §14).
+		// overload-only flags (DESIGN.md §13).
 		sloMult = flags.Float64("slo", 0, "overload: SLO multiple of each tenant's isolated mean latency (default 15)")
 		sheds   = flags.String("shed", "", "overload: comma-separated shedding policies to sweep — none, fair, polluter (default all)")
 		retries = flags.Int("retries", 0, "overload: client retry attempts per query (default 3; 1 disables retries)")

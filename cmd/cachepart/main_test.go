@@ -56,9 +56,9 @@ func TestBadNumericFlagsExit2(t *testing.T) {
 		{"-slo", "+Inf"},
 	} {
 		var stderr bytes.Buffer
-		code := run(append([]string{"-fast"}, append(args, "fig1")...), io.Discard, &stderr)
+		code := run(append([]string{"-fast"}, append(args, "fig12")...), io.Discard, &stderr)
 		if code != 2 || !strings.Contains(stderr.String(), args[0]+" ") {
-			t.Errorf("cachepart %s %s fig1: exit %d, stderr %q; want exit 2 naming %s", args[0], args[1], code, stderr.String(), args[0])
+			t.Errorf("cachepart %s %s fig12: exit %d, stderr %q; want exit 2 naming %s", args[0], args[1], code, stderr.String(), args[0])
 		}
 	}
 }

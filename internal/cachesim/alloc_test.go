@@ -10,7 +10,7 @@ import (
 )
 
 // These tests pin the perf tier's alloc-budget contract (DESIGN.md
-// §12): the per-access paths — demand hits and misses, an armed
+// §11): the per-access paths — demand hits and misses, an armed
 // prefetch stream, fills under a narrow CAT mask — allocate nothing in
 // steady state. A regression fails here loudly instead of surfacing as
 // benchmark drift.

@@ -1,6 +1,7 @@
 package column
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -64,8 +65,31 @@ func TestDictionaryErrors(t *testing.T) {
 	if _, err := NewDenseDictionary(s, "x", 5, 4, 4); err == nil {
 		t.Error("empty range should fail")
 	}
-	if _, err := NewDenseDictionary(s, "x", 0, 1<<32, 4); err == nil {
-		t.Error("a domain beyond the 32-bit code space should fail")
+	for _, r := range [][2]int64{
+		{0, 1 << 32},
+		{0, 1<<32 - 1}, // 2^32 values: one more than a uint32 count holds
+		{math.MinInt64, math.MaxInt64},
+		{-1, math.MaxInt64},
+	} {
+		if _, err := NewDenseDictionary(s, "x", r[0], r[1], 4); err == nil {
+			t.Errorf("[%d, %d]: a domain beyond the 32-bit code space should fail", r[0], r[1])
+		}
+	}
+	// The widest domain that fits: 2^32−1 values, 32-bit codes.
+	d, err := NewDenseDictionary(s, "x", 0, 1<<32-2, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d.Len() != 1<<32-1 || d.CodeBits() != 32 {
+		t.Errorf("[0, 2^32-2]: Len %d, CodeBits %d; want 2^32-1, 32", d.Len(), d.CodeBits())
+	}
+	// A domain that ends at MaxInt64 still finds its last value.
+	top, err := NewDenseDictionary(s, "top", math.MaxInt64-5, math.MaxInt64, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c, ok := top.CodeOf(math.MaxInt64); !ok || c != 5 {
+		t.Errorf("CodeOf(MaxInt64) = %d, %v; want 5, true", c, ok)
 	}
 }
 

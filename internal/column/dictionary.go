@@ -11,6 +11,7 @@ package column
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"cachepart/internal/memory"
@@ -42,9 +43,11 @@ func NewDenseDictionary(space *memory.Space, name string, lo, hi int64, entrySiz
 	if hi < lo {
 		return nil, fmt.Errorf("column: dense dictionary range [%d,%d] empty", lo, hi)
 	}
-	n := uint64(hi-lo) + 1
-	if n > 1<<32 {
-		return nil, fmt.Errorf("column: dictionary of %d entries exceeds code space", n)
+	// The span is taken in uint64, where hi−lo cannot overflow; a
+	// domain of all 2^64 values wraps n to 0.
+	n := uint64(hi) - uint64(lo) + 1
+	if n == 0 || n > math.MaxUint32 {
+		return nil, fmt.Errorf("column: dense dictionary range [%d,%d] exceeds the 32-bit code space", lo, hi)
 	}
 	if entrySize == 0 {
 		entrySize = DefaultEntrySize
@@ -83,7 +86,7 @@ func (d *Dictionary) Addr(code uint32) memory.Addr {
 
 // CodeOf finds the exact code of a value.
 func (d *Dictionary) CodeOf(value int64) (uint32, bool) {
-	if value < d.lo || value >= d.lo+int64(d.n) {
+	if value < d.lo || uint64(value)-uint64(d.lo) >= uint64(d.n) {
 		return 0, false
 	}
 	return uint32(value - d.lo), true

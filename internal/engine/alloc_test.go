@@ -11,7 +11,7 @@ import (
 	"cachepart/internal/memory"
 )
 
-// The engine loop's share of the alloc budget (DESIGN.md §12, beside
+// The engine loop's share of the alloc budget (DESIGN.md §11, beside
 // the kernels' in internal/exec and the per-access paths' in
 // internal/cachesim): for each workload shape, the allocations a run
 // twice as long makes beyond the shorter one, which cancels the

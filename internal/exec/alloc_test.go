@@ -8,7 +8,7 @@ import (
 )
 
 // These tests are the kernels' share of the alloc budget (DESIGN.md
-// §12, beside internal/cachesim/alloc_test.go and the engine loop's
+// §11, beside internal/cachesim/alloc_test.go and the engine loop's
 // budgets): once a warm-up Step has started the scan's helper, a Step
 // allocates nothing. Aggregation tables are pre-sized, so the
 // amortised AggTable.grow stays out of the measurement. SortAggLocal

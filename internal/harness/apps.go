@@ -93,101 +93,36 @@ func (s *System) oltpCoreSplit() (olap, oltp []int) {
 // Fig12 reproduces Figure 12: Query 1 (column scan) concurrent with
 // the S/4HANA OLTP query, projecting the 13 biggest-dictionary columns
 // (a) or 6 smaller ones (b). With partitioning the scan is restricted
-// to 10% of the LLC.
+// to 10% of the LLC. Its first row is also the teaser, Figure 1.
 func Fig12(p Params) ([]PairRow, error) {
-	sys, err := NewSystem(p)
-	if err != nil {
-		return nil, err
-	}
-	table, err := loadS4(sys)
-	if err != nil {
-		return nil, err
-	}
-	q1, err := NewQ1(sys)
-	if err != nil {
-		return nil, err
-	}
-	olap, dedicated := sys.oltpCoreSplit()
-	var rows []PairRow
-	projections := []struct {
-		label   string
-		columns int
-		big     bool
-	}{
-		{"13 big-dictionary columns", 13, true},
-		{"6 smaller-dictionary columns", 6, false},
-	}
-	for _, sel := range projections {
-		project := table.Small
-		if sel.big {
-			project = table.Big
-		}
-		project = project[:sel.columns]
-		oltp, err := s4.NewOLTPQuery(table, project)
-		if err != nil {
-			return nil, err
-		}
-		row, err := sys.runPairArms(sel.label, q1, olap, oltp, dedicated, sys.partitionArms())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-	}
-	return rows, nil
-}
-
-// Fig1 reproduces the teaser figure: the OLTP query's throughput
-// isolated, concurrent to the OLAP scan, and concurrent with
-// partitioning applied. It is the 13-column configuration of
-// Figure 12 re-expressed.
-type Fig1Result struct {
-	Isolated    float64 // always 1.0 (baseline)
-	Concurrent  float64
-	Partitioned float64
-}
-
-// Fig1 runs the teaser experiment.
-func Fig1(p Params) (Fig1Result, error) {
-	sys, err := NewSystem(p)
-	if err != nil {
-		return Fig1Result{}, err
-	}
-	table, err := loadS4(sys)
-	if err != nil {
-		return Fig1Result{}, err
-	}
-	q1, err := NewQ1(sys)
-	if err != nil {
-		return Fig1Result{}, err
-	}
-	oltp, err := s4.NewOLTPQuery(table, table.Big)
-	if err != nil {
-		return Fig1Result{}, err
-	}
-	olap, dedicated := sys.oltpCoreSplit()
-	row, err := sys.runPairArms("teaser", q1, olap, oltp, dedicated, sys.partitionArms())
-	if err != nil {
-		return Fig1Result{}, err
-	}
-	shared, ok := row.Arm("shared")
-	if !ok {
-		return Fig1Result{}, fmt.Errorf("harness: missing shared arm")
-	}
-	part, ok := row.Arm("partitioned")
-	if !ok {
-		return Fig1Result{}, fmt.Errorf("harness: missing partitioned arm")
-	}
-	return Fig1Result{
-		Isolated:    1.0,
-		Concurrent:  shared.NormB,
-		Partitioned: part.NormB,
-	}, nil
+	return oltpCoRuns(p, []projection{
+		{"13 big-dictionary columns", true, 13},
+		{"6 smaller-dictionary columns", false, 6},
+	})
 }
 
 // FigProjSweep reproduces the additional experiment of Section VI-E:
 // the OLTP query's partitioning benefit as the number of projected
 // (big-dictionary) columns grows from 2 to 13.
 func FigProjSweep(p Params) ([]PairRow, error) {
+	var projections []projection
+	for _, k := range []int{2, 4, 6, 8, 10, 13} {
+		projections = append(projections, projection{fmt.Sprintf("%d columns", k), true, k})
+	}
+	return oltpCoRuns(p, projections)
+}
+
+// projection is one OLTP co-run row: the OLTP query projects the
+// first columns of the table's big- or smaller-dictionary set.
+type projection struct {
+	label   string
+	big     bool
+	columns int
+}
+
+// oltpCoRuns runs Query 1 on the OLAP cores beside the OLTP query on
+// its dedicated pool, once per projection, shared and partitioned.
+func oltpCoRuns(p Params, projections []projection) ([]PairRow, error) {
 	sys, err := NewSystem(p)
 	if err != nil {
 		return nil, err
@@ -202,12 +137,16 @@ func FigProjSweep(p Params) ([]PairRow, error) {
 	}
 	olap, dedicated := sys.oltpCoreSplit()
 	var rows []PairRow
-	for _, k := range []int{2, 4, 6, 8, 10, 13} {
-		oltp, err := s4.NewOLTPQuery(table, table.Big[:k])
+	for _, sel := range projections {
+		project := table.Small
+		if sel.big {
+			project = table.Big
+		}
+		oltp, err := s4.NewOLTPQuery(table, project[:sel.columns])
 		if err != nil {
 			return nil, err
 		}
-		row, err := sys.runPairArms(fmt.Sprintf("%d columns", k), q1, olap, oltp, dedicated, sys.partitionArms())
+		row, err := sys.runPairArms(sel.label, q1, olap, oltp, dedicated, sys.partitionArms())
 		if err != nil {
 			return nil, err
 		}

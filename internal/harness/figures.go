@@ -33,9 +33,7 @@ func Figures() []Figure {
 		figure("fig10", Fig10, PrintFig10),
 		figure("fig11", Fig11, PrintFig11),
 		figure("fig12", Fig12, PrintFig12),
-		figure("fig1", Fig1, PrintFig1),
 		figure("proj", FigProjSweep, PrintProj),
-		figure("derive", FigDerive, PrintDerive),
 		figure("cosched", FigCoSchedule, PrintCoSchedule),
 		figure("adapt", FigAdapt, PrintAdapt),
 		figure("chaos", FigChaos, PrintChaos),

@@ -139,6 +139,9 @@ func TestFig12Function(t *testing.T) {
 	for _, r := range rows {
 		shared, _ := r.Arm("shared")
 		part, _ := r.Arm("partitioned")
+		if shared.NormB <= 0 || shared.NormB > 1.2 {
+			t.Errorf("%s: OLTP concurrent to the scan = %.3f, want in (0, 1.2]", r.Label, shared.NormB)
+		}
 		if part.NormB <= shared.NormB {
 			t.Errorf("%s: OLTP gained nothing: %.3f -> %.3f", r.Label, shared.NormB, part.NormB)
 		}
@@ -172,18 +175,4 @@ func TestFigProjSweepFunction(t *testing.T) {
 	var out bytes.Buffer
 	PrintProj(&out, rows)
 	checkGolden(t, "proj", out.Bytes())
-}
-
-func TestFig1Function(t *testing.T) {
-	t.Parallel()
-	r, err := Fig1(figureParams())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Partitioned < r.Concurrent {
-		t.Errorf("teaser: partitioning regressed %.3f -> %.3f", r.Concurrent, r.Partitioned)
-	}
-	var out bytes.Buffer
-	PrintFig1(&out, r)
-	checkGolden(t, "fig1", out.Bytes())
 }

@@ -97,10 +97,11 @@ func TestSpecHelpers(t *testing.T) {
 // sensitive to cache size.
 func TestFig4Flat(t *testing.T) {
 	t.Parallel()
-	pts, err := Fig4(tinyParams())
+	r, err := Fig4(tinyParams())
 	if err != nil {
 		t.Fatal(err)
 	}
+	pts := r.Points
 	if len(pts) != 3 {
 		t.Fatalf("%d points", len(pts))
 	}
@@ -113,21 +114,13 @@ func TestFig4Flat(t *testing.T) {
 	if pts[len(pts)-1].LLCMiB != 55.0 {
 		t.Errorf("full cache labelled %.1f MiB, want 55", pts[len(pts)-1].LLCMiB)
 	}
-	var out bytes.Buffer
-	PrintFig4(&out, pts)
-	checkGolden(t, "fig4", out.Bytes())
-
 	// Section V-B derives the scheme from this sweep.
-	d, err := Derive(pts)
-	if err != nil {
-		t.Fatal(err)
+	if r.Scheme.CUID != core.Polluting {
+		t.Errorf("flat scan classified as %v, want polluting", r.Scheme.CUID)
 	}
-	if d.CUID != core.Polluting {
-		t.Errorf("flat scan classified as %v, want polluting", d.CUID)
-	}
-	out.Reset()
-	PrintDerive(&out, d)
-	checkGolden(t, "derive", out.Bytes())
+	var out bytes.Buffer
+	PrintFig4(&out, r)
+	checkGolden(t, "fig4", out.Bytes())
 }
 
 // TestAggregationSensitive asserts Figure 5's headline: aggregation
@@ -333,14 +326,13 @@ func TestPolicyAutoMatchesHeuristic(t *testing.T) {
 
 func TestPrintersProduceOutput(t *testing.T) {
 	var sb strings.Builder
-	PrintFig4(&sb, []WayPoint{{Ways: 2, LLCMiB: 5.5, Norm: 0.5}})
+	PrintFig4(&sb, Fig4Result{Points: []WayPoint{{Ways: 2, LLCMiB: 5.5, Norm: 0.5}}})
 	printGroupSeries(&sb, "t", []GroupSeries{{Label: "a", Points: []WayPoint{{Ways: 2, LLCMiB: 5.5, Norm: 1}}}})
 	PrintFig5(&sb, []CurveSet{{Label: "p", Series: []GroupSeries{{Label: "a", Points: []WayPoint{{Ways: 2}}}}}})
-	printPairRows(&sb, "t", []PairRow{{
+	PrintFig12(&sb, []PairRow{{
 		Label: "x", NameA: "a", NameB: "b",
 		Arms: []PairArm{{Name: "shared", NormA: 1, NormB: 0.5}, {Name: "partitioned", NormA: 1, NormB: 0.7}},
 	}})
-	PrintFig1(&sb, Fig1Result{Isolated: 1, Concurrent: 0.6, Partitioned: 0.8})
 	out := sb.String()
 	for _, want := range []string{"ways", "LLC", "shared", "partitioned", "isolated"} {
 		if !strings.Contains(out, want) {
@@ -350,6 +342,7 @@ func TestPrintersProduceOutput(t *testing.T) {
 	// Empty inputs do not panic.
 	printGroupSeries(&sb, "empty", nil)
 	printPairRows(&sb, "empty", nil)
+	PrintFig12(&sb, nil)
 }
 
 // TestFigCoSchedule exercises the Section VIII sketch: the cache-aware

@@ -68,19 +68,34 @@ func (s *System) sweepWays(q engine.Query, cores []int) ([]WayPoint, error) {
 	return points, nil
 }
 
+// Fig4Result is the Figure 4 scan sweep and the scheme Section V-B
+// derives from it.
+type Fig4Result struct {
+	Points []WayPoint
+	Scheme DeriveResult
+}
+
 // Fig4 reproduces Figure 4: normalized throughput of the column scan
 // at varying LLC sizes. Expected shape: flat — the operator is hardly
-// sensitive to the cache size.
-func Fig4(p Params) ([]WayPoint, error) {
+// sensitive to the cache size. The scheme is derived from the sweep.
+func Fig4(p Params) (Fig4Result, error) {
 	sys, err := NewSystem(p)
 	if err != nil {
-		return nil, err
+		return Fig4Result{}, err
 	}
 	q1, err := NewQ1(sys)
 	if err != nil {
-		return nil, err
+		return Fig4Result{}, err
 	}
-	return sys.sweepWays(q1, sys.AllCores())
+	pts, err := sys.sweepWays(q1, sys.AllCores())
+	if err != nil {
+		return Fig4Result{}, err
+	}
+	scheme, err := derive(pts)
+	if err != nil {
+		return Fig4Result{}, err
+	}
+	return Fig4Result{Points: pts, Scheme: scheme}, nil
 }
 
 // DeriveResult is the automated Section V-B: the class the scan's
@@ -92,9 +107,9 @@ type DeriveResult struct {
 	Script string
 }
 
-// Derive classifies a Figure 4 scan sweep and derives the paper
+// derive classifies a Figure 4 scan sweep and derives the paper
 // machine's partitioning scheme (55 MiB, 20 ways) from it.
-func Derive(pts []WayPoint) (DeriveResult, error) {
+func derive(pts []WayPoint) (DeriveResult, error) {
 	curve := make([]core.CurvePoint, 0, len(pts))
 	for _, pt := range pts {
 		curve = append(curve, core.CurvePoint{Ways: pt.Ways, Throughput: pt.Norm})
@@ -113,16 +128,6 @@ func Derive(pts []WayPoint) (DeriveResult, error) {
 		return DeriveResult{}, err
 	}
 	return DeriveResult{CUID: cuid, Mask: pol.MaskFor(core.Polluting, core.Footprint{}), Script: script}, nil
-}
-
-// FigDerive measures the Figure 4 sweep and derives the scheme from
-// it.
-func FigDerive(p Params) (DeriveResult, error) {
-	pts, err := Fig4(p)
-	if err != nil {
-		return DeriveResult{}, err
-	}
-	return Derive(pts)
 }
 
 // fig5Dictionaries returns the paper's three dictionary

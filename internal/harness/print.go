@@ -75,38 +75,24 @@ func hitPair(r PairRow, side string) string {
 	return fmt.Sprintf("%.2f/%.2f", sh.B.HitRatio, pt.B.HitRatio)
 }
 
-// PrintFig1 renders the teaser figure.
-func PrintFig1(w io.Writer, r Fig1Result) {
-	fmt.Fprintln(w, "Figure 1 — OLTP query throughput (normalized to isolated):")
-	bars := []struct {
-		label string
-		v     float64
-	}{
-		{"isolated", r.Isolated},
-		{"concurrent to OLAP", r.Concurrent},
-		{"concurrent, cache partitioned", r.Partitioned},
-	}
-	for _, b := range bars {
-		n := int(b.v*40 + 0.5)
-		if n < 0 {
-			n = 0
-		}
-		fmt.Fprintf(w, "  %-30s %-40s %.2f\n", b.label, strings.Repeat("#", n), b.v)
-	}
-	fmt.Fprintln(w)
-}
-
-// PrintFig4 renders the Figure 4 scan sweep.
-func PrintFig4(w io.Writer, pts []WayPoint) {
+// PrintFig4 renders the Figure 4 scan sweep, then the scheme derived
+// from it and its resctrl script.
+func PrintFig4(w io.Writer, r Fig4Result) {
 	fmt.Fprintln(w, "Figure 4 — column scan vs. LLC size (expect: flat)")
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
 	fmt.Fprintln(tw, "ways\tLLC(paper MiB)\tnorm.throughput\tLLC hit ratio\tmisses/instr\tDRAM GB/s")
-	for _, p := range pts {
+	for _, p := range r.Points {
 		fmt.Fprintf(tw, "%d\t%.2f\t%.3f\t%.3f\t%.2e\t%.1f\n",
 			p.Ways, p.LLCMiB, p.Norm, p.Measure.HitRatio, p.Measure.MPI, p.Measure.Bandwidth/1e9)
 	}
 	tw.Flush()
 	fmt.Fprintln(w)
+
+	d := r.Scheme
+	fmt.Fprintf(w, "Derived scheme — the scan classifies as %q; polluting mask %v (%d of 20 ways)\n\n",
+		d.CUID, d.Mask, d.Mask.Ways())
+	fmt.Fprintln(w, "To apply on a real Linux machine with CAT:")
+	fmt.Fprintln(w, d.Script)
 }
 
 // PrintFig5 renders the Figure 5 aggregation panels.
@@ -139,9 +125,33 @@ func PrintFig11(w io.Writer, rows []PairRow) {
 	printPairRows(w, "Figure 11 — column scan ∥ TPC-H queries (A=scan, B=TPC-H; expect Q1/Q7/Q8/Q9 to gain most)", rows)
 }
 
-// PrintFig12 renders the Figure 12 OLTP co-runs.
+// PrintFig12 renders the Figure 12 OLTP co-runs, then the teaser
+// (Figure 1): the first row's OLTP throughput isolated, concurrent to
+// the scan, and concurrent with partitioning applied.
 func PrintFig12(w io.Writer, rows []PairRow) {
 	printPairRows(w, "Figure 12 — column scan ∥ S/4HANA OLTP query (A=scan, B=OLTP)", rows)
+	if len(rows) == 0 {
+		return
+	}
+	shared, _ := rows[0].Arm("shared")
+	part, _ := rows[0].Arm("partitioned")
+	fmt.Fprintln(w, "Figure 1 — OLTP query throughput (normalized to isolated):")
+	bars := []struct {
+		label string
+		v     float64
+	}{
+		{"isolated", 1.0},
+		{"concurrent to OLAP", shared.NormB},
+		{"concurrent, cache partitioned", part.NormB},
+	}
+	for _, b := range bars {
+		n := int(b.v*40 + 0.5)
+		if n < 0 {
+			n = 0
+		}
+		fmt.Fprintf(w, "  %-30s %-40s %.2f\n", b.label, strings.Repeat("#", n), b.v)
+	}
+	fmt.Fprintln(w)
 }
 
 // PrintProj renders the Section VI-E projected-columns sweep.
@@ -156,12 +166,4 @@ func PrintAdapt(w io.Writer, r AdaptResult) {
 		[]PairRow{r.Annotated})
 	printPairRows(w, "Adaptive controller — scan ∥ aggregation, annotations stripped (A=scan, B=aggregation)",
 		[]PairRow{r.Blind})
-}
-
-// PrintDerive renders the derived scheme and its resctrl script.
-func PrintDerive(w io.Writer, r DeriveResult) {
-	fmt.Fprintf(w, "Derived scheme — the scan classifies as %q; polluting mask %v (%d of 20 ways)\n\n",
-		r.CUID, r.Mask, r.Mask.Ways())
-	fmt.Fprintln(w, "To apply on a real Linux machine with CAT:")
-	fmt.Fprintln(w, r.Script)
 }

@@ -18,7 +18,11 @@ func serveTestOpts() Params {
 }
 
 // TestFigServeSmoke pins the full sweep at test scale, every load and
-// arm, to testdata/golden/sweep/serve.txt.
+// arm, to testdata/golden/sweep/serve.txt, and the experiment's
+// headline claim on its 1.0x saturation point: both the paper's static
+// scheme and the adaptive controller deliver lower p99 latency and
+// higher Jain fairness than the shared-cache baseline (the committed
+// table in EXPERIMENTS.md).
 func TestFigServeSmoke(t *testing.T) {
 	t.Parallel()
 	if testing.Short() {
@@ -31,27 +35,18 @@ func TestFigServeSmoke(t *testing.T) {
 	var out bytes.Buffer
 	PrintServe(&out, r)
 	checkGolden(t, "sweep/serve", out.Bytes())
-}
 
-// TestFigServeAcceptance pins the experiment's headline claim: at the
-// 1.0x saturation point, both the paper's static scheme and the
-// adaptive controller deliver lower p99 latency and higher Jain
-// fairness than the shared-cache baseline (the committed table in
-// EXPERIMENTS.md).
-func TestFigServeAcceptance(t *testing.T) {
-	t.Parallel()
-	if testing.Short() {
-		t.Skip("full sweep in short mode")
+	var arms map[string]*serve.Report
+	for _, ld := range r.Loads {
+		if ld.Load == 1.0 {
+			arms = map[string]*serve.Report{}
+			for _, arm := range ld.Arms {
+				arms[arm.Name] = arm.Report
+			}
+		}
 	}
-	p := Fast()
-	p.Serve.Loads = []float64{1.0}
-	r, err := FigServe(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	arms := map[string]*serve.Report{}
-	for _, arm := range r.Loads[0].Arms {
-		arms[arm.Name] = arm.Report
+	if arms == nil {
+		t.Fatal("no 1.0x point in the sweep")
 	}
 	shared := arms["shared"]
 	for _, name := range []string{"static", "adaptive"} {

@@ -10,7 +10,7 @@
 // random draw comes from rngs seeded by Config.Seed, time means the
 // machine's virtual tick clock, and a run's Report is a bit-identical
 // function of (Config, engine state) — including under control-plane
-// fault injection per (run-seed, fault-seed). DESIGN.md §13 documents
+// fault injection per (run-seed, fault-seed). DESIGN.md §12 documents
 // the architecture.
 package serve
 
@@ -33,7 +33,7 @@ type Config struct {
 	Horizon float64
 	Tenants []Tenant
 
-	// Overload control (DESIGN.md §14), off in the zero value. Shed is
+	// Overload control (DESIGN.md §13), off in the zero value. Shed is
 	// the load-shedding policy; Retries is how many times a client
 	// retries a dropped query. Deadlines and circuit breakers follow
 	// each Tenant.SLO.

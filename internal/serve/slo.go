@@ -12,7 +12,7 @@ import (
 // and Config.Shed. Every random quantity (backoff jitter) is drawn
 // from the feed's seeded overload rng at deterministic event points
 // inside the virtual-time loop, so the whole control layer replays
-// bit-identically per (seed, fault-seed). DESIGN.md §14 documents the
+// bit-identically per (seed, fault-seed). DESIGN.md §13 documents the
 // model.
 
 // deadlineSLOs is a tenant's queueing deadline in multiples of its

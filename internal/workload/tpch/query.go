@@ -18,15 +18,14 @@ type Op interface {
 	phasesIndexed(q *Query, idx, cores int, rng *rand.Rand) ([]engine.Phase, error)
 }
 
-// ScanOp is a predicate scan over one column — a polluting job.
+// ScanOp is a predicate scan over one column.
 type ScanOp struct {
 	Table  string
 	Column string
 }
 
 // JoinOp is a bit-vector foreign-key join: build over the build
-// table's key column, probe the probe table's key column. Its CUID is
-// Depends, decided by the bit-vector footprint.
+// table's key column, probe the probe table's key column.
 type JoinOp struct {
 	BuildTable string
 	BuildCol   string
@@ -44,17 +43,14 @@ type AggOp struct {
 	Selectivity float64
 }
 
-// Query executes one TPC-H pipeline.
+// Query executes one TPC-H pipeline. Every phase it plans is
+// Sensitive, whatever its operator: the paper's Figure 11 setup keeps
+// each TPC-H job at the full cache.
 type Query struct {
 	label string
 	db    *DB
 	ops   []Op
 	space *memory.Space
-
-	// ForceSensitive reproduces the paper's Figure 11 setup where
-	// every TPC-H job keeps the full cache, regardless of operator
-	// class.
-	ForceSensitive bool
 
 	// Per-AggOp state reused across executions.
 	aggTables map[int][]*exec.AggTable
@@ -70,14 +66,13 @@ func NewQuery(db *DB, space *memory.Space, number int) (*Query, error) {
 	}
 	spec := specs[number-1]
 	return &Query{
-		label:          fmt.Sprintf("TPCH-Q%d", number),
-		db:             db,
-		ops:            spec.Ops,
-		space:          space,
-		ForceSensitive: true,
-		aggTables:      make(map[int][]*exec.AggTable),
-		aggGlobal:      make(map[int]*exec.AggTable),
-		bitvecs:        make(map[int]*exec.BitVector),
+		label:     fmt.Sprintf("TPCH-Q%d", number),
+		db:        db,
+		ops:       spec.Ops,
+		space:     space,
+		aggTables: make(map[int][]*exec.AggTable),
+		aggGlobal: make(map[int]*exec.AggTable),
+		bitvecs:   make(map[int]*exec.BitVector),
 	}, nil
 }
 
@@ -93,12 +88,6 @@ func (q *Query) Plan(cores int, rng *rand.Rand) ([]engine.Phase, error) {
 			return nil, fmt.Errorf("%s op %d: %w", q.label, i, err)
 		}
 		phases = append(phases, ph...)
-	}
-	if q.ForceSensitive {
-		for i := range phases {
-			phases[i].CUID = core.Sensitive
-			phases[i].Footprint = core.Footprint{}
-		}
 	}
 	return phases, nil
 }
@@ -127,7 +116,7 @@ func (o ScanOp) phasesIndexed(q *Query, _, cores int, rng *rand.Rand) ([]engine.
 	}
 	return []engine.Phase{{
 		Name:      "scan-" + o.Column,
-		CUID:      core.Polluting,
+		CUID:      core.Sensitive,
 		Kernels:   kernels,
 		CountRows: true,
 	}}, nil
@@ -159,7 +148,6 @@ func (o JoinOp) phasesIndexed(q *Query, idx, cores int, _ *rand.Rand) ([]engine.
 		}
 		q.bitvecs[idx] = bv
 	}
-	fp := core.Footprint{BitVectorBytes: bv.Bytes()}
 	buildParts := engine.PartitionRows(bcol.Rows(), cores)
 	builds := make([]exec.Kernel, 0, len(buildParts))
 	for _, p := range buildParts {
@@ -179,8 +167,8 @@ func (o JoinOp) phasesIndexed(q *Query, idx, cores int, _ *rand.Rand) ([]engine.
 		probes = append(probes, k)
 	}
 	return []engine.Phase{
-		{Name: "join-build-" + o.BuildCol, CUID: core.Depends, Footprint: fp, Kernels: builds, CountRows: true},
-		{Name: "join-probe-" + o.ProbeCol, CUID: core.Depends, Footprint: fp, Kernels: probes, CountRows: true},
+		{Name: "join-build-" + o.BuildCol, CUID: core.Sensitive, Kernels: builds, CountRows: true},
+		{Name: "join-probe-" + o.ProbeCol, CUID: core.Sensitive, Kernels: probes, CountRows: true},
 	}, nil
 }
 

@@ -144,40 +144,9 @@ func TestAllQueriesPlan(t *testing.T) {
 			}
 			// Figure 11 setup: TPC-H jobs keep the full cache.
 			if ph.CUID != core.Sensitive {
-				t.Errorf("Q%d phase %q CUID = %v, want Sensitive (ForceSensitive)", n, ph.Name, ph.CUID)
+				t.Errorf("Q%d phase %q CUID = %v, want Sensitive", n, ph.Name, ph.CUID)
 			}
 		}
-	}
-}
-
-func TestForceSensitiveOff(t *testing.T) {
-	db, space := testDB(t)
-	q, err := NewQuery(db, space, 3) // has scan + joins + agg
-	if err != nil {
-		t.Fatal(err)
-	}
-	q.ForceSensitive = false
-	phases, err := q.Plan(2, rand.New(rand.NewSource(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sawPolluting, sawDepends, sawSensitive bool
-	for _, ph := range phases {
-		switch ph.CUID {
-		case core.Polluting:
-			sawPolluting = true
-		case core.Depends:
-			sawDepends = true
-			if ph.Footprint.BitVectorBytes == 0 {
-				t.Errorf("Depends phase %q without footprint", ph.Name)
-			}
-		case core.Sensitive:
-			sawSensitive = true
-		}
-	}
-	if !sawPolluting || !sawDepends || !sawSensitive {
-		t.Errorf("Q3 classes: polluting=%v depends=%v sensitive=%v",
-			sawPolluting, sawDepends, sawSensitive)
 	}
 }
 

@@ -8,15 +8,19 @@
 # Usage: clidiff.sh <parent-ref> [flags...] [name]
 #   parent-ref  commit to compare the working tree against
 #   flags       cachepart flags passed to both sides, e.g. -retries 1
-#   name        one figure name to compare (default: every figure the
-#               working tree's cachepart lists, all but "all")
+#   name        one figure name to compare (default: every figure
+#               either side's cachepart lists, all but "all": the
+#               working tree's in its order, then those only the
+#               parent has)
 #
 # Prints "same" or "DIFF" per figure, with the diff of each that
-# differs, and exits 1 if any differed.
+# differs, "GONE" for a figure only the parent lists and "NEW" for one
+# only the working tree lists, and exits 1 if any differed or was
+# listed on one side only.
 set -eu
 
 if [ $# -lt 1 ]; then
-	sed -n '2,15p' "$0" >&2
+	sed -n '2,18p' "$0" >&2
 	exit 2
 fi
 ref=$1
@@ -32,8 +36,12 @@ go build -C "$tmp/parent" -o "$tmp/cachepart_parent" ./cmd/cachepart
 go build -C "$root" -o "$tmp/cachepart_change" ./cmd/cachepart
 
 # The usage line lists the figure names: "usage: cachepart [flags] <a|b|...|all>".
-names=$("$tmp/cachepart_change" -help 2>&1 | sed -n 's/^usage: cachepart \[flags\] <\(.*\)>$/\1/p' | tr '|' ' ')
-names=${names% all}
+names() {
+	n=$("$tmp/cachepart_$1" -help 2>&1 | sed -n 's/^usage: cachepart \[flags\] <\(.*\)>$/\1/p' | tr '|' ' ')
+	echo "${n% all}"
+}
+old=$(names parent)
+new=$(names change)
 
 # compare <name> <args...>: runs both sides with -fast <args...> and
 # diffs their stdout minus the footer, plus each side's exit status.
@@ -58,17 +66,39 @@ compare() {
 	fi
 }
 
+# check <name> <args...>: compares a figure both sides list, and
+# names one that only one side lists.
+check() {
+	case " $old " in
+	*" $1 "*) ;;
+	*)
+		echo "NEW   $1"
+		failed="$failed $1"
+		return
+		;;
+	esac
+	case " $new " in
+	*" $1 "*) ;;
+	*)
+		echo "GONE  $1"
+		failed="$failed $1"
+		return
+		;;
+	esac
+	compare "$@"
+}
+
 # A trailing figure name narrows the run to that figure; its args
 # already end in the name.
 last=
 if [ $# -gt 0 ]; then
 	eval "last=\${$#}"
 fi
-case " $names " in
-*" ${last:-all} "*) compare "$last" "$@" ;;
+case " $new $old " in
+*" ${last:-all} "*) check "$last" "$@" ;;
 *)
-	for name in $names; do
-		compare "$name" "$@" "$name"
+	for name in $(printf '%s\n' $new $old | awk '!seen[$0]++'); do
+		check "$name" "$@" "$name"
 	done
 	;;
 esac
